@@ -36,7 +36,7 @@ from .core import (
     SampleGrid,
     SkewEvolutionSemiflow,
     _ReportBuilder,
-    log_cocycle_norm,
+    log_norms,
     norm,
 )
 from .quadrature import QuadratureConfig, norm_integral_prefix
@@ -328,35 +328,44 @@ def decay_to_exponential(f: DecayCertificate, mu: float) -> ParametricDecay:
 # ---------------------------------------------------------------------------
 
 
-def _log_norm_table(
-    xi: SkewEvolutionSemiflow, times: Sequence[float], x, v: np.ndarray
-) -> np.ndarray:
-    """L[i, j] = log ||Phi(times[i], times[j], x) v|| for i >= j, else nan."""
+def _log_vector_norms(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> np.ndarray:
+    """log ||v_b|| for every grid vector, under the model's norm."""
+    return np.array([math.log(norm(v, xi.norm_choice)) for v in grid.vector_arrays()])
+
+
+def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (k, j, i) of the triples k <= j <= i, in lexicographic order."""
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    return np.nonzero(upper[:, :, None] & upper[None, :, :])
+
+
+def _pair_tables(xi: SkewEvolutionSemiflow, grid: SampleGrid):
+    """Yield (base label, vector label, log ||v||, L) per (base, vector) pair.
+
+    L[i, j] = log ||Phi(t_i, t_j, x) v|| for i >= j and nan above the
+    diagonal; one ``log_norms`` call per base point fills every vector's
+    table.  Pairs come base-major, in grid order.
+    """
+    times = np.asarray(grid.times)
     n = len(times)
-    table = np.full((n, n), np.nan)
-    for j in range(n):
-        for i in range(j, n):
-            val = log_cocycle_norm(xi, times[i], times[j], x, v)
-            if val == -math.inf:
-                raise PreconditionError(
-                    f"model degeneracy: cocycle image vanished at (t={times[i]}, s={times[j]})"
-                )
-            table[i, j] = val
-    return table
+    i, j = np.tril_indices(n)
+    log_v = _log_vector_norms(xi, grid)
+    labels = grid.vector_labels()
+    for x in grid.base_points:
+        table = np.full((len(labels), n, n), np.nan)
+        table[:, i, j] = log_norms(xi, times[i], times[j], x, grid.vectors)
+        for b, vlabel in enumerate(labels):
+            yield x.label(), vlabel, log_v[b], table[b]
 
 
 def _decay_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> np.ndarray:
-    """m[i, j, a, b] = log ||Phi(u_i + t0_j, t0_j, x_a) v_b|| - log ||v_b||."""
-    times = grid.times
-    n = len(times)
-    out = np.empty((n, n, len(grid.base_points), len(grid.vectors)))
-    for a, x in enumerate(grid.base_points):
-        for b, v in enumerate(grid.vector_arrays()):
-            log_v = math.log(norm(v, xi.norm_choice))
-            for j, t0 in enumerate(times):
-                for i, u in enumerate(times):
-                    out[i, j, a, b] = log_cocycle_norm(xi, u + t0, t0, x, v) - log_v
-    return out
+    """m[a, b, j, i] = log ||Phi(u_i + t0_j, t0_j, x_a) v_b|| - log ||v_b||."""
+    times = np.asarray(grid.times)
+    t0 = times[:, None]
+    log_v = _log_vector_norms(xi, grid)[:, None, None]
+    return np.stack(
+        [log_norms(xi, times + t0, t0, x, grid.vectors) - log_v for x in grid.base_points]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +381,7 @@ def estimate_decay(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> TabulatedDeca
     """
     grid.require_nonempty()
     stats = _decay_stats(xi, grid)
-    per_u = np.min(stats, axis=(1, 2, 3))
+    per_u = np.min(stats, axis=(0, 1, 2))
     logs = np.minimum.accumulate(per_u)
     return TabulatedDecay.from_log_values(grid.times, logs, grid_hash=grid.grid_hash)
 
@@ -384,19 +393,13 @@ def estimate_instability(
     grid.require_nonempty()
     if not (math.isfinite(headroom) and headroom > 0.0):
         raise PreconditionError(f"headroom must be > 0, got {headroom}")
-    times = grid.times
-    n = len(times)
-    need = np.zeros(n)
-    for x in grid.base_points:
-        for v in grid.vector_arrays():
-            log_v = math.log(norm(v, xi.norm_choice))
-            table = _log_norm_table(xi, times, x, v)
-            for i in range(n):
-                # r = log ||v|| - log ||Phi(t_i, t0_k)v|| over t0_k <= t_i
-                r = log_v - table[i, : i + 1]
-                need[i] = max(need[i], float(np.max(r)))
+    lower = np.tri(len(grid.times), dtype=bool)
+    need = np.zeros(len(grid.times))
+    for _, _, log_v, table in _pair_tables(xi, grid):
+        # worst log ||v|| - log ||Phi(t_i, t0_k)v|| over t0_k <= t_i
+        need = np.fmax(need, np.max(log_v - table, axis=1, where=lower, initial=-np.inf))
     logs = math.log1p(headroom) + need
-    witness = TabulatedWitness.from_log_values(times, logs)
+    witness = TabulatedWitness.from_log_values(grid.times, logs)
     return InstabilityCertificate(N=witness, grid_hash=grid.grid_hash)
 
 
@@ -412,29 +415,18 @@ def _pair_envelopes(
     """
     times = np.asarray(grid.times)
     n = len(times)
+    lower = np.tri(n, dtype=bool)
+    within = lower[:, :, None] & lower[None, :, :]  # [i, j, k]: k <= j <= i
+    forward = within & ~np.eye(n, dtype=bool)[:, :, None]  # and j < i
+    gaps = (times[:, None] - times[None, :])[:, :, None]
     R = np.full((n, n), -np.inf)
     rho_star = -math.inf
-    for x in grid.base_points:
-        for v in grid.vector_arrays():
-            table = _log_norm_table(xi, times, x, v)
-            for j in range(n):
-                cols = table[:, : j + 1]
-                diffs = table[j, : j + 1][None, :] - cols[j:, :]
-                R[j:, j] = np.maximum(R[j:, j], np.max(diffs, axis=1))
-            for k in range(n - 1):
-                col = table[k + 1 :, k]
-                gaps = times[k + 1 :] - times[k]
-                base = table[k, k]
-                rates = (col - base) / gaps
-                rho_star = max(rho_star, float(np.max(rates)))
-                if col.size > 1:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        pair = (col[1:, None] - col[None, :-1]) / (
-                            times[k + 2 :, None] - times[k + 1 : -1][None, :]
-                        )
-                    lower = np.tril(np.ones_like(pair, dtype=bool), k=0)
-                    if np.any(lower):
-                        rho_star = max(rho_star, float(np.max(pair[lower])))
+    for *_, table in _pair_tables(xi, grid):
+        rise = table[:, None, :] - table[None, :, :]  # [i, j, k] = L[i, k] - L[j, k]
+        R = np.maximum(R, np.max(-rise, axis=2, where=within, initial=-np.inf))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = rise / gaps
+        rho_star = max(rho_star, float(np.max(rates, where=forward, initial=-np.inf)))
     return R, rho_star
 
 
@@ -465,7 +457,9 @@ def estimate_exp_instability(
         raise PreconditionError(f"growth_cap must be > 0, got {growth_cap}")
     if not (math.isfinite(headroom) and headroom > 0.0):
         raise PreconditionError(f"headroom must be > 0, got {headroom}")
-    candidates = tuple(float(c) for c in (nu_candidates or DEFAULT_NU_CANDIDATES))
+    if nu_candidates is None:
+        nu_candidates = DEFAULT_NU_CANDIDATES
+    candidates = tuple(float(c) for c in nu_candidates)
     if not candidates or any(not (math.isfinite(c) and c > 0.0) for c in candidates):
         raise PreconditionError("nu candidates must be positive reals")
     if any(b >= a for a, b in zip(candidates[1:], candidates)):
@@ -480,7 +474,8 @@ def estimate_exp_instability(
             continue
         with np.errstate(invalid="ignore"):
             needed = nu * gaps + R
-        y = np.array([float(np.max(needed[i, : i + 1])) for i in range(len(times))])
+        # R is -inf above the diagonal, so each row's maximum runs over s <= t.
+        y = np.max(needed, axis=1)
         slope = _ls_slope(grid.times, y)
         slopes[nu] = slope
         if slope <= growth_cap:
@@ -522,16 +517,11 @@ def estimate_integral_instability(
     if not (math.isfinite(headroom) and headroom > 0.0):
         raise PreconditionError(f"headroom must be > 0, got {headroom}")
     times = grid.times
-    n = len(times)
-    need = np.full(n, -np.inf)
+    need = np.full(len(times), -np.inf)
     for x in grid.base_points:
         for v in grid.vector_arrays():
-            for k in range(n):
-                stats = _datko_stats(xi, x, v, times, k, quad_cfg)
-                for i in range(k, n):
-                    d = stats[i - k]
-                    if d > need[i]:
-                        need[i] = d
+            for k in range(len(times)):
+                need[k:] = np.fmax(need[k:], _datko_stats(xi, x, v, times, k, quad_cfg))
     logs = np.maximum(0.0, math.log1p(headroom) + need)
     witness = TabulatedWitness.from_log_values(times, logs)
     return IntegralInstabilityCertificate(M=witness, grid_hash=grid.grid_hash, quad=quad_cfg)
@@ -569,11 +559,8 @@ def _datko_stats(
         return hit[1]
     tail = times[k:]
     prefix = norm_integral_prefix(xi, x, v, tail, quad_cfg)
-    out = np.empty(len(tail))
-    for idx, t in enumerate(tail):
-        logn = log_cocycle_norm(xi, t, times[k], x, v)
-        with np.errstate(divide="ignore"):
-            out[idx] = (math.log(prefix[idx]) if prefix[idx] > 0.0 else -math.inf) - logn
+    with np.errstate(divide="ignore"):
+        out = np.log(prefix) - log_norms(xi, np.asarray(tail), times[k], x, [v])[0]
     if len(_DATKO_MEMO) >= _DATKO_MEMO_CAP:
         _DATKO_MEMO.clear()
     _DATKO_MEMO[key] = (xi, out)
@@ -598,17 +585,14 @@ def check_decay(
     grid.require_nonempty()
     builder = _ReportBuilder("decay", tol, margin_sink)
     times = np.asarray(grid.times)
+    t0 = np.repeat(times, len(times))
+    t = (times + times[:, None]).ravel()
     stats = _decay_stats(xi, grid)
     log_f = np.array([cert.log_value(u) for u in grid.times])
     for a, x in enumerate(grid.base_points):
-        xlabel = x.label()
         for b, vlabel in enumerate(grid.vector_labels()):
-            for j, t0 in enumerate(grid.times):
-                margins = stats[:, j, a, b] - log_f
-                builder.add_array(
-                    times + t0, np.full_like(times, t0), np.full_like(times, t0),
-                    xlabel, vlabel, margins,
-                )
+            margins = (stats[a, b] - log_f).ravel()
+            builder.add_array(t, t0, t0, x.label(), vlabel, margins)
     return builder.finish()
 
 
@@ -627,19 +611,11 @@ def check_instability(
     grid.require_nonempty()
     builder = _ReportBuilder("instability", tol, margin_sink)
     times = np.asarray(grid.times)
+    k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
     log_n = np.array([cert.N.log_value(t) for t in grid.times])
-    for x in grid.base_points:
-        xlabel = x.label()
-        for v, vlabel in zip(grid.vector_arrays(), grid.vector_labels()):
-            log_v = math.log(norm(v, xi.norm_choice))
-            table = _log_norm_table(xi, grid.times, x, v)
-            for k in range(len(times)):
-                r = log_v - table[k:, k]
-                margins = log_n[k:] - r
-                builder.add_array(
-                    times[k:], np.full(len(times) - k, times[k]),
-                    np.full(len(times) - k, times[k]), xlabel, vlabel, margins,
-                )
+    for xlabel, vlabel, log_v, table in _pair_tables(xi, grid):
+        margins = log_n[i] - (log_v - table[i, k])
+        builder.add_array(times[i], times[k], times[k], xlabel, vlabel, margins)
     return builder.finish()
 
 
@@ -662,23 +638,11 @@ def check_exp_instability(
     grid.require_nonempty()
     builder = _ReportBuilder("exp-instability", tol, margin_sink)
     times = np.asarray(grid.times)
-    n = len(times)
+    k, j, i = _triples(len(times))
     log_n = np.array([cert.N.log_value(t) for t in grid.times])
-    nu = cert.nu
-    for x in grid.base_points:
-        xlabel = x.label()
-        for v, vlabel in zip(grid.vector_arrays(), grid.vector_labels()):
-            table = _log_norm_table(xi, grid.times, x, v)
-            for k in range(n):
-                for j in range(k, n):
-                    i_slice = slice(j, n)
-                    needed = nu * (times[i_slice] - times[j]) + (table[j, k] - table[i_slice, k])
-                    margins = log_n[i_slice] - needed
-                    count = n - j
-                    builder.add_array(
-                        times[i_slice], np.full(count, times[j]), np.full(count, times[k]),
-                        xlabel, vlabel, margins,
-                    )
+    for xlabel, vlabel, _, table in _pair_tables(xi, grid):
+        needed = cert.nu * (times[i] - times[j]) + (table[j, k] - table[i, k])
+        builder.add_array(times[i], times[j], times[k], xlabel, vlabel, log_n[i] - needed)
     return builder.finish()
 
 
@@ -705,18 +669,14 @@ def check_integral_instability(
     cfg = quad_cfg or cert.quad or QuadratureConfig()
     builder = _ReportBuilder("integral-instability", tol, margin_sink)
     times = np.asarray(grid.times)
-    n = len(times)
+    k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
     log_m = np.array([cert.M.log_value(t) for t in grid.times])
     for x in grid.base_points:
-        xlabel = x.label()
         for v, vlabel in zip(grid.vector_arrays(), grid.vector_labels()):
-            for k in range(n):
-                stats = _datko_stats(xi, x, v, grid.times, k, cfg)
-                margins = log_m[k:] - stats
-                builder.add_array(
-                    times[k:], np.full(n - k, times[k]), np.full(n - k, times[k]),
-                    xlabel, vlabel, margins,
-                )
+            stats = np.concatenate(
+                [_datko_stats(xi, x, v, grid.times, first, cfg) for first in range(len(times))]
+            )
+            builder.add_array(times[i], times[k], times[k], x.label(), vlabel, log_m[i] - stats)
     return builder.finish()
 
 

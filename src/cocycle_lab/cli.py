@@ -38,6 +38,8 @@ from .certificates import (
     NoCertificate,
     ParametricDecay,
     TabulatedDecay,
+    _float_list,
+    _is_number,
     _quad_from_json,
     _require_keys,
     certificate_from_json_dict,
@@ -158,7 +160,10 @@ def _parse_base_point(doc) -> Trivial | ShiftedGenerator:
         return Trivial(float(doc.get("value", 0.0)))
     if doc["kind"] == "generator":
         _require_keys(doc, {"kind", "n"}, {"sigma"}, "generator base point")
-        return ShiftedGenerator(int(doc["n"]), float(doc.get("sigma", 0.0)))
+        n = doc["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ScenarioError(f"generator n must be an integer, got {n!r}")
+        return ShiftedGenerator(n, float(doc.get("sigma", 0.0)))
     raise ScenarioError(f"unknown base point kind {doc['kind']!r}")
 
 
@@ -178,6 +183,20 @@ def default_times() -> list[float]:
     return [float(t) for t in np.linspace(0.0, 16.0, 65)]
 
 
+def _object(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key} must be a JSON object")
+    return value
+
+
+def _positive(doc: dict, key: str, default: float) -> float:
+    value = doc.get(key, default)
+    if not (_is_number(value) and math.isfinite(value) and value > 0.0):
+        raise ScenarioError(f"{key} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scenario, SkewEvolutionSemiflow]:
     """Validate a scenario document and build its model and grid.
 
@@ -195,20 +214,14 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     )
     base_model = build_model(doc["model"])
 
-    tols = doc.get("tolerances") or {}
-    if not isinstance(tols, dict):
-        raise ScenarioError("tolerances must be a JSON object")
+    tols = _object(doc, "tolerances")
     _require_keys(tols, set(), {"quad", "margin_tol", "headroom", "growth_cap"}, "tolerances")
-    quad = _quad_from_json(tols.get("quad") or {}, "tolerances.quad")
-    margin_tol = float(tols.get("margin_tol", 1e-9))
-    if not (math.isfinite(margin_tol) and margin_tol > 0.0):
-        raise ScenarioError(f"margin_tol must be > 0, got {margin_tol}")
-    headroom = float(tols.get("headroom", DEFAULT_HEADROOM))
-    growth_cap = float(tols.get("growth_cap", DEFAULT_GROWTH_CAP))
+    quad = _quad_from_json(_object(tols, "quad"), "tolerances.quad")
+    margin_tol = _positive(tols, "margin_tol", 1e-9)
+    headroom = _positive(tols, "headroom", DEFAULT_HEADROOM)
+    growth_cap = _positive(tols, "growth_cap", DEFAULT_GROWTH_CAP)
 
-    grid_doc = doc.get("grid") or {}
-    if not isinstance(grid_doc, dict):
-        raise ScenarioError("grid must be a JSON object")
+    grid_doc = _object(doc, "grid")
     _require_keys(grid_doc, set(), {"times", "base_points", "vectors"}, "grid")
     times = _parse_times(grid_doc["times"]) if "times" in grid_doc else default_times()
     if "base_points" in grid_doc:
@@ -243,10 +256,10 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
 
     nu_candidates = doc.get("nu_candidates")
     if nu_candidates is not None:
-        nu_candidates = tuple(float(c) for c in nu_candidates)
-    alpha = float(doc.get("alpha", 1.5))
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ScenarioError(f"alpha must be finite and > 0, got {alpha}")
+        nu_candidates = tuple(_float_list(nu_candidates, "nu_candidates"))
+        if not nu_candidates:
+            raise ScenarioError("nu_candidates must be null or a nonempty list")
+    alpha = _positive(doc, "alpha", 1.5)
 
     out_dir = out_dir_override or doc.get("out_dir") or "."
     scenario = Scenario(
@@ -576,7 +589,9 @@ def main(argv=None) -> int:
         if args.command == "theorem":
             return cmd_theorem(sc, xi, args.theorem, args.cert)
         return cmd_report(sc, xi, args.cert)
-    except (ScenarioError, PreconditionError, DomainError, OSError, ValueError, TypeError) as exc:
+    except (
+        ScenarioError, PreconditionError, DomainError, OSError, ValueError, TypeError, OverflowError
+    ) as exc:
         print(f"cocycle-lab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,11 @@ exponential shift, the algebraic law checkers, and the metric on the
 base space of shifted generator functions.
 
 Norms of cocycle values span many orders of magnitude, so every margin
-that feeds a pass/fail decision is computed in log-space via
-``log_cocycle_norm``; models supply per-component log factors whenever
-they have a diagonal closed form.
+that feeds a pass/fail decision is computed in log-space from the
+model's per-component log factors.  ``log_norms`` evaluates them for
+whole arrays of time pairs at once and is the one path every estimator,
+checker and validator reads; the scalar ``log_cocycle_norm`` is kept as
+an independent reference for tests.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Relative residuals divide by max(norm, NORM_FLOOR) so that exact zeros
 # do not turn into NaNs.
@@ -117,61 +118,34 @@ def norm(v: Sequence[float] | np.ndarray, choice: NormChoice = NormChoice.SUM_AB
     return float(np.max(np.abs(arr)))
 
 
-def _log_combine(log_terms: np.ndarray, choice: NormChoice) -> float:
-    """Norm of a vector given the logs of its component magnitudes."""
-    if log_terms.size == 0:
-        return -math.inf
-    if log_terms.size == 1:
-        # logsumexp of a singleton is the entry itself, for every norm.
-        return float(log_terms[0])
-    if choice is NormChoice.SUM_ABS:
-        return _logsumexp_small(log_terms)
-    if choice is NormChoice.EUCLID:
-        return 0.5 * _logsumexp_small(2.0 * log_terms)
-    return float(np.max(log_terms))
-
-
-def _logsumexp_small(a: np.ndarray) -> float:
-    """logsumexp tuned for the short arrays this package produces.
-
-    scipy's implementation dominates runtime when called per sample;
-    dimensions here are the fiber dimension, so a direct shifted sum is
-    both exact enough and an order of magnitude cheaper.
-    """
-    if a.size > 16:
-        return float(logsumexp(a))
-    m = float(np.max(a))
-    if m == -math.inf or not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(a - m))))
-
-
 # ---------------------------------------------------------------------------
 # The pair (semiflow, cocycle)
 # ---------------------------------------------------------------------------
 
 SemiflowFn = Callable[[float, float, BasePoint], BasePoint]
 CocycleFn = Callable[[float, float, BasePoint, np.ndarray], np.ndarray]
-LogFactorsFn = Callable[[float, float, BasePoint], np.ndarray]
+LogFactorsFn = Callable[[float | np.ndarray, float | np.ndarray, BasePoint], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class SkewEvolutionSemiflow:
     """An evolution semiflow on base points plus a cocycle on R^p fibers.
 
-    ``log_factors(t, s, x)``, when present, returns the per-component log
-    gains of a diagonal cocycle; checkers use it to evaluate norms in
-    log-space without overflow.  ``strongly_measurable`` gates the
-    integral-instability operations.  ``descriptor`` records how the
-    model was built, for reports.
+    ``log_factors(t, s, x)`` returns the per-component log gains of the
+    (diagonal) cocycle, so norms are evaluated in log-space without
+    overflow.  It accepts arrays of times: components go on the first
+    axis, so the result has shape ``(dimension,) + np.broadcast(t, s).shape``
+    and a scalar call returns shape ``(dimension,)``.
+    ``strongly_measurable`` gates the integral-instability operations.
+    ``descriptor`` records how the model was built, for reports.
     """
 
     semiflow: SemiflowFn
     cocycle: CocycleFn
     dimension: int
+    log_factors: LogFactorsFn
     norm_choice: NormChoice = NormChoice.SUM_ABS
     strongly_measurable: bool = True
-    log_factors: LogFactorsFn | None = None
     descriptor: dict = field(default_factory=dict)
 
 
@@ -197,34 +171,79 @@ def eval_cocycle(
     return xi.cocycle(t, s, x, arr)
 
 
-def eval_skew(
-    xi: SkewEvolutionSemiflow, t: float, s: float, x: BasePoint, v: Sequence[float] | np.ndarray
-) -> tuple[BasePoint, np.ndarray]:
-    """Evaluate base motion and fiber action together."""
-    return eval_semiflow(xi, t, s, x), eval_cocycle(xi, t, s, x, v)
-
-
 def log_cocycle_norm(
     xi: SkewEvolutionSemiflow, t: float, s: float, x: BasePoint, v: Sequence[float] | np.ndarray
 ) -> float:
-    """log ||Phi(t, s, x) v|| under the model's norm, computed stably.
+    """log ||Phi(t, s, x) v|| for one pair and one vector, in plain Python.
 
-    Uses the model's closed-form log factors when available; otherwise
-    falls back to the log of the directly evaluated norm.  Returns -inf
+    The scalar reference that tests hold ``log_norms`` to.  Returns -inf
     for an exactly zero image.
     """
     _require_pair(t, s)
     arr = np.asarray(v, dtype=float)
     if arr.shape != (xi.dimension,):
         raise DomainError(f"vector has shape {arr.shape}, model dimension is {xi.dimension}")
-    if xi.log_factors is not None:
-        g = np.asarray(xi.log_factors(t, s, x), dtype=float)
-        mask = arr != 0.0
-        with np.errstate(divide="ignore"):
-            terms = g[mask] + np.log(np.abs(arr[mask]))
-        return _log_combine(terms, xi.norm_choice)
-    value = norm(xi.cocycle(t, s, x, arr), xi.norm_choice)
-    return math.log(value) if value > 0.0 else -math.inf
+    g = np.asarray(xi.log_factors(t, s, x), dtype=float)
+    terms = [float(gk) + math.log(abs(c)) for gk, c in zip(g, arr.tolist()) if c != 0.0]
+    if not terms:
+        return -math.inf
+    m = max(terms)
+    if xi.norm_choice is NormChoice.MAX_ABS or len(terms) == 1 or not math.isfinite(m):
+        return m
+    p = 2.0 if xi.norm_choice is NormChoice.EUCLID else 1.0
+    return m + math.log(math.fsum(math.exp(p * (a - m)) for a in terms)) / p
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """logsumexp along axis 1; a non-finite maximum passes through."""
+    m = np.max(a, axis=1)
+    with np.errstate(invalid="ignore"):
+        out = m + np.log(np.sum(np.exp(a - m[:, None]), axis=1))
+    return np.where(np.isfinite(m), out, m)
+
+
+def log_norms(
+    xi: SkewEvolutionSemiflow,
+    t: float | np.ndarray,
+    s: float | np.ndarray,
+    x: BasePoint,
+    vectors: Sequence[Sequence[float]] | np.ndarray,
+) -> np.ndarray:
+    """L[b, ...] = log ||Phi(t, s, x) vectors[b]|| over arrays of time pairs.
+
+    ``t`` and ``s`` broadcast together, and the result has shape
+    ``(len(vectors),) + np.broadcast(t, s).shape``.  One ``log_factors``
+    call serves every pair and vector; the components are combined by a
+    log-sum-exp, so no norm is formed in linear space.  Raises DomainError
+    when a pair leaves t >= s >= 0 and PreconditionError when an image
+    vanishes.
+    """
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    outside = ~(np.isfinite(t) & np.isfinite(s) & (s >= 0.0) & (t >= s))
+    if outside.any():
+        at = np.unravel_index(np.argmax(outside), outside.shape)
+        raise DomainError(f"(t, s) = ({t[at]}, {s[at]}) outside the admissible region t >= s >= 0")
+    vecs = np.asarray(vectors, dtype=float)
+    if vecs.ndim != 2 or vecs.shape[1] != xi.dimension:
+        raise DomainError(f"vectors have shape {vecs.shape}, model dimension is {xi.dimension}")
+    g = np.asarray(xi.log_factors(t, s, x), dtype=float)
+    with np.errstate(divide="ignore"):
+        # Zero components give -inf terms, which drop out of every norm.
+        log_mags = np.log(np.abs(vecs)).reshape(vecs.shape + (1,) * t.ndim)
+    terms = g[None] + log_mags
+    if xi.norm_choice is NormChoice.SUM_ABS:
+        out = _logsumexp(terms)
+    elif xi.norm_choice is NormChoice.EUCLID:
+        out = 0.5 * _logsumexp(2.0 * terms)
+    else:
+        out = np.max(terms, axis=1)
+    vanished = np.isneginf(out)
+    if vanished.any():
+        at = np.unravel_index(np.argmax(vanished), vanished.shape)[1:]
+        raise PreconditionError(
+            f"model degeneracy: cocycle image vanished at (t={t[at]}, s={s[at]})"
+        )
+    return out
 
 
 def shift_cocycle(xi: SkewEvolutionSemiflow, gamma: float) -> SkewEvolutionSemiflow:
@@ -240,12 +259,10 @@ def shift_cocycle(xi: SkewEvolutionSemiflow, gamma: float) -> SkewEvolutionSemif
     def shifted_cocycle(t: float, s: float, x: BasePoint, v: np.ndarray) -> np.ndarray:
         return math.exp(-gamma * (t - s)) * xi.cocycle(t, s, x, v)
 
-    shifted_log: LogFactorsFn | None = None
-    if xi.log_factors is not None:
-        base_log = xi.log_factors
+    base_log = xi.log_factors
 
-        def shifted_log(t: float, s: float, x: BasePoint) -> np.ndarray:  # type: ignore[no-redef]
-            return np.asarray(base_log(t, s, x), dtype=float) - gamma * (t - s)
+    def shifted_log(t, s, x: BasePoint) -> np.ndarray:
+        return np.asarray(base_log(t, s, x), dtype=float) - gamma * (t - s)
 
     return SkewEvolutionSemiflow(
         semiflow=xi.semiflow,
@@ -307,19 +324,6 @@ class SampleGrid:
 
     def vector_labels(self) -> list[str]:
         return [format_vector(v) for v in self.vectors]
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Index pairs (i, j) with times[i] >= times[j]."""
-        for j in range(len(self.times)):
-            for i in range(j, len(self.times)):
-                yield i, j
-
-    def triples(self) -> Iterator[tuple[int, int, int]]:
-        """Index triples (i, j, k) with times[i] >= times[j] >= times[k]."""
-        for k in range(len(self.times)):
-            for j in range(k, len(self.times)):
-                for i in range(j, len(self.times)):
-                    yield i, j, k
 
     @property
     def grid_hash(self) -> str:

@@ -6,7 +6,9 @@ integrals of a fixed family of decreasing generator functions, and a
 pure exponential used to calibrate estimators.  Two deliberately broken
 variants exist so the law checkers have something to catch.
 
-All evaluations use closed forms; no quadrature is involved.
+All evaluations use closed forms; no quadrature is involved.  Every
+``log_factors`` accepts arrays of times and puts the components on the
+first axis: the result has shape ``(dimension,) + np.broadcast(t, s).shape``.
 """
 
 from __future__ import annotations
@@ -60,18 +62,23 @@ def integrate_generator(n: int, sigma: float, length: float) -> float:
         raise PreconditionError(f"generator shift must be finite and >= 0, got {sigma}")
     if not (math.isfinite(length) and length >= 0.0):
         raise PreconditionError(f"integration length must be finite and >= 0, got {length}")
+    return float(_generator_integral(n, sigma, length))
+
+
+def _generator_integral(n: int, sigma: float, length: float | np.ndarray) -> float | np.ndarray:
+    """The closed form of ``integrate_generator``, unvalidated and array-aware."""
     beta = 1.0 / (2 * n * (2 * n + 1))
-    return length / (2 * n + 1) + (beta / 2.0) * math.exp(-sigma) * (-math.expm1(-length))
+    return length / (2 * n + 1) + (beta / 2.0) * math.exp(-sigma) * (-np.expm1(-length))
 
 
-def sin_scalar_exponent(t: float, s: float) -> float:
+def sin_scalar_exponent(t: float | np.ndarray, s: float | np.ndarray) -> float | np.ndarray:
     """Exponent of the oscillating scalar cocycle between times s and t.
 
     E(t, s) = (t - s) - 2 t sin(pi t / 4) + 2 s sin(pi s / 4); it
     telescopes, E(t, s) + E(s, r) = E(t, r), which is what makes the
     scalar map a cocycle.
     """
-    return (t - s) - 2.0 * t * math.sin(math.pi * t / 4.0) + 2.0 * s * math.sin(math.pi * s / 4.0)
+    return (t - s) - 2.0 * t * np.sin(np.pi * t / 4.0) + 2.0 * s * np.sin(np.pi * s / 4.0)
 
 
 def _require_trivial(x: BasePoint, kind: str) -> Trivial:
@@ -100,9 +107,9 @@ def sin_scalar_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewEvolut
         _require_trivial(x, "sin_scalar")
         return v * math.exp(sin_scalar_exponent(t, s))
 
-    def log_factors(t: float, s: float, x: BasePoint) -> np.ndarray:
+    def log_factors(t, s, x: BasePoint) -> np.ndarray:
         _require_trivial(x, "sin_scalar")
-        return np.array([sin_scalar_exponent(t, s)])
+        return np.asarray(sin_scalar_exponent(t, s))[None]
 
     return SkewEvolutionSemiflow(
         semiflow=_trivial_semiflow("sin_scalar"),
@@ -125,9 +132,9 @@ def pure_exponential_model(
         _require_trivial(x, "pure_exponential")
         return v * math.exp(rate * (t - s))
 
-    def log_factors(t: float, s: float, x: BasePoint) -> np.ndarray:
+    def log_factors(t, s, x: BasePoint) -> np.ndarray:
         _require_trivial(x, "pure_exponential")
-        return np.array([rate * (t - s)])
+        return np.asarray(rate * (t - s))[None]
 
     return SkewEvolutionSemiflow(
         semiflow=_trivial_semiflow("pure_exponential"),
@@ -159,9 +166,10 @@ def diag_integral_model(
         g = _require_generator(x, "diag_integral")
         return ShiftedGenerator(g.n, g.sigma + (t - s))
 
-    def log_factors(t: float, s: float, x: BasePoint) -> np.ndarray:
+    def log_factors(t, s, x: BasePoint) -> np.ndarray:
         g = _require_generator(x, "diag_integral")
-        return rate_arr * integrate_generator(g.n, g.sigma, t - s)
+        window = np.asarray(_generator_integral(g.n, g.sigma, t - s))
+        return rate_arr.reshape((-1,) + (1,) * window.ndim) * window
 
     def cocycle(t: float, s: float, x: BasePoint, v: np.ndarray) -> np.ndarray:
         return v * np.exp(log_factors(t, s, x))
@@ -205,12 +213,16 @@ def broken_cocycle_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewEv
         _require_trivial(x, "broken_cocycle")
         return v * (1.0 + (t - s))
 
+    def log_factors(t, s, x: BasePoint) -> np.ndarray:
+        _require_trivial(x, "broken_cocycle")
+        return np.log1p(np.asarray(t - s))[None]
+
     return SkewEvolutionSemiflow(
         semiflow=_trivial_semiflow("broken_cocycle"),
         cocycle=cocycle,
         dimension=1,
         norm_choice=norm_choice,
-        log_factors=None,
+        log_factors=log_factors,
         descriptor={"kind": "broken_cocycle"},
     )
 

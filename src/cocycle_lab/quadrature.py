@@ -24,7 +24,6 @@ from .core import (
     NormChoice,
     PreconditionError,
     SkewEvolutionSemiflow,
-    log_cocycle_norm,
 )
 
 
@@ -135,17 +134,10 @@ def _norm_trajectory_fn(
 ):
     """Integrand tau -> ||Phi(tau, t0, x) arr||.
 
-    When the model publishes log factors the norm is assembled directly
-    from them, skipping the per-call log/exp round trip; this is the hot
-    inner function of every Datko-style integral.
+    The norm is assembled directly from the model's log factors, skipping
+    a per-call log/exp round trip; this is the hot inner function of
+    every Datko-style integral.
     """
-    if xi.log_factors is None:
-
-        def integrand(tau: float) -> float:
-            return math.exp(log_cocycle_norm(xi, tau, t0, x, arr))
-
-        return integrand
-
     factors = xi.log_factors
     mags = np.abs(arr)
     if xi.norm_choice is NormChoice.SUM_ABS:

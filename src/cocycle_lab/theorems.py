@@ -14,7 +14,6 @@ when a required parameter search comes up empty.  Auxiliary reports
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +32,8 @@ from .certificates import (
     ParametricDecay,
     TabulatedDecay,
     TabulatedWitness,
-    _log_norm_table,
+    _pair_tables,
+    _triples,
     certificate_to_json_dict,
     check_decay,
     check_exp_instability,
@@ -52,7 +52,6 @@ from .core import (
     SampleGrid,
     SkewEvolutionSemiflow,
     _ReportBuilder,
-    norm,
     shift_cocycle,
 )
 from .quadrature import QuadratureConfig, integrate_kernel
@@ -203,17 +202,11 @@ def _check_exp_diagonal(
     """Exp-instability margins restricted to the s = t0 samples."""
     builder = _ReportBuilder("exp-instability-diagonal", tol)
     times = np.asarray(grid.times)
-    n = len(times)
+    k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
     log_n = np.array([cert.N.log_value(t) for t in grid.times])
-    for x in grid.base_points:
-        for v, vlabel in zip(grid.vector_arrays(), grid.vector_labels()):
-            table = _log_norm_table(xi, grid.times, x, v)
-            for k in range(n):
-                needed = cert.nu * (times[k:] - times[k]) + (table[k, k] - table[k:, k])
-                builder.add_array(
-                    times[k:], np.full(n - k, times[k]), np.full(n - k, times[k]),
-                    x.label(), vlabel, log_n[k:] - needed,
-                )
+    for xlabel, vlabel, _, table in _pair_tables(xi, grid):
+        needed = cert.nu * (times[i] - times[k]) + (table[k, k] - table[i, k])
+        builder.add_array(times[i], times[k], times[k], xlabel, vlabel, log_n[i] - needed)
     return builder.finish()
 
 
@@ -230,20 +223,13 @@ def _check_linear_growth(
     """
     builder = _ReportBuilder("linear-growth", tol)
     times = np.asarray(grid.times)
-    n = len(times)
-    for x in grid.base_points:
-        for v, vlabel in zip(grid.vector_arrays(), grid.vector_labels()):
-            log_v = math.log(norm(v, xi.norm_choice))
-            table = _log_norm_table(xi, grid.times, x, v)
-            for k in range(n):
-                with np.errstate(divide="ignore"):
-                    log_gap = np.log(times[k:] - times[k])
-                margins = mtilde_logs[k:] + (table[k:, k] - log_v) - log_gap
-                margins[0] = math.inf
-                builder.add_array(
-                    times[k:], np.full(n - k, times[k]), np.full(n - k, times[k]),
-                    x.label(), vlabel, margins,
-                )
+    k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
+    with np.errstate(divide="ignore"):
+        log_gap = np.log(times[i] - times[k])
+    for xlabel, vlabel, log_v, table in _pair_tables(xi, grid):
+        margins = mtilde_logs[i] + (table[i, k] - log_v) - log_gap
+        margins[i == k] = math.inf
+        builder.add_array(times[i], times[k], times[k], xlabel, vlabel, margins)
     return builder.finish()
 
 
@@ -256,18 +242,12 @@ def _check_window_bound(
     """Margins of ||Phi(t, t0, x)v|| >= f(lambda) ||Phi(s, t0, x)v||, t in [s, s+1)."""
     builder = _ReportBuilder("window-bound", tol)
     times = np.asarray(grid.times)
-    n = len(times)
-    for x in grid.base_points:
-        for v, vlabel in zip(grid.vector_arrays(), grid.vector_labels()):
-            table = _log_norm_table(xi, grid.times, x, v)
-            for k in range(n):
-                for j in range(k, n):
-                    hi = bisect.bisect_left(grid.times, grid.times[j] + 1.0)
-                    margins = (table[j:hi, k] - table[j, k]) - log_f_lam
-                    builder.add_array(
-                        times[j:hi], np.full(hi - j, times[j]), np.full(hi - j, times[k]),
-                        x.label(), vlabel, margins,
-                    )
+    k, j, i = _triples(len(times))
+    window = times[i] < times[j] + 1.0
+    k, j, i = k[window], j[window], i[window]
+    for xlabel, vlabel, _, table in _pair_tables(xi, grid):
+        margins = (table[i, k] - table[j, k]) - log_f_lam
+        builder.add_array(times[i], times[j], times[k], xlabel, vlabel, margins)
     return builder.finish()
 
 
@@ -278,21 +258,21 @@ def _check_integral_chain(
     grid: SampleGrid,
     tol: float,
 ) -> CheckReport:
-    """Margins of K1 ||v|| <= M(t) ||Phi(t, t0, x) v||."""
+    """Margins of K1 ||v|| <= M(t) ||Phi(t, t0, x) v|| for t >= t0 + 1.
+
+    The chain K1 ||v|| <= integral over [t0, t0 + 1] of ||Phi(tau, t0, x)v||
+    <= M(t) ||Phi(t, t0, x)v|| needs [t0, t0 + 1] inside [t0, t], so it
+    says nothing about t < t0 + 1 and those pairs are not sampled.
+    """
     builder = _ReportBuilder("integral-chain", tol)
     times = np.asarray(grid.times)
-    n = len(times)
+    k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
+    unit = times[i] >= times[k] + 1.0
+    k, i = k[unit], i[unit]
     log_m = np.array([m_cert.M.log_value(t) for t in grid.times])
-    for x in grid.base_points:
-        for v, vlabel in zip(grid.vector_arrays(), grid.vector_labels()):
-            log_v = math.log(norm(v, xi.norm_choice))
-            table = _log_norm_table(xi, grid.times, x, v)
-            for k in range(n):
-                margins = log_m[k:] + (table[k:, k] - log_v) - log_k1
-                builder.add_array(
-                    times[k:], np.full(n - k, times[k]), np.full(n - k, times[k]),
-                    x.label(), vlabel, margins,
-                )
+    for xlabel, vlabel, log_v, table in _pair_tables(xi, grid):
+        margins = log_m[i] + (table[i, k] - log_v) - log_k1
+        builder.add_array(times[i], times[k], times[k], xlabel, vlabel, margins)
     return builder.finish()
 
 
@@ -656,14 +636,19 @@ def thm2_validate(
         if t > 1.0 and float(t).is_integer() and f.log_value(t) < 0.0:
             lam = float(t)
             break
+    missing = None
     if lam is None:
+        missing = "no integer grid time above 1 has f(lambda) < 1"
+    elif grid.times[-1] < grid.times[0] + 1.0:
+        missing = "no grid pair spans the unit window t >= t0 + 1 of the integral chain"
+    if missing is not None:
         return TheoremRun(
             theorem="thm2_validate",
             inputs=inputs,
             derived=(),
             reports=(gate_f, gate_m),
             verdict="no-certificate",
-            notes=("no integer grid time above 1 has f(lambda) < 1",),
+            notes=(missing,),
         )
     log_f_lam = f.log_value(lam)
     k1 = integrate_kernel(f.value, 0.0, 1.0, quad_cfg, breakpoints=f.breakpoints())

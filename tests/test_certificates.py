@@ -236,9 +236,9 @@ def test_estimator_validation(pexp3_model, short_times):
         estimate_exp_instability(pexp3_model, g, nu_candidates=(2.0, 1.0))
     with pytest.raises(PreconditionError):
         estimate_exp_instability(pexp3_model, g, nu_candidates=(0.0, 1.0))
-    # an empty candidate tuple falls back to the default ladder
-    fell_back = estimate_exp_instability(pexp3_model, g, nu_candidates=())
-    assert isinstance(fell_back, ExpInstabilityCertificate)
+    # an empty candidate tuple is an error, not the default ladder
+    with pytest.raises(PreconditionError):
+        estimate_exp_instability(pexp3_model, g, nu_candidates=())
     empty = SampleGrid.create([], [], [])
     with pytest.raises(PreconditionError, match="grid nonempty"):
         estimate_decay(pexp3_model, empty)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from cocycle_lab import DomainError, PreconditionError
 from cocycle_lab.cli import Scenario, ScenarioError, main, parse_scenario
 
 SMALL_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -102,11 +103,21 @@ def test_scenario_grid_spec_object():
     {"model": {"kind": "sin_scalar"}, "seed": "zero"},
     {"model": {"kind": "sin_scalar"}, "tolerances": []},
     {"model": {"kind": "sin_scalar"}, "alpha": -2.0},
+    {"model": {"kind": "pure_exponential", "rate": 3.0}, "nu_candidates": []},
+    {"model": {"kind": "sin_scalar"}, "nu_candidates": {"1": 2}},
+    {"model": {"kind": "diag_integral", "alphas": [1.0]},
+     "grid": {"base_points": [{"kind": "generator", "n": 1.9}]}},
+    {"model": {"kind": "diag_integral", "alphas": [1.0]},
+     "grid": {"base_points": [{"kind": "generator", "n": True}]}},
+    {"model": {"kind": "sin_scalar"}, "tolerances": {"headroom": -0.5}},
+    {"model": {"kind": "sin_scalar"}, "tolerances": {"growth_cap": -1.0}},
+    {"model": {"kind": "sin_scalar"}, "tolerances": {"margin_tol": "1e-9"}},
+    {"model": {"kind": "sin_scalar"}, "grid": []},
+    {"model": {"kind": "sin_scalar"}, "tolerances": {"quad": []}},
 ])
 def test_scenario_rejects_malformed_documents(doc):
-    with pytest.raises((ScenarioError, Exception)):
-        sc, _ = parse_scenario(doc)
-        raise AssertionError(f"parsed unexpectedly: {sc}")
+    with pytest.raises((ScenarioError, PreconditionError, DomainError)):
+        parse_scenario(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +134,8 @@ def test_malformed_scenarios_exit_2(tmp_path):
             {"model": {"kind": "sin_scalar"}, "tolerances": {"margin_tol": 0.0}}),
         "bad_times.json": json.dumps(
             {"model": {"kind": "sin_scalar"}, "grid": {"times": [0.0, 0.0]}}),
+        # an integer literal too large for a float
+        "huge_rate.json": json.dumps({"model": {"kind": "pure_exponential", "rate": 10**400}}),
     }
     for name, text in fixtures.items():
         p = tmp_path / name
@@ -452,6 +465,15 @@ def test_console_script_runs(tmp_path, sin_scenario):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (out / "laws_report.json").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs about a third of a second at every start-up; the CLI needs none of it
+    code = ("import sys, cocycle_lab.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_error_message(tmp_path):

@@ -29,10 +29,11 @@ from cocycle_lab.core import (
     base_discrepancy,
     eval_cocycle,
     eval_semiflow,
-    eval_skew,
     format_vector,
     log_cocycle_norm,
+    log_norms,
 )
+from cocycle_lab.models import diag_integral_model, pure_exponential_model, sin_scalar_model
 
 from conftest import grid_for
 
@@ -117,14 +118,6 @@ def test_grid_validation():
         empty.require_nonempty()
 
 
-def test_grid_pairs_and_triples_ordering():
-    g = SampleGrid.create([0.0, 1.0, 2.0], [Trivial(0.0)], [(1.0,)])
-    assert all(g.times[i] >= g.times[j] for i, j in g.pairs())
-    triples = list(g.triples())
-    assert all(i >= j >= k for i, j, k in triples)
-    assert len(triples) == 10
-
-
 def test_grid_hash_sensitivity():
     g1 = SampleGrid.create([0.0, 1.0], [Trivial(0.0)], [(1.0,)])
     g2 = SampleGrid.create([0.0, 1.0], [Trivial(0.0)], [(1.0,)])
@@ -153,13 +146,6 @@ def test_eval_domain_errors(sin_model):
         eval_cocycle(sin_model, 2.0, 1.0, Trivial(0.0), (1.0, 2.0))
 
 
-def test_eval_skew_pairs_base_and_fiber(diag_model):
-    x = ShiftedGenerator(1, 0.0)
-    y, w = eval_skew(diag_model, 2.0, 0.5, x, (1.0, 1.0))
-    assert y == ShiftedGenerator(1, 1.5)
-    assert w.shape == (2,)
-
-
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0))
 @settings(max_examples=100)
 def test_log_norm_matches_direct_eval(diag_model, s, dt):
@@ -176,11 +162,71 @@ def test_log_norm_zero_image():
         semiflow=xi.semiflow,
         cocycle=lambda t, s, x, v: 0.0 * v,
         dimension=1,
+        log_factors=lambda t, s, x: np.full((1,) + np.shape(t - s), -math.inf),
         norm_choice=xi.norm_choice,
-        log_factors=None,
         descriptor={},
     )
     assert log_cocycle_norm(dead, 1.0, 0.0, Trivial(0.0), (1.0,)) == -math.inf
+    with pytest.raises(PreconditionError, match="cocycle image vanished"):
+        log_norms(dead, np.array([1.0]), 0.0, Trivial(0.0), [(1.0,)])
+
+
+# ---------------------------------------------------------------------------
+# Batched log norms against the scalar reference
+# ---------------------------------------------------------------------------
+
+pair_st = st.tuples(st.floats(0.0, 12.0), st.floats(0.0, 12.0)).map(
+    lambda p: (p[0] + p[1], p[0])
+)
+vector_st = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=4).filter(
+    lambda v: any(c != 0.0 for c in v)
+)
+
+
+def _assert_matches_reference(xi, x, pairs, vectors):
+    t = np.array([p[0] for p in pairs])
+    s = np.array([p[1] for p in pairs])
+    got = log_norms(xi, t, s, x, vectors)
+    assert got.shape == (len(vectors), len(pairs))
+    for b, v in enumerate(vectors):
+        for q, (tq, sq) in enumerate(pairs):
+            want = log_cocycle_norm(xi, tq, sq, x, v)
+            assert got[b, q] == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@given(st.lists(pair_st, min_size=1, max_size=6), st.sampled_from(list(NormChoice)),
+       st.floats(-3.0, 3.0), st.sampled_from(["sin", "pexp"]))
+@settings(max_examples=100, deadline=None)
+def test_log_norms_match_scalar_reference_scalar_models(pairs, choice, gamma, kind):
+    xi = sin_scalar_model(choice) if kind == "sin" else pure_exponential_model(2.5, choice)
+    _assert_matches_reference(shift_cocycle(xi, gamma), Trivial(0.0), pairs, [(1.0,), (-3.5,)])
+
+
+@given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4), st.integers(1, 6),
+       st.floats(0.0, 5.0), st.lists(pair_st, min_size=1, max_size=6),
+       st.sampled_from(list(NormChoice)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_log_norms_match_scalar_reference_diag(alphas, n, sigma, pairs, choice, data):
+    xi = diag_integral_model(alphas, choice)
+    vectors = data.draw(st.lists(
+        vector_st.map(lambda v: (v * len(alphas))[: len(alphas)]).filter(any),
+        min_size=1, max_size=3))
+    _assert_matches_reference(xi, ShiftedGenerator(n, sigma), pairs, vectors)
+
+
+def test_log_norms_shape_and_domain(sin_model, diag_model):
+    x = ShiftedGenerator(1, 0.0)
+    grid_t = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
+    assert log_norms(diag_model, grid_t, 0.5, x, [(1.0, 0.0)]).shape == (1, 2, 3)
+    assert log_norms(diag_model, 2.0, 1.0, x, [(1.0, 0.0), (0.0, 1.0)]).shape == (2,)
+    assert diag_model.log_factors(grid_t, 0.5, x).shape == (2, 2, 3)
+    assert sin_model.log_factors(1.0, 0.0, Trivial(0.0)).shape == (1,)
+    with pytest.raises(DomainError):
+        log_norms(sin_model, np.array([1.0, 0.5]), 1.0, Trivial(0.0), [(1.0,)])
+    with pytest.raises(DomainError):
+        log_norms(sin_model, np.array([1.0, np.nan]), 0.0, Trivial(0.0), [(1.0,)])
+    with pytest.raises(DomainError):
+        log_norms(sin_model, 1.0, 0.0, Trivial(0.0), [(1.0, 2.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ from cocycle_lab import (
     TabulatedDecay,
     TheoremRun,
     corollary_equivalence,
+    diag_integral_model,
+    estimate_decay,
     estimate_exp_instability,
+    estimate_integral_instability,
     prop_integral_decay_to_instability,
     prop_shift_necessity,
     prop_shift_sufficiency,
@@ -140,6 +143,18 @@ def test_thm2_constants_and_derived_witness(pexp3):
     assert len(run.reports) == 6
 
 
+def test_thm2_integral_chain_samples_only_unit_windows():
+    # K1 ||v|| <= M(t) ||Phi(t, t0) v|| follows from the chain only for
+    # t >= t0 + 1; sampling shorter windows reported false counterexamples
+    xi = diag_integral_model([1.0, -1.0])
+    g = grid_for(xi, [0.25 * k for k in range(9)])
+    run = thm2_validate(estimate_decay(xi, g), estimate_integral_instability(xi, g), xi, g)
+    chain = next(r for r in run.reports if r.check == "integral-chain")
+    assert chain.passed
+    assert chain.samples_checked == 15 * len(g.base_points) * len(g.vectors)
+    assert run.verdict == "pass"
+
+
 def test_thm1_sufficiency_reports_and_notes(pexp3, short_times_module):
     run = thm1_sufficiency(UNIT_N, UNIT_M, pexp3, grid_for(pexp3, short_times_module))
     assert run.passed
@@ -186,6 +201,14 @@ def test_thm2_no_eligible_pivot_time(pexp3, full_times):
     assert "no integer grid time" in run.notes[0]
     assert len(run.reports) == 2  # the input gates still ran and passed
     assert all(r.passed for r in run.reports)
+
+
+def test_thm2_grid_without_unit_window():
+    xi = diag_integral_model([1.0, -1.0])
+    g = grid_for(xi, [1.5, 2.0])
+    run = thm2_validate(estimate_decay(xi, g), estimate_integral_instability(xi, g), xi, g)
+    assert run.verdict == "no-certificate"
+    assert "unit window" in run.notes[0]
 
 
 def test_validators_reject_wrong_input_types(pexp3, short_times_module):
