@@ -35,6 +35,8 @@ from .core import (
     PreconditionError,
     SampleGrid,
     SkewEvolutionSemiflow,
+    _float_list,
+    _is_number,
     _ReportBuilder,
     log_norms,
     norm,
@@ -527,15 +529,6 @@ def estimate_integral_instability(
     return IntegralInstabilityCertificate(M=witness, grid_hash=grid.grid_hash, quad=quad_cfg)
 
 
-# Quadrature results are deterministic, and the estimator/checker pairs
-# plus the validators re-request identical (model, base, vector, t0)
-# integrals many times, so memoize them.  Keys pin the model object
-# itself, which keeps its id stable for the cache's lifetime; values
-# must be treated as read-only.
-_DATKO_MEMO: dict = {}
-_DATKO_MEMO_CAP = 65536
-
-
 def _datko_stats(
     xi: SkewEvolutionSemiflow,
     x,
@@ -553,18 +546,10 @@ def _datko_stats(
     few digits, depend on the scale of v.
     """
     v = v / norm(v, xi.norm_choice)
-    key = (id(xi), x, v.tobytes(), tuple(times), k, quad_cfg.to_key())
-    hit = _DATKO_MEMO.get(key)
-    if hit is not None:
-        return hit[1]
     tail = times[k:]
     prefix = norm_integral_prefix(xi, x, v, tail, quad_cfg)
     with np.errstate(divide="ignore"):
-        out = np.log(prefix) - log_norms(xi, np.asarray(tail), times[k], x, [v])[0]
-    if len(_DATKO_MEMO) >= _DATKO_MEMO_CAP:
-        _DATKO_MEMO.clear()
-    _DATKO_MEMO[key] = (xi, out)
-    return out
+        return np.log(prefix) - log_norms(xi, np.asarray(tail), times[k], x, [v])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -695,16 +680,6 @@ def _require_keys(doc: dict, required: set[str], optional: set[str], what: str) 
         raise PreconditionError(f"{what} has unknown keys {sorted(unknown)}")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _float_list(value, what: str) -> list[float]:
-    if not isinstance(value, list) or not all(_is_number(v) for v in value):
-        raise PreconditionError(f"{what} must be a list of numbers")
-    return [float(v) for v in value]
-
-
 def witness_to_json_dict(w: Witness) -> dict:
     if isinstance(w, ExpWitness):
         return {"coef": w.coef, "rate": w.rate}
@@ -737,11 +712,15 @@ def _quad_from_json(doc, what: str) -> QuadratureConfig | None:
     if not isinstance(doc, dict):
         raise PreconditionError(f"{what} must be an object or null")
     _require_keys(doc, set(), {"rel_tol", "abs_tol", "max_depth", "datko_lower_limit"}, what)
+    # max_depth is passed through as is: QuadratureConfig rejects non-integers.
+    for key in ("rel_tol", "abs_tol", "max_depth"):
+        if key in doc and not _is_number(doc[key]):
+            raise PreconditionError(f"{what}.{key} must be a number, got {doc[key]!r}")
     defaults = QuadratureConfig()
     return QuadratureConfig(
         rel_tol=float(doc.get("rel_tol", defaults.rel_tol)),
         abs_tol=float(doc.get("abs_tol", defaults.abs_tol)),
-        max_depth=int(doc.get("max_depth", defaults.max_depth)),
+        max_depth=doc.get("max_depth", defaults.max_depth),
         datko_lower_limit=doc.get("datko_lower_limit", defaults.datko_lower_limit),
     )
 

@@ -22,8 +22,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .certificates import (
     NoCertificate,
     ParametricDecay,
     TabulatedDecay,
-    _float_list,
-    _is_number,
     _quad_from_json,
     _require_keys,
     certificate_from_json_dict,
@@ -60,44 +58,85 @@ from .core import (
     ShiftedGenerator,
     SkewEvolutionSemiflow,
     Trivial,
+    _float_list,
+    _is_number,
     check_cocycle_laws,
     check_semiflow_laws,
     shift_cocycle,
 )
 from .models import build_model, default_base_points, default_vectors
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, QuadratureDepthError
 
-PROPERTIES = ("decay", "instability", "exp-instability", "integral-instability")
 
-_KIND_BY_PROPERTY = {
-    "decay": "decay",
-    "instability": "instability",
-    "exp-instability": "exp_instability",
-    "integral-instability": "integral_instability",
+# The tables call estimators, checkers and validators by their module-level
+# names at call time, never through function objects bound at import, so
+# wrappers installed on those names (perfbench/tracer.py) see every call.
+
+
+@dataclass(frozen=True)
+class _Property:
+    certificates: tuple[type, ...]
+    estimate: Callable  # (scenario, model) -> certificate
+    check: Callable  # (scenario, model, certificate, margin sink) -> CheckReport
+    columns: Callable  # certificate -> {witness_tables.csv column: function of t}
+    overrides: bool = False  # take columns that an earlier certificate filled
+
+
+PROPERTIES = {
+    "decay": _Property(
+        (ParametricDecay, TabulatedDecay),
+        lambda sc, xi: estimate_decay(xi, sc.grid),
+        lambda sc, xi, cert, sink: check_decay(xi, cert, sc.grid, sc.margin_tol, sink),
+        lambda cert: {"f_hat": cert.value},
+    ),
+    "instability": _Property(
+        (InstabilityCertificate,),
+        lambda sc, xi: estimate_instability(xi, sc.grid, sc.headroom),
+        lambda sc, xi, cert, sink: check_instability(xi, cert, sc.grid, sc.margin_tol, sink),
+        lambda cert: {"N_hat": cert.N.value},
+    ),
+    # The exp-instability witness takes the N_hat column even if a plain
+    # instability certificate was also supplied.
+    "exp-instability": _Property(
+        (ExpInstabilityCertificate,),
+        lambda sc, xi: estimate_exp_instability(
+            xi, sc.grid, nu_candidates=sc.nu_candidates, growth_cap=sc.growth_cap, headroom=sc.headroom
+        ),
+        lambda sc, xi, cert, sink: check_exp_instability(xi, cert, sc.grid, sc.margin_tol, sink),
+        lambda cert: {"N_hat": cert.N.value, "nu": lambda t: cert.nu},
+        overrides=True,
+    ),
+    "integral-instability": _Property(
+        (IntegralInstabilityCertificate,),
+        lambda sc, xi: estimate_integral_instability(xi, sc.grid, sc.quad, sc.headroom),
+        lambda sc, xi, cert, sink: check_integral_instability(
+            xi, cert, sc.grid, sc.margin_tol, sc.quad, sink
+        ),
+        lambda cert: {"M_hat": cert.M.value},
+    ),
 }
-_PROPERTY_BY_KIND = {kind: prop for prop, kind in _KIND_BY_PROPERTY.items()}
 
-THEOREM_CHOICES = (
-    "remark-obs2",
-    "prop-integral-decay",
-    "prop-shift-necessity",
-    "prop-shift-sufficiency",
-    "thm1-necessity",
-    "thm1-sufficiency",
-    "thm2",
-    "corollary",
-)
-
-# Input certificate kinds each validator consumes, keyed by CLI id.
-_THEOREM_INPUTS = {
-    "remark-obs2": ("exp_instability",),
-    "prop-integral-decay": ("decay", "integral_instability"),
-    "prop-shift-necessity": ("exp_instability",),
-    "prop-shift-sufficiency": ("decay", "integral_instability"),
-    "thm1-necessity": ("exp_instability",),
-    "thm1-sufficiency": ("instability", "integral_instability"),
-    "thm2": ("decay", "integral_instability"),
-    "corollary": (),
+# Theorem id -> (input properties, runner(scenario, model, certificates by property)).
+THEOREMS = {
+    "remark-obs2": (("exp-instability",), lambda sc, xi, c: theorems.remark_obs2(
+        c["exp-instability"], xi, sc.grid, sc.margin_tol)),
+    "prop-integral-decay": (("decay", "integral-instability"), lambda sc, xi, c: (
+        theorems.prop_integral_decay_to_instability(
+            c["decay"], c["integral-instability"], xi, sc.grid, sc.quad, sc.margin_tol))),
+    "prop-shift-necessity": (("exp-instability",), lambda sc, xi, c: theorems.prop_shift_necessity(
+        c["exp-instability"], xi, sc.grid, sc.quad, sc.margin_tol)),
+    "prop-shift-sufficiency": (("decay", "integral-instability"), lambda sc, xi, c: (
+        theorems.prop_shift_sufficiency(
+            sc.alpha, c["integral-instability"], c["decay"], xi, sc.grid, sc.quad, sc.margin_tol,
+            headroom=sc.headroom))),
+    "thm1-necessity": (("exp-instability",), lambda sc, xi, c: theorems.thm1_necessity(
+        c["exp-instability"], xi, sc.grid, sc.quad, sc.margin_tol)),
+    "thm1-sufficiency": (("instability", "integral-instability"), lambda sc, xi, c: theorems.thm1_sufficiency(
+        c["instability"], c["integral-instability"], xi, sc.grid, sc.quad, sc.margin_tol)),
+    "thm2": (("decay", "integral-instability"), lambda sc, xi, c: theorems.thm2_validate(
+        c["decay"], c["integral-instability"], xi, sc.grid, sc.quad, sc.margin_tol)),
+    "corollary": ((), lambda sc, xi, c: theorems.corollary_equivalence(
+        xi, sc.grid, sc.quad, sc.margin_tol, nu_candidates=sc.nu_candidates, growth_cap=sc.growth_cap)),
 }
 
 
@@ -157,25 +196,25 @@ def _parse_base_point(doc) -> Trivial | ShiftedGenerator:
         raise ScenarioError(f"base point entries need a 'kind' key, got {doc!r}")
     if doc["kind"] == "trivial":
         _require_keys(doc, {"kind"}, {"value"}, "trivial base point")
-        return Trivial(float(doc.get("value", 0.0)))
+        return Trivial(_number(doc, "value", 0.0))
     if doc["kind"] == "generator":
         _require_keys(doc, {"kind", "n"}, {"sigma"}, "generator base point")
         n = doc["n"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ScenarioError(f"generator n must be an integer, got {n!r}")
-        return ShiftedGenerator(n, float(doc.get("sigma", 0.0)))
+        return ShiftedGenerator(n, _number(doc, "sigma", 0.0))
     raise ScenarioError(f"unknown base point kind {doc['kind']!r}")
 
 
 def _parse_times(doc) -> list[float]:
     if isinstance(doc, list):
-        return [float(t) for t in doc]
+        return _float_list(doc, "grid times")
     if isinstance(doc, dict):
         _require_keys(doc, {"min", "max", "count"}, set(), "grid times")
         count = doc["count"]
         if not (isinstance(count, int) and not isinstance(count, bool) and count >= 1):
             raise ScenarioError(f"grid times count must be a positive integer, got {count!r}")
-        return [float(t) for t in np.linspace(float(doc["min"]), float(doc["max"]), count)]
+        return [float(t) for t in np.linspace(_number(doc, "min", 0.0), _number(doc, "max", 0.0), count)]
     raise ScenarioError("grid times must be a list or a {min, max, count} object")
 
 
@@ -190,10 +229,10 @@ def _object(doc: dict, key: str) -> dict:
     return value
 
 
-def _positive(doc: dict, key: str, default: float) -> float:
+def _number(doc: dict, key: str, default: float, positive: bool = False) -> float:
     value = doc.get(key, default)
-    if not (_is_number(value) and math.isfinite(value) and value > 0.0):
-        raise ScenarioError(f"{key} must be a finite number > 0, got {value!r}")
+    if not (_is_number(value) and math.isfinite(value) and (value > 0.0 or not positive)):
+        raise ScenarioError(f"{key} must be a finite number{' > 0' if positive else ''}, got {value!r}")
     return float(value)
 
 
@@ -217,9 +256,9 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     tols = _object(doc, "tolerances")
     _require_keys(tols, set(), {"quad", "margin_tol", "headroom", "growth_cap"}, "tolerances")
     quad = _quad_from_json(_object(tols, "quad"), "tolerances.quad")
-    margin_tol = _positive(tols, "margin_tol", 1e-9)
-    headroom = _positive(tols, "headroom", DEFAULT_HEADROOM)
-    growth_cap = _positive(tols, "growth_cap", DEFAULT_GROWTH_CAP)
+    margin_tol = _number(tols, "margin_tol", 1e-9, positive=True)
+    headroom = _number(tols, "headroom", DEFAULT_HEADROOM, positive=True)
+    growth_cap = _number(tols, "growth_cap", DEFAULT_GROWTH_CAP, positive=True)
 
     grid_doc = _object(doc, "grid")
     _require_keys(grid_doc, set(), {"times", "base_points", "vectors"}, "grid")
@@ -229,7 +268,7 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     else:
         bases = list(default_base_points(base_model))
     if "vectors" in grid_doc:
-        vectors = [[float(c) for c in v] for v in grid_doc["vectors"]]
+        vectors = [_float_list(v, "grid vectors entry") for v in grid_doc["vectors"]]
     else:
         vectors = [list(v) for v in default_vectors(base_model.dimension)]
 
@@ -249,9 +288,7 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     grid = SampleGrid.create(times, bases, vectors)
     grid.require_nonempty()
 
-    gamma = float(doc.get("gamma", 0.0))
-    if not math.isfinite(gamma):
-        raise ScenarioError(f"gamma must be finite, got {gamma}")
+    gamma = _number(doc, "gamma", 0.0)
     xi = shift_cocycle(base_model, gamma) if gamma != 0.0 else base_model
 
     nu_candidates = doc.get("nu_candidates")
@@ -259,7 +296,7 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
         nu_candidates = tuple(_float_list(nu_candidates, "nu_candidates"))
         if not nu_candidates:
             raise ScenarioError("nu_candidates must be null or a nonempty list")
-    alpha = _positive(doc, "alpha", 1.5)
+    alpha = _number(doc, "alpha", 1.5, positive=True)
 
     out_dir = out_dir_override or doc.get("out_dir") or "."
     scenario = Scenario(
@@ -302,27 +339,22 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("COCYCLE_LAB_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ScenarioError(f"COCYCLE_LAB_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ScenarioError(f"COCYCLE_LAB_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 def _run_parallel(tasks):
-    """Run zero-argument callables, preserving submission order."""
-    workers = _worker_count()
-    if workers == 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+    """Run zero-argument callables in order on the calling thread.
+
+    ``COCYCLE_LAB_THREADS`` must be a positive integer if it is set (a
+    documented contract), but it changes nothing.  perfbench/tracer.py
+    wraps this function by name.
+    """
+    raw = os.environ.get("COCYCLE_LAB_THREADS")
+    if raw is not None:
+        try:
+            valid = int(raw) >= 1
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ScenarioError(f"COCYCLE_LAB_THREADS must be a positive integer, got {raw!r}")
+    return [task() for task in tasks]
 
 
 def _load_json_file(path: str) -> dict:
@@ -345,26 +377,15 @@ def _load_certificate(path: str):
     return cert
 
 
-def _cert_kind(cert) -> str:
-    if isinstance(cert, (ParametricDecay, TabulatedDecay)):
-        return "decay"
-    if isinstance(cert, InstabilityCertificate):
-        return "instability"
-    if isinstance(cert, ExpInstabilityCertificate):
-        return "exp_instability"
-    if isinstance(cert, IntegralInstabilityCertificate):
-        return "integral_instability"
+def _property_of(cert) -> str:
+    for prop, entry in PROPERTIES.items():
+        if isinstance(cert, entry.certificates):
+            return prop
     raise ScenarioError(f"unsupported certificate type {type(cert).__name__}")
 
 
 def _run_check(sc: Scenario, xi, prop: str, cert, margin_sink=None):
-    if prop == "decay":
-        return check_decay(xi, cert, sc.grid, sc.margin_tol, margin_sink)
-    if prop == "instability":
-        return check_instability(xi, cert, sc.grid, sc.margin_tol, margin_sink)
-    if prop == "exp-instability":
-        return check_exp_instability(xi, cert, sc.grid, sc.margin_tol, margin_sink)
-    return check_integral_instability(xi, cert, sc.grid, sc.margin_tol, sc.quad, margin_sink)
+    return PROPERTIES[prop].check(sc, xi, cert, margin_sink)
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +412,16 @@ def cmd_laws(sc: Scenario, xi) -> int:
 
 
 def cmd_estimate(sc: Scenario, xi, prop: str) -> int:
-    if prop == "decay":
-        cert = estimate_decay(xi, sc.grid)
-    elif prop == "instability":
-        cert = estimate_instability(xi, sc.grid, sc.headroom)
-    elif prop == "exp-instability":
-        cert = estimate_exp_instability(
-            xi, sc.grid, nu_candidates=sc.nu_candidates,
-            growth_cap=sc.growth_cap, headroom=sc.headroom,
-        )
-    else:
-        cert = estimate_integral_instability(xi, sc.grid, sc.quad, sc.headroom)
+    cert = PROPERTIES[prop].estimate(sc, xi)
     _write_json(os.path.join(sc.out_dir, f"cert_{prop}.json"), certificate_to_json_dict(cert))
     return 1 if isinstance(cert, NoCertificate) else 0
 
 
 def cmd_check(sc: Scenario, xi, prop: str, cert_path: str) -> int:
     cert = _load_certificate(cert_path)
-    kind = _cert_kind(cert)
-    if kind != _KIND_BY_PROPERTY[prop]:
-        raise ScenarioError(
-            f"certificate kind {kind!r} does not match property {prop!r}"
-        )
+    found = _property_of(cert)
+    if found != prop:
+        raise ScenarioError(f"a {found} certificate does not match property {prop!r}")
     report = _run_check(sc, xi, prop, cert)
     doc = {
         "property": prop,
@@ -427,51 +436,24 @@ def cmd_check(sc: Scenario, xi, prop: str, cert_path: str) -> int:
 
 
 def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int:
-    wanted = _THEOREM_INPUTS[theorem_id]
+    wanted, runner = THEOREMS[theorem_id]
     slots: dict[str, object] = {}
     for path in cert_paths:
         cert = _load_certificate(path)
-        kind = _cert_kind(cert)
-        if kind not in wanted:
+        prop = _property_of(cert)
+        if prop not in wanted:
             raise ScenarioError(
-                f"theorem {theorem_id} does not take a {kind} certificate ({path})"
+                f"theorem {theorem_id} does not take a {prop} certificate ({path})"
             )
-        if kind in slots:
-            raise ScenarioError(f"duplicate {kind} certificate input ({path})")
-        slots[kind] = cert
-    missing = [kind for kind in wanted if kind not in slots]
+        if prop in slots:
+            raise ScenarioError(f"duplicate {prop} certificate input ({path})")
+        slots[prop] = cert
+    missing = [prop for prop in wanted if prop not in slots]
     if missing:
         raise ScenarioError(
             f"theorem {theorem_id} is missing input certificates: {', '.join(missing)}"
         )
-    grid, quad, tol = sc.grid, sc.quad, sc.margin_tol
-    if theorem_id == "remark-obs2":
-        run = theorems.remark_obs2(slots["exp_instability"], xi, grid, tol)
-    elif theorem_id == "prop-integral-decay":
-        run = theorems.prop_integral_decay_to_instability(
-            slots["decay"], slots["integral_instability"], xi, grid, quad, tol
-        )
-    elif theorem_id == "prop-shift-necessity":
-        run = theorems.prop_shift_necessity(slots["exp_instability"], xi, grid, quad, tol)
-    elif theorem_id == "prop-shift-sufficiency":
-        run = theorems.prop_shift_sufficiency(
-            sc.alpha, slots["integral_instability"], slots["decay"], xi, grid, quad, tol,
-            headroom=sc.headroom,
-        )
-    elif theorem_id == "thm1-necessity":
-        run = theorems.thm1_necessity(slots["exp_instability"], xi, grid, quad, tol)
-    elif theorem_id == "thm1-sufficiency":
-        run = theorems.thm1_sufficiency(
-            slots["instability"], slots["integral_instability"], xi, grid, quad, tol
-        )
-    elif theorem_id == "thm2":
-        run = theorems.thm2_validate(
-            slots["decay"], slots["integral_instability"], xi, grid, quad, tol
-        )
-    else:
-        run = theorems.corollary_equivalence(
-            xi, grid, quad, tol, nu_candidates=sc.nu_candidates, growth_cap=sc.growth_cap
-        )
+    run = runner(sc, xi, slots)
     doc = run.to_json_dict()
     doc["tool_version"] = __version__
     doc["scenario_grid_hash"] = sc.grid.grid_hash
@@ -485,7 +467,7 @@ def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
     loaded = []
     for path in input_paths:
         cert = _load_certificate(path)
-        loaded.append((_PROPERTY_BY_KIND[_cert_kind(cert)], cert))
+        loaded.append((_property_of(cert), cert))
 
     def margins_for(item):
         prop, cert = item
@@ -507,30 +489,19 @@ def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
             for prop, t, s, t0, base, vector, margin in rows:
                 writer.writerow([prop, _fmt(t), _fmt(s), _fmt(t0), base, vector, _fmt(margin)])
 
-    columns: dict[str, object] = {}
+    columns: dict[str, Callable] = {}
     for prop, cert in loaded:
-        if prop == "decay":
-            columns.setdefault("f_hat", cert)
-        elif prop == "instability":
-            columns.setdefault("N_hat", cert.N)
-        elif prop == "exp-instability":
-            # The exp-instability witness takes the N_hat column even if a
-            # plain instability certificate was also supplied.
-            columns["N_hat"] = cert.N
-            columns["nu"] = cert.nu
-        else:
-            columns.setdefault("M_hat", cert.M)
+        entry = PROPERTIES[prop]
+        for name, column in entry.columns(cert).items():
+            if entry.overrides or name not in columns:
+                columns[name] = column
     header = ["t"] + [name for name in ("f_hat", "N_hat", "M_hat", "nu") if name in columns]
     tables_path = os.path.join(sc.out_dir, "witness_tables.csv")
     with open(tables_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for t in sc.grid.times:
-            row = [_fmt(t)]
-            for name in header[1:]:
-                source = columns[name]
-                row.append(_fmt(source if name == "nu" else source.value(t)))
-            writer.writerow(row)
+            writer.writerow([_fmt(t)] + [_fmt(columns[name](t)) for name in header[1:]])
     return 0
 
 
@@ -556,16 +527,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="fit a certificate from grid data")
     common(p_est)
-    p_est.add_argument("--property", required=True, choices=PROPERTIES)
+    p_est.add_argument("--property", required=True, choices=tuple(PROPERTIES))
 
     p_check = sub.add_parser("check", help="re-check a certificate file on the scenario grid")
     common(p_check)
-    p_check.add_argument("--property", required=True, choices=PROPERTIES)
+    p_check.add_argument("--property", required=True, choices=tuple(PROPERTIES))
     p_check.add_argument("--cert", required=True, help="certificate JSON file")
 
     p_thm = sub.add_parser("theorem", help="run a certificate transformation validator")
     common(p_thm)
-    p_thm.add_argument("--theorem", required=True, choices=THEOREM_CHOICES)
+    p_thm.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     p_thm.add_argument("--cert", action="append", default=[], help="input certificate file (repeatable)")
 
     p_rep = sub.add_parser("report", help="emit witness_tables.csv and margins.csv")
@@ -590,7 +561,8 @@ def main(argv=None) -> int:
             return cmd_theorem(sc, xi, args.theorem, args.cert)
         return cmd_report(sc, xi, args.cert)
     except (
-        ScenarioError, PreconditionError, DomainError, OSError, ValueError, TypeError, OverflowError
+        ScenarioError, PreconditionError, DomainError, QuadratureDepthError,
+        OSError, ValueError, TypeError, OverflowError,
     ) as exc:
         print(f"cocycle-lab: error: {exc}", file=sys.stderr)
         return 2

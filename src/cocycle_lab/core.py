@@ -38,6 +38,17 @@ class PreconditionError(ValueError):
     """An operation's stated precondition was violated."""
 
 
+# JSON numbers: bools are ints in Python, but not numbers in a document.
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _float_list(value, what: str) -> list[float]:
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        raise PreconditionError(f"{what} must be a list of numbers")
+    return [float(v) for v in value]
+
+
 class NormChoice(Enum):
     SUM_ABS = "sum_abs"
     EUCLID = "euclid"

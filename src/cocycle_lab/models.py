@@ -26,6 +26,8 @@ from .core import (
     ShiftedGenerator,
     SkewEvolutionSemiflow,
     Trivial,
+    _float_list,
+    _is_number,
 )
 
 
@@ -247,10 +249,12 @@ def build_model(
     if kind == "diag_integral":
         if "alphas" not in descriptor:
             raise PreconditionError("diag_integral descriptor needs 'alphas'")
-        return diag_integral_model(descriptor["alphas"], norm_choice)
+        return diag_integral_model(_float_list(descriptor["alphas"], "diag_integral alphas"), norm_choice)
     if kind == "pure_exponential":
         if "rate" not in descriptor:
             raise PreconditionError("pure_exponential descriptor needs 'rate'")
+        if not _is_number(descriptor["rate"]):
+            raise PreconditionError(f"pure_exponential rate must be a number, got {descriptor['rate']!r}")
         return pure_exponential_model(float(descriptor["rate"]), norm_choice)
     if kind == "broken_semiflow":
         return broken_semiflow_model(norm_choice)

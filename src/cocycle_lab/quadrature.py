@@ -64,10 +64,6 @@ class QuadratureConfig:
             "datko_lower_limit": self.datko_lower_limit,
         }
 
-    def to_key(self) -> tuple:
-        """Hashable form for memo keys."""
-        return (self.rel_tol, self.abs_tol, self.max_depth, self.datko_lower_limit)
-
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return h / 6.0 * (fa + 4.0 * fm + fb)
@@ -79,7 +75,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, cfg: Quadr
     Interval halving stops once the local Richardson error estimate
     |S2 - S1| / 15 meets the locally split tolerance.  If any subinterval
     still fails at max_depth, the partial result is wrapped in a
-    QuadratureDepthError instead of being returned silently.
+    QuadratureDepthError instead of being returned silently; a non-finite
+    error estimate raises DomainError at once.
     """
     if not (math.isfinite(a) and math.isfinite(b) and b >= a):
         raise DomainError(f"bad integration interval [{a}, {b}]")
@@ -103,6 +100,10 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, cfg: Quadr
         err = (s_left + s_right - s_whole) / 15.0
         if abs(err) <= loc_tol or xm <= xa or xb <= xm:
             total += s_left + s_right + err
+        elif not math.isfinite(err):
+            # Halving cannot repair an overflowed integrand; without this
+            # check every subinterval would refine to max_depth.
+            raise DomainError(f"integrand is not finite on [{xa}, {xb}]")
         elif depth >= cfg.max_depth:
             total += s_left + s_right + err
             exhausted = True

@@ -752,15 +752,3 @@ def corollary_equivalence(
         constants={},
         notes=notes,
     )
-
-
-THEOREM_IDS = (
-    "remark_obs2",
-    "prop_integral_decay_to_instability",
-    "prop_shift_necessity",
-    "prop_shift_sufficiency",
-    "thm1_necessity",
-    "thm1_sufficiency",
-    "thm2_validate",
-    "corollary_equivalence",
-)

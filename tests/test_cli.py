@@ -3,8 +3,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +116,28 @@ def test_scenario_grid_spec_object():
     {"model": {"kind": "sin_scalar"}, "tolerances": {"margin_tol": "1e-9"}},
     {"model": {"kind": "sin_scalar"}, "grid": []},
     {"model": {"kind": "sin_scalar"}, "tolerances": {"quad": []}},
+    # numbers must be JSON numbers, never strings or bools
+    {"model": {"kind": "sin_scalar"}, "gamma": "0.5"},
+    {"model": {"kind": "sin_scalar"}, "gamma": True},
+    {"model": {"kind": "sin_scalar"}, "grid": {"times": ["0", "0.5", "1"]}},
+    {"model": {"kind": "sin_scalar"}, "grid": {"times": [0.0, True]}},
+    {"model": {"kind": "sin_scalar"}, "grid": {"times": {"min": "0", "max": 4, "count": 9}}},
+    {"model": {"kind": "sin_scalar"}, "grid": {"times": {"min": 0, "max": True, "count": 9}}},
+    {"model": {"kind": "sin_scalar"},
+     "grid": {"times": [0.0], "base_points": [{"kind": "trivial", "value": "0"}]}},
+    {"model": {"kind": "diag_integral", "alphas": [1.0]},
+     "grid": {"base_points": [{"kind": "generator", "n": 1, "sigma": "1"}]}},
+    {"model": {"kind": "sin_scalar"}, "grid": {"vectors": [["1"]]}},
+    {"model": {"kind": "sin_scalar"}, "grid": {"vectors": [[True]]}},
+    {"model": {"kind": "sin_scalar"}, "tolerances": {"quad": {"rel_tol": "1e-10"}}},
+    {"model": {"kind": "sin_scalar"}, "tolerances": {"quad": {"abs_tol": True}}},
+    {"model": {"kind": "sin_scalar"}, "tolerances": {"quad": {"max_depth": 1.9}}},
+    {"model": {"kind": "sin_scalar"}, "tolerances": {"quad": {"max_depth": True}}},
+    {"model": {"kind": "pure_exponential", "rate": "3"}},
+    {"model": {"kind": "pure_exponential", "rate": True}},
+    {"model": {"kind": "diag_integral", "alphas": ["1"]}},
+    {"model": {"kind": "diag_integral", "alphas": [1.0, False]}},
+    {"model": {"kind": "diag_integral", "alphas": "1"}},
 ])
 def test_scenario_rejects_malformed_documents(doc):
     with pytest.raises((ScenarioError, PreconditionError, DomainError)):
@@ -142,6 +166,28 @@ def test_malformed_scenarios_exit_2(tmp_path):
         p.write_text(text)
         code = main(["laws", "--scenario", str(p), "--out-dir", str(tmp_path / "out")])
         assert code == 2, name
+
+
+def test_overflowing_integral_exits_2_quickly(tmp_path):
+    # e^{50 t} overflows past t = 14.2, and the Datko quadrature over
+    # [12, 16] must fail at once instead of refining every half to max_depth
+    p = write_scenario(tmp_path / "p50.json", {"kind": "pure_exponential", "rate": 50},
+                       times={"min": 0, "max": 16, "count": 5})
+    proc = subprocess.run(
+        [sys.executable, "-m", "cocycle_lab.cli", "estimate", "--property", "integral-instability",
+         "--scenario", str(p), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "cocycle-lab: error: integrand is not finite on [12.0, 16.0]" in proc.stderr
+
+
+def test_quadrature_depth_exhaustion_exits_2(tmp_path, capsys):
+    p = write_scenario(tmp_path / "shallow.json", {"kind": "sin_scalar"}, times=LONG_TIMES,
+                       tolerances={"quad": {"max_depth": 1}})
+    code = main(["estimate", "--property", "integral-instability",
+                 "--scenario", str(p), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "cocycle-lab: error: adaptive refinement hit max_depth=1" in capsys.readouterr().err
 
 
 def test_missing_scenario_file_exits_2(tmp_path):
@@ -483,3 +529,40 @@ def test_console_script_error_message(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "cocycle-lab: error:" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Benchmark tracer contract
+# ---------------------------------------------------------------------------
+
+
+def test_benchmark_tracer_reaches_every_layer(tmp_path):
+    """perfbench/tracer.py wraps functions by module attribute name; a renamed
+    function, or a table that captured one at import, would leave its layer
+    at zero without failing the command."""
+    root = Path(__file__).resolve().parents[1]
+    scenario = write_scenario(tmp_path / "sin7.json", {"kind": "sin_scalar"},
+                              times={"min": 0, "max": 6, "count": 7})
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def traced(name, *argv):
+        summary = tmp_path / f"{name}.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(summary), *argv,
+             "--scenario", str(scenario), "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, cwd=root)
+        assert proc.returncode == 0, proc.stderr
+        return read_json(summary)["layers"]
+
+    assert traced("laws", "laws")["core.laws_samples"] > 0
+    traced("estimate_exp", "estimate", "--property", "exp-instability")
+    layers = traced("estimate", "estimate", "--property", "integral-instability")
+    assert layers["certificates.estimate_s"] > 0
+    assert layers["quadrature.segments"] > 0
+    cert = str(out / "cert_integral-instability.json")
+    assert traced("check", "check", "--property", "integral-instability",
+                  "--cert", cert)["certificates.samples"] > 0
+    assert traced("theorem", "theorem", "--theorem", "remark-obs2",
+                  "--cert", str(out / "cert_exp-instability.json"))["theorems.s"] > 0
+    assert traced("report", "report", "--cert", cert)["certificates.samples"] > 0

@@ -45,7 +45,6 @@ def test_config_validation():
 
 def test_config_keys_and_json():
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-11, max_depth=32)
-    assert cfg.to_key() == (1e-9, 1e-11, 32, "t0")
     assert cfg.to_json_dict() == {
         "rel_tol": 1e-9, "abs_tol": 1e-11, "max_depth": 32, "datko_lower_limit": "t0",
     }
@@ -94,6 +93,20 @@ def test_depth_error_carries_partial():
     with pytest.raises(QuadratureDepthError) as info:
         adaptive_simpson(math.sqrt, 0.0, 1.0, cfg)
     assert info.value.partial == pytest.approx(2.0 / 3.0, abs=5e-3)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_nonfinite_integrand_fails_before_refining(bad):
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return bad if u > 1.5 else 1.0
+
+    # max_depth 60 would take 2^60 halvings if the NaN error estimate refined
+    with pytest.raises(DomainError, match=r"not finite on \[0.0, 2.0\]"):
+        adaptive_simpson(f, 0.0, 2.0, QuadratureConfig(max_depth=60))
+    assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------
