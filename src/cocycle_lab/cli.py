@@ -443,7 +443,7 @@ def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int
         prop = _property_of(cert)
         if prop not in wanted:
             raise ScenarioError(
-                f"theorem {theorem_id} does not take a {prop} certificate ({path})"
+                f"theorem {theorem_id} takes no {prop} certificate ({path})"
             )
         if prop in slots:
             raise ScenarioError(f"duplicate {prop} certificate input ({path})")

@@ -25,10 +25,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# Relative residuals divide by max(norm, NORM_FLOOR) so that exact zeros
-# do not turn into NaNs.
-NORM_FLOOR = 1e-300
-
 
 class DomainError(ValueError):
     """Evaluation outside t >= s >= 0, wrong base variant, or bad dimension."""
@@ -134,7 +130,6 @@ def norm(v: Sequence[float] | np.ndarray, choice: NormChoice = NormChoice.SUM_AB
 # ---------------------------------------------------------------------------
 
 SemiflowFn = Callable[[float, float, BasePoint], BasePoint]
-CocycleFn = Callable[[float, float, BasePoint, np.ndarray], np.ndarray]
 LogFactorsFn = Callable[[float | np.ndarray, float | np.ndarray, BasePoint], np.ndarray]
 
 
@@ -142,22 +137,30 @@ LogFactorsFn = Callable[[float | np.ndarray, float | np.ndarray, BasePoint], np.
 class SkewEvolutionSemiflow:
     """An evolution semiflow on base points plus a cocycle on R^p fibers.
 
-    ``log_factors(t, s, x)`` returns the per-component log gains of the
-    (diagonal) cocycle, so norms are evaluated in log-space without
-    overflow.  It accepts arrays of times: components go on the first
-    axis, so the result has shape ``(dimension,) + np.broadcast(t, s).shape``
-    and a scalar call returns shape ``(dimension,)``.
+    A model is ``semiflow`` plus ``log_factors``.  ``log_factors(t, s, x)``
+    returns the per-component log gains lf of the diagonal cocycle,
+    Phi(t, s, x) v = v * exp(lf(t, s, x)), so norms are evaluated in
+    log-space without overflow.  It accepts arrays of times: components
+    go on the first axis, so the result has shape
+    ``(dimension,) + np.broadcast(t, s).shape`` and a scalar call returns
+    shape ``(dimension,)``.  Every law check, estimator, checker and
+    validator reads the cocycle through it.  The cocycle laws ask for
+    lf(t, t, x) = 0 and lf(t, s, phi(s, t0, x)) + lf(s, t0, x) = lf(t, t0, x);
+    ``check_cocycle_laws`` measures both in log space, as the relative
+    residual ||w * expm1(gap)|| / ||w|| with weights w = |v| exp(lf(t, t0, x)).
     ``strongly_measurable`` gates the integral-instability operations.
     ``descriptor`` records how the model was built, for reports.
     """
 
     semiflow: SemiflowFn
-    cocycle: CocycleFn
     dimension: int
     log_factors: LogFactorsFn
     norm_choice: NormChoice = NormChoice.SUM_ABS
     strongly_measurable: bool = True
     descriptor: dict = field(default_factory=dict)
+    # Read by nothing: it exists only because the benchmark tracer's
+    # counted_model replaces a ``cocycle`` field by name.
+    cocycle: None = None
 
 
 def _require_pair(t: float, s: float) -> None:
@@ -170,16 +173,6 @@ def _require_pair(t: float, s: float) -> None:
 def eval_semiflow(xi: SkewEvolutionSemiflow, t: float, s: float, x: BasePoint) -> BasePoint:
     _require_pair(t, s)
     return xi.semiflow(t, s, x)
-
-
-def eval_cocycle(
-    xi: SkewEvolutionSemiflow, t: float, s: float, x: BasePoint, v: Sequence[float] | np.ndarray
-) -> np.ndarray:
-    _require_pair(t, s)
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (xi.dimension,):
-        raise DomainError(f"vector has shape {arr.shape}, model dimension is {xi.dimension}")
-    return xi.cocycle(t, s, x, arr)
 
 
 def log_cocycle_norm(
@@ -205,11 +198,18 @@ def log_cocycle_norm(
     return m + math.log(math.fsum(math.exp(p * (a - m)) for a in terms)) / p
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """logsumexp along axis 1; a non-finite maximum passes through."""
-    m = np.max(a, axis=1)
+def _log_norm(terms: np.ndarray, choice: NormChoice) -> np.ndarray:
+    """log of the ``choice`` norm over axis 1, from log |component| terms.
+
+    The sum and Euclidean norms are a log-sum-exp, so no norm is formed in
+    linear space; a non-finite maximum passes through.
+    """
+    m = np.max(terms, axis=1)
+    if choice is NormChoice.MAX_ABS:
+        return m
+    p = 2.0 if choice is NormChoice.EUCLID else 1.0
     with np.errstate(invalid="ignore"):
-        out = m + np.log(np.sum(np.exp(a - m[:, None]), axis=1))
+        out = m + np.log(np.sum(np.exp(p * (terms - m[:, None])), axis=1)) / p
     return np.where(np.isfinite(m), out, m)
 
 
@@ -241,13 +241,7 @@ def log_norms(
     with np.errstate(divide="ignore"):
         # Zero components give -inf terms, which drop out of every norm.
         log_mags = np.log(np.abs(vecs)).reshape(vecs.shape + (1,) * t.ndim)
-    terms = g[None] + log_mags
-    if xi.norm_choice is NormChoice.SUM_ABS:
-        out = _logsumexp(terms)
-    elif xi.norm_choice is NormChoice.EUCLID:
-        out = 0.5 * _logsumexp(2.0 * terms)
-    else:
-        out = np.max(terms, axis=1)
+    out = _log_norm(g[None] + log_mags, xi.norm_choice)
     vanished = np.isneginf(out)
     if vanished.any():
         at = np.unravel_index(np.argmax(vanished), vanished.shape)[1:]
@@ -267,9 +261,6 @@ def shift_cocycle(xi: SkewEvolutionSemiflow, gamma: float) -> SkewEvolutionSemif
     if not math.isfinite(gamma):
         raise PreconditionError(f"shift parameter must be finite, got {gamma}")
 
-    def shifted_cocycle(t: float, s: float, x: BasePoint, v: np.ndarray) -> np.ndarray:
-        return math.exp(-gamma * (t - s)) * xi.cocycle(t, s, x, v)
-
     base_log = xi.log_factors
 
     def shifted_log(t, s, x: BasePoint) -> np.ndarray:
@@ -277,7 +268,6 @@ def shift_cocycle(xi: SkewEvolutionSemiflow, gamma: float) -> SkewEvolutionSemif
 
     return SkewEvolutionSemiflow(
         semiflow=xi.semiflow,
-        cocycle=shifted_cocycle,
         dimension=xi.dimension,
         norm_choice=xi.norm_choice,
         strongly_measurable=xi.strongly_measurable,
@@ -426,15 +416,6 @@ class _ReportBuilder:
         self.worst = math.inf
         self.failures: list[Counterexample] = []
 
-    def add(self, t: float, s: float, t0: float, base: str, vector: str, margin: float) -> None:
-        self.samples += 1
-        if margin < self.worst:
-            self.worst = margin
-        if margin < -self.tol or math.isnan(margin):
-            self.failures.append(Counterexample(t, s, t0, base, vector, float(margin)))
-        if self.sink is not None:
-            self.sink(t, s, t0, base, vector, float(margin))
-
     def add_array(
         self,
         ts: np.ndarray,
@@ -483,6 +464,20 @@ class _ReportBuilder:
 # ---------------------------------------------------------------------------
 
 
+def _law_samples(times: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, s, t0) of every law sample of one (base, vector), in sink order.
+
+    The identity samples (t, t, t) come first, then the composition
+    triples t_k <= t_j <= t_i ordered by k, then j, then i.
+    """
+    T = np.asarray(times, dtype=float)
+    n = len(T)
+    rows = [(T, T, T)] + [
+        (T[j:], np.full(n - j, T[j]), np.full(n - j, T[k])) for k in range(n) for j in range(k, n)
+    ]
+    return tuple(np.concatenate(c) for c in zip(*rows))
+
+
 def check_semiflow_laws(
     xi: SkewEvolutionSemiflow,
     grid: SampleGrid,
@@ -498,11 +493,9 @@ def check_semiflow_laws(
     builder = _ReportBuilder("semiflow-laws", tol, margin_sink)
     times = grid.times
     n = len(times)
+    samples = _law_samples(times)
     for x in grid.base_points:
-        label = x.label()
-        for t in times:
-            d = base_discrepancy(eval_semiflow(xi, t, t, x), x)
-            builder.add(t, t, t, label, "-", -d)
+        margins = [-base_discrepancy(eval_semiflow(xi, t, t, x), x) for t in times]
         for k in range(n):
             t0 = times[k]
             # flown[i - k] is phi(t_i, t0, x); it doubles as the direct
@@ -512,8 +505,8 @@ def check_semiflow_laws(
                 s, mid = times[j], flown[j - k]
                 for i in range(j, n):
                     through = eval_semiflow(xi, times[i], s, mid)
-                    d = base_discrepancy(through, flown[i - k])
-                    builder.add(times[i], s, t0, label, "-", -d)
+                    margins.append(-base_discrepancy(through, flown[i - k]))
+        builder.add_array(*samples, x.label(), "-", np.array(margins))
     return builder.finish()
 
 
@@ -525,38 +518,53 @@ def check_cocycle_laws(
 ) -> CheckReport:
     """Verify the cocycle identity and composition over the semiflow.
 
-    The composition residual is a relative error: the through-route value
-    Phi(t, s, phi(s, t0, x)) Phi(s, t0, x) v is compared against the
-    direct Phi(t, t0, x) v, divided by max(||direct||, 1e-300).
+    Both laws are read from ``log_factors``.  With lf = log_factors, the
+    composition residual at (t, s, t0) is the relative error
+
+        ||w * expm1(lf(t, s, phi(s, t0, x)) + lf(s, t0, x) - lf(t, t0, x))|| / ||w||
+
+    with weights w = |v| exp(lf(t, t0, x)), the through route
+    Phi(t, s, phi(s, t0, x)) Phi(s, t0, x) v against the direct
+    Phi(t, t0, x) v.  The identity law uses the same residual with
+    lf(t, t, x) against 0.  Norms are formed in log space, for every
+    vector at once, so no cocycle value is formed in linear space.
     """
     grid.require_nonempty()
+    for v in grid.vectors:
+        if len(v) != xi.dimension:
+            raise DomainError(f"vector has shape ({len(v)},), model dimension is {xi.dimension}")
     builder = _ReportBuilder("cocycle-laws", tol, margin_sink)
     times = grid.times
+    T = np.asarray(times, dtype=float)
     n = len(times)
-    vectors = grid.vector_arrays()
-    labels = grid.vector_labels()
+    samples = _law_samples(times)
+    with np.errstate(divide="ignore"):
+        # log |v| per (vector, component); zero components drop out of every norm
+        log_v = np.log(np.abs(np.asarray(grid.vectors, dtype=float)))[:, :, None]
+
+    def lf(t, s, x: BasePoint) -> np.ndarray:
+        return np.asarray(xi.log_factors(t, s, x), dtype=float)
+
+    def residual(gap: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_err = _log_norm(log_w + np.log(np.abs(np.expm1(gap))), xi.norm_choice)
+        return -np.exp(log_err - _log_norm(log_w, xi.norm_choice))
+
     for x in grid.base_points:
+        pieces = [residual(lf(T, T, x), log_v)]
+        for k in range(n):
+            t0 = times[k]
+            # direct[:, i - k] is lf(t_i, t0, x): the partial leg when t_i
+            # plays the split point and the direct route otherwise.
+            direct = lf(T[k:], t0, x)
+            for j in range(k, n):
+                through = lf(T[j:], times[j], eval_semiflow(xi, times[j], t0, x))
+                gap = through + direct[:, j - k, None] - direct[:, j - k :]
+                pieces.append(residual(gap, log_v + direct[:, j - k :]))
+        margins = np.concatenate(pieces, axis=1)
         xlabel = x.label()
-        for v, vlabel in zip(vectors, labels):
-            vnorm = norm(v, xi.norm_choice)
-            for t in times:
-                res = norm(eval_cocycle(xi, t, t, x, v) - v, xi.norm_choice)
-                builder.add(t, t, t, xlabel, vlabel, -res / max(vnorm, NORM_FLOOR))
-            for k in range(n):
-                t0 = times[k]
-                # moved[i - k] is Phi(t_i, t0, x) v: the partial leg when
-                # t_i plays the split point and the direct route otherwise.
-                flown = [eval_semiflow(xi, s, t0, x) for s in times[k:]]
-                moved = [eval_cocycle(xi, s, t0, x, v) for s in times[k:]]
-                for j in range(k, n):
-                    s, mid, w = times[j], flown[j - k], moved[j - k]
-                    for i in range(j, n):
-                        through = eval_cocycle(xi, times[i], s, mid, w)
-                        direct = moved[i - k]
-                        rel = norm(through - direct, xi.norm_choice) / max(
-                            norm(direct, xi.norm_choice), NORM_FLOOR
-                        )
-                        builder.add(times[i], s, t0, xlabel, vlabel, -rel)
+        for vlabel, row in zip(grid.vector_labels(), margins):
+            builder.add_array(*samples, xlabel, vlabel, row)
     return builder.finish()
 
 

@@ -105,17 +105,12 @@ def _trivial_semiflow(kind: str):
 def sin_scalar_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewEvolutionSemiflow:
     """Scalar cocycle v -> v e^{E(t, s)} over the trivial drift semiflow."""
 
-    def cocycle(t: float, s: float, x: BasePoint, v: np.ndarray) -> np.ndarray:
-        _require_trivial(x, "sin_scalar")
-        return v * math.exp(sin_scalar_exponent(t, s))
-
     def log_factors(t, s, x: BasePoint) -> np.ndarray:
         _require_trivial(x, "sin_scalar")
         return np.asarray(sin_scalar_exponent(t, s))[None]
 
     return SkewEvolutionSemiflow(
         semiflow=_trivial_semiflow("sin_scalar"),
-        cocycle=cocycle,
         dimension=1,
         norm_choice=norm_choice,
         log_factors=log_factors,
@@ -130,17 +125,12 @@ def pure_exponential_model(
     if not math.isfinite(rate):
         raise PreconditionError(f"rate must be finite, got {rate}")
 
-    def cocycle(t: float, s: float, x: BasePoint, v: np.ndarray) -> np.ndarray:
-        _require_trivial(x, "pure_exponential")
-        return v * math.exp(rate * (t - s))
-
     def log_factors(t, s, x: BasePoint) -> np.ndarray:
         _require_trivial(x, "pure_exponential")
         return np.asarray(rate * (t - s))[None]
 
     return SkewEvolutionSemiflow(
         semiflow=_trivial_semiflow("pure_exponential"),
-        cocycle=cocycle,
         dimension=1,
         norm_choice=norm_choice,
         log_factors=log_factors,
@@ -173,12 +163,8 @@ def diag_integral_model(
         window = np.asarray(_generator_integral(g.n, g.sigma, t - s))
         return rate_arr.reshape((-1,) + (1,) * window.ndim) * window
 
-    def cocycle(t: float, s: float, x: BasePoint, v: np.ndarray) -> np.ndarray:
-        return v * np.exp(log_factors(t, s, x))
-
     return SkewEvolutionSemiflow(
         semiflow=semiflow,
-        cocycle=cocycle,
         dimension=len(rates),
         norm_choice=norm_choice,
         log_factors=log_factors,
@@ -200,7 +186,6 @@ def broken_semiflow_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewE
 
     return SkewEvolutionSemiflow(
         semiflow=semiflow,
-        cocycle=good.cocycle,
         dimension=1,
         norm_choice=norm_choice,
         log_factors=good.log_factors,
@@ -211,17 +196,12 @@ def broken_semiflow_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewE
 def broken_cocycle_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewEvolutionSemiflow:
     """Test fixture: v -> v (1 + t - s) passes the identity law but not composition."""
 
-    def cocycle(t: float, s: float, x: BasePoint, v: np.ndarray) -> np.ndarray:
-        _require_trivial(x, "broken_cocycle")
-        return v * (1.0 + (t - s))
-
     def log_factors(t, s, x: BasePoint) -> np.ndarray:
         _require_trivial(x, "broken_cocycle")
         return np.log1p(np.asarray(t - s))[None]
 
     return SkewEvolutionSemiflow(
         semiflow=_trivial_semiflow("broken_cocycle"),
-        cocycle=cocycle,
         dimension=1,
         norm_choice=norm_choice,
         log_factors=log_factors,

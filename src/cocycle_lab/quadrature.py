@@ -13,7 +13,7 @@ as ``datko_lower_limit`` so serialized outputs show the convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -207,8 +207,11 @@ def norm_integral_prefix(
     t0 = ts[0]
     integrand = _norm_trajectory_fn(xi, t0, x, arr)
     out = np.zeros(len(ts))
-    for i in range(1, len(ts)):
-        out[i] = out[i - 1] + adaptive_simpson(integrand, ts[i - 1], ts[i], cfg)
+    # An overflowing norm reaches adaptive_simpson as inf, which raises
+    # "integrand is not finite"; numpy need not warn about it first.
+    with np.errstate(over="ignore"):
+        for i in range(1, len(ts)):
+            out[i] = out[i - 1] + adaptive_simpson(integrand, ts[i - 1], ts[i], cfg)
     return out
 
 

@@ -22,7 +22,6 @@ import numpy as np
 from .certificates import (
     DEFAULT_GROWTH_CAP,
     DEFAULT_HEADROOM,
-    DEFAULT_NU_CANDIDATES,
     DecayCertificate,
     ExpInstabilityCertificate,
     ExpWitness,

@@ -33,7 +33,6 @@ from cocycle_lab import (
     estimate_instability,
     estimate_integral_instability,
     pure_exponential_model,
-    sin_scalar_model,
 )
 
 from conftest import grid_for

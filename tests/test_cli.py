@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cocycle_lab import DomainError, PreconditionError
-from cocycle_lab.cli import Scenario, ScenarioError, main, parse_scenario
+from cocycle_lab.cli import ScenarioError, main, parse_scenario
 
 SMALL_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
 # long enough that the oscillating model realizes growth above the
@@ -179,6 +179,7 @@ def test_overflowing_integral_exits_2_quickly(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "cocycle-lab: error: integrand is not finite on [12.0, 16.0]" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_quadrature_depth_exhaustion_exits_2(tmp_path, capsys):
@@ -209,6 +210,24 @@ def test_laws_pass_and_report(tmp_path, pexp3_scenario):
     assert doc["model"] == {"kind": "pure_exponential", "rate": 3.0}
     assert doc["grid_hash"]
     assert doc["tool_version"]
+
+
+def test_laws_pass_where_linear_cocycle_values_overflow(tmp_path):
+    # e^{50 * 16} is past the float range; the laws never leave log space
+    p = write_scenario(tmp_path / "p50.json", {"kind": "pure_exponential", "rate": 50},
+                       times={"min": 0, "max": 16, "count": 5})
+    out = tmp_path / "out"
+    assert main(["laws", "--scenario", str(p), "--out-dir", str(out)]) == 0
+    doc = read_json(out / "laws_report.json")
+    assert doc["semiflow"]["verdict"] == "pass"
+    assert doc["cocycle"]["verdict"] == "pass"
+
+
+def test_laws_reject_vector_of_wrong_dimension(tmp_path, capsys):
+    p = write_scenario(tmp_path / "diag.json", {"kind": "diag_integral", "alphas": [1, -1]},
+                       grid={"times": SMALL_TIMES, "vectors": [[1.0]]})
+    assert main(["laws", "--scenario", str(p), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "model dimension is 2" in capsys.readouterr().err
 
 
 def test_laws_fail_on_broken_model(tmp_path):
@@ -350,12 +369,14 @@ def test_theorem_requires_all_inputs(tmp_path, pexp3_scenario):
     assert code == 2
 
 
-def test_theorem_rejects_unused_and_duplicate_inputs(tmp_path, pexp3_scenario):
+def test_theorem_rejects_unused_and_duplicate_inputs(tmp_path, pexp3_scenario, capsys):
     out = tmp_path / "out"
     exp_cert = estimate_into(pexp3_scenario, out, "exp-instability")
+    capsys.readouterr()
     code = main(["theorem", "--scenario", str(pexp3_scenario), "--out-dir", str(out),
                  "--theorem", "corollary", "--cert", str(exp_cert)])
     assert code == 2
+    assert "theorem corollary takes no exp-instability certificate" in capsys.readouterr().err
     code = main(["theorem", "--scenario", str(pexp3_scenario), "--out-dir", str(out),
                  "--theorem", "remark-obs2", "--cert", str(exp_cert), "--cert", str(exp_cert)])
     assert code == 2

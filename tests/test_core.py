@@ -1,5 +1,6 @@
 """Core algebra: norms, base points, grids, law checkers, shifts."""
 
+import dataclasses
 import json
 import math
 
@@ -27,7 +28,6 @@ from cocycle_lab import (
 from cocycle_lab.core import (
     _ReportBuilder,
     base_discrepancy,
-    eval_cocycle,
     eval_semiflow,
     format_vector,
     log_cocycle_norm,
@@ -141,9 +141,9 @@ def test_eval_domain_errors(sin_model):
     with pytest.raises(DomainError):
         eval_semiflow(sin_model, 1.0, 2.0, Trivial(0.0))
     with pytest.raises(DomainError):
-        eval_cocycle(sin_model, 2.0, -1.0, Trivial(0.0), (1.0,))
-    with pytest.raises(DomainError):
-        eval_cocycle(sin_model, 2.0, 1.0, Trivial(0.0), (1.0, 2.0))
+        log_norms(sin_model, 2.0, -1.0, Trivial(0.0), [(1.0,)])
+    with pytest.raises(DomainError, match="model dimension is 1"):
+        log_norms(sin_model, 2.0, 1.0, Trivial(0.0), [(1.0, 2.0)])
 
 
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0))
@@ -152,7 +152,7 @@ def test_log_norm_matches_direct_eval(diag_model, s, dt):
     t = s + dt
     x = ShiftedGenerator(2, 0.25)
     v = np.array([0.7, -1.3])
-    direct = norm(eval_cocycle(diag_model, t, s, x, v), diag_model.norm_choice)
+    direct = norm(v * np.exp(diag_model.log_factors(t, s, x)), diag_model.norm_choice)
     assert log_cocycle_norm(diag_model, t, s, x, v) == pytest.approx(math.log(direct), abs=1e-10)
 
 
@@ -160,7 +160,6 @@ def test_log_norm_zero_image():
     xi = build_model({"kind": "pure_exponential", "rate": 0.0})
     dead = type(xi)(
         semiflow=xi.semiflow,
-        cocycle=lambda t, s, x, v: 0.0 * v,
         dimension=1,
         log_factors=lambda t, s, x: np.full((1,) + np.shape(t - s), -math.inf),
         norm_choice=xi.norm_choice,
@@ -307,6 +306,98 @@ def test_law_counterexamples_sorted(short_times):
     assert keys == sorted(keys)
 
 
+def _bent(t, s, x):
+    # lf(t, s) = (t - s) + 0.1 (t - s)^2: zero at t = s, but not additive
+    return np.asarray((t - s) + 0.1 * (t - s) ** 2)[None]
+
+
+def test_cocycle_laws_read_log_factors(short_times):
+    good = pure_exponential_model(1.0)
+    bent = dataclasses.replace(good, log_factors=_bent)
+    g = grid_for(good, short_times)
+    assert check_cocycle_laws(good, g).passed
+    report = check_cocycle_laws(bent, g)
+    assert not report.passed
+    assert report.worst_margin < -0.5
+    assert all(c.t > c.s > c.t0 for c in report.counterexamples)
+
+
+def _plain_norm(v, choice):
+    mags = [abs(c) for c in v]
+    if choice is NormChoice.SUM_ABS:
+        return math.fsum(mags)
+    if choice is NormChoice.EUCLID:
+        return math.sqrt(math.fsum(c * c for c in mags))
+    return max(mags)
+
+
+def _reference_law_rows(xi, grid):
+    """Cocycle law samples one at a time, with Phi applied in linear space."""
+
+    def phi(t, s, x, v):
+        return [c * math.exp(g) for c, g in zip(v, xi.log_factors(t, s, x).tolist())]
+
+    def rel(a, b):
+        diff = [p - q for p, q in zip(a, b)]
+        return -_plain_norm(diff, xi.norm_choice) / _plain_norm(b, xi.norm_choice)
+
+    rows, times = [], grid.times
+    for x in grid.base_points:
+        for v in grid.vectors:
+            label = (x.label(), format_vector(v))
+            rows += [(t, t, t, *label, rel(phi(t, t, x, v), v)) for t in times]
+            for k, t0 in enumerate(times):
+                for j in range(k, len(times)):
+                    s, mid = times[j], xi.semiflow(times[j], t0, x)
+                    for t in times[j:]:
+                        through = phi(t, s, mid, phi(s, t0, x, v))
+                        rows.append((t, s, t0, *label, rel(through, phi(t, t0, x, v))))
+    return rows
+
+
+# components the linear-space reference can square without underflow
+law_component_st = st.one_of(st.just(0.0), st.floats(1e-3, 50.0), st.floats(-50.0, -1e-3))
+
+
+@given(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=5).map(lambda ts: sorted(set(ts))),
+       st.sampled_from(["sin", "diag", "bent-diag", "pexp", "bent"]),
+       st.sampled_from(list(NormChoice)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cocycle_law_margins_match_per_sample_reference(times, kind, choice, data):
+    if kind in ("diag", "bent-diag"):
+        alphas = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3))
+        xi = diag_integral_model(alphas, choice)
+        if kind == "bent-diag":
+            # per-component curvature: the gap differs across components,
+            # so the weights |v| exp(lf(t, t0, x)) decide the residual
+            curv = np.array(data.draw(st.lists(st.floats(-0.2, 0.2), min_size=len(alphas),
+                                               max_size=len(alphas))))
+            lf = xi.log_factors
+            xi = dataclasses.replace(
+                xi, log_factors=lambda t, s, x: lf(t, s, x) + np.multiply.outer(curv, (t - s) ** 2))
+        bases = data.draw(st.lists(st.builds(ShiftedGenerator, st.integers(1, 4), st.floats(0.0, 3.0)),
+                                   min_size=1, max_size=2))
+    else:
+        if kind == "sin":
+            xi = sin_scalar_model(choice)
+        else:
+            xi = pure_exponential_model(data.draw(st.floats(-3.0, 3.0)), choice)
+            xi = dataclasses.replace(xi, log_factors=_bent) if kind == "bent" else xi
+        xi = shift_cocycle(xi, data.draw(st.floats(-2.0, 2.0)))
+        bases = data.draw(st.lists(st.builds(Trivial, st.floats(0.0, 5.0)), min_size=1, max_size=2))
+    vectors = data.draw(st.lists(
+        st.lists(law_component_st, min_size=xi.dimension, max_size=xi.dimension).filter(any),
+        min_size=1, max_size=3))
+    grid = SampleGrid.create(times, bases, vectors)
+    rows = []
+    report = check_cocycle_laws(xi, grid, 1e-9, lambda *row: rows.append(row))
+    want = _reference_law_rows(xi, grid)
+    assert report.samples_checked == len(want) == len(rows)
+    assert [r[:5] for r in rows] == [w[:5] for w in want]
+    for got, ref in zip(rows, want):
+        assert got[5] == pytest.approx(ref[5], rel=0.0, abs=1e-12)
+
+
 def test_laws_need_nonempty_grid(sin_model):
     g = SampleGrid.create([], [], [])
     with pytest.raises(PreconditionError, match="grid nonempty"):
@@ -320,9 +411,8 @@ def test_laws_need_nonempty_grid(sin_model):
 
 def test_report_builder_flags_nan_and_negative():
     b = _ReportBuilder("demo", 1e-9)
-    b.add(1.0, 0.0, 0.0, "x", "[1]", 0.5)
-    b.add(2.0, 0.0, 0.0, "x", "[1]", -1.0)
-    b.add(3.0, 0.0, 0.0, "x", "[1]", math.nan)
+    b.add_array(np.array([1.0, 2.0, 3.0]), np.zeros(3), np.zeros(3), "x", "[1]",
+                np.array([0.5, -1.0, math.nan]))
     report = b.finish()
     assert report.samples_checked == 3
     assert report.worst_margin == -1.0
@@ -331,12 +421,13 @@ def test_report_builder_flags_nan_and_negative():
 
 
 def test_report_builder_array_path_matches_scalar_path():
+    # one batch must report exactly what one call per sample reports
     scalar = _ReportBuilder("demo", 0.0)
     batched = _ReportBuilder("demo", 0.0)
     ts = np.array([1.0, 2.0, 3.0])
     margins = np.array([0.25, -0.5, math.inf])
-    for t, m in zip(ts, margins):
-        scalar.add(float(t), 0.0, 0.0, "x", "[1]", float(m))
+    for i in range(3):
+        scalar.add_array(ts[i:i + 1], np.zeros(1), np.zeros(1), "x", "[1]", margins[i:i + 1])
     batched.add_array(ts, np.zeros(3), np.zeros(3), "x", "[1]", margins.copy())
     a, b = scalar.finish(), batched.finish()
     assert a.worst_margin == b.worst_margin

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import (
+    DomainError,
     PreconditionError,
     ShiftedGenerator,
     Trivial,
@@ -18,7 +19,7 @@ from cocycle_lab import (
     integrate_generator,
     sin_scalar_exponent,
 )
-from cocycle_lab.core import eval_cocycle, log_cocycle_norm
+from cocycle_lab.core import log_cocycle_norm, log_norms
 from cocycle_lab.quadrature import QuadratureConfig, adaptive_simpson
 
 
@@ -141,15 +142,18 @@ def test_sin_model_norm_matches_exponent(sin_model):
 def test_diag_components_scale_by_generator_integral(diag_model):
     t, s = 3.5, 1.0
     x = ShiftedGenerator(2, 0.5)
-    out = eval_cocycle(diag_model, t, s, x, np.array([1.0, 1.0]))
+    out = diag_model.log_factors(t, s, x)
     gain = integrate_generator(2, 0.5, t - s)
-    assert out[0] == pytest.approx(math.exp(gain), rel=1e-14)
-    assert out[1] == pytest.approx(math.exp(-gain), rel=1e-14)
+    assert out[0] == pytest.approx(gain, rel=1e-14)
+    assert out[1] == pytest.approx(-gain, rel=1e-14)
+    # the sum norm of Phi(t, s, x)(1, 1) is e^gain + e^-gain
+    [got] = log_norms(diag_model, t, s, x, [(1.0, 1.0)])
+    assert got == pytest.approx(math.log(2.0 * math.cosh(gain)), rel=1e-14)
 
 
 def test_diag_rejects_trivial_base(diag_model):
-    with pytest.raises(Exception):
-        eval_cocycle(diag_model, 1.0, 0.0, Trivial(0.0), np.array([1.0, 1.0]))
+    with pytest.raises(DomainError, match="ShiftedGenerator base points"):
+        log_norms(diag_model, 1.0, 0.0, Trivial(0.0), [(1.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------
