@@ -121,7 +121,7 @@ def norm(v: Sequence[float] | np.ndarray, choice: NormChoice = NormChoice.SUM_AB
     if choice is NormChoice.SUM_ABS:
         return float(np.sum(np.abs(arr)))
     if choice is NormChoice.EUCLID:
-        return float(np.sqrt(np.sum(arr * arr)))
+        return math.hypot(*arr)  # scaled: components below 1e-154 do not square to 0
     return float(np.max(np.abs(arr)))
 
 

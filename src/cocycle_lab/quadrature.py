@@ -4,7 +4,9 @@ The integral-instability side of the certificate calculus needs two
 integrals: the running integral of ||Phi(tau, t0, x) v|| along a
 trajectory, and kernels of the form integral_0^L e^{-alpha u} f(u) du
 for a decay witness f.  Both use the same adaptive Simpson core with the
-standard |S2 - S1| / 15 error estimate and Richardson correction.
+standard |S2 - S1| / 15 error estimate and Richardson correction.  The
+core refines many intervals at once, so the running integral from one
+base time t0 over every later grid segment is a single call.
 
 The lower limit of the trajectory integral is t0, recorded in the config
 as ``datko_lower_limit`` so serialized outputs show the convention.
@@ -65,57 +67,92 @@ class QuadratureConfig:
         }
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
+def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, cfg: QuadratureConfig) -> float:
-    """Integrate f over [a, b] to max(abs_tol, rel_tol * |estimate|).
+# inf and nan end in DomainError below, so numpy need not warn first
+@np.errstate(over="ignore", invalid="ignore")
+def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureConfig):
+    """Integrate f over each [a, b] to max(abs_tol, rel_tol * |estimate|).
 
-    Interval halving stops once the local Richardson error estimate
-    |S2 - S1| / 15 meets the locally split tolerance.  If any subinterval
-    still fails at max_depth, the partial result is wrapped in a
-    QuadratureDepthError instead of being returned silently; a non-finite
-    error estimate raises DomainError at once.
+    ``a`` and ``b`` are floats or equal-length 1-D arrays; ``f`` maps a
+    1-D array of nodes to their values.  All intervals refine level by
+    level, one ``f`` call per depth, and a subinterval stops once its
+    Richardson estimate |S2 - S1| / 15 meets its tolerance, halved at each
+    split.  Each interval's leaves are summed right to left in strict
+    sequence, as a depth-first stack popping right halves first would, so
+    a batch returns bit for bit what one call per interval would.  A
+    non-finite error estimate raises DomainError at once; reaching
+    max_depth raises QuadratureDepthError with the estimate (an array for
+    array input) as ``partial``.  Both name the leftmost failing interval
+    at the shallowest failing depth.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and b >= a):
-        raise DomainError(f"bad integration interval [{a}, {b}]")
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    lo, hi = (np.atleast_1d(np.asarray(end, dtype=float)) for end in (a, b))
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise PreconditionError(f"interval ends must be equal-length 1-D arrays, got {lo.shape} and {hi.shape}")
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi >= lo))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"bad integration interval [{float(lo[i])}, {float(hi[i])}]")
 
-    total = 0.0
-    exhausted = False
-    # Stack entries: (a, fa, m, fm, b, fb, S, tol, depth)
-    stack = [(a, fa, 0.5 * (a + b), fm, b, fb, whole, tol, 0)]
-    while stack:
-        xa, ya, xm, ym, xb, yb, s_whole, loc_tol, depth = stack.pop()
-        lm = 0.5 * (xa + xm)
-        rm = 0.5 * (xm + xb)
-        ylm, yrm = f(lm), f(rm)
+    # One entry per live subinterval, kept in (interval, position) order,
+    # so the first flagged entry is always the leftmost one.
+    owner = np.flatnonzero(hi > lo)
+    if not len(owner):
+        return 0.0 if scalar else np.zeros(len(lo))
+    xa, xb = lo[owner], hi[owner]
+    xm = 0.5 * (xa + xb)
+    ya, ym, yb = np.reshape(f(np.concatenate([xa, xm, xb])), (3, -1))
+    s_whole = _simpson(ya, ym, yb, xb - xa)
+    loc_tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(s_whole))  # nan -> abs_tol, as max() does
+
+    leaves = []  # (owner, left end, value) of every finished subinterval
+    exhausted = owner[:0]
+    for depth in range(cfg.max_depth + 1):
+        if not len(owner):
+            break
+        lm, rm = 0.5 * (xa + xm), 0.5 * (xm + xb)
+        ylm, yrm = np.reshape(f(np.concatenate([lm, rm])), (2, -1))
         s_left = _simpson(ya, ylm, ym, xm - xa)
         s_right = _simpson(ym, yrm, yb, xb - xm)
         err = (s_left + s_right - s_whole) / 15.0
-        if abs(err) <= loc_tol or xm <= xa or xb <= xm:
-            total += s_left + s_right + err
-        elif not math.isfinite(err):
-            # Halving cannot repair an overflowed integrand; without this
-            # check every subinterval would refine to max_depth.
-            raise DomainError(f"integrand is not finite on [{xa}, {xb}]")
-        elif depth >= cfg.max_depth:
-            total += s_left + s_right + err
-            exhausted = True
-        else:
-            half = 0.5 * loc_tol
-            stack.append((xa, ya, lm, ylm, xm, ym, s_left, half, depth + 1))
-            stack.append((xm, ym, rm, yrm, xb, yb, s_right, half, depth + 1))
-    if exhausted:
+        done = (np.abs(err) <= loc_tol) | (xm <= xa) | (xb <= xm)
+        # Halving cannot repair an overflowed integrand; without this
+        # check every subinterval would refine to max_depth.
+        broken = ~done & ~np.isfinite(err)
+        if broken.any():
+            i = int(np.argmax(broken))
+            raise DomainError(f"integrand is not finite on [{float(xa[i])}, {float(xb[i])}]")
+        if depth == cfg.max_depth:
+            exhausted = owner[~done]
+            done[:] = True
+        leaves.append((owner[done], xa[done], s_left[done] + s_right[done] + err[done]))
+        keep = np.flatnonzero(~done)
+        owner = np.repeat(owner[keep], 2)
+        # each split subinterval becomes its left half, then its right half
+        xa, ya, xm, ym, xb, yb, s_whole = [
+            np.stack([left[keep], right[keep]], axis=1).ravel()
+            for left, right in ((xa, xm), (ya, ym), (lm, rm), (ylm, yrm), (xm, xb), (ym, yb), (s_left, s_right))
+        ]
+        loc_tol = np.repeat(0.5 * loc_tol[keep], 2)
+
+    who, left_end, value = (np.concatenate(col) for col in zip(*leaves))
+    order = np.lexsort((-left_end, who))  # by interval, then right to left
+    who, value = who[order], value[order]
+    col = 1 + np.arange(len(who)) - np.searchsorted(who, who)
+    rows = np.zeros((len(lo), 1 + col.max()))
+    rows[who, col] = value
+    total = np.cumsum(rows, axis=1)[:, -1]  # strictly sequential, from 0.0
+    result = float(total[0]) if scalar else total
+    if len(exhausted):
+        i = int(exhausted[0])
         raise QuadratureDepthError(
-            f"adaptive refinement hit max_depth={cfg.max_depth} on [{a}, {b}]", partial=total
+            f"adaptive refinement hit max_depth={cfg.max_depth} on [{float(lo[i])}, {float(hi[i])}]",
+            partial=result,
         )
-    return total
+    return result
 
 
 def composite_simpson(f: Callable[[float], float], a: float, b: float, panels: int) -> float:
@@ -133,29 +170,30 @@ def composite_simpson(f: Callable[[float], float], a: float, b: float, panels: i
 def _norm_trajectory_fn(
     xi: SkewEvolutionSemiflow, t0: float, x: BasePoint, arr: np.ndarray
 ):
-    """Integrand tau -> ||Phi(tau, t0, x) arr||.
+    """Integrand taus -> ||Phi(tau, t0, x) arr|| for a 1-D array of taus.
 
     The norm is assembled directly from the model's log factors, skipping
     a per-call log/exp round trip; this is the hot inner function of
-    every Datko-style integral.
+    every Datko-style integral.  Sums run along a contiguous last axis,
+    which adds each node's components in the order np.sum does for one.
     """
     factors = xi.log_factors
-    mags = np.abs(arr)
+    mags = np.abs(arr)[:, None]
     if xi.norm_choice is NormChoice.SUM_ABS:
 
-        def integrand(tau: float) -> float:
-            return float(np.sum(mags * np.exp(factors(tau, t0, x))))
+        def integrand(taus: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray((mags * np.exp(factors(taus, t0, x))).T).sum(axis=1)
 
     elif xi.norm_choice is NormChoice.EUCLID:
         sq = mags * mags
 
-        def integrand(tau: float) -> float:
-            return math.sqrt(float(np.sum(sq * np.exp(2.0 * factors(tau, t0, x)))))
+        def integrand(taus: np.ndarray) -> np.ndarray:
+            return np.sqrt(np.ascontiguousarray((sq * np.exp(2.0 * factors(taus, t0, x))).T).sum(axis=1))
 
     else:
 
-        def integrand(tau: float) -> float:
-            return float(np.max(mags * np.exp(factors(tau, t0, x))))
+        def integrand(taus: np.ndarray) -> np.ndarray:
+            return np.max(mags * np.exp(factors(taus, t0, x)), axis=0)
 
     return integrand
 
@@ -178,8 +216,6 @@ def integrate_norm_trajectory(
     arr = np.asarray(v, dtype=float)
     if not np.any(arr != 0.0):
         raise PreconditionError("trajectory integral needs a nonzero vector")
-    if t == t0:
-        return 0.0
     return adaptive_simpson(_norm_trajectory_fn(xi, t0, x, arr), t0, t, cfg)
 
 
@@ -192,27 +228,21 @@ def norm_integral_prefix(
 ) -> np.ndarray:
     """Cumulative trajectory integrals from times[0] to every grid time.
 
-    Integrates each segment adaptively and prefix-sums, so all endpoints
-    share one consistent set of segment values.  The integral and check
-    paths both call this, which keeps their margins bit-identical.
+    Integrates every grid segment in one batched adaptive_simpson call and
+    prefix-sums, so all endpoints share one consistent set of segment
+    values.  The integral and check paths both call this, which keeps
+    their margins bit-identical.
     """
-    ts = [float(u) for u in times]
-    if not ts:
+    ts = np.asarray(times, dtype=float)
+    if not len(ts):
         raise PreconditionError("grid nonempty")
-    if any(b >= a for a, b in zip(ts[1:], ts)) or ts[0] < 0.0:
+    if np.any(ts[1:] <= ts[:-1]) or ts[0] < 0.0:
         raise PreconditionError("times must be strictly increasing and >= 0")
     arr = np.asarray(v, dtype=float)
     if not np.any(arr != 0.0):
         raise PreconditionError("trajectory integral needs a nonzero vector")
-    t0 = ts[0]
-    integrand = _norm_trajectory_fn(xi, t0, x, arr)
-    out = np.zeros(len(ts))
-    # An overflowing norm reaches adaptive_simpson as inf, which raises
-    # "integrand is not finite"; numpy need not warn about it first.
-    with np.errstate(over="ignore"):
-        for i in range(1, len(ts)):
-            out[i] = out[i - 1] + adaptive_simpson(integrand, ts[i - 1], ts[i], cfg)
-    return out
+    segments = adaptive_simpson(_norm_trajectory_fn(xi, float(ts[0]), x, arr), ts[:-1], ts[1:], cfg)
+    return np.cumsum(np.concatenate([[0.0], segments]))
 
 
 def integrate_kernel(
@@ -249,8 +279,8 @@ def integrate_kernel(
         # exactly constant and is invisible for continuous integrands.
         inside = math.nextafter(lo, hi)
 
-        def piece(u: float, _lo: float = lo, _inside: float = inside) -> float:
-            return integrand(u if u > _lo else _inside)
+        def piece(us: np.ndarray, _lo: float = lo, _inside: float = inside) -> np.ndarray:
+            return np.array([integrand(u if u > _lo else _inside) for u in us.tolist()])
 
         total += adaptive_simpson(piece, lo, hi, cfg)
     return total

@@ -341,6 +341,22 @@ def test_scale_invariance_of_fitted_certificates(sin_model, short_times):
         assert np.allclose(n1.N.log_values, n2.N.log_values, atol=1e-12, rtol=0.0)
 
 
+def test_euclidean_estimates_accept_tiny_vectors(short_times):
+    # 1e-200 squares to 0 in floating point; the norm must not
+    from cocycle_lab import NormChoice, default_base_points, sin_scalar_model
+
+    xi = sin_scalar_model(NormChoice.EUCLID)
+    tiny = SampleGrid.create(short_times, default_base_points(xi), [(1e-200,)])
+    unit = SampleGrid.create(short_times, default_base_points(xi), [(1.0,)])
+    decay = estimate_decay(xi, tiny)
+    assert np.allclose(decay.log_values, estimate_decay(xi, unit).log_values, atol=1e-12, rtol=0.0)
+    assert check_decay(xi, decay, tiny, tol=0.0).passed
+    integral = estimate_integral_instability(xi, tiny)
+    # the Datko ratio normalizes v first, so the tiny vector integrates as (1,)
+    assert integral.M.log_values == estimate_integral_instability(xi, unit).M.log_values
+    assert check_integral_instability(xi, integral, tiny, tol=0.0).passed
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

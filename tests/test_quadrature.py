@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cocycle_lab import (
     DomainError,
+    NormChoice,
     PreconditionError,
     QuadratureConfig,
     QuadratureDepthError,
@@ -16,13 +17,84 @@ from cocycle_lab import (
     Trivial,
     adaptive_simpson,
     composite_simpson,
+    diag_integral_model,
     integrate_generator,
     integrate_kernel,
     integrate_norm_trajectory,
     norm_integral_prefix,
+    pure_exponential_model,
+    shift_cocycle,
+    sin_scalar_model,
 )
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def reference_simpson(f, a, b, cfg):
+    """One interval, depth first, right half popped first: the scalar oracle.
+
+    Bit for bit what the batched adaptive_simpson must return per interval.
+    """
+    def simpson(fa, fm, fb, h):
+        return h / 6.0 * (fa + 4.0 * fm + fb)
+
+    if a == b:
+        return 0.0
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = simpson(fa, fm, fb, b - a)
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
+    total = 0.0
+    exhausted = False
+    stack = [(a, fa, 0.5 * (a + b), fm, b, fb, whole, tol, 0)]
+    while stack:
+        xa, ya, xm, ym, xb, yb, s_whole, loc_tol, depth = stack.pop()
+        lm = 0.5 * (xa + xm)
+        rm = 0.5 * (xm + xb)
+        ylm, yrm = f(lm), f(rm)
+        s_left = simpson(ya, ylm, ym, xm - xa)
+        s_right = simpson(ym, yrm, yb, xb - xm)
+        err = (s_left + s_right - s_whole) / 15.0
+        if abs(err) <= loc_tol or xm <= xa or xb <= xm:
+            total += s_left + s_right + err
+        elif not math.isfinite(err):
+            raise DomainError(f"integrand is not finite on [{xa}, {xb}]")
+        elif depth >= cfg.max_depth:
+            total += s_left + s_right + err
+            exhausted = True
+        else:
+            half = 0.5 * loc_tol
+            stack.append((xa, ya, lm, ylm, xm, ym, s_left, half, depth + 1))
+            stack.append((xm, ym, rm, yrm, xb, yb, s_right, half, depth + 1))
+    if exhausted:
+        raise QuadratureDepthError("max_depth", partial=total)
+    return total
+
+
+def reference_value(f, a, b, cfg):
+    """(value or partial, whether max_depth was hit) of reference_simpson."""
+    try:
+        return reference_simpson(f, a, b, cfg), False
+    except QuadratureDepthError as exc:
+        return exc.partial, True
+
+
+def reference_prefix(xi, x, v, times, cfg):
+    """The per-segment loop over a scalar integrand, one segment at a time."""
+    t0 = times[0]
+    mags = np.abs(np.asarray(v, dtype=float))
+
+    def integrand(tau):
+        lf = xi.log_factors(tau, t0, x)
+        if xi.norm_choice is NormChoice.SUM_ABS:
+            return float(np.sum(mags * np.exp(lf)))
+        if xi.norm_choice is NormChoice.EUCLID:
+            return math.sqrt(float(np.sum(mags * mags * np.exp(2.0 * lf))))
+        return float(np.max(mags * np.exp(lf)))
+
+    out = [0.0]
+    for a, b in zip(times, times[1:]):
+        out.append(out[-1] + reference_simpson(integrand, a, b, cfg))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +128,10 @@ def test_config_keys_and_json():
 
 
 def test_adaptive_known_integrals():
-    assert adaptive_simpson(lambda u: math.exp(3.0 * u), 0.0, 2.0, TIGHT) == pytest.approx(
+    assert adaptive_simpson(lambda u: np.exp(3.0 * u), 0.0, 2.0, TIGHT) == pytest.approx(
         (math.exp(6.0) - 1.0) / 3.0, rel=1e-11)
-    assert adaptive_simpson(math.sin, 0.0, math.pi, TIGHT) == pytest.approx(2.0, rel=1e-11)
-    assert adaptive_simpson(lambda u: math.exp(-u), 0.0, 1.0, TIGHT) == pytest.approx(
+    assert adaptive_simpson(np.sin, 0.0, math.pi, TIGHT) == pytest.approx(2.0, rel=1e-11)
+    assert adaptive_simpson(lambda u: np.exp(-u), 0.0, 1.0, TIGHT) == pytest.approx(
         1.0 - 1.0 / math.e, rel=1e-11)
     assert adaptive_simpson(lambda u: u, 3.0, 3.0, TIGHT) == 0.0
 
@@ -75,10 +147,82 @@ def test_adaptive_bad_interval():
 @settings(max_examples=60, deadline=None)
 def test_adaptive_agrees_with_composite(a, width, rate):
     b = a + width
-    f = lambda u: math.exp(rate * u) + math.cos(u)
+    f = lambda u: np.exp(rate * u) + np.cos(u)
     got = adaptive_simpson(f, a, b, TIGHT)
     ref = composite_simpson(f, a, b, 512)
     assert got == pytest.approx(ref, rel=1e-8, abs=1e-10)
+
+
+INTEGRANDS = {
+    "exp_cos": lambda u: np.exp(0.7 * u) + np.cos(3.0 * u),
+    "decaying": lambda u: np.exp(-2.0 * u) * (1.5 + np.cos(u)),
+    "step": lambda u: np.where(u > 1.3, 2.0, 0.5),
+}
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.0, 4.0), st.sampled_from([0.0, 1e-9, 0.3, 1.0, 2.5])),
+             min_size=1, max_size=8),
+    st.sampled_from(sorted(INTEGRANDS)),
+    st.sampled_from([2, 4, 48]),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_simpson_matches_reference_bit_for_bit(pieces, name, max_depth):
+    f = INTEGRANDS[name]
+    cfg = QuadratureConfig(max_depth=max_depth)
+    a = np.array([lo for lo, _ in pieces])
+    b = a + np.array([width for _, width in pieces])
+    ref = [reference_value(f, float(lo), float(hi), cfg) for lo, hi in zip(a, b)]
+    calls = []
+
+    def counted(u):
+        calls.append(len(u))
+        return f(u)
+
+    try:
+        got = adaptive_simpson(counted, a, b, cfg)
+    except QuadratureDepthError as exc:
+        got = exc.partial
+        first = next(i for i, (_, hit) in enumerate(ref) if hit)
+        assert str(exc).endswith(f"on [{a[first]}, {b[first]}]")
+    else:
+        assert not any(hit for _, hit in ref)
+    assert isinstance(got, np.ndarray)
+    assert got.tolist() == [value for value, _ in ref]
+    # one call for the first three nodes, then one per refinement depth
+    assert len(calls) <= max_depth + 2
+
+
+def test_batched_simpson_scalar_and_empty_calls():
+    got = adaptive_simpson(np.exp, 0.0, 1.0, TIGHT)
+    assert type(got) is float
+    assert got == reference_simpson(np.exp, 0.0, 1.0, TIGHT)
+    assert adaptive_simpson(np.exp, np.zeros(0), np.zeros(0), TIGHT).shape == (0,)
+    with pytest.raises(PreconditionError):
+        adaptive_simpson(np.exp, np.zeros(2), np.ones(3), TIGHT)
+    with pytest.raises(DomainError, match=r"bad integration interval \[2.0, 1.0\]"):
+        adaptive_simpson(np.exp, np.array([0.0, 2.0, 5.0]), np.array([1.0, 1.0, 4.0]), TIGHT)
+
+
+def test_batched_errors_name_leftmost_interval_at_shallowest_depth():
+    # [0, 1] refines the sqrt cusp; [1, 2] and [2, 3] see inf at depth 0
+    def f(u):
+        return np.where(u > 1.5, np.inf, np.sqrt(u))
+
+    with pytest.raises(DomainError, match=r"not finite on \[1.0, 2.0\]"):
+        adaptive_simpson(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), TIGHT)
+
+    # the cusp exhausts two halvings on [0, 1]; the constant on [1, 2] does not
+    def g(u):
+        return np.sqrt(np.minimum(u, 1.0))
+
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14, max_depth=2)
+    a, b = np.array([1.0, 0.0, 0.0]), np.array([2.0, 1.0, 1.0])
+    with pytest.raises(QuadratureDepthError, match=r"max_depth=2 on \[0.0, 1.0\]") as info:
+        adaptive_simpson(g, a, b, cfg)
+    ref = [reference_value(g, lo, hi, cfg) for lo, hi in zip(a.tolist(), b.tolist())]
+    assert [hit for _, hit in ref] == [False, True, True]
+    assert info.value.partial.tolist() == [value for value, _ in ref]
 
 
 def test_composite_validation():
@@ -91,22 +235,22 @@ def test_depth_error_carries_partial():
     # sqrt has unbounded derivative at 0; two halvings cannot reach 1e-14
     cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14, max_depth=2)
     with pytest.raises(QuadratureDepthError) as info:
-        adaptive_simpson(math.sqrt, 0.0, 1.0, cfg)
+        adaptive_simpson(np.sqrt, 0.0, 1.0, cfg)
     assert info.value.partial == pytest.approx(2.0 / 3.0, abs=5e-3)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_nonfinite_integrand_fails_before_refining(bad):
-    calls = []
+    nodes = []
 
     def f(u):
-        calls.append(u)
-        return bad if u > 1.5 else 1.0
+        nodes.extend(u)
+        return np.where(u > 1.5, bad, 1.0)
 
     # max_depth 60 would take 2^60 halvings if the NaN error estimate refined
     with pytest.raises(DomainError, match=r"not finite on \[0.0, 2.0\]"):
         adaptive_simpson(f, 0.0, 2.0, QuadratureConfig(max_depth=60))
-    assert len(calls) == 5
+    assert len(nodes) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +308,7 @@ def test_trajectory_diag_matches_closed_form_integrand(diag_model):
     x = ShiftedGenerator(1, 0.5)
     got = integrate_norm_trajectory(diag_model, 1.0, x, (1.0, 0.0), 4.0, TIGHT)
     ref = adaptive_simpson(
-        lambda tau: math.exp(integrate_generator(1, 0.5, tau - 1.0)), 1.0, 4.0, TIGHT)
+        lambda taus: np.exp([integrate_generator(1, 0.5, tau - 1.0) for tau in taus]), 1.0, 4.0, TIGHT)
     assert got == pytest.approx(ref, rel=1e-11)
 
 
@@ -183,6 +327,26 @@ def test_prefix_matches_single_calls(pexp3_model):
         whole = integrate_norm_trajectory(pexp3_model, 0.0, Trivial(0.0), (1.0,), t, TIGHT)
         assert prefix[i] == pytest.approx(whole, rel=1e-9, abs=1e-12)
     assert np.all(np.diff(prefix) > 0.0)
+
+
+PREFIX_CASES = {
+    "sin": (sin_scalar_model, Trivial(0.0), (1.0,)),
+    "shifted_exp": (lambda nc: shift_cocycle(pure_exponential_model(2.3, nc), 0.8), Trivial(0.0), (-1.7,)),
+    "diag": (lambda nc: diag_integral_model([1.0, -1.0, 0.4], nc), ShiftedGenerator(1, 0.5), (1.0, -0.3, 2.0)),
+    "diag9": (lambda nc: diag_integral_model(np.linspace(-2.0, 2.0, 9), nc), ShiftedGenerator(2, 0.0),
+              np.linspace(0.1, 1.7, 9)),
+}
+
+
+@pytest.mark.parametrize("choice", list(NormChoice))
+@pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+def test_prefix_matches_per_segment_reference_exactly(full_times, case, choice):
+    make, x, v = PREFIX_CASES[case]
+    xi = make(choice)
+    for k in (0, 13, 40, 63):
+        times = full_times[k:]
+        got = norm_integral_prefix(xi, x, v, times, QuadratureConfig())
+        assert got.tolist() == reference_prefix(xi, x, v, times, QuadratureConfig())
 
 
 def test_prefix_validation(pexp3_model):
