@@ -119,7 +119,7 @@ def base_discrepancy(a: BasePoint, b: BasePoint) -> float:
 def norm(v: Sequence[float] | np.ndarray, choice: NormChoice = NormChoice.SUM_ABS) -> float:
     arr = np.asarray(v, dtype=float)
     if choice is NormChoice.SUM_ABS:
-        return float(np.sum(np.abs(arr)))
+        return math.fsum(np.abs(arr).flat)  # correctly rounded: np.sum's order error broke the triangle inequality
     if choice is NormChoice.EUCLID:
         return math.hypot(*arr)  # scaled: components below 1e-154 do not square to 0
     return float(np.max(np.abs(arr)))
