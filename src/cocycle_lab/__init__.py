@@ -8,6 +8,15 @@ kinds.  A scenario-driven CLI (``cocycle-lab``) fronts the same
 pipelines and writes deterministic JSON/CSV artifacts.
 """
 
+import os
+import sys
+
+# The package makes no large BLAS calls, and the OpenBLAS thread pool that
+# numpy starts at import costs start-up CPU time on every command.  A value
+# the user set is kept, and nothing changes once numpy is loaded.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from ._version import __version__
 from .core import (
     CheckReport,

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -339,6 +341,41 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _grid_texts(values: np.ndarray) -> list[str]:
+    """``_fmt`` of every value, formatting each distinct float once."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=float).view(np.int64), return_inverse=True
+    )
+    texts = np.array(list(map(_fmt, bits.view(float).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _margin_rows(
+    prop: str, ts: np.ndarray, ss: np.ndarray, t0s: np.ndarray, base: str, vector: str, margins: np.ndarray
+) -> str:
+    """One margin sink batch as the margins.csv rows that ``csv.writer``
+    writes for ``[prop, _fmt(t), _fmt(s), _fmt(t0), base, vector, _fmt(margin)]``,
+    each ending in CRLF."""
+    if len(margins) == 0:
+        return ""
+    rows = zip(
+        repeat(_csv_field(prop)),
+        _grid_texts(ts),
+        _grid_texts(ss),
+        _grid_texts(t0s),
+        repeat(f"{_csv_field(base)},{_csv_field(vector)}"),
+        map(format, margins.tolist(), repeat(".17g")),
+    )
+    return "\r\n".join(map(",".join, rows)) + "\r\n"
+
+
 def _run_parallel(tasks):
     """Run zero-argument callables in order on the calling thread.
 
@@ -367,13 +404,21 @@ def _load_json_file(path: str) -> dict:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_certificate(path: str):
+def _load_certificate(path: str, sc: Scenario):
+    """Read a certificate (or the one a check file embeds), noting on stderr
+    when it records a grid other than the scenario's."""
     doc = _load_json_file(path)
     if isinstance(doc, dict) and "certificate" in doc and "kind" not in doc:
         doc = doc["certificate"]
     cert = certificate_from_json_dict(doc)
     if isinstance(cert, NoCertificate):
         raise ScenarioError(f"{path} records a no-certificate outcome, not a usable certificate")
+    if cert.grid_hash and cert.grid_hash != sc.grid.grid_hash:
+        print(
+            f"cocycle-lab: note: {path} was fitted on another grid (grid_hash {cert.grid_hash}, "
+            f"scenario {sc.grid.grid_hash})",
+            file=sys.stderr,
+        )
     return cert
 
 
@@ -418,7 +463,7 @@ def cmd_estimate(sc: Scenario, xi, prop: str) -> int:
 
 
 def cmd_check(sc: Scenario, xi, prop: str, cert_path: str) -> int:
-    cert = _load_certificate(cert_path)
+    cert = _load_certificate(cert_path, sc)
     found = _property_of(cert)
     if found != prop:
         raise ScenarioError(f"a {found} certificate does not match property {prop!r}")
@@ -439,7 +484,7 @@ def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int
     wanted, runner = THEOREMS[theorem_id]
     slots: dict[str, object] = {}
     for path in cert_paths:
-        cert = _load_certificate(path)
+        cert = _load_certificate(path, sc)
         prop = _property_of(cert)
         if prop not in wanted:
             raise ScenarioError(
@@ -466,28 +511,25 @@ def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
         raise ScenarioError("report needs at least one certificate or check file (--cert)")
     loaded = []
     for path in input_paths:
-        cert = _load_certificate(path)
+        cert = _load_certificate(path, sc)
         loaded.append((_property_of(cert), cert))
 
     def margins_for(item):
         prop, cert = item
-        rows = []
+        batches = []
+        _run_check(sc, xi, prop, cert, lambda *batch: batches.append(batch))
+        return batches
 
-        def sink(t, s, t0, base, vector, margin):
-            rows.append((prop, t, s, t0, base, vector, margin))
-
-        _run_check(sc, xi, prop, cert, sink)
-        return rows
-
-    all_rows = _run_parallel([lambda item=item: margins_for(item) for item in loaded])
+    # Every check runs before margins.csv is opened, so a failing check
+    # leaves no partial file behind.
+    all_batches = _run_parallel([lambda item=item: margins_for(item) for item in loaded])
 
     margins_path = os.path.join(sc.out_dir, "margins.csv")
     with open(margins_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["property", "t", "s", "t0", "base", "vector", "margin"])
-        for rows in all_rows:
-            for prop, t, s, t0, base, vector, margin in rows:
-                writer.writerow([prop, _fmt(t), _fmt(s), _fmt(t0), base, vector, _fmt(margin)])
+        csv.writer(fh).writerow(["property", "t", "s", "t0", "base", "vector", "margin"])
+        for (prop, _), batches in zip(loaded, all_batches):
+            for batch in batches:
+                fh.write(_margin_rows(prop, *batch))
 
     columns: dict[str, Callable] = {}
     for prop, cert in loaded:

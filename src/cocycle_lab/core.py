@@ -213,6 +213,29 @@ def _log_norm(terms: np.ndarray, choice: NormChoice) -> np.ndarray:
     return np.where(np.isfinite(m), out, m)
 
 
+def _log_factors(
+    xi: SkewEvolutionSemiflow, t, s, x: BasePoint, vanished_ok: bool = True
+) -> np.ndarray:
+    """``xi.log_factors(t, s, x)`` as a float array, with every factor checked.
+
+    Raises DomainError at the first (t, s) whose factors hold +inf or NaN,
+    and also -inf unless ``vanished_ok``: a -inf factor is a component
+    that vanished.  The model's overflow warnings give way to that error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.asarray(xi.log_factors(t, s, x), dtype=float)
+    if np.isfinite(g).all():
+        return g
+    bad = (np.isnan(g) | (g == math.inf) if vanished_ok else ~np.isfinite(g)).any(axis=0)
+    if bad.any():
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DomainError(
+            f"log factors {g[(slice(None),) + at].tolist()} at (t={t[at]}, s={s[at]}) are not all finite"
+        )
+    return g
+
+
 def log_norms(
     xi: SkewEvolutionSemiflow,
     t: float | np.ndarray,
@@ -227,7 +250,7 @@ def log_norms(
     call serves every pair and vector; the components are combined by a
     log-sum-exp, so no norm is formed in linear space.  Raises DomainError
     when a pair leaves t >= s >= 0 and PreconditionError when an image
-    vanishes.
+    vanishes.  A log factor of +inf or NaN raises DomainError.
     """
     t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
     outside = ~(np.isfinite(t) & np.isfinite(s) & (s >= 0.0) & (t >= s))
@@ -237,7 +260,7 @@ def log_norms(
     vecs = np.asarray(vectors, dtype=float)
     if vecs.ndim != 2 or vecs.shape[1] != xi.dimension:
         raise DomainError(f"vectors have shape {vecs.shape}, model dimension is {xi.dimension}")
-    g = np.asarray(xi.log_factors(t, s, x), dtype=float)
+    g = _log_factors(xi, t, s, x)
     with np.errstate(divide="ignore"):
         # Zero components give -inf terms, which drop out of every norm.
         log_mags = np.log(np.abs(vecs)).reshape(vecs.shape + (1,) * t.ndim)
@@ -366,8 +389,12 @@ class Counterexample:
         }
 
 
-# A sink receives (t, s, t0, base_label, vector_label, margin) per sample.
-MarginSink = Callable[[float, float, float, str, str, float], None]
+# A sink receives one call per batch of samples that share a base point and a
+# vector: (ts, ss, t0s, base_label, vector_label, margins), where ts, ss, t0s
+# and margins are equal-length 1-D float arrays in sample order.  The arrays
+# may be shared between batches, so a sink that keeps them must not write to
+# them.
+MarginSink = Callable[[np.ndarray, np.ndarray, np.ndarray, str, str, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -443,8 +470,7 @@ class _ReportBuilder:
                 )
             )
         if self.sink is not None:
-            for i in range(n):
-                self.sink(float(ts[i]), float(ss[i]), float(t0s[i]), base, vector, float(margins[i]))
+            self.sink(ts, ss, t0s, base, vector, margins)
 
     def finish(self) -> CheckReport:
         if self.samples == 0:
@@ -543,7 +569,8 @@ def check_cocycle_laws(
         log_v = np.log(np.abs(np.asarray(grid.vectors, dtype=float)))[:, :, None]
 
     def lf(t, s, x: BasePoint) -> np.ndarray:
-        return np.asarray(xi.log_factors(t, s, x), dtype=float)
+        # A vanished component leaves the relative residual undefined.
+        return _log_factors(xi, t, s, x, vanished_ok=False)
 
     def residual(gap: np.ndarray, log_w: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):

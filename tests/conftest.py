@@ -14,6 +14,16 @@ def grid_for(xi, times):
     return SampleGrid.create(times, default_base_points(xi), default_vectors(xi.dimension))
 
 
+def row_sink(rows):
+    """A margin sink that appends one (t, s, t0, base, vector, margin) row per sample."""
+
+    def sink(ts, ss, t0s, base, vector, margins):
+        for t, s, t0, m in zip(ts.tolist(), ss.tolist(), t0s.tolist(), margins.tolist()):
+            rows.append((t, s, t0, base, vector, m))
+
+    return sink
+
+
 @pytest.fixture(scope="session")
 def full_times():
     """The default CLI grid: 0 to 16 in steps of 0.25."""

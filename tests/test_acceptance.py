@@ -225,7 +225,7 @@ def test_criterion_5_constructive_validators(pexp3_model, full_times):
 
 def _collect_margins(checker, model, cert, grid):
     margins = []
-    checker(model, cert, grid, margin_sink=lambda *row: margins.append(row[-1]))
+    checker(model, cert, grid, margin_sink=lambda *batch: margins.extend(batch[-1].tolist()))
     return margins
 
 

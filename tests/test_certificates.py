@@ -35,7 +35,7 @@ from cocycle_lab import (
     pure_exponential_model,
 )
 
-from conftest import grid_for
+from conftest import grid_for, row_sink
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +299,7 @@ def test_unit_integral_witness_fails_on_contracting_model(short_times):
     g = SampleGrid.create([0.0, 2.0], [Trivial(0.0)], [(1.0,)])
     cert = IntegralInstabilityCertificate(M=ExpWitness(1.0, 0.0))
     rows = []
-    report = check_integral_instability(
-        xi, cert, g, margin_sink=lambda *row: rows.append(row))
+    report = check_integral_instability(xi, cert, g, margin_sink=row_sink(rows))
     assert not report.passed
     got = [r for r in rows if r[0] == 2.0 and r[2] == 0.0]
     # integral over [0, 2] is (1 - e^{-2}); the norm there is e^{-2}
@@ -311,8 +310,7 @@ def test_unit_integral_witness_fails_on_contracting_model(short_times):
 def test_decay_rows_use_shifted_start(pexp3_model):
     g = SampleGrid.create([0.0, 1.0], [Trivial(0.0)], [(1.0,)])
     rows = []
-    check_decay(pexp3_model, ParametricDecay(1.0, 10.0), g,
-                margin_sink=lambda *row: rows.append(row))
+    check_decay(pexp3_model, ParametricDecay(1.0, 10.0), g, margin_sink=row_sink(rows))
     assert (1.0, 1.0, 1.0) in {(t, s, t0) for t, s, t0, *_ in rows}
     assert (2.0, 1.0, 1.0) in {(t, s, t0) for t, s, t0, *_ in rows}
 

@@ -1,17 +1,22 @@
 """Command line front end: scenarios, subcommands, exit codes, artifacts."""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocycle_lab import DomainError, PreconditionError
-from cocycle_lab.cli import ScenarioError, main, parse_scenario
+from cocycle_lab.cli import ScenarioError, _margin_rows, main, parse_scenario
 
 SMALL_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
 # long enough that the oscillating model realizes growth above the
@@ -223,6 +228,20 @@ def test_laws_pass_where_linear_cocycle_values_overflow(tmp_path):
     assert doc["cocycle"]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("argv", [["laws"], ["estimate", "--property", "decay"]])
+def test_overflowing_log_factors_exit_2(tmp_path, capsys, argv):
+    # rate * (t - s) passes the float range at t = 2, which used to give NaN
+    # law margins (laws) or a certificate from infinite norms (estimate)
+    p = write_scenario(tmp_path / "huge.json", {"kind": "pure_exponential", "rate": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--scenario", str(p), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cocycle-lab: error: log factors [inf] at (t=2.0, s=0.0) are not all finite" in err
+    assert not list((tmp_path / "out").iterdir())
+
+
 def test_laws_reject_vector_of_wrong_dimension(tmp_path, capsys):
     p = write_scenario(tmp_path / "diag.json", {"kind": "diag_integral", "alphas": [1, -1]},
                        grid={"times": SMALL_TIMES, "vectors": [[1.0]]})
@@ -303,6 +322,30 @@ def test_check_on_different_grid_records_both_hashes(tmp_path, sin_scenario):
     assert code == 0
     doc = read_json(out / "check_decay.json")
     assert doc["certificate_grid_hash"] != doc["scenario_grid_hash"]
+
+
+def test_certificate_from_another_grid_is_noted(tmp_path, sin_scenario, capsys):
+    out = tmp_path / "out"
+    decay = estimate_into(sin_scenario, out, "decay")
+    exp = estimate_into(sin_scenario, out, "exp-instability")
+    capsys.readouterr()
+    check = ["check", "--property", "decay", "--cert", str(decay), "--out-dir", str(out)]
+    assert main([*check, "--scenario", str(sin_scenario)]) == 0
+    assert capsys.readouterr().err == ""
+    same_doc = read_json(out / "check_decay.json")
+
+    other = write_scenario(tmp_path / "other.json", {"kind": "sin_scalar"}, times=SMALL_TIMES)
+    other_hash = parse_scenario(read_json(other))[0].grid.grid_hash
+    assert main([*check, "--scenario", str(other)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"cocycle-lab: note: {decay} was fitted on another grid")
+    assert same_doc["certificate_grid_hash"] in err and other_hash in err
+    # the note goes to stderr only: the check JSON gains no key
+    assert sorted(read_json(out / "check_decay.json")) == sorted(same_doc)
+
+    assert main(["theorem", "--theorem", "remark-obs2", "--cert", str(exp),
+                 "--scenario", str(other), "--out-dir", str(out)]) in (0, 1)
+    assert f"cocycle-lab: note: {exp} was fitted on another grid" in capsys.readouterr().err
 
 
 def test_check_kind_mismatch_exits_2(tmp_path, sin_scenario):
@@ -469,6 +512,60 @@ def test_report_without_inputs_exits_2(tmp_path, sin_scenario):
                  "--out-dir", str(tmp_path / "out")]) == 2
 
 
+def test_report_writes_no_margins_when_a_later_check_fails(tmp_path, sin_scenario, capsys):
+    out = tmp_path / "out"
+    f_cert = estimate_into(sin_scenario, out, "decay")
+    m_cert = estimate_into(sin_scenario, out, "integral-instability")
+    # same grid, but a quadrature budget the integral check exhausts
+    shallow = write_scenario(tmp_path / "shallow.json", {"kind": "sin_scalar"}, times=LONG_TIMES,
+                             tolerances={"quad": {"max_depth": 1}})
+    code = main(["report", "--scenario", str(shallow), "--out-dir", str(out),
+                 "--cert", str(f_cert), "--cert", str(m_cert)])
+    assert code == 2
+    assert "adaptive refinement hit max_depth=1" in capsys.readouterr().err
+    assert not (out / "margins.csv").exists()
+    assert not (out / "witness_tables.csv").exists()
+
+
+def reference_margin_rows(prop, ts, ss, t0s, base, vector, margins):
+    """One batch written row by row through csv.writer: the reference for _margin_rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for t, s, t0, m in zip(ts.tolist(), ss.tolist(), t0s.tolist(), margins.tolist()):
+        writer.writerow([prop, f"{t:.17g}", f"{s:.17g}", f"{t0:.17g}", base, vector, f"{m:.17g}"])
+    return buf.getvalue()
+
+
+SPECIAL_MARGINS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.0, -1.5, 0.1]
+
+
+@pytest.mark.parametrize("label", [
+    "decay", "x1^0", "[1,0]", 'say "hi"', "two words", " lead", "", "a\nb", "a\rb", "trivial(0)",
+])
+def test_margin_rows_match_csv_writer(label):
+    n = len(SPECIAL_MARGINS)
+    # repeated grid values, and both signed zeros in one column
+    ts = np.array([0.0, -0.0, 0.25, 0.25, 5e-324, 16.0, 0.0, 3.0, 0.1])
+    ss, t0s, margins = ts[::-1], np.full(n, 2.5), np.array(SPECIAL_MARGINS)
+    for prop, base, vector in ((label, "x1^0", "[1,0]"), ("decay", label, label)):
+        got = _margin_rows(prop, ts, ss, t0s, base, vector, margins)
+        assert got == reference_margin_rows(prop, ts, ss, t0s, base, vector, margins)
+    assert _margin_rows(label, ts[:0], ts[:0], ts[:0], label, label, margins[:0]) == ""
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0), st.floats(0.0, 20.0), st.floats()),
+             min_size=1, max_size=12),
+    st.lists(st.text(alphabet=' ,"abc01[]\r\n', max_size=5), min_size=3, max_size=3),
+)
+@settings(max_examples=200)
+def test_margin_rows_match_csv_writer_on_random_batches(rows, labels):
+    ts, ss, t0s, margins = (np.array(col, dtype=float) for col in zip(*rows))
+    prop, base, vector = labels
+    assert (_margin_rows(prop, ts, ss, t0s, base, vector, margins)
+            == reference_margin_rows(prop, ts, ss, t0s, base, vector, margins))
+
+
 # ---------------------------------------------------------------------------
 # Determinism and environment
 # ---------------------------------------------------------------------------
@@ -541,6 +638,22 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset, numpy_first, want", [
+    (None, False, "1"),  # unset: the package pins OpenBLAS to one thread
+    ("3", False, "3"),  # the user's value is kept
+    (None, True, "None"),  # numpy loaded first: too late to matter, left alone
+])
+def test_openblas_threads_pinned_before_numpy_loads(preset, numpy_first, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (f"import os{', numpy' if numpy_first else ''}, cocycle_lab; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want
 
 
 def test_console_script_error_message(tmp_path):

@@ -35,7 +35,7 @@ from cocycle_lab.core import (
 )
 from cocycle_lab.models import diag_integral_model, pure_exponential_model, sin_scalar_model
 
-from conftest import grid_for
+from conftest import grid_for, row_sink
 
 times_st = st.floats(0.0, 30.0, allow_nan=False)
 
@@ -171,6 +171,37 @@ def test_log_norm_zero_image():
     assert log_cocycle_norm(dead, 1.0, 0.0, Trivial(0.0), (1.0,)) == -math.inf
     with pytest.raises(PreconditionError, match="cocycle image vanished"):
         log_norms(dead, np.array([1.0]), 0.0, Trivial(0.0), [(1.0,)])
+
+
+def _with_log_factors(xi, log_factors):
+    return dataclasses.replace(xi, log_factors=log_factors)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_log_norms_reject_nonfinite_log_factors(bad):
+    xi = _with_log_factors(pure_exponential_model(0.0),
+                           lambda t, s, x: np.where(t - s >= 3.0, bad, 0.0)[None])
+    with pytest.raises(DomainError, match=r"at \(t=4.0, s=0.0\) are not all finite"):
+        log_norms(xi, np.array([1.0, 4.0, 5.0]), 0.0, Trivial(0.0), [(1.0,)])
+
+
+def test_log_norms_keep_a_vanished_component(diag_model):
+    # a -inf factor is a component that vanished; the other one carries the norm
+    xi = _with_log_factors(diag_model, lambda t, s, x: np.stack(
+        np.broadcast_arrays(np.full(np.shape(t - s), -math.inf), t - s)))
+    got = log_norms(xi, np.array([1.0, 2.0]), 0.0, ShiftedGenerator(1, 0.0), [(1.0, 1.0)])
+    assert got.tolist() == [[1.0, 2.0]]
+
+
+def test_cocycle_laws_reject_nonfinite_log_factors():
+    # a vanished component leaves the relative residual undefined, so the
+    # laws reject -inf as well as +inf and NaN
+    for bad in (math.inf, -math.inf, math.nan):
+        xi = _with_log_factors(pure_exponential_model(0.0),
+                               lambda t, s, x, bad=bad: np.where(t - s >= 1.5, bad, 0.0)[None])
+        g = SampleGrid.create([0.0, 1.0, 2.0], [Trivial(0.0)], [(1.0,)])
+        with pytest.raises(DomainError, match=r"at \(t=2.0, s=0.0\) are not all finite"):
+            check_cocycle_laws(xi, g)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +424,7 @@ def test_cocycle_law_margins_match_per_sample_reference(times, kind, choice, dat
         min_size=1, max_size=3))
     grid = SampleGrid.create(times, bases, vectors)
     rows = []
-    report = check_cocycle_laws(xi, grid, 1e-9, lambda *row: rows.append(row))
+    report = check_cocycle_laws(xi, grid, 1e-9, row_sink(rows))
     want = _reference_law_rows(xi, grid)
     assert report.samples_checked == len(want) == len(rows)
     assert [r[:5] for r in rows] == [w[:5] for w in want]
@@ -452,7 +483,7 @@ def test_report_json_shape():
 def test_margin_sink_sees_every_sample(pexp3_model):
     g = SampleGrid.create([0.0, 1.0, 2.0], [Trivial(0.0)], [(1.0,)])
     rows = []
-    report = check_cocycle_laws(pexp3_model, g, 1e-9, lambda *row: rows.append(row))
+    report = check_cocycle_laws(pexp3_model, g, 1e-9, row_sink(rows))
     assert len(rows) == report.samples_checked
 
 
