@@ -364,10 +364,10 @@ def _decay_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> np.ndarray:
     """m[a, b, j, i] = log ||Phi(u_i + t0_j, t0_j, x_a) v_b|| - log ||v_b||."""
     times = np.asarray(grid.times)
     t0 = times[:, None]
+    with np.errstate(over="ignore"):  # an infinite u + t0 is log_norms' DomainError
+        t = times + t0
     log_v = _log_vector_norms(xi, grid)[:, None, None]
-    return np.stack(
-        [log_norms(xi, times + t0, t0, x, grid.vectors) - log_v for x in grid.base_points]
-    )
+    return np.stack([log_norms(xi, t, t0, x, grid.vectors) - log_v for x in grid.base_points])
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +433,18 @@ def _pair_envelopes(
 
 
 def _ls_slope(times: Sequence[float], values: np.ndarray) -> float:
+    """Least-squares slope of values over times, in closed form.
+
+    The times are divided by their spread and centred first, so a grid of
+    tiny or huge times neither underflows nor overflows the fit.
+    """
     if len(times) < 2:
         return 0.0
-    return float(np.polyfit(np.asarray(times), values, 1)[0])
+    ts = np.asarray(times, dtype=float)
+    spread = float(ts[-1] - ts[0])
+    u = ts / spread
+    u -= u.mean()
+    return float(np.dot(u, values - values.mean()) / np.dot(u, u)) / spread
 
 
 def estimate_exp_instability(
@@ -519,11 +528,11 @@ def estimate_integral_instability(
     if not (math.isfinite(headroom) and headroom > 0.0):
         raise PreconditionError(f"headroom must be > 0, got {headroom}")
     times = grid.times
+    vectors = grid.vector_arrays()
     need = np.full(len(times), -np.inf)
     for x in grid.base_points:
-        for v in grid.vector_arrays():
-            for k in range(len(times)):
-                need[k:] = np.fmax(need[k:], _datko_stats(xi, x, v, times, k, quad_cfg))
+        for k in range(len(times)):
+            need[k:] = np.fmax(need[k:], np.fmax.reduce(_datko_stats(xi, x, vectors, times, k, quad_cfg)))
     logs = np.maximum(0.0, math.log1p(headroom) + need)
     witness = TabulatedWitness.from_log_values(times, logs)
     return IntegralInstabilityCertificate(M=witness, grid_hash=grid.grid_hash, quad=quad_cfg)
@@ -532,24 +541,26 @@ def estimate_integral_instability(
 def _datko_stats(
     xi: SkewEvolutionSemiflow,
     x,
-    v: np.ndarray,
+    vectors: Sequence[np.ndarray],
     times: Sequence[float],
     k: int,
     quad_cfg: QuadratureConfig,
 ) -> np.ndarray:
-    """d[i - k] = log(integral over [t0_k, t_i]) - log ||Phi(t_i, t0_k, x)v||.
+    """d[b, i - k] = log(integral over [t0_k, t_i]) - log ||Phi(t_i, t0_k, x)v_b||.
 
-    The first entry (t = t0) is -inf; both the estimator and the checker
-    consume exactly these floats.  The ratio has degree 0 in v, so v is
+    One row per vector, from one ``norm_integral_prefix`` call and one
+    ``log_norms`` call for the base point and base time.  The first
+    column (t = t0) is -inf; both the estimator and the checker consume
+    exactly these floats.  The ratio has degree 0 in v, so each v is
     normalized before the quadrature: otherwise the integrator's absolute
     tolerance floor would make the refinement depth, and hence the last
     few digits, depend on the scale of v.
     """
-    v = v / norm(v, xi.norm_choice)
+    block = np.array([v / norm(v, xi.norm_choice) for v in vectors])
     tail = times[k:]
-    prefix = norm_integral_prefix(xi, x, v, tail, quad_cfg)
+    prefix = norm_integral_prefix(xi, x, block, tail, quad_cfg)
     with np.errstate(divide="ignore"):
-        return np.log(prefix) - log_norms(xi, np.asarray(tail), times[k], x, [v])[0]
+        return np.log(prefix) - log_norms(xi, np.asarray(tail), times[k], x, block)
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +667,13 @@ def check_integral_instability(
     times = np.asarray(grid.times)
     k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
     log_m = np.array([cert.M.log_value(t) for t in grid.times])
+    vectors = grid.vector_arrays()
     for x in grid.base_points:
-        for v, vlabel in zip(grid.vector_arrays(), grid.vector_labels()):
-            stats = np.concatenate(
-                [_datko_stats(xi, x, v, grid.times, first, cfg) for first in range(len(times))]
-            )
-            builder.add_array(times[i], times[k], times[k], x.label(), vlabel, log_m[i] - stats)
+        stats = np.concatenate(
+            [_datko_stats(xi, x, vectors, grid.times, first, cfg) for first in range(len(times))], axis=1
+        )
+        for row, vlabel in zip(stats, grid.vector_labels()):
+            builder.add_array(times[i], times[k], times[k], x.label(), vlabel, log_m[i] - row)
     return builder.finish()
 
 

@@ -216,7 +216,9 @@ def _parse_times(doc) -> list[float]:
         count = doc["count"]
         if not (isinstance(count, int) and not isinstance(count, bool) and count >= 1):
             raise ScenarioError(f"grid times count must be a positive integer, got {count!r}")
-        return [float(t) for t in np.linspace(_number(doc, "min", 0.0), _number(doc, "max", 0.0), count)]
+        lo, hi = _number(doc, "min", 0.0), _number(doc, "max", 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed span fails the grid's checks
+            return [float(t) for t in np.linspace(lo, hi, count)]
     raise ScenarioError("grid times must be a list or a {min, max, count} object")
 
 

@@ -573,9 +573,11 @@ def check_cocycle_laws(
         return _log_factors(xi, t, s, x, vanished_ok=False)
 
     def residual(gap: np.ndarray, log_w: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A roundoff gap of a huge log factor overflows expm1 to inf: that
+        # residual is the margin -inf, and numpy need not warn about it.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_err = _log_norm(log_w + np.log(np.abs(np.expm1(gap))), xi.norm_choice)
-        return -np.exp(log_err - _log_norm(log_w, xi.norm_choice))
+            return -np.exp(log_err - _log_norm(log_w, xi.norm_choice))
 
     for x in grid.base_points:
         pieces = [residual(lf(T, T, x), log_v)]

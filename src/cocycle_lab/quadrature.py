@@ -76,35 +76,47 @@ def _simpson(fa, fm, fb, h):
 def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureConfig):
     """Integrate f over each [a, b] to max(abs_tol, rel_tol * |estimate|).
 
-    ``a`` and ``b`` are floats or equal-length 1-D arrays; ``f`` maps a
-    1-D array of nodes to their values.  All intervals refine level by
-    level, one ``f`` call per depth, and a subinterval stops once its
-    Richardson estimate |S2 - S1| / 15 meets its tolerance, halved at each
-    split.  Each interval's leaves are summed right to left in strict
-    sequence, as a depth-first stack popping right halves first would, so
-    a batch returns bit for bit what one call per interval would.  A
-    non-finite error estimate raises DomainError at once; reaching
-    max_depth raises QuadratureDepthError with the estimate (an array for
-    array input) as ``partial``.  Both name the leftmost failing interval
-    at the shallowest failing depth.
+    ``a`` and ``b`` are floats, equal-length 1-D arrays, or 2-D arrays of
+    one shape (F, m): F families of m intervals.  ``f`` maps a 1-D array of
+    nodes to their values, or for 2-D ends to an (F, n) array whose row r
+    is family r's integrand; interval (r, c) reads row r.  All intervals
+    refine level by level, one ``f`` call per depth, and a subinterval
+    stops once its Richardson estimate |S2 - S1| / 15 meets its tolerance,
+    halved at each split.  Each interval's leaves are summed right to left
+    in strict sequence, as a depth-first stack popping right halves first
+    would, so a batch returns bit for bit what one call per interval (and
+    per family) would.  A non-finite error estimate raises DomainError at
+    once; reaching max_depth raises QuadratureDepthError with the estimate
+    (an array shaped like the ends for array input) as ``partial``.  Both
+    name the interval of the first failing (family, interval) pair at the
+    shallowest failing depth.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     lo, hi = (np.atleast_1d(np.asarray(end, dtype=float)) for end in (a, b))
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise PreconditionError(f"interval ends must be equal-length 1-D arrays, got {lo.shape} and {hi.shape}")
+    if lo.ndim > 2 or lo.shape != hi.shape:
+        raise PreconditionError(f"interval ends must be 1-D or 2-D arrays of one shape, got {lo.shape} and {hi.shape}")
+    shape, families = lo.shape, len(lo) if lo.ndim == 2 else 1
+    lo, hi = lo.ravel(), hi.ravel()
     bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi >= lo))
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(f"bad integration interval [{float(lo[i])}, {float(hi[i])}]")
 
-    # One entry per live subinterval, kept in (interval, position) order,
-    # so the first flagged entry is always the leftmost one.
+    # One entry per live subinterval, kept in (family, interval, position)
+    # order, so the first flagged entry is always the leftmost one.
     owner = np.flatnonzero(hi > lo)
     if not len(owner):
-        return 0.0 if scalar else np.zeros(len(lo))
+        return 0.0 if scalar else np.zeros(shape)
+    per_family = len(lo) // families
+
+    def values(live: np.ndarray, *parts: np.ndarray) -> np.ndarray:
+        """f at the nodes of ``parts``, one row per part, each node read from its owner's family row."""
+        ys = np.reshape(f(np.concatenate(parts)), (families, len(parts), len(live)))
+        return ys[live // per_family, :, np.arange(len(live))].T
+
     xa, xb = lo[owner], hi[owner]
     xm = 0.5 * (xa + xb)
-    ya, ym, yb = np.reshape(f(np.concatenate([xa, xm, xb])), (3, -1))
+    ya, ym, yb = values(owner, xa, xm, xb)
     s_whole = _simpson(ya, ym, yb, xb - xa)
     loc_tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(s_whole))  # nan -> abs_tol, as max() does
 
@@ -114,7 +126,7 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a, b, cfg: Quadratur
         if not len(owner):
             break
         lm, rm = 0.5 * (xa + xm), 0.5 * (xm + xb)
-        ylm, yrm = np.reshape(f(np.concatenate([lm, rm])), (2, -1))
+        ylm, yrm = values(owner, lm, rm)
         s_left = _simpson(ya, ylm, ym, xm - xa)
         s_right = _simpson(ym, yrm, yb, xb - xm)
         err = (s_left + s_right - s_whole) / 15.0
@@ -132,10 +144,9 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a, b, cfg: Quadratur
         keep = np.flatnonzero(~done)
         owner = np.repeat(owner[keep], 2)
         # each split subinterval becomes its left half, then its right half
-        xa, ya, xm, ym, xb, yb, s_whole = [
-            np.stack([left[keep], right[keep]], axis=1).ravel()
-            for left, right in ((xa, xm), (ya, ym), (lm, rm), (ylm, yrm), (xm, xb), (ym, yb), (s_left, s_right))
-        ]
+        left = np.array([xa, ya, lm, ylm, xm, ym, s_left])[:, keep]
+        right = np.array([xm, ym, rm, yrm, xb, yb, s_right])[:, keep]
+        xa, ya, xm, ym, xb, yb, s_whole = np.stack([left, right], axis=2).reshape(7, -1)
         loc_tol = np.repeat(0.5 * loc_tol[keep], 2)
 
     who, left_end, value = (np.concatenate(col) for col in zip(*leaves))
@@ -145,7 +156,7 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a, b, cfg: Quadratur
     rows = np.zeros((len(lo), 1 + col.max()))
     rows[who, col] = value
     total = np.cumsum(rows, axis=1)[:, -1]  # strictly sequential, from 0.0
-    result = float(total[0]) if scalar else total
+    result = float(total[0]) if scalar else total.reshape(shape)
     if len(exhausted):
         i = int(exhausted[0])
         raise QuadratureDepthError(
@@ -168,34 +179,31 @@ def composite_simpson(f: Callable[[float], float], a: float, b: float, panels: i
 
 
 def _norm_trajectory_fn(
-    xi: SkewEvolutionSemiflow, t0: float, x: BasePoint, arr: np.ndarray
+    xi: SkewEvolutionSemiflow, t0: float, x: BasePoint, block: np.ndarray
 ):
-    """Integrand taus -> ||Phi(tau, t0, x) arr|| for a 1-D array of taus.
+    """Integrand taus -> ||Phi(tau, t0, x) v|| for every row v of a (V, dim) block.
 
-    The norm is assembled directly from the model's log factors, skipping
-    a per-call log/exp round trip; this is the hot inner function of
-    every Datko-style integral.  Sums run along a contiguous last axis,
-    which adds each node's components in the order np.sum does for one.
+    Maps a 1-D array of n taus to a (V, n) array.  The norm is assembled
+    directly from the model's log factors, skipping a per-call log/exp
+    round trip, and one ``log_factors`` call per node array serves every
+    vector; this is the hot inner function of every Datko-style integral.
+    Sums run along a contiguous last axis, which adds each node's
+    components in the order np.sum does for one.
     """
     factors = xi.log_factors
-    mags = np.abs(arr)[:, None]
+    euclid = xi.norm_choice is NormChoice.EUCLID
+    p = 2.0 if euclid else 1.0
+    mags = np.abs(block)[:, None, :]
+    weights = mags * mags if euclid else mags
+
+    def terms(taus: np.ndarray) -> np.ndarray:  # [vector, node, component]
+        return weights * np.ascontiguousarray(np.exp(p * factors(taus, t0, x)).T)
+
     if xi.norm_choice is NormChoice.SUM_ABS:
-
-        def integrand(taus: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray((mags * np.exp(factors(taus, t0, x))).T).sum(axis=1)
-
-    elif xi.norm_choice is NormChoice.EUCLID:
-        sq = mags * mags
-
-        def integrand(taus: np.ndarray) -> np.ndarray:
-            return np.sqrt(np.ascontiguousarray((sq * np.exp(2.0 * factors(taus, t0, x))).T).sum(axis=1))
-
-    else:
-
-        def integrand(taus: np.ndarray) -> np.ndarray:
-            return np.max(mags * np.exp(factors(taus, t0, x)), axis=0)
-
-    return integrand
+        return lambda taus: terms(taus).sum(axis=2)
+    if euclid:
+        return lambda taus: np.sqrt(terms(taus).sum(axis=2))
+    return lambda taus: np.max(terms(taus), axis=2)
 
 
 def integrate_norm_trajectory(
@@ -216,7 +224,7 @@ def integrate_norm_trajectory(
     arr = np.asarray(v, dtype=float)
     if not np.any(arr != 0.0):
         raise PreconditionError("trajectory integral needs a nonzero vector")
-    return adaptive_simpson(_norm_trajectory_fn(xi, t0, x, arr), t0, t, cfg)
+    return adaptive_simpson(_norm_trajectory_fn(xi, t0, x, arr[None]), t0, t, cfg)
 
 
 def norm_integral_prefix(
@@ -228,10 +236,13 @@ def norm_integral_prefix(
 ) -> np.ndarray:
     """Cumulative trajectory integrals from times[0] to every grid time.
 
-    Integrates every grid segment in one batched adaptive_simpson call and
-    prefix-sums, so all endpoints share one consistent set of segment
-    values.  The integral and check paths both call this, which keeps
-    their margins bit-identical.
+    ``v`` is one vector, giving an (n,) prefix, or a (V, dim) block of
+    vectors, giving one prefix per row in a (V, n) array.  Every grid
+    segment of every vector is refined in one batched adaptive_simpson
+    call, bit for bit as one call per vector would, and prefix-summed, so
+    all endpoints share one consistent set of segment values.  The
+    integral and check paths both call this, which keeps their margins
+    bit-identical.
     """
     ts = np.asarray(times, dtype=float)
     if not len(ts):
@@ -239,10 +250,13 @@ def norm_integral_prefix(
     if np.any(ts[1:] <= ts[:-1]) or ts[0] < 0.0:
         raise PreconditionError("times must be strictly increasing and >= 0")
     arr = np.asarray(v, dtype=float)
-    if not np.any(arr != 0.0):
+    block = np.atleast_2d(arr)
+    if not np.all(np.any(block != 0.0, axis=1)):
         raise PreconditionError("trajectory integral needs a nonzero vector")
-    segments = adaptive_simpson(_norm_trajectory_fn(xi, float(ts[0]), x, arr), ts[:-1], ts[1:], cfg)
-    return np.cumsum(np.concatenate([[0.0], segments]))
+    ends = [np.broadcast_to(end, (len(block), len(ts) - 1)) for end in (ts[:-1], ts[1:])]
+    segments = adaptive_simpson(_norm_trajectory_fn(xi, float(ts[0]), x, block), *ends, cfg)
+    prefix = np.cumsum(np.concatenate([np.zeros((len(block), 1)), segments], axis=1), axis=1)
+    return prefix if arr.ndim == 2 else prefix[0]
 
 
 def integrate_kernel(

@@ -1,6 +1,7 @@
 """Certificates: witness validation, fitters, checkers, serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from cocycle_lab import (
     InstabilityCertificate,
     IntegralInstabilityCertificate,
     NoCertificate,
+    NormChoice,
     ParametricDecay,
     PreconditionError,
     QuadratureConfig,
     SampleGrid,
+    ShiftedGenerator,
     TabulatedDecay,
     TabulatedWitness,
     Trivial,
@@ -28,6 +31,8 @@ from cocycle_lab import (
     check_integral_instability,
     decay_limit_witnessed,
     decay_to_exponential,
+    default_base_points,
+    diag_integral_model,
     estimate_decay,
     estimate_exp_instability,
     estimate_instability,
@@ -35,6 +40,7 @@ from cocycle_lab import (
     pure_exponential_model,
 )
 
+from cocycle_lab.certificates import _datko_stats, _ls_slope
 from conftest import grid_for, row_sink
 
 
@@ -325,8 +331,6 @@ def test_exp_checker_counts_all_triples(pexp3_model):
 
 
 def test_scale_invariance_of_fitted_certificates(sin_model, short_times):
-    from cocycle_lab import default_base_points
-
     for c in (0.125, 3.0, 117.0):
         base = SampleGrid.create(short_times, default_base_points(sin_model), [(1.0,), (-1.0,)])
         scaled = SampleGrid.create(
@@ -341,7 +345,7 @@ def test_scale_invariance_of_fitted_certificates(sin_model, short_times):
 
 def test_euclidean_estimates_accept_tiny_vectors(short_times):
     # 1e-200 squares to 0 in floating point; the norm must not
-    from cocycle_lab import NormChoice, default_base_points, sin_scalar_model
+    from cocycle_lab import sin_scalar_model
 
     xi = sin_scalar_model(NormChoice.EUCLID)
     tiny = SampleGrid.create(short_times, default_base_points(xi), [(1e-200,)])
@@ -353,6 +357,43 @@ def test_euclidean_estimates_accept_tiny_vectors(short_times):
     # the Datko ratio normalizes v first, so the tiny vector integrates as (1,)
     assert integral.M.log_values == estimate_integral_instability(xi, unit).M.log_values
     assert check_integral_instability(xi, integral, tiny, tol=0.0).passed
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_ls_slope_matches_polyfit_on_any_time_scale(scale):
+    t = np.array([0.0, 0.5, 1.25, 2.0, 3.5])
+    y = np.array([0.3, -1.0, 2.5, 2.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ls_slope(list(t * scale), y)
+    assert got == pytest.approx(np.polyfit(t, y, 1)[0] / scale, rel=1e-12)
+    assert _ls_slope([scale], y[:1]) == 0.0
+
+
+@pytest.mark.parametrize("choice", list(NormChoice))
+def test_datko_rows_of_a_vector_block_match_single_vectors_exactly(short_times, choice):
+    xi = diag_integral_model(np.linspace(-2.0, 2.0, 9), choice)
+    vectors = [np.linspace(0.1, 1.7, 9), np.linspace(-1.0, 1.0, 9), 3.0 * np.eye(9)[4]]
+    x, cfg = ShiftedGenerator(2, 0.0), QuadratureConfig()
+    for k in (0, 4, len(short_times) - 1):
+        got = _datko_stats(xi, x, vectors, short_times, k, cfg)
+        assert got.shape == (len(vectors), len(short_times) - k)
+        assert got.tolist() == [_datko_stats(xi, x, [v], short_times, k, cfg)[0].tolist() for v in vectors]
+
+
+def test_integral_check_emits_base_then_vector_batches(diag_model, short_times):
+    bases = default_base_points(diag_model)
+    vectors = [(1.0, 0.0), (0.6, -0.8), (-2.0, 1.0)]
+    cert = estimate_integral_instability(diag_model, SampleGrid.create(short_times, bases, vectors))
+    rows = []
+    check_integral_instability(diag_model, cert, SampleGrid.create(short_times, bases, vectors),
+                               margin_sink=row_sink(rows))
+    expected = []
+    for x in bases:
+        for v in vectors:
+            check_integral_instability(diag_model, cert, SampleGrid.create(short_times, [x], [v]),
+                                       margin_sink=row_sink(expected))
+    assert rows == expected
 
 
 # ---------------------------------------------------------------------------

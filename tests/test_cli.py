@@ -1,5 +1,6 @@
 """Command line front end: scenarios, subcommands, exit codes, artifacts."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,12 +8,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import DomainError, PreconditionError
@@ -185,6 +187,31 @@ def test_overflowing_integral_exits_2_quickly(tmp_path):
     assert proc.returncode == 2
     assert "cocycle-lab: error: integrand is not finite on [12.0, 16.0]" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("model", [{"kind": "sin_scalar"}, {"kind": "diag_integral", "alphas": [1, -1]}])
+def test_default_integral_commands_raise_no_warning(tmp_path, model):
+    # the vector-batched Datko integrand must not form inf * 0 or inf - inf
+    p = tmp_path / "default.json"
+    p.write_text(json.dumps({"model": model}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for prop in ("decay", "instability", "exp-instability", "integral-instability"):
+            estimate_into(p, out, prop)
+        assert main(["check", "--scenario", str(p), "--out-dir", str(out), "--property",
+                     "integral-instability", "--cert", str(out / "cert_integral-instability.json")]) == 0
+
+
+@pytest.mark.parametrize("times", [[0, 1e-300, 2e-300], [0, 1e300]])
+def test_exp_instability_fit_on_tiny_or_huge_times(tmp_path, times):
+    # the least-squares slope once underflowed (SVD error, exit 2) or overflowed
+    p = write_scenario(tmp_path / "scale.json", {"kind": "sin_scalar"}, times=times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["estimate", "--property", "exp-instability", "--scenario", str(p),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code in (0, 1)
 
 
 def test_quadrature_depth_exhaustion_exits_2(tmp_path, capsys):
@@ -564,6 +591,77 @@ def test_margin_rows_match_csv_writer_on_random_batches(rows, labels):
     prop, base, vector = labels
     assert (_margin_rows(prop, ts, ss, t0s, base, vector, margins)
             == reference_margin_rows(prop, ts, ss, t0s, base, vector, margins))
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed scenarios
+# ---------------------------------------------------------------------------
+
+# Extreme floats, repeated so that about one field in eight is malformed.
+FUZZ_FLOATS = [0.0, 5e-324, 1e-300, 0.25, 1.0, 3.5, 1e300, 1e308, -1.0, -1e308]
+NOT_NUMBERS = ["1", None, True, [], {}]
+FUZZ_NUMBERS = st.sampled_from(FUZZ_FLOATS * 3 + NOT_NUMBERS[:3] + [10**400])
+FUZZ_TIMES = st.one_of(
+    st.lists(st.sampled_from([0.0, 5e-324, 1e-300, 2e-300, 0.5, 1.0, 2.5, 1e300, 1e308]),
+             unique=True, min_size=1, max_size=5).map(sorted),
+    st.lists(FUZZ_NUMBERS, max_size=5),
+    st.fixed_dictionaries({"min": FUZZ_NUMBERS, "max": FUZZ_NUMBERS, "count": st.integers(-1, 5)}),
+    st.sampled_from(NOT_NUMBERS),
+)
+FUZZ_BASE_POINT = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("trivial")}, optional={"value": FUZZ_NUMBERS}),
+    st.fixed_dictionaries({"kind": st.just("generator"), "n": st.sampled_from([-1, 0, 3, True, 1.5])},
+                          optional={"sigma": FUZZ_NUMBERS}),
+    st.sampled_from(NOT_NUMBERS),
+)
+FUZZ_MODEL = st.one_of(
+    st.just({"kind": "sin_scalar"}),
+    st.fixed_dictionaries({"kind": st.just("pure_exponential"), "rate": FUZZ_NUMBERS}),
+    st.fixed_dictionaries({"kind": st.just("diag_integral"), "alphas": st.lists(FUZZ_NUMBERS, min_size=1, max_size=2)}),
+    st.sampled_from([{"kind": "broken_cocycle"}, {"kind": "nope"}, {"rate": 1.0}, "sin_scalar"]),
+)
+FUZZ_SCENARIO = st.fixed_dictionaries(
+    {
+        "model": FUZZ_MODEL,
+        # always a small grid: the default one holds 65 times
+        "grid": st.fixed_dictionaries({"times": FUZZ_TIMES}, optional={
+            "base_points": st.lists(FUZZ_BASE_POINT, max_size=2),
+            "vectors": st.lists(st.lists(FUZZ_NUMBERS, min_size=1, max_size=2), min_size=1, max_size=2),
+        }),
+    },
+    optional={
+        "tolerances": st.fixed_dictionaries({}, optional={
+            "margin_tol": FUZZ_NUMBERS,
+            "headroom": FUZZ_NUMBERS,
+            "growth_cap": FUZZ_NUMBERS,
+            "quad": st.fixed_dictionaries({}, optional={
+                "rel_tol": FUZZ_NUMBERS, "abs_tol": FUZZ_NUMBERS, "max_depth": st.sampled_from([0, 1, 8, 61, 2.0]),
+            }),
+        }),
+        "gamma": FUZZ_NUMBERS,
+        "nu_candidates": st.one_of(st.lists(st.sampled_from(FUZZ_FLOATS), max_size=3).map(sorted),
+                                   st.lists(FUZZ_NUMBERS, max_size=3), st.sampled_from(NOT_NUMBERS)),
+        "random_vectors": st.sampled_from([0, 1, -1, True]),
+        "seed": st.sampled_from([None, 3, "3"]),
+    },
+)
+FUZZ_COMMANDS = [["laws"]] + [["estimate", "--property", p] for p in
+                              ("decay", "instability", "exp-instability", "integral-instability")]
+
+
+@given(FUZZ_SCENARIO)
+@example({"model": {"kind": "sin_scalar"}, "grid": {"times": [0, 1e-300, 2e-300]}})
+@example({"model": {"kind": "sin_scalar"}, "grid": {"times": [0, 1e300]}})
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_scenarios_exit_0_1_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in FUZZ_COMMANDS:
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--scenario", path, "--out-dir", os.path.join(tmp, "out")])
+            assert code in (0, 1, 2), argv
 
 
 # ---------------------------------------------------------------------------

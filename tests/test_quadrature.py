@@ -225,6 +225,91 @@ def test_batched_errors_name_leftmost_interval_at_shallowest_depth():
     assert info.value.partial.tolist() == [value for value, _ in ref]
 
 
+FAMILY_INTEGRANDS = {
+    **INTEGRANDS,
+    "cusp": lambda u: np.sqrt(np.abs(u - 1.1)),
+    "overflow": lambda u: np.where(u > 3.0, np.inf, np.exp(u)),
+    "spike": lambda u: np.where(np.abs(u - 1.3) < 0.02, np.nan, np.sqrt(np.abs(u - 1.25))),
+}
+
+
+def one_family_outcome(f, a, b, cfg):
+    """("ok" | "depth" | "domain", values or message, depth) of one 1-D call.
+
+    The depth of a DomainError is read from the call count: one call for
+    the first three nodes, then one per refinement depth.
+    """
+    calls = []
+
+    def counted(u):
+        calls.append(len(u))
+        return f(u)
+
+    try:
+        return "ok", adaptive_simpson(counted, a, b, cfg), None
+    except QuadratureDepthError as exc:
+        return "depth", exc.partial, str(exc)
+    except DomainError as exc:
+        return "domain", str(exc), len(calls) - 2
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(FAMILY_INTEGRANDS)), st.sampled_from([0.5, 1.0, 3.0])),
+        min_size=1, max_size=4,
+    ),
+    st.lists(st.tuples(st.floats(0.0, 4.0), st.sampled_from([0.0, 1e-9, 0.3, 1.0, 2.5])),
+             min_size=1, max_size=5),
+    st.randoms(use_true_random=False),
+    st.sampled_from([2, 4, 48]),
+)
+@settings(max_examples=80, deadline=None)
+def test_family_batch_matches_one_call_per_family_bit_for_bit(families, pieces, rng, max_depth):
+    cfg = QuadratureConfig(max_depth=max_depth)
+    rows = [[pieces[rng.randrange(len(pieces))] for _ in pieces] for _ in families]
+    a = np.array([[lo for lo, _ in row] for row in rows])
+    b = a + np.array([[width for _, width in row] for row in rows])
+    fs = [lambda u, g=FAMILY_INTEGRANDS[name], c=scale: c * g(u) for name, scale in families]
+    ref = [one_family_outcome(f, a[r], b[r], cfg) for r, f in enumerate(fs)]
+    calls = []
+
+    def batched(u):
+        calls.append(len(u))
+        return np.stack([f(u) for f in fs])
+
+    domain = [(depth, r) for r, (kind, _, depth) in enumerate(ref) if kind == "domain"]
+    if domain:
+        _, first = min(domain)
+        with pytest.raises(DomainError) as info:
+            adaptive_simpson(batched, a, b, cfg)
+        assert str(info.value) == ref[first][1]
+        return
+    expected = [value for _, value, _ in ref]
+    hits = [message for kind, _, message in ref if kind == "depth"]
+    if hits:
+        with pytest.raises(QuadratureDepthError) as info:
+            adaptive_simpson(batched, a, b, cfg)
+        assert str(info.value) == hits[0]
+        got = info.value.partial
+    else:
+        got = adaptive_simpson(batched, a, b, cfg)
+    assert got.shape == a.shape
+    assert got.tolist() == [row.tolist() for row in expected]
+    assert len(calls) <= max_depth + 2
+
+
+def test_family_batch_shapes():
+    f = lambda u: np.stack([u, 2.0 * u])
+    assert adaptive_simpson(f, np.zeros((2, 0)), np.zeros((2, 0)), TIGHT).shape == (2, 0)
+    assert adaptive_simpson(f, np.zeros((2, 3)), np.zeros((2, 3)), TIGHT).tolist() == [[0.0] * 3] * 2
+    got = adaptive_simpson(f, np.zeros((2, 1)), np.ones((2, 1)), TIGHT)
+    assert got.tolist() == [[0.5], [1.0]]
+    with pytest.raises(PreconditionError):
+        adaptive_simpson(f, np.zeros((2, 1, 1)), np.ones((2, 1, 1)), TIGHT)
+    with pytest.raises(DomainError, match=r"bad integration interval \[1.0, 0.5\]"):
+        adaptive_simpson(f, np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 0.5]]), TIGHT)
+
+
 def test_composite_validation():
     with pytest.raises(PreconditionError):
         composite_simpson(math.sin, 0.0, 1.0, 0)
@@ -349,6 +434,33 @@ def test_prefix_matches_per_segment_reference_exactly(full_times, case, choice):
         assert got.tolist() == reference_prefix(xi, x, v, times, QuadratureConfig())
 
 
+BLOCK_CASES = {
+    "sin": (sin_scalar_model, Trivial(0.0), [[1.0], [-2.5], [1e-3]]),
+    "shifted_exp": (lambda nc: shift_cocycle(pure_exponential_model(2.3, nc), 0.8), Trivial(0.0),
+                    [[-1.7], [0.4]]),
+    "diag2": (lambda nc: diag_integral_model([1.0, -1.0], nc), ShiftedGenerator(1, 0.5),
+              [[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]]),
+    "diag3": (lambda nc: diag_integral_model([1.0, -1.0, 0.4], nc), ShiftedGenerator(1, 0.5),
+              [[1.0, -0.3, 2.0], [0.0, 0.0, 1.0], [-3.0, 1.0, 0.0]]),
+    "diag9": (lambda nc: diag_integral_model(np.linspace(-2.0, 2.0, 9), nc), ShiftedGenerator(2, 0.0),
+              [np.linspace(0.1, 1.7, 9), np.linspace(-1.0, 1.0, 9), np.eye(9)[4]]),
+}
+
+
+@pytest.mark.parametrize("choice", list(NormChoice))
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_prefix_of_a_vector_block_stacks_single_prefixes_exactly(full_times, case, choice):
+    make, x, vectors = BLOCK_CASES[case]
+    xi = make(choice)
+    block = np.array(vectors, dtype=float)
+    for k in (0, 40, 63, 64):
+        times = full_times[k:]
+        got = norm_integral_prefix(xi, x, block, times, QuadratureConfig())
+        assert got.shape == (len(block), len(times))
+        assert got.tolist() == [norm_integral_prefix(xi, x, v, times, QuadratureConfig()).tolist()
+                                for v in block]
+
+
 def test_prefix_validation(pexp3_model):
     with pytest.raises(PreconditionError):
         norm_integral_prefix(pexp3_model, Trivial(0.0), (1.0,), [], TIGHT)
@@ -356,6 +468,8 @@ def test_prefix_validation(pexp3_model):
         norm_integral_prefix(pexp3_model, Trivial(0.0), (1.0,), [0.0, 1.0, 1.0], TIGHT)
     with pytest.raises(PreconditionError):
         norm_integral_prefix(pexp3_model, Trivial(0.0), (0.0,), [0.0, 1.0], TIGHT)
+    with pytest.raises(PreconditionError):
+        norm_integral_prefix(pexp3_model, Trivial(0.0), [[1.0], [0.0]], [0.0, 1.0], TIGHT)
 
 
 @given(st.floats(0.0, 3.0), st.floats(0.01, 2.0), st.floats(0.01, 2.0))
