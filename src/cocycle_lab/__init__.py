@@ -6,6 +6,11 @@ re-checks growth/decay certificates in log space on sample grids, and
 validates the constructive transformations between the certificate
 kinds.  A scenario-driven CLI (``cocycle-lab``) fronts the same
 pipelines and writes deterministic JSON/CSV artifacts.
+
+Every name in ``__all__`` imports from here.  The theorem validators
+(``FORMULAS``, ``TheoremRun``, ``thm2_validate``, ...) load from
+``cocycle_lab.theorems`` on first access, so importing the package, or
+running any CLI command but ``theorem``, does not compile them.
 """
 
 import os
@@ -76,17 +81,19 @@ from .certificates import (
     estimate_instability,
     estimate_integral_instability,
 )
-from .theorems import (
-    FORMULAS,
-    TheoremRun,
-    corollary_equivalence,
-    prop_integral_decay_to_instability,
-    prop_shift_necessity,
-    prop_shift_sufficiency,
-    remark_obs2,
-    thm1_necessity,
-    thm1_sufficiency,
-    thm2_validate,
+
+# Resolved on first access by ``__getattr__`` (PEP 562) below.
+_THEOREM_NAMES = (
+    "FORMULAS",
+    "TheoremRun",
+    "corollary_equivalence",
+    "prop_integral_decay_to_instability",
+    "prop_shift_necessity",
+    "prop_shift_sufficiency",
+    "remark_obs2",
+    "thm1_necessity",
+    "thm1_sufficiency",
+    "thm2_validate",
 )
 
 __all__ = [
@@ -141,14 +148,13 @@ __all__ = [
     "estimate_exp_instability",
     "estimate_instability",
     "estimate_integral_instability",
-    "FORMULAS",
-    "TheoremRun",
-    "corollary_equivalence",
-    "prop_integral_decay_to_instability",
-    "prop_shift_necessity",
-    "prop_shift_sufficiency",
-    "remark_obs2",
-    "thm1_necessity",
-    "thm1_sufficiency",
-    "thm2_validate",
+    *_THEOREM_NAMES,
 ]
+
+
+def __getattr__(name):
+    if name in _THEOREM_NAMES:
+        from . import theorems
+
+        return getattr(theorems, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

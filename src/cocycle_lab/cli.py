@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -29,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import theorems
 from ._version import __version__
 from .certificates import (
     DEFAULT_GROWTH_CAP,
@@ -118,26 +118,27 @@ PROPERTIES = {
     ),
 }
 
-# Theorem id -> (input properties, runner(scenario, model, certificates by property)).
+# Theorem id -> (input properties, runner(theorems module, scenario, model,
+# certificates by property)).  Only ``theorem`` imports the theorems module.
 THEOREMS = {
-    "remark-obs2": (("exp-instability",), lambda sc, xi, c: theorems.remark_obs2(
+    "remark-obs2": (("exp-instability",), lambda thm, sc, xi, c: thm.remark_obs2(
         c["exp-instability"], xi, sc.grid, sc.margin_tol)),
-    "prop-integral-decay": (("decay", "integral-instability"), lambda sc, xi, c: (
-        theorems.prop_integral_decay_to_instability(
+    "prop-integral-decay": (("decay", "integral-instability"), lambda thm, sc, xi, c: (
+        thm.prop_integral_decay_to_instability(
             c["decay"], c["integral-instability"], xi, sc.grid, sc.quad, sc.margin_tol))),
-    "prop-shift-necessity": (("exp-instability",), lambda sc, xi, c: theorems.prop_shift_necessity(
+    "prop-shift-necessity": (("exp-instability",), lambda thm, sc, xi, c: thm.prop_shift_necessity(
         c["exp-instability"], xi, sc.grid, sc.quad, sc.margin_tol)),
-    "prop-shift-sufficiency": (("decay", "integral-instability"), lambda sc, xi, c: (
-        theorems.prop_shift_sufficiency(
+    "prop-shift-sufficiency": (("decay", "integral-instability"), lambda thm, sc, xi, c: (
+        thm.prop_shift_sufficiency(
             sc.alpha, c["integral-instability"], c["decay"], xi, sc.grid, sc.quad, sc.margin_tol,
             headroom=sc.headroom))),
-    "thm1-necessity": (("exp-instability",), lambda sc, xi, c: theorems.thm1_necessity(
+    "thm1-necessity": (("exp-instability",), lambda thm, sc, xi, c: thm.thm1_necessity(
         c["exp-instability"], xi, sc.grid, sc.quad, sc.margin_tol)),
-    "thm1-sufficiency": (("instability", "integral-instability"), lambda sc, xi, c: theorems.thm1_sufficiency(
+    "thm1-sufficiency": (("instability", "integral-instability"), lambda thm, sc, xi, c: thm.thm1_sufficiency(
         c["instability"], c["integral-instability"], xi, sc.grid, sc.quad, sc.margin_tol)),
-    "thm2": (("decay", "integral-instability"), lambda sc, xi, c: theorems.thm2_validate(
+    "thm2": (("decay", "integral-instability"), lambda thm, sc, xi, c: thm.thm2_validate(
         c["decay"], c["integral-instability"], xi, sc.grid, sc.quad, sc.margin_tol)),
-    "corollary": ((), lambda sc, xi, c: theorems.corollary_equivalence(
+    "corollary": ((), lambda thm, sc, xi, c: thm.corollary_equivalence(
         xi, sc.grid, sc.quad, sc.margin_tol, nu_candidates=sc.nu_candidates, growth_cap=sc.growth_cap)),
 }
 
@@ -500,7 +501,9 @@ def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int
         raise ScenarioError(
             f"theorem {theorem_id} is missing input certificates: {', '.join(missing)}"
         )
-    run = runner(sc, xi, slots)
+    from . import theorems
+
+    run = runner(theorems, sc, xi, slots)
     doc = run.to_json_dict()
     doc["tool_version"] = __version__
     doc["scenario_grid_hash"] = sc.grid.grid_hash
@@ -612,5 +615,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry_point() -> int:
+    """Process entry point (``cocycle-lab`` and ``python -m cocycle_lab.cli``).
+
+    Runs ``main`` and then freezes the garbage collector, so that the
+    collections at interpreter shutdown skip every object still alive,
+    numpy's included.  Streams are still flushed and atexit handlers still
+    run.  ``main`` itself never freezes, because callers (the tests among
+    them) run it many times in one process.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import DomainError, PreconditionError
-from cocycle_lab.cli import ScenarioError, _margin_rows, main, parse_scenario
+from cocycle_lab.cli import THEOREMS, ScenarioError, _margin_rows, main, parse_scenario
 
 SMALL_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
 # long enough that the oscillating model realizes growth above the
@@ -645,8 +646,9 @@ FUZZ_SCENARIO = st.fixed_dictionaries(
         "seed": st.sampled_from([None, 3, "3"]),
     },
 )
-FUZZ_COMMANDS = [["laws"]] + [["estimate", "--property", p] for p in
-                              ("decay", "instability", "exp-instability", "integral-instability")]
+FUZZ_PROPERTIES = ("decay", "instability", "exp-instability", "integral-instability")
+# one theorem for each set of input certificates
+FUZZ_THEOREMS = ("remark-obs2", "prop-integral-decay", "thm1-sufficiency", "corollary")
 
 
 @given(FUZZ_SCENARIO)
@@ -658,10 +660,24 @@ def test_fuzzed_scenarios_exit_0_1_or_2(doc):
         path = os.path.join(tmp, "scenario.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for argv in FUZZ_COMMANDS:
+        out = os.path.join(tmp, "out")
+
+        def run(argv):
             with contextlib.redirect_stderr(io.StringIO()):
-                code = main([*argv, "--scenario", path, "--out-dir", os.path.join(tmp, "out")])
+                code = main([*argv, "--scenario", path, "--out-dir", out])
             assert code in (0, 1, 2), argv
+            return code
+
+        # check, report and theorem read the certificates of the scenario's own estimates
+        run(["laws"])
+        estimated = [prop for prop in FUZZ_PROPERTIES if run(["estimate", "--property", prop]) == 0]
+        cert = {prop: os.path.join(out, f"cert_{prop}.json") for prop in FUZZ_PROPERTIES}
+        for prop in FUZZ_PROPERTIES:
+            run(["check", "--property", prop, "--cert", cert[prop]])
+        run(["report", *(arg for prop in estimated for arg in ("--cert", cert[prop]))])
+        for theorem in FUZZ_THEOREMS:
+            run(["theorem", "--theorem", theorem,
+                 *(arg for prop in THEOREMS[theorem][0] for arg in ("--cert", cert[prop]))])
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +752,114 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def imported_modules(argv):
+    """Run ``python -X importtime -m cocycle_lab.cli ARGV``; return its exit
+    code and the names of the modules it imported."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cocycle_lab.cli", *argv],
+                          capture_output=True, text=True)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert "cocycle_lab.core" in names, proc.stderr
+    return proc.returncode, names
+
+
+def test_only_theorem_imports_theorem_code(tmp_path):
+    # theorems.py is the largest module, and every other command skips it
+    sc = write_scenario(tmp_path / "sin5.json", {"kind": "sin_scalar"},
+                        times={"min": 0, "max": 6, "count": 5})
+    out = tmp_path / "out"
+    common = ["--scenario", str(sc), "--out-dir", str(out)]
+    certs = [str(estimate_into(sc, out, prop)) for prop in ("decay", "instability")]
+    commands = (["laws"], ["estimate", "--property", "exp-instability"],
+                ["check", "--property", "decay", "--cert", certs[0]],
+                ["report", "--cert", certs[0], "--cert", certs[1]])
+    for argv in [[*cmd, *common] for cmd in commands] + [["--version"]]:
+        code, names = imported_modules(argv)
+        assert code == 0, argv
+        assert "cocycle_lab.theorems" not in names, argv
+    code, names = imported_modules(["theorem", "--theorem", "remark-obs2", "--cert",
+                                    str(out / "cert_exp-instability.json"), *common])
+    assert code == 0
+    assert "cocycle_lab.theorems" in names
+
+
+def test_package_names_resolve_lazily():
+    code = ("import sys, cocycle_lab; loaded = 'cocycle_lab.theorems' in sys.modules; "
+            "from cocycle_lab import thm2_validate; "
+            "print(loaded, thm2_validate is sys.modules['cocycle_lab.theorems'].thm2_validate)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+    import cocycle_lab
+
+    for name in cocycle_lab.__all__:
+        assert getattr(cocycle_lab, name) is not None, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(cocycle_lab, "no_such_name")
+
+
+def launchers():
+    """The two ways to start the CLI: ``python -m`` and the console script
+    that pyproject.toml declares."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    (line,) = [ln for ln in text.splitlines() if ln.startswith("cocycle-lab = ")]
+    module, function = line.split("=", 1)[1].strip().strip('"').split(":")
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    return {"module": [sys.executable, "-m", "cocycle_lab.cli"], "script": [sys.executable, "-c", script]}
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+def test_entry_point_exit_paths(tmp_path, launcher):
+    prog = launchers()[launcher]
+
+    def run(*argv):
+        return subprocess.run([*prog, *argv], capture_output=True, text=True)
+
+    # a failing certificate still writes its check file
+    steep = write_scenario(tmp_path / "steep.json", {"kind": "pure_exponential", "rate": -5.0})
+    cert = tmp_path / "n2.json"
+    cert.write_text(json.dumps({
+        "kind": "instability", "form": "parametric", "N": {"coef": 2.0, "rate": 0.0},
+        "grid_hash": "", "tool_version": "0",
+    }))
+    out = tmp_path / "out"
+    proc = run("check", "--property", "instability", "--cert", str(cert),
+               "--scenario", str(steep), "--out-dir", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert read_json(out / "check_instability.json")["report"]["verdict"] == "fail"
+
+    proc = run("laws", "--no-such-flag")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: cocycle-lab")
+
+    proc = run("--version")
+    assert (proc.returncode, proc.stdout) == (0, "cocycle-lab 0.1.0\n")
+
+    proc = run("laws", "--scenario", str(tmp_path / "absent.json"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("cocycle-lab: error:")
+
+
+def test_entry_point_freezes_and_main_does_not(tmp_path, sin_scenario, monkeypatch):
+    from cocycle_lab import cli
+
+    frozen = gc.get_freeze_count()
+    assert main(["laws", "--scenario", str(sin_scenario), "--out-dir", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == frozen
+
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append(None))
+    monkeypatch.setattr(sys, "argv", ["cocycle-lab", "laws", "--scenario", str(sin_scenario),
+                                      "--out-dir", str(tmp_path)])
+    assert cli.entry_point() == 0
+    monkeypatch.setattr(sys, "argv", ["cocycle-lab", "--version"])
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit):
+        cli.entry_point()
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("preset, numpy_first, want", [
