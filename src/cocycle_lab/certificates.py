@@ -15,6 +15,11 @@ sample the inequality and report log-margins.  Every estimate/check pair
 routes the per-sample statistic through one shared code path, so a
 fitted certificate re-checks cleanly on its own grid even at tol = 0.
 
+Each checker, like each theorem sampler, keeps only its sample selection
+and its margin formula, and ``core._report`` is the one report loop.  The
+sample order, and so the row order of margins.csv, is defined once, by
+``core._triples`` and ``core._pairs``.
+
 Witnesses store a log-value table alongside linear values; margins only
 ever touch the log side.
 """
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +42,9 @@ from .core import (
     SkewEvolutionSemiflow,
     _float_list,
     _is_number,
-    _ReportBuilder,
+    _pairs,
+    _report,
+    _triples,
     log_norms,
     norm,
 )
@@ -179,18 +186,15 @@ class ParametricDecay:
 
 
 @dataclass(frozen=True)
-class TabulatedDecay:
+class TabulatedDecay(TabulatedWitness):
     """Tabulated decay witness: positive, nonincreasing, step-interpolated."""
 
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-    log_values: tuple[float, ...]
     grid_hash: str = ""
     tool_version: str = __version__
 
     def __post_init__(self) -> None:
-        table = TabulatedWitness(self.times, self.values, self.log_values)
-        if any(b > a for a, b in zip(table.log_values, table.log_values[1:])):
+        super().__post_init__()
+        if any(b > a for a, b in zip(self.log_values, self.log_values[1:])):
             raise PreconditionError("decay witness values must be nonincreasing")
         if self.log_values[0] == -math.inf:
             raise PreconditionError("decay witness values must be positive")
@@ -199,31 +203,13 @@ class TabulatedDecay:
     def from_values(
         cls, times: Sequence[float], values: Sequence[float], grid_hash: str = ""
     ) -> "TabulatedDecay":
-        w = TabulatedWitness.from_values(times, values)
-        return cls(w.times, w.values, w.log_values, grid_hash)
+        return replace(super().from_values(times, values), grid_hash=grid_hash)
 
     @classmethod
     def from_log_values(
         cls, times: Sequence[float], logs: Sequence[float], grid_hash: str = ""
     ) -> "TabulatedDecay":
-        w = TabulatedWitness.from_log_values(times, logs)
-        return cls(w.times, w.values, w.log_values, grid_hash)
-
-    @property
-    def form(self) -> str:
-        return "tabulated"
-
-    def _table(self) -> TabulatedWitness:
-        return TabulatedWitness(self.times, self.values, self.log_values)
-
-    def value(self, t: float) -> float:
-        return self._table().value(t)
-
-    def log_value(self, t: float) -> float:
-        return self._table().log_value(t)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.times
+        return replace(super().from_log_values(times, logs), grid_hash=grid_hash)
 
 
 DecayCertificate = ParametricDecay | TabulatedDecay
@@ -335,12 +321,6 @@ def _log_vector_norms(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> np.ndarray
     return np.array([math.log(norm(v, xi.norm_choice)) for v in grid.vector_arrays()])
 
 
-def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (k, j, i) of the triples k <= j <= i, in lexicographic order."""
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    return np.nonzero(upper[:, :, None] & upper[None, :, :])
-
-
 def _pair_tables(xi: SkewEvolutionSemiflow, grid: SampleGrid):
     """Yield (base label, vector label, log ||v||, L) per (base, vector) pair.
 
@@ -358,6 +338,34 @@ def _pair_tables(xi: SkewEvolutionSemiflow, grid: SampleGrid):
         table[:, i, j] = log_norms(xi, times[i], times[j], x, grid.vectors)
         for b, vlabel in enumerate(labels):
             yield x.label(), vlabel, log_v[b], table[b]
+
+
+def _sample(
+    check: str,
+    xi: SkewEvolutionSemiflow,
+    grid: SampleGrid,
+    tol: float,
+    sink: MarginSink | None,
+    samples: tuple[np.ndarray, np.ndarray, np.ndarray],
+    margin,
+) -> CheckReport:
+    """Report ``margin(log ||v||, L)`` of every ``_pair_tables`` pair.
+
+    ``samples`` holds the index arrays (k, j, i) of the grid triples
+    t_i >= t_j >= t_k that ``margin`` evaluates, in sample order.
+    """
+    times = np.asarray(grid.times)
+    k, j, i = samples
+    rows = ((xlabel, vlabel, margin(log_v, table)) for xlabel, vlabel, log_v, table in _pair_tables(xi, grid))
+    return _report(check, tol, sink, (times[i], times[j], times[k]), rows)
+
+
+def _exp_margin(cert: ExpInstabilityCertificate, grid: SampleGrid, samples):
+    """The exp-instability margin at the samples (k, j, i), for ``_sample``."""
+    times = np.asarray(grid.times)
+    k, j, i = samples
+    log_n = np.array([cert.N.log_value(t) for t in grid.times])
+    return lambda log_v, table: log_n[i] - (cert.nu * (times[i] - times[j]) + (table[j, k] - table[i, k]))
 
 
 def _decay_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> np.ndarray:
@@ -529,10 +537,10 @@ def estimate_integral_instability(
         raise PreconditionError(f"headroom must be > 0, got {headroom}")
     times = grid.times
     vectors = grid.vector_arrays()
+    _, i = _pairs(len(times))
     need = np.full(len(times), -np.inf)
     for x in grid.base_points:
-        for k in range(len(times)):
-            need[k:] = np.fmax(need[k:], np.fmax.reduce(_datko_stats(xi, x, vectors, times, k, quad_cfg)))
+        np.fmax.at(need, i, np.fmax.reduce(_datko_stats(xi, x, vectors, times, quad_cfg)))
     logs = np.maximum(0.0, math.log1p(headroom) + need)
     witness = TabulatedWitness.from_log_values(times, logs)
     return IntegralInstabilityCertificate(M=witness, grid_hash=grid.grid_hash, quad=quad_cfg)
@@ -543,29 +551,37 @@ def _datko_stats(
     x,
     vectors: Sequence[np.ndarray],
     times: Sequence[float],
-    k: int,
     quad_cfg: QuadratureConfig,
 ) -> np.ndarray:
-    """d[b, i - k] = log(integral over [t0_k, t_i]) - log ||Phi(t_i, t0_k, x)v_b||.
+    """d[b, p] = log(integral over [t_k, t_i]) - log ||Phi(t_i, t_k, x)v_b|| at the pair samples p = (k, i).
 
-    One row per vector, from one ``norm_integral_prefix`` call and one
-    ``log_norms`` call for the base point and base time.  The first
-    column (t = t0) is -inf; both the estimator and the checker consume
+    One row per vector, in ``_pairs`` order; each base time t_k takes one
+    ``norm_integral_prefix`` call and one ``log_norms`` call.  The t = t0
+    samples are -inf; both the estimator and the checker consume
     exactly these floats.  The ratio has degree 0 in v, so each v is
     normalized before the quadrature: otherwise the integrator's absolute
     tolerance floor would make the refinement depth, and hence the last
     few digits, depend on the scale of v.
     """
     block = np.array([v / norm(v, xi.norm_choice) for v in vectors])
-    tail = times[k:]
-    prefix = norm_integral_prefix(xi, x, block, tail, quad_cfg)
-    with np.errstate(divide="ignore"):
-        return np.log(prefix) - log_norms(xi, np.asarray(tail), times[k], x, block)
+    stats = []
+    for k, t0 in enumerate(times):
+        prefix = norm_integral_prefix(xi, x, block, times[k:], quad_cfg)
+        with np.errstate(divide="ignore"):
+            stats.append(np.log(prefix) - log_norms(xi, np.asarray(times[k:]), t0, x, block))
+    return np.concatenate(stats, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
+
+
+def _checker_inputs(checker: str, cert, kinds, what: str, grid: SampleGrid) -> None:
+    """The checkers' shared preconditions: a certificate of the checked kind, a nonempty grid."""
+    if not isinstance(cert, kinds):
+        raise PreconditionError(f"{checker} needs {what}, got {type(cert).__name__}")
+    grid.require_nonempty()
 
 
 def check_decay(
@@ -576,20 +592,18 @@ def check_decay(
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:
     """Sample log ||Phi(u + t0, t0, x)v|| - log f(u) - log ||v|| over the grid."""
-    if not isinstance(cert, (ParametricDecay, TabulatedDecay)):
-        raise PreconditionError(f"check_decay needs a decay certificate, got {type(cert).__name__}")
-    grid.require_nonempty()
-    builder = _ReportBuilder("decay", tol, margin_sink)
+    _checker_inputs("check_decay", cert, (ParametricDecay, TabulatedDecay), "a decay certificate", grid)
+    # Samples (u_i + t0_j, t0_j) over every grid u and t0, by t0 then u.
     times = np.asarray(grid.times)
     t0 = np.repeat(times, len(times))
     t = (times + times[:, None]).ravel()
-    stats = _decay_stats(xi, grid)
     log_f = np.array([cert.log_value(u) for u in grid.times])
-    for a, x in enumerate(grid.base_points):
-        for b, vlabel in enumerate(grid.vector_labels()):
-            margins = (stats[a, b] - log_f).ravel()
-            builder.add_array(t, t0, t0, x.label(), vlabel, margins)
-    return builder.finish()
+    rows = (
+        (x.label(), vlabel, (stats - log_f).ravel())
+        for x, per_vector in zip(grid.base_points, _decay_stats(xi, grid))
+        for vlabel, stats in zip(grid.vector_labels(), per_vector)
+    )
+    return _report("decay", tol, margin_sink, (t, t0, t0), rows)
 
 
 def check_instability(
@@ -600,19 +614,13 @@ def check_instability(
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:
     """Sample log N(t) + log ||Phi(t, t0, x)v|| - log ||v|| over t >= t0."""
-    if not isinstance(cert, InstabilityCertificate):
-        raise PreconditionError(
-            f"check_instability needs an instability certificate, got {type(cert).__name__}"
-        )
-    grid.require_nonempty()
-    builder = _ReportBuilder("instability", tol, margin_sink)
-    times = np.asarray(grid.times)
-    k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
+    _checker_inputs("check_instability", cert, InstabilityCertificate, "an instability certificate", grid)
+    k, i = _pairs(len(grid.times))
     log_n = np.array([cert.N.log_value(t) for t in grid.times])
-    for xlabel, vlabel, log_v, table in _pair_tables(xi, grid):
-        margins = log_n[i] - (log_v - table[i, k])
-        builder.add_array(times[i], times[k], times[k], xlabel, vlabel, margins)
-    return builder.finish()
+    return _sample(
+        "instability", xi, grid, tol, margin_sink, (k, k, i),
+        lambda log_v, table: log_n[i] - (log_v - table[i, k]),
+    )
 
 
 def check_exp_instability(
@@ -627,19 +635,13 @@ def check_exp_instability(
     Margin: log N(t) - (nu (t - s) + log ||Phi(s, t0, x)v|| -
     log ||Phi(t, t0, x)v||), evaluated per base point and vector.
     """
-    if not isinstance(cert, ExpInstabilityCertificate):
-        raise PreconditionError(
-            f"check_exp_instability needs an exp-instability certificate, got {type(cert).__name__}"
-        )
-    grid.require_nonempty()
-    builder = _ReportBuilder("exp-instability", tol, margin_sink)
-    times = np.asarray(grid.times)
-    k, j, i = _triples(len(times))
-    log_n = np.array([cert.N.log_value(t) for t in grid.times])
-    for xlabel, vlabel, _, table in _pair_tables(xi, grid):
-        needed = cert.nu * (times[i] - times[j]) + (table[j, k] - table[i, k])
-        builder.add_array(times[i], times[j], times[k], xlabel, vlabel, log_n[i] - needed)
-    return builder.finish()
+    _checker_inputs(
+        "check_exp_instability", cert, ExpInstabilityCertificate, "an exp-instability certificate", grid
+    )
+    samples = _triples(len(grid.times))
+    return _sample(
+        "exp-instability", xi, grid, tol, margin_sink, samples, _exp_margin(cert, grid, samples)
+    )
 
 
 def check_integral_instability(
@@ -655,26 +657,22 @@ def check_integral_instability(
     The t = t0 samples have a zero integral and count as margin +inf.
     Uses the certificate's own quadrature config when it carries one.
     """
-    if not isinstance(cert, IntegralInstabilityCertificate):
-        raise PreconditionError(
-            f"check_integral_instability needs an integral certificate, got {type(cert).__name__}"
-        )
-    grid.require_nonempty()
+    _checker_inputs(
+        "check_integral_instability", cert, IntegralInstabilityCertificate, "an integral certificate", grid
+    )
     if not xi.strongly_measurable:
         raise PreconditionError("integral instability needs a strongly measurable model")
     cfg = quad_cfg or cert.quad or QuadratureConfig()
-    builder = _ReportBuilder("integral-instability", tol, margin_sink)
     times = np.asarray(grid.times)
-    k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
+    k, i = _pairs(len(times))
     log_m = np.array([cert.M.log_value(t) for t in grid.times])
     vectors = grid.vector_arrays()
-    for x in grid.base_points:
-        stats = np.concatenate(
-            [_datko_stats(xi, x, vectors, grid.times, first, cfg) for first in range(len(times))], axis=1
-        )
-        for row, vlabel in zip(stats, grid.vector_labels()):
-            builder.add_array(times[i], times[k], times[k], x.label(), vlabel, log_m[i] - row)
-    return builder.finish()
+    rows = (
+        (x.label(), vlabel, log_m[i] - row)
+        for x in grid.base_points
+        for vlabel, row in zip(grid.vector_labels(), _datko_stats(xi, x, vectors, grid.times, cfg))
+    )
+    return _report("integral-instability", tol, margin_sink, (times[i], times[k], times[k]), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -742,12 +740,7 @@ def certificate_to_json_dict(cert) -> dict:
     if isinstance(cert, ParametricDecay):
         body = {"kind": "decay", "form": "parametric", "n_tilde": cert.n_tilde, "omega": cert.omega}
     elif isinstance(cert, TabulatedDecay):
-        body = {
-            "kind": "decay",
-            "form": "tabulated",
-            "times": list(cert.times),
-            "values": list(cert.values),
-        }
+        body = {"kind": "decay", "form": "tabulated", **witness_to_json_dict(cert)}
     elif isinstance(cert, InstabilityCertificate):
         body = {"kind": "instability", "form": cert.N.form, "N": witness_to_json_dict(cert.N)}
     elif isinstance(cert, ExpInstabilityCertificate):

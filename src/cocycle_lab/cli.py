@@ -303,7 +303,9 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
             raise ScenarioError("nu_candidates must be null or a nonempty list")
     alpha = _number(doc, "alpha", 1.5, positive=True)
 
-    out_dir = out_dir_override or doc.get("out_dir") or "."
+    out_dir = doc.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ScenarioError(f"out_dir must be a string or null, got {out_dir!r}")
     scenario = Scenario(
         model=dict(doc["model"]),
         grid=grid,
@@ -315,7 +317,7 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
         seed=seed,
         nu_candidates=nu_candidates,
         alpha=alpha,
-        out_dir=str(out_dir),
+        out_dir=out_dir_override or out_dir or ".",
     )
     return scenario, xi
 
@@ -432,6 +434,20 @@ def _property_of(cert) -> str:
     raise ScenarioError(f"unsupported certificate type {type(cert).__name__}")
 
 
+def _load_inputs(paths: list[str], sc: Scenario, user: str, takes) -> dict[str, object]:
+    """The input certificates by property: one per property, of the properties ``user`` takes."""
+    certs: dict[str, object] = {}
+    for path in paths:
+        cert = _load_certificate(path, sc)
+        prop = _property_of(cert)
+        if prop not in takes:
+            raise ScenarioError(f"{user} takes no {prop} certificate ({path})")
+        if prop in certs:
+            raise ScenarioError(f"duplicate {prop} certificate input ({path})")
+        certs[prop] = cert
+    return certs
+
+
 def _run_check(sc: Scenario, xi, prop: str, cert, margin_sink=None):
     return PROPERTIES[prop].check(sc, xi, cert, margin_sink)
 
@@ -485,17 +501,7 @@ def cmd_check(sc: Scenario, xi, prop: str, cert_path: str) -> int:
 
 def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int:
     wanted, runner = THEOREMS[theorem_id]
-    slots: dict[str, object] = {}
-    for path in cert_paths:
-        cert = _load_certificate(path, sc)
-        prop = _property_of(cert)
-        if prop not in wanted:
-            raise ScenarioError(
-                f"theorem {theorem_id} takes no {prop} certificate ({path})"
-            )
-        if prop in slots:
-            raise ScenarioError(f"duplicate {prop} certificate input ({path})")
-        slots[prop] = cert
+    slots = _load_inputs(cert_paths, sc, f"theorem {theorem_id}", wanted)
     missing = [prop for prop in wanted if prop not in slots]
     if missing:
         raise ScenarioError(
@@ -514,10 +520,7 @@ def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int
 def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
     if not input_paths:
         raise ScenarioError("report needs at least one certificate or check file (--cert)")
-    loaded = []
-    for path in input_paths:
-        cert = _load_certificate(path, sc)
-        loaded.append((_property_of(cert), cert))
+    loaded = _load_inputs(input_paths, sc, "report", PROPERTIES)
 
     def margins_for(item):
         prop, cert = item
@@ -527,17 +530,17 @@ def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
 
     # Every check runs before margins.csv is opened, so a failing check
     # leaves no partial file behind.
-    all_batches = _run_parallel([lambda item=item: margins_for(item) for item in loaded])
+    all_batches = _run_parallel([lambda item=item: margins_for(item) for item in loaded.items()])
 
     margins_path = os.path.join(sc.out_dir, "margins.csv")
     with open(margins_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["property", "t", "s", "t0", "base", "vector", "margin"])
-        for (prop, _), batches in zip(loaded, all_batches):
+        for prop, batches in zip(loaded, all_batches):
             for batch in batches:
                 fh.write(_margin_rows(prop, *batch))
 
     columns: dict[str, Callable] = {}
-    for prop, cert in loaded:
+    for prop, cert in loaded.items():
         entry = PROPERTIES[prop]
         for name, column in entry.columns(cert).items():
             if entry.overrides or name not in columns:

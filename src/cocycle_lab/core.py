@@ -361,6 +361,22 @@ def format_vector(v: Sequence[float]) -> str:
     return "[" + ",".join(f"{c:.17g}" for c in v) + "]"
 
 
+# The sample layout.  Grid triples t_i >= t_j >= t_k are sampled in
+# lexicographic (k, j, i) order, which fixes the row order of margins.csv and
+# of every counterexample list; the s = t0 samples are those with j = k.
+
+
+def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (k, j, i) of the triples k <= j <= i, in lexicographic order."""
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    return np.nonzero(upper[:, :, None] & upper[None, :, :])
+
+
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (k, i) of the s = t0 samples k <= i, by k then i."""
+    return np.triu_indices(n)
+
+
 # ---------------------------------------------------------------------------
 # Check reports
 # ---------------------------------------------------------------------------
@@ -430,59 +446,43 @@ class CheckReport:
         }
 
 
-class _ReportBuilder:
-    """Accumulates margins, tracks the worst one, and collects failures."""
+def _report(
+    check: str, tol: float, sink: MarginSink | None, coords: tuple, rows
+) -> CheckReport:
+    """Sample one inequality: the report over (base label, vector label, margins) rows.
 
-    def __init__(self, check: str, tol: float, sink: MarginSink | None = None):
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise PreconditionError(f"margin tolerance must be finite and >= 0, got {tol}")
-        self.check = check
-        self.tol = tol
-        self.sink = sink
-        self.samples = 0
-        self.worst = math.inf
-        self.failures: list[Counterexample] = []
-
-    def add_array(
-        self,
-        ts: np.ndarray,
-        ss: np.ndarray,
-        t0s: np.ndarray,
-        base: str,
-        vector: str,
-        margins: np.ndarray,
-    ) -> None:
-        """Absorb a batch of samples; only failures cost per-row work."""
-        n = margins.size
-        if n == 0:
-            return
-        self.samples += n
+    Every row holds the margins of one base point and vector at the same
+    samples, whose (t, s, t0) arrays are ``coords``; the rows go to the
+    sink in order.  Only failures cost per-sample work.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"margin tolerance must be finite and >= 0, got {tol}")
+    samples, worst, failures = 0, math.inf, []
+    ts, ss, t0s = coords
+    for base, vector, margins in rows:
+        if margins.size == 0:
+            continue
+        samples += margins.size
         finite_or_inf = margins[~np.isnan(margins)]
         if finite_or_inf.size:
-            low = float(np.min(finite_or_inf))
-            if low < self.worst:
-                self.worst = low
-        bad = np.flatnonzero((margins < -self.tol) | np.isnan(margins))
-        for idx in bad:
-            self.failures.append(
+            worst = min(worst, float(np.min(finite_or_inf)))
+        for idx in np.flatnonzero((margins < -tol) | np.isnan(margins)):
+            failures.append(
                 Counterexample(
                     float(ts[idx]), float(ss[idx]), float(t0s[idx]), base, vector, float(margins[idx])
                 )
             )
-        if self.sink is not None:
-            self.sink(ts, ss, t0s, base, vector, margins)
-
-    def finish(self) -> CheckReport:
-        if self.samples == 0:
-            raise PreconditionError("grid nonempty")
-        ordered = tuple(sorted(self.failures, key=Counterexample.sort_key))
-        return CheckReport(
-            check=self.check,
-            tol=self.tol,
-            samples_checked=self.samples,
-            worst_margin=self.worst,
-            counterexamples=ordered,
-        )
+        if sink is not None:
+            sink(ts, ss, t0s, base, vector, margins)
+    if samples == 0:
+        raise PreconditionError("grid nonempty")
+    return CheckReport(
+        check=check,
+        tol=tol,
+        samples_checked=samples,
+        worst_margin=worst,
+        counterexamples=tuple(sorted(failures, key=Counterexample.sort_key)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +494,11 @@ def _law_samples(times: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.nda
     """(t, s, t0) of every law sample of one (base, vector), in sink order.
 
     The identity samples (t, t, t) come first, then the composition
-    triples t_k <= t_j <= t_i ordered by k, then j, then i.
+    triples in the grid's sample order.
     """
     T = np.asarray(times, dtype=float)
-    n = len(T)
-    rows = [(T, T, T)] + [
-        (T[j:], np.full(n - j, T[j]), np.full(n - j, T[k])) for k in range(n) for j in range(k, n)
-    ]
-    return tuple(np.concatenate(c) for c in zip(*rows))
+    k, j, i = _triples(len(T))
+    return tuple(np.concatenate((T, T[c])) for c in (i, j, k))
 
 
 def check_semiflow_laws(
@@ -516,24 +513,22 @@ def check_semiflow_laws(
     reports worst_margin 0 and any violation shows up as margin < -tol.
     """
     grid.require_nonempty()
-    builder = _ReportBuilder("semiflow-laws", tol, margin_sink)
     times = grid.times
-    n = len(times)
-    samples = _law_samples(times)
-    for x in grid.base_points:
-        margins = [-base_discrepancy(eval_semiflow(xi, t, t, x), x) for t in times]
-        for k in range(n):
-            t0 = times[k]
-            # flown[i - k] is phi(t_i, t0, x); it doubles as the direct
-            # route for every split point s between t0 and t_i.
-            flown = [eval_semiflow(xi, s, t0, x) for s in times[k:]]
-            for j in range(k, n):
-                s, mid = times[j], flown[j - k]
-                for i in range(j, n):
-                    through = eval_semiflow(xi, times[i], s, mid)
-                    margins.append(-base_discrepancy(through, flown[i - k]))
-        builder.add_array(*samples, x.label(), "-", np.array(margins))
-    return builder.finish()
+    triples = list(zip(*(c.tolist() for c in _triples(len(times)))))
+
+    def margins(x: BasePoint) -> np.ndarray:
+        identity = [-base_discrepancy(eval_semiflow(xi, t, t, x), x) for t in times]
+        # flown[k][i - k] is phi(t_i, t_k, x); it doubles as the direct
+        # route for every split point between t_k and t_i.
+        flown = [[eval_semiflow(xi, s, t0, x) for s in times[k:]] for k, t0 in enumerate(times)]
+        composition = [
+            -base_discrepancy(eval_semiflow(xi, times[i], times[j], flown[k][j - k]), flown[k][i - k])
+            for k, j, i in triples
+        ]
+        return np.array(identity + composition)
+
+    rows = ((x.label(), "-", margins(x)) for x in grid.base_points)
+    return _report("semiflow-laws", tol, margin_sink, _law_samples(times), rows)
 
 
 def check_cocycle_laws(
@@ -559,11 +554,10 @@ def check_cocycle_laws(
     for v in grid.vectors:
         if len(v) != xi.dimension:
             raise DomainError(f"vector has shape ({len(v)},), model dimension is {xi.dimension}")
-    builder = _ReportBuilder("cocycle-laws", tol, margin_sink)
     times = grid.times
     T = np.asarray(times, dtype=float)
-    n = len(times)
-    samples = _law_samples(times)
+    # The composition samples, one (t0 = t_k, s = t_j) block over t_i >= t_j at a time.
+    blocks = list(zip(*(c.tolist() for c in _pairs(len(times)))))
     with np.errstate(divide="ignore"):
         # log |v| per (vector, component); zero components drop out of every norm
         log_v = np.log(np.abs(np.asarray(grid.vectors, dtype=float)))[:, :, None]
@@ -579,22 +573,23 @@ def check_cocycle_laws(
             log_err = _log_norm(log_w + np.log(np.abs(np.expm1(gap))), xi.norm_choice)
             return -np.exp(log_err - _log_norm(log_w, xi.norm_choice))
 
-    for x in grid.base_points:
+    def margins(x: BasePoint) -> np.ndarray:
         pieces = [residual(lf(T, T, x), log_v)]
-        for k in range(n):
-            t0 = times[k]
-            # direct[:, i - k] is lf(t_i, t0, x): the partial leg when t_i
-            # plays the split point and the direct route otherwise.
-            direct = lf(T[k:], t0, x)
-            for j in range(k, n):
-                through = lf(T[j:], times[j], eval_semiflow(xi, times[j], t0, x))
-                gap = through + direct[:, j - k, None] - direct[:, j - k :]
-                pieces.append(residual(gap, log_v + direct[:, j - k :]))
-        margins = np.concatenate(pieces, axis=1)
-        xlabel = x.label()
-        for vlabel, row in zip(grid.vector_labels(), margins):
-            builder.add_array(*samples, xlabel, vlabel, row)
-    return builder.finish()
+        # direct[k][:, i - k] is lf(t_i, t_k, x): the partial leg when t_i
+        # plays the split point and the direct route otherwise.
+        direct = [lf(T[k:], t0, x) for k, t0 in enumerate(times)]
+        for k, j in blocks:
+            d = direct[k][:, j - k :]
+            through = lf(T[j:], times[j], eval_semiflow(xi, times[j], times[k], x))
+            pieces.append(residual(through + d[:, :1] - d, log_v + d))
+        return np.concatenate(pieces, axis=1)
+
+    rows = (
+        (x.label(), vlabel, row)
+        for x in grid.base_points
+        for vlabel, row in zip(grid.vector_labels(), margins(x))
+    )
+    return _report("cocycle-laws", tol, margin_sink, _law_samples(times), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .certificates import (
     ParametricDecay,
     TabulatedDecay,
     TabulatedWitness,
-    _pair_tables,
-    _triples,
+    _exp_margin,
+    _sample,
     certificate_to_json_dict,
     check_decay,
     check_exp_instability,
@@ -50,7 +50,8 @@ from .core import (
     PreconditionError,
     SampleGrid,
     SkewEvolutionSemiflow,
-    _ReportBuilder,
+    _pairs,
+    _triples,
     shift_cocycle,
 )
 from .quadrature import QuadratureConfig, integrate_kernel
@@ -98,12 +99,12 @@ class DerivedItem:
     value: float | None = None
 
     def to_json_dict(self) -> dict:
-        payload = None
-        if self.certificate is not None:
-            if isinstance(self.certificate, (ExpWitness, TabulatedWitness)):
-                payload = {"form": self.certificate.form, **witness_to_json_dict(self.certificate)}
-            else:
-                payload = certificate_to_json_dict(self.certificate)
+        cert, payload = self.certificate, None
+        # A TabulatedDecay is a TabulatedWitness too, but serializes as a certificate.
+        if isinstance(cert, (ExpWitness, TabulatedWitness)) and not isinstance(cert, TabulatedDecay):
+            payload = {"form": cert.form, **witness_to_json_dict(cert)}
+        elif cert is not None:
+            payload = certificate_to_json_dict(cert)
         return {
             "name": self.name,
             "formula": self.formula,
@@ -177,6 +178,14 @@ def _invalid(theorem, inputs, reports, note, constants=None) -> TheoremRun:
     )
 
 
+def _gate(theorem, inputs, gates, constants=None) -> TheoremRun | None:
+    """The input-invalid run when an input certificate fails its own check."""
+    if all(g.passed for g in gates):
+        return None
+    which = "input certificate" if len(gates) == 1 else "an input certificate"
+    return _invalid(theorem, inputs, gates, f"{which} fails its own check on this grid", constants)
+
+
 def _require(cert, kind: type, what: str) -> None:
     if not isinstance(cert, kind):
         raise PreconditionError(f"{what} must be a {kind.__name__}, got {type(cert).__name__}")
@@ -192,23 +201,6 @@ def _require_decay(cert, what: str = "f") -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_exp_diagonal(
-    xi: SkewEvolutionSemiflow,
-    cert: ExpInstabilityCertificate,
-    grid: SampleGrid,
-    tol: float,
-) -> CheckReport:
-    """Exp-instability margins restricted to the s = t0 samples."""
-    builder = _ReportBuilder("exp-instability-diagonal", tol)
-    times = np.asarray(grid.times)
-    k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
-    log_n = np.array([cert.N.log_value(t) for t in grid.times])
-    for xlabel, vlabel, _, table in _pair_tables(xi, grid):
-        needed = cert.nu * (times[i] - times[k]) + (table[k, k] - table[i, k])
-        builder.add_array(times[i], times[k], times[k], xlabel, vlabel, log_n[i] - needed)
-    return builder.finish()
-
-
 def _check_linear_growth(
     xi: SkewEvolutionSemiflow,
     mtilde_logs: np.ndarray,
@@ -220,16 +212,14 @@ def _check_linear_growth(
     The t = t0 samples compare against a zero left side and count as
     +inf margins.
     """
-    builder = _ReportBuilder("linear-growth", tol)
     times = np.asarray(grid.times)
-    k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
+    k, i = _pairs(len(times))
     with np.errstate(divide="ignore"):
         log_gap = np.log(times[i] - times[k])
-    for xlabel, vlabel, log_v, table in _pair_tables(xi, grid):
-        margins = mtilde_logs[i] + (table[i, k] - log_v) - log_gap
-        margins[i == k] = math.inf
-        builder.add_array(times[i], times[k], times[k], xlabel, vlabel, margins)
-    return builder.finish()
+    return _sample(
+        "linear-growth", xi, grid, tol, None, (k, k, i),
+        lambda log_v, table: np.where(i == k, math.inf, mtilde_logs[i] + (table[i, k] - log_v) - log_gap),
+    )
 
 
 def _check_window_bound(
@@ -239,15 +229,14 @@ def _check_window_bound(
     tol: float,
 ) -> CheckReport:
     """Margins of ||Phi(t, t0, x)v|| >= f(lambda) ||Phi(s, t0, x)v||, t in [s, s+1)."""
-    builder = _ReportBuilder("window-bound", tol)
     times = np.asarray(grid.times)
     k, j, i = _triples(len(times))
     window = times[i] < times[j] + 1.0
     k, j, i = k[window], j[window], i[window]
-    for xlabel, vlabel, _, table in _pair_tables(xi, grid):
-        margins = (table[i, k] - table[j, k]) - log_f_lam
-        builder.add_array(times[i], times[j], times[k], xlabel, vlabel, margins)
-    return builder.finish()
+    return _sample(
+        "window-bound", xi, grid, tol, None, (k, j, i),
+        lambda log_v, table: (table[i, k] - table[j, k]) - log_f_lam,
+    )
 
 
 def _check_integral_chain(
@@ -263,16 +252,15 @@ def _check_integral_chain(
     <= M(t) ||Phi(t, t0, x)v|| needs [t0, t0 + 1] inside [t0, t], so it
     says nothing about t < t0 + 1 and those pairs are not sampled.
     """
-    builder = _ReportBuilder("integral-chain", tol)
     times = np.asarray(grid.times)
-    k, i = np.triu_indices(len(times))  # pairs k <= i, by k then i
+    k, i = _pairs(len(times))
     unit = times[i] >= times[k] + 1.0
     k, i = k[unit], i[unit]
     log_m = np.array([m_cert.M.log_value(t) for t in grid.times])
-    for xlabel, vlabel, log_v, table in _pair_tables(xi, grid):
-        margins = log_m[i] + (table[i, k] - log_v) - log_k1
-        builder.add_array(times[i], times[k], times[k], xlabel, vlabel, margins)
-    return builder.finish()
+    return _sample(
+        "integral-chain", xi, grid, tol, None, (k, k, i),
+        lambda log_v, table: log_m[i] + (table[i, k] - log_v) - log_k1,
+    )
 
 
 def _clamped_log_witness(logs: list[float], times) -> tuple[TabulatedWitness, int]:
@@ -283,34 +271,15 @@ def _clamped_log_witness(logs: list[float], times) -> tuple[TabulatedWitness, in
 
 
 def _exp_estimate_aux(
-    xi: SkewEvolutionSemiflow, grid: SampleGrid, tol: float
-) -> tuple[DerivedItem, tuple[CheckReport, ...], str, object]:
-    """Fit an exp-instability certificate for context reporting."""
+    xi: SkewEvolutionSemiflow, grid: SampleGrid, tol: float, formula: str
+) -> tuple[DerivedItem, tuple[CheckReport, ...], str]:
+    """Fit an exp-instability certificate for context, derived under ``FORMULAS[formula]``."""
     fitted = estimate_exp_instability(xi, grid)
+    item = DerivedItem("exp_instability_estimate", FORMULAS[formula], fitted)
     if isinstance(fitted, NoCertificate):
-        note = f"exp-instability estimate: no certificate ({fitted.reason})"
-        return (
-            DerivedItem(
-                "exp_instability_estimate",
-                FORMULAS["thm1_sufficiency.exp_instability_estimate"],
-                fitted,
-            ),
-            (),
-            note,
-            fitted,
-        )
+        return item, (), f"exp-instability estimate: no certificate ({fitted.reason})"
     report = check_exp_instability(xi, fitted, grid, tol)
-    note = f"exp-instability estimate: nu = {fitted.nu:.17g}, check {report.verdict}"
-    return (
-        DerivedItem(
-            "exp_instability_estimate",
-            FORMULAS["thm1_sufficiency.exp_instability_estimate"],
-            fitted,
-        ),
-        (report,),
-        note,
-        fitted,
-    )
+    return item, (report,), f"exp-instability estimate: nu = {fitted.nu:.17g}, check {report.verdict}"
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +302,9 @@ def remark_obs2(
     """
     _require(cert, ExpInstabilityCertificate, "cert")
     inputs = (("exp_instability", cert),)
-    gate = check_exp_instability(xi, cert, grid, tol)
-    if not gate.passed:
-        return _invalid(
-            "remark_obs2", inputs, (gate,), "input certificate fails its own check on this grid"
-        )
+    gates = (check_exp_instability(xi, cert, grid, tol),)
+    if invalid := _gate("remark_obs2", inputs, gates):
+        return invalid
     derived_n = InstabilityCertificate(N=cert.N, grid_hash=grid.grid_hash)
     inst_report = check_instability(xi, derived_n, grid, tol)
     f_hat = estimate_decay(xi, grid)
@@ -346,7 +313,7 @@ def remark_obs2(
         DerivedItem("instability", FORMULAS["remark_obs2.instability"], derived_n),
         DerivedItem("decay", FORMULAS["remark_obs2.decay"], f_hat),
     )
-    return _finish("remark_obs2", inputs, derived, (gate, inst_report, decay_report))
+    return _finish("remark_obs2", inputs, derived, (*gates, inst_report, decay_report))
 
 
 def prop_integral_decay_to_instability(
@@ -365,15 +332,9 @@ def prop_integral_decay_to_instability(
     _require_decay(f)
     _require(m_cert, IntegralInstabilityCertificate, "M")
     inputs = (("f", f), ("M", m_cert))
-    gate_f = check_decay(xi, f, grid, tol)
-    gate_m = check_integral_instability(xi, m_cert, grid, tol, quad_cfg)
-    if not (gate_f.passed and gate_m.passed):
-        return _invalid(
-            "prop_integral_decay_to_instability",
-            inputs,
-            (gate_f, gate_m),
-            "an input certificate fails its own check on this grid",
-        )
+    gates = (check_decay(xi, f, grid, tol), check_integral_instability(xi, m_cert, grid, tol, quad_cfg))
+    if invalid := _gate("prop_integral_decay_to_instability", inputs, gates):
+        return invalid
     k_val = integrate_kernel(f.value, 0.0, 1.0, quad_cfg, breakpoints=f.breakpoints())
     log_k = math.log(k_val)
     logs = [
@@ -393,7 +354,7 @@ def prop_integral_decay_to_instability(
         "prop_integral_decay_to_instability",
         inputs,
         derived,
-        (gate_f, gate_m, report),
+        (*gates, report),
         constants={"K": k_val},
     )
 
@@ -413,12 +374,9 @@ def prop_shift_necessity(
     """
     _require(cert, ExpInstabilityCertificate, "cert")
     inputs = (("exp_instability", cert),)
-    gate = check_exp_instability(xi, cert, grid, tol)
-    if not gate.passed:
-        return _invalid(
-            "prop_shift_necessity", inputs, (gate,),
-            "input certificate fails its own check on this grid",
-        )
+    gates = (check_exp_instability(xi, cert, grid, tol),)
+    if invalid := _gate("prop_shift_necessity", inputs, gates):
+        return invalid
     alpha = cert.nu / 2.0
     log_alpha = math.log(alpha)
     witness, clamp_count = _clamped_log_witness(
@@ -438,7 +396,7 @@ def prop_shift_necessity(
         "prop_shift_necessity",
         inputs,
         derived,
-        (gate, report),
+        (*gates, report),
         constants={"alpha": alpha},
         notes=notes,
     )
@@ -468,14 +426,9 @@ def prop_shift_sufficiency(
     _require_decay(f)
     inputs = (("M_alpha", m_alpha), ("f", f))
     shifted = shift_cocycle(xi, alpha)
-    gate_m = check_integral_instability(shifted, m_alpha, grid, tol, quad_cfg)
-    gate_f = check_decay(xi, f, grid, tol)
-    if not (gate_m.passed and gate_f.passed):
-        return _invalid(
-            "prop_shift_sufficiency", inputs, (gate_m, gate_f),
-            "an input certificate fails its own check on this grid",
-            constants={"alpha": alpha},
-        )
+    gates = (check_integral_instability(shifted, m_alpha, grid, tol, quad_cfg), check_decay(xi, f, grid, tol))
+    if invalid := _gate("prop_shift_sufficiency", inputs, gates, {"alpha": alpha}):
+        return invalid
     k_val = integrate_kernel(f.value, alpha, 1.0, quad_cfg, breakpoints=f.breakpoints())
     log_k = math.log(k_val)
     floor = math.log1p(headroom)
@@ -483,7 +436,11 @@ def prop_shift_sufficiency(
     derived_cert = ExpInstabilityCertificate(
         TabulatedWitness.from_log_values(grid.times, logs), nu=alpha, grid_hash=grid.grid_hash
     )
-    diag_report = _check_exp_diagonal(xi, derived_cert, grid, tol)
+    k, i = _pairs(len(grid.times))
+    diag = (k, k, i)
+    diag_report = _sample(
+        "exp-instability-diagonal", xi, grid, tol, None, diag, _exp_margin(derived_cert, grid, diag)
+    )
     full_report = check_exp_instability(xi, derived_cert, grid, tol)
     notes = [f"full two-time check (context): {full_report.verdict}"]
     if not decay_limit_witnessed(f):
@@ -498,7 +455,7 @@ def prop_shift_sufficiency(
         "prop_shift_sufficiency",
         inputs,
         derived,
-        (gate_m, gate_f, diag_report),
+        (*gates, diag_report),
         aux_reports=(full_report,),
         constants={"alpha": alpha, "K": k_val},
         notes=notes,
@@ -519,11 +476,9 @@ def thm1_necessity(
     """
     _require(cert, ExpInstabilityCertificate, "cert")
     inputs = (("exp_instability", cert),)
-    gate = check_exp_instability(xi, cert, grid, tol)
-    if not gate.passed:
-        return _invalid(
-            "thm1_necessity", inputs, (gate,), "input certificate fails its own check on this grid"
-        )
+    gates = (check_exp_instability(xi, cert, grid, tol),)
+    if invalid := _gate("thm1_necessity", inputs, gates):
+        return invalid
     log_nu = math.log(cert.nu)
     witness, clamp_count = _clamped_log_witness(
         [cert.N.log_value(t) - log_nu for t in grid.times], grid.times
@@ -543,7 +498,7 @@ def thm1_necessity(
         "thm1_necessity",
         inputs,
         derived,
-        (gate, int_report, inst_report),
+        (*gates, int_report, inst_report),
         constants={"nu": cert.nu},
         notes=notes,
     )
@@ -567,19 +522,17 @@ def thm1_sufficiency(
     _require(n_cert, InstabilityCertificate, "N")
     _require(m_cert, IntegralInstabilityCertificate, "M")
     inputs = (("N", n_cert), ("M", m_cert))
-    gate_n = check_instability(xi, n_cert, grid, tol)
-    gate_m = check_integral_instability(xi, m_cert, grid, tol, quad_cfg)
-    if not (gate_n.passed and gate_m.passed):
-        return _invalid(
-            "thm1_sufficiency", inputs, (gate_n, gate_m),
-            "an input certificate fails its own check on this grid",
-        )
+    gates = (check_instability(xi, n_cert, grid, tol), check_integral_instability(xi, m_cert, grid, tol, quad_cfg))
+    if invalid := _gate("thm1_sufficiency", inputs, gates):
+        return invalid
     f_hat = estimate_decay(xi, grid)
     decay_report = check_decay(xi, f_hat, grid, tol)
     mtilde_logs = np.array([m_cert.M.log_value(t) - f_hat.log_value(t) for t in grid.times])
     mtilde = TabulatedWitness.from_log_values(grid.times, mtilde_logs)
     growth_report = _check_linear_growth(xi, mtilde_logs, grid, tol)
-    aux_item, aux_reports, aux_note, _ = _exp_estimate_aux(xi, grid, tol)
+    aux_item, aux_reports, aux_note = _exp_estimate_aux(
+        xi, grid, tol, "thm1_sufficiency.exp_instability_estimate"
+    )
     derived = (
         DerivedItem("decay", FORMULAS["thm1_sufficiency.decay"], f_hat),
         DerivedItem("linear_growth", FORMULAS["thm1_sufficiency.linear_growth"], mtilde),
@@ -589,7 +542,7 @@ def thm1_sufficiency(
         "thm1_sufficiency",
         inputs,
         derived,
-        (gate_n, gate_m, decay_report, growth_report),
+        (*gates, decay_report, growth_report),
         aux_reports=aux_reports,
         notes=("skipped_samples: 0", aux_note),
     )
@@ -623,13 +576,9 @@ def thm2_validate(
             "thm2_validate", inputs, (),
             "decay witness table never decreases; vanishing limit not evidenced",
         )
-    gate_f = check_decay(xi, f, grid, tol)
-    gate_m = check_integral_instability(xi, m_cert, grid, tol, quad_cfg)
-    if not (gate_f.passed and gate_m.passed):
-        return _invalid(
-            "thm2_validate", inputs, (gate_f, gate_m),
-            "an input certificate fails its own check on this grid",
-        )
+    gates = (check_decay(xi, f, grid, tol), check_integral_instability(xi, m_cert, grid, tol, quad_cfg))
+    if invalid := _gate("thm2_validate", inputs, gates):
+        return invalid
     lam = None
     for t in grid.times:
         if t > 1.0 and float(t).is_integer() and f.log_value(t) < 0.0:
@@ -645,7 +594,7 @@ def thm2_validate(
             theorem="thm2_validate",
             inputs=inputs,
             derived=(),
-            reports=(gate_f, gate_m),
+            reports=gates,
             verdict="no-certificate",
             notes=(missing,),
         )
@@ -660,9 +609,8 @@ def thm2_validate(
     chain_report = _check_integral_chain(xi, m_cert, math.log(k1), grid, tol)
     inst_report = check_instability(xi, derived_n, grid, tol)
     growth_report = _check_linear_growth(xi, mtilde_logs, grid, tol)
-    aux_item, aux_reports, aux_note, _ = _exp_estimate_aux(xi, grid, tol)
-    aux_item = DerivedItem(
-        aux_item.name, FORMULAS["thm2_validate.exp_instability_estimate"], aux_item.certificate
+    aux_item, aux_reports, aux_note = _exp_estimate_aux(
+        xi, grid, tol, "thm2_validate.exp_instability_estimate"
     )
     derived = (
         DerivedItem("lambda", FORMULAS["thm2_validate.lambda"], value=lam),
@@ -674,7 +622,7 @@ def thm2_validate(
         "thm2_validate",
         inputs,
         derived,
-        (gate_f, gate_m, window_report, chain_report, inst_report, growth_report),
+        (*gates, window_report, chain_report, inst_report, growth_report),
         aux_reports=aux_reports,
         constants={"lambda": lam, "f_lambda": math.exp(log_f_lam), "K1": k1},
         notes=(aux_note,),

@@ -91,6 +91,25 @@ def test_scenario_defaults():
     assert xi.descriptor["kind"] == "sin_scalar"
 
 
+@pytest.mark.parametrize("out_dir", [5, ["a"], {"x": 1}, False, True, 0.0])
+def test_non_string_out_dir_exits_2(tmp_path, capsys, monkeypatch, out_dir):
+    # never coerced to a directory name such as "5", nor to "."
+    monkeypatch.chdir(tmp_path)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"model": {"kind": "sin_scalar"}, "grid": {"times": SMALL_TIMES},
+                                    "out_dir": out_dir}))
+    assert main(["laws", "--scenario", str(scenario)]) == 2
+    assert "out_dir must be a string or null" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["s.json"]
+
+
+@pytest.mark.parametrize("doc", [{}, {"out_dir": None}, {"out_dir": ""}])
+def test_absent_or_null_out_dir_means_current_directory(doc):
+    sc, _ = parse_scenario({"model": {"kind": "sin_scalar"}, **doc})
+    assert sc.out_dir == "."
+    assert parse_scenario({"model": {"kind": "sin_scalar"}, **doc}, "elsewhere")[0].out_dir == "elsewhere"
+
+
 def test_scenario_gamma_shifts_model():
     sc, xi = parse_scenario({"model": {"kind": "sin_scalar"}, "gamma": 1.0})
     assert xi.descriptor["kind"] == "shifted"
@@ -538,6 +557,24 @@ def test_report_m_hat_column(tmp_path, pexp3_scenario):
 def test_report_without_inputs_exits_2(tmp_path, sin_scenario):
     assert main(["report", "--scenario", str(sin_scenario),
                  "--out-dir", str(tmp_path / "out")]) == 2
+
+
+def test_report_rejects_two_certificates_of_one_property(tmp_path, sin_scenario, capsys):
+    # two certificates of one property would mix their margins.csv rows
+    # and share one witness_tables.csv column
+    out = tmp_path / "out"
+    n_cert = estimate_into(sin_scenario, out, "instability")
+    e_cert = estimate_into(sin_scenario, out, "exp-instability")
+    before = sorted(os.listdir(out))
+    capsys.readouterr()
+    code = main(["report", "--scenario", str(sin_scenario), "--out-dir", str(out),
+                 "--cert", str(n_cert), "--cert", str(e_cert), "--cert", str(n_cert)])
+    assert code == 2
+    assert "duplicate instability certificate input" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == before
+    # instability and exp-instability are different properties
+    assert main(["report", "--scenario", str(sin_scenario), "--out-dir", str(out),
+                 "--cert", str(n_cert), "--cert", str(e_cert)]) == 0
 
 
 def test_report_writes_no_margins_when_a_later_check_fails(tmp_path, sin_scenario, capsys):

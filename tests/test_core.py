@@ -26,7 +26,7 @@ from cocycle_lab import (
     shift_cocycle,
 )
 from cocycle_lab.core import (
-    _ReportBuilder,
+    _report,
     base_discrepancy,
     eval_semiflow,
     format_vector,
@@ -444,10 +444,8 @@ def test_laws_need_nonempty_grid(sin_model):
 
 
 def test_report_builder_flags_nan_and_negative():
-    b = _ReportBuilder("demo", 1e-9)
-    b.add_array(np.array([1.0, 2.0, 3.0]), np.zeros(3), np.zeros(3), "x", "[1]",
-                np.array([0.5, -1.0, math.nan]))
-    report = b.finish()
+    report = _report("demo", 1e-9, None, (np.array([1.0, 2.0, 3.0]), np.zeros(3), np.zeros(3)),
+                     [("x", "[1]", np.array([0.5, -1.0, math.nan]))])
     assert report.samples_checked == 3
     assert report.worst_margin == -1.0
     assert len(report.counterexamples) == 2
@@ -455,18 +453,16 @@ def test_report_builder_flags_nan_and_negative():
 
 
 def test_report_builder_array_path_matches_scalar_path():
-    # one batch must report exactly what one call per sample reports
-    scalar = _ReportBuilder("demo", 0.0)
-    batched = _ReportBuilder("demo", 0.0)
+    # one batch must report exactly what a scan of one sample at a time reports
     ts = np.array([1.0, 2.0, 3.0])
     margins = np.array([0.25, -0.5, math.inf])
-    for i in range(3):
-        scalar.add_array(ts[i:i + 1], np.zeros(1), np.zeros(1), "x", "[1]", margins[i:i + 1])
-    batched.add_array(ts, np.zeros(3), np.zeros(3), "x", "[1]", margins.copy())
-    a, b = scalar.finish(), batched.finish()
-    assert a.worst_margin == b.worst_margin
-    assert a.counterexamples == b.counterexamples
-    assert a.samples_checked == b.samples_checked
+    report = _report("demo", 0.0, None, (ts, np.zeros(3), np.zeros(3)), [("x", "[1]", margins.copy())])
+    scanned = [
+        Counterexample(t, 0.0, 0.0, "x", "[1]", m) for t, m in zip(ts.tolist(), margins.tolist()) if m < 0.0
+    ]
+    assert report.worst_margin == min(margins.tolist())
+    assert report.counterexamples == tuple(scanned)
+    assert report.samples_checked == 3
 
 
 def test_report_json_shape():

@@ -1,13 +1,16 @@
 """Constructive validators: derivations, gates, verdicts, serialization."""
 
 import dataclasses
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cocycle_lab import (
     CheckReport,
+    Counterexample,
     ExpInstabilityCertificate,
     ExpWitness,
     FORMULAS,
@@ -27,13 +30,22 @@ from cocycle_lab import (
     prop_shift_sufficiency,
     pure_exponential_model,
     remark_obs2,
+    shift_cocycle,
+    sin_scalar_model,
     thm1_necessity,
     thm1_sufficiency,
     thm2_validate,
 )
-from cocycle_lab.theorems import _finish
+from cocycle_lab.certificates import check_exp_instability
+from cocycle_lab.core import log_cocycle_norm, norm
+from cocycle_lab.theorems import (
+    _check_integral_chain,
+    _check_linear_growth,
+    _check_window_bound,
+    _finish,
+)
 
-from conftest import grid_for
+from conftest import grid_for, row_sink
 
 UNIT_F = ParametricDecay(1.0, 1.0)  # f(t) = e^{-t}
 UNIT_M = IntegralInstabilityCertificate(M=ExpWitness(1.0, 0.0))
@@ -292,3 +304,95 @@ def test_theorem_run_passed_property():
     run = TheoremRun(theorem="remark_obs2", inputs=(), derived=(), reports=(),
                      verdict="no-certificate")
     assert not run.passed
+
+
+# ---------------------------------------------------------------------------
+# The validators' own samplers against the scalar reference path
+# ---------------------------------------------------------------------------
+
+SAMPLER_GRIDS = {
+    "diag_integral": (lambda: diag_integral_model([1.0, -1.0]), [0.0, 0.5, 1.0, 1.75, 2.5, 3.0]),
+    "sin_scalar": (sin_scalar_model, [0.25 * k for k in range(13)]),
+}
+
+
+def _reference_worst(xi, grid, keep, margin):
+    """(count, min) of margin(L, log ||v||, k, j, i) over the grid triples that keep(k, j, i) selects.
+
+    L(a, b) is the scalar log_cocycle_norm of Phi(t_a, t_b, x) v."""
+    times = grid.times
+    n, count, worst = len(times), 0, math.inf
+    for x in grid.base_points:
+        for v in grid.vectors:
+            log_v = math.log(norm(v, xi.norm_choice))
+
+            def L(a, b):
+                return log_cocycle_norm(xi, times[a], times[b], x, v)
+
+            for k, j, i in itertools.product(range(n), repeat=3):
+                if k <= j <= i and keep(k, j, i):
+                    count += 1
+                    worst = min(worst, margin(L, log_v, k, j, i))
+    return count, worst
+
+
+def _shift_sufficiency_run(xi, grid, alpha=0.5):
+    m_alpha = estimate_integral_instability(shift_cocycle(xi, alpha), grid)
+    run = prop_shift_sufficiency(alpha, m_alpha, estimate_decay(xi, grid), xi, grid)
+    assert run.verdict != "input-invalid"
+    diagonal = next(r for r in run.reports if r.check == "exp-instability-diagonal")
+    return diagonal, run.derived[1].certificate
+
+
+@pytest.mark.parametrize("model", sorted(SAMPLER_GRIDS))
+def test_theorem_samplers_match_scalar_reference(model):
+    make, times = SAMPLER_GRIDS[model]
+    xi = make()
+    g = grid_for(xi, times)
+    log_f_lam, log_k1 = -0.75, math.log(0.6)
+    m_cert = IntegralInstabilityCertificate(M=ExpWitness(1.5, 0.25))
+    log_m = [m_cert.M.log_value(t) for t in times]
+    mtilde = np.array([0.5 + 0.1 * t for t in times])
+    diagonal, exp_cert = _shift_sufficiency_run(xi, g)
+    log_n = [exp_cert.N.log_value(t) for t in times]
+    cases = [
+        (_check_window_bound(xi, log_f_lam, g, 0.0),
+         lambda k, j, i: times[i] < times[j] + 1.0,
+         lambda L, log_v, k, j, i: (L(i, k) - L(j, k)) - log_f_lam),
+        (_check_linear_growth(xi, mtilde, g, 0.0),
+         lambda k, j, i: j == k,
+         lambda L, log_v, k, j, i: math.inf if i == k else (
+             mtilde[i] + (L(i, k) - log_v) - math.log(times[i] - times[k]))),
+        (_check_integral_chain(xi, m_cert, log_k1, g, 0.0),
+         lambda k, j, i: j == k and times[i] >= times[k] + 1.0,
+         lambda L, log_v, k, j, i: log_m[i] + (L(i, k) - log_v) - log_k1),
+        (diagonal,
+         lambda k, j, i: j == k,
+         lambda L, log_v, k, j, i: log_n[i] - (exp_cert.nu * (times[i] - times[k]) + (L(k, k) - L(i, k)))),
+    ]
+    for report, keep, margin in cases:
+        count, worst = _reference_worst(xi, g, keep, margin)
+        assert report.samples_checked == count, report.check
+        assert report.worst_margin == pytest.approx(worst, rel=1e-12, abs=1e-12), report.check
+
+
+@pytest.mark.parametrize("model", sorted(SAMPLER_GRIDS))
+def test_diagonal_report_is_the_s_equals_t0_rows_of_the_exp_check(model):
+    make, times = SAMPLER_GRIDS[model]
+    xi = make()
+    g = grid_for(xi, times)
+    diagonal, exp_cert = _shift_sufficiency_run(xi, g)
+    rows = []
+    check_exp_instability(xi, exp_cert, g, diagonal.tol, row_sink(rows))
+    rows = [r for r in rows if r[1] == r[2]]
+    assert diagonal.samples_checked == len(rows)
+    assert diagonal.worst_margin == min(r[5] for r in rows)
+    failing = [Counterexample(*r) for r in rows if r[5] < -diagonal.tol or math.isnan(r[5])]
+    assert diagonal.counterexamples == tuple(sorted(failing, key=Counterexample.sort_key))
+
+
+def test_derived_decay_table_serializes_as_certificate(pexp3, exp_cert, short_times_module):
+    run = remark_obs2(exp_cert, pexp3, grid_for(pexp3, short_times_module))
+    payload = next(d for d in run.to_json_dict()["derived"] if d["name"] == "decay")["certificate"]
+    assert payload["kind"] == "decay" and payload["form"] == "tabulated"
+    assert "grid_hash" in payload
