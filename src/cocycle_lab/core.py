@@ -56,15 +56,28 @@ class NormChoice(Enum):
 # ---------------------------------------------------------------------------
 
 
+def _first_bad_coordinate(coord) -> float | None:
+    """The first entry of ``coord`` that is not finite and >= 0, or None."""
+    arr = np.asarray(coord, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr >= 0.0))
+    return arr.flat[np.argmax(bad)].item() if bad.any() else None
+
+
 @dataclass(frozen=True)
 class Trivial:
-    """Base point for scalar models: a nonnegative time-like coordinate."""
+    """Base point for scalar models: a nonnegative time-like coordinate.
 
-    value: float = 0.0
+    ``value`` may be a numpy array: then the point stands for one base
+    point per entry, and a model's ``semiflow`` and ``log_factors``
+    broadcast it together with (t, s).
+    """
+
+    value: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise DomainError(f"Trivial base point needs a finite value >= 0, got {self.value}")
+        bad = _first_bad_coordinate(self.value)
+        if bad is not None:
+            raise DomainError(f"Trivial base point needs a finite value >= 0, got {bad}")
 
     def label(self) -> str:
         return f"trivial({self.value:.17g})"
@@ -78,17 +91,19 @@ class ShiftedGenerator:
     """The n-th generator function shifted left by sigma.
 
     Represents u -> x_n(u + sigma) where (x_n) is the fixed decreasing
-    family implemented in :mod:`cocycle_lab.models`.
+    family implemented in :mod:`cocycle_lab.models`.  ``sigma`` may be a
+    numpy array, one shift per entry, like ``Trivial.value``.
     """
 
     n: int
-    sigma: float = 0.0
+    sigma: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n, int) and self.n >= 1):
             raise DomainError(f"generator index must be an integer >= 1, got {self.n!r}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise DomainError(f"generator shift must be finite and >= 0, got {self.sigma}")
+        bad = _first_bad_coordinate(self.sigma)
+        if bad is not None:
+            raise DomainError(f"generator shift must be finite and >= 0, got {bad}")
 
     def label(self) -> str:
         return f"x{self.n}^{self.sigma:.17g}"
@@ -100,13 +115,15 @@ class ShiftedGenerator:
 BasePoint = Trivial | ShiftedGenerator
 
 
-def base_discrepancy(a: BasePoint, b: BasePoint) -> float:
-    """Coordinate discrepancy between base points (inf across variants)."""
+def base_discrepancy(a: BasePoint, b: BasePoint) -> float | np.ndarray:
+    """Coordinate discrepancy between base points (inf across variants).
+
+    Array coordinates broadcast, and give an array of discrepancies; a
+    mismatch of variant or generator index gives the scalar inf.
+    """
     if isinstance(a, Trivial) and isinstance(b, Trivial):
         return abs(a.value - b.value)
-    if isinstance(a, ShiftedGenerator) and isinstance(b, ShiftedGenerator):
-        if a.n != b.n:
-            return math.inf
+    if isinstance(a, ShiftedGenerator) and isinstance(b, ShiftedGenerator) and a.n == b.n:
         return abs(a.sigma - b.sigma)
     return math.inf
 
@@ -129,7 +146,10 @@ def norm(v: Sequence[float] | np.ndarray, choice: NormChoice = NormChoice.SUM_AB
 # The pair (semiflow, cocycle)
 # ---------------------------------------------------------------------------
 
-SemiflowFn = Callable[[float, float, BasePoint], BasePoint]
+# semiflow(t, s, x) is phi(t, s, x).  Times and the coordinate of x may be
+# arrays; they broadcast together, and the result is one base point whose
+# coordinate has their broadcast shape.
+SemiflowFn = Callable[[float | np.ndarray, float | np.ndarray, BasePoint], BasePoint]
 LogFactorsFn = Callable[[float | np.ndarray, float | np.ndarray, BasePoint], np.ndarray]
 
 
@@ -140,11 +160,12 @@ class SkewEvolutionSemiflow:
     A model is ``semiflow`` plus ``log_factors``.  ``log_factors(t, s, x)``
     returns the per-component log gains lf of the diagonal cocycle,
     Phi(t, s, x) v = v * exp(lf(t, s, x)), so norms are evaluated in
-    log-space without overflow.  It accepts arrays of times: components
-    go on the first axis, so the result has shape
-    ``(dimension,) + np.broadcast(t, s).shape`` and a scalar call returns
-    shape ``(dimension,)``.  Every law check, estimator, checker and
-    validator reads the cocycle through it.  The cocycle laws ask for
+    log-space without overflow.  Both functions accept arrays: t, s and
+    the coordinate of x (``Trivial.value`` or ``ShiftedGenerator.sigma``)
+    broadcast together.  ``log_factors`` puts the components on the first
+    axis, so its result has shape ``(dimension,)`` plus the broadcast
+    shape, and a scalar call returns shape ``(dimension,)``.  Every law
+    check, estimator, checker and validator reads the cocycle through it.  The cocycle laws ask for
     lf(t, t, x) = 0 and lf(t, s, phi(s, t0, x)) + lf(s, t0, x) = lf(t, t0, x);
     ``check_cocycle_laws`` measures both in log space, as the relative
     residual ||w * expm1(gap)|| / ||w|| with weights w = |v| exp(lf(t, t0, x)).
@@ -494,7 +515,9 @@ def _law_samples(times: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.nda
     """(t, s, t0) of every law sample of one (base, vector), in sink order.
 
     The identity samples (t, t, t) come first, then the composition
-    triples in the grid's sample order.
+    triples in the grid's sample order.  The checkers make one pass per
+    base time t_k over the pairs ``np.triu_indices(n - k)`` of its tail
+    t_k <= t_j <= t_i, which run through the triples in the same order.
     """
     T = np.asarray(times, dtype=float)
     k, j, i = _triples(len(T))
@@ -513,22 +536,24 @@ def check_semiflow_laws(
     reports worst_margin 0 and any violation shows up as margin < -tol.
     """
     grid.require_nonempty()
-    times = grid.times
-    triples = list(zip(*(c.tolist() for c in _triples(len(times)))))
+    T = np.asarray(grid.times, dtype=float)
+
+    def margin(a: BasePoint, b: BasePoint, shape) -> np.ndarray:
+        # A scalar inf (variant or index mismatch) stands for every sample.
+        return np.broadcast_to(-base_discrepancy(a, b), shape)
 
     def margins(x: BasePoint) -> np.ndarray:
-        identity = [-base_discrepancy(eval_semiflow(xi, t, t, x), x) for t in times]
-        # flown[k][i - k] is phi(t_i, t_k, x); it doubles as the direct
-        # route for every split point between t_k and t_i.
-        flown = [[eval_semiflow(xi, s, t0, x) for s in times[k:]] for k, t0 in enumerate(times)]
-        composition = [
-            -base_discrepancy(eval_semiflow(xi, times[i], times[j], flown[k][j - k]), flown[k][i - k])
-            for k, j, i in triples
-        ]
-        return np.array(identity + composition)
+        pieces = [margin(xi.semiflow(T, T, x), x, T.shape)]
+        for k in range(len(T)):
+            j, i = np.triu_indices(len(T) - k)
+            tail = T[k:]
+            # phi(t_i, t_j, phi(t_j, t_k, x)) against phi(t_i, t_k, x)
+            through = xi.semiflow(tail[i], tail[j], xi.semiflow(tail[j], T[k], x))
+            pieces.append(margin(through, xi.semiflow(tail[i], T[k], x), i.shape))
+        return np.concatenate(pieces)
 
     rows = ((x.label(), "-", margins(x)) for x in grid.base_points)
-    return _report("semiflow-laws", tol, margin_sink, _law_samples(times), rows)
+    return _report("semiflow-laws", tol, margin_sink, _law_samples(T), rows)
 
 
 def check_cocycle_laws(
@@ -554,10 +579,7 @@ def check_cocycle_laws(
     for v in grid.vectors:
         if len(v) != xi.dimension:
             raise DomainError(f"vector has shape ({len(v)},), model dimension is {xi.dimension}")
-    times = grid.times
-    T = np.asarray(times, dtype=float)
-    # The composition samples, one (t0 = t_k, s = t_j) block over t_i >= t_j at a time.
-    blocks = list(zip(*(c.tolist() for c in _pairs(len(times)))))
+    T = np.asarray(grid.times, dtype=float)
     with np.errstate(divide="ignore"):
         # log |v| per (vector, component); zero components drop out of every norm
         log_v = np.log(np.abs(np.asarray(grid.vectors, dtype=float)))[:, :, None]
@@ -566,22 +588,23 @@ def check_cocycle_laws(
         # A vanished component leaves the relative residual undefined.
         return _log_factors(xi, t, s, x, vanished_ok=False)
 
-    def residual(gap: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    def residual(gap: np.ndarray, log_w: np.ndarray, cols) -> np.ndarray:
+        """-||w * expm1(gap)|| / ||w||, with the weights w = exp(log_w[:, :, cols])."""
         # A roundoff gap of a huge log factor overflows expm1 to inf: that
         # residual is the margin -inf, and numpy need not warn about it.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_err = _log_norm(log_w + np.log(np.abs(np.expm1(gap))), xi.norm_choice)
-            return -np.exp(log_err - _log_norm(log_w, xi.norm_choice))
+            log_err = _log_norm(log_w[:, :, cols] + np.log(np.abs(np.expm1(gap))), xi.norm_choice)
+            return -np.exp(log_err - _log_norm(log_w, xi.norm_choice)[:, cols])
 
     def margins(x: BasePoint) -> np.ndarray:
-        pieces = [residual(lf(T, T, x), log_v)]
-        # direct[k][:, i - k] is lf(t_i, t_k, x): the partial leg when t_i
-        # plays the split point and the direct route otherwise.
-        direct = [lf(T[k:], t0, x) for k, t0 in enumerate(times)]
-        for k, j in blocks:
-            d = direct[k][:, j - k :]
-            through = lf(T[j:], times[j], eval_semiflow(xi, times[j], times[k], x))
-            pieces.append(residual(through + d[:, :1] - d, log_v + d))
+        # The identity samples all weigh by |v| alone.
+        pieces = [residual(lf(T, T, x), log_v, slice(None))]
+        for k in range(len(T)):
+            j, i = np.triu_indices(len(T) - k)
+            tail = T[k:]
+            direct = lf(tail, T[k], x)  # lf(t_i, t_k, x) at column i - k
+            through = lf(tail[i], tail[j], xi.semiflow(tail[j], T[k], x))
+            pieces.append(residual(through + direct[:, j] - direct[:, i], log_v + direct, i))
         return np.concatenate(pieces, axis=1)
 
     rows = (
@@ -589,7 +612,7 @@ def check_cocycle_laws(
         for x in grid.base_points
         for vlabel, row in zip(grid.vector_labels(), margins(x))
     )
-    return _report("cocycle-laws", tol, margin_sink, _law_samples(times), rows)
+    return _report("cocycle-laws", tol, margin_sink, _law_samples(T), rows)
 
 
 # ---------------------------------------------------------------------------
