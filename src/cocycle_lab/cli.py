@@ -336,9 +336,16 @@ def load_scenario(path: str, out_dir_override: str | None = None) -> tuple[Scena
 # ---------------------------------------------------------------------------
 
 
-def _write_json(path: str, doc: dict) -> None:
+def _create(sc: Scenario, name: str):
+    """Open the output file ``name`` for writing, making the output directory
+    first: a command that fails before its first write leaves no directory."""
+    os.makedirs(sc.out_dir, exist_ok=True)
+    return open(os.path.join(sc.out_dir, name), "w", encoding="utf-8", newline="")
+
+
+def _write_json(sc: Scenario, name: str, doc: dict) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(sc, name) as fh:
         fh.write(text)
 
 
@@ -471,13 +478,13 @@ def cmd_laws(sc: Scenario, xi) -> int:
         "semiflow": semiflow_report.to_json_dict(),
         "cocycle": cocycle_report.to_json_dict(),
     }
-    _write_json(os.path.join(sc.out_dir, "laws_report.json"), doc)
+    _write_json(sc, "laws_report.json", doc)
     return 0 if semiflow_report.passed and cocycle_report.passed else 1
 
 
 def cmd_estimate(sc: Scenario, xi, prop: str) -> int:
     cert = PROPERTIES[prop].estimate(sc, xi)
-    _write_json(os.path.join(sc.out_dir, f"cert_{prop}.json"), certificate_to_json_dict(cert))
+    _write_json(sc, f"cert_{prop}.json", certificate_to_json_dict(cert))
     return 1 if isinstance(cert, NoCertificate) else 0
 
 
@@ -495,7 +502,7 @@ def cmd_check(sc: Scenario, xi, prop: str, cert_path: str) -> int:
         "tool_version": __version__,
         "report": report.to_json_dict(),
     }
-    _write_json(os.path.join(sc.out_dir, f"check_{prop}.json"), doc)
+    _write_json(sc, f"check_{prop}.json", doc)
     return 0 if report.passed else 1
 
 
@@ -513,7 +520,7 @@ def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int
     doc = run.to_json_dict()
     doc["tool_version"] = __version__
     doc["scenario_grid_hash"] = sc.grid.grid_hash
-    _write_json(os.path.join(sc.out_dir, f"theorem_{theorem_id}.json"), doc)
+    _write_json(sc, f"theorem_{theorem_id}.json", doc)
     return 0 if run.verdict == "pass" else 1
 
 
@@ -532,8 +539,7 @@ def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
     # leaves no partial file behind.
     all_batches = _run_parallel([lambda item=item: margins_for(item) for item in loaded.items()])
 
-    margins_path = os.path.join(sc.out_dir, "margins.csv")
-    with open(margins_path, "w", encoding="utf-8", newline="") as fh:
+    with _create(sc, "margins.csv") as fh:
         csv.writer(fh).writerow(["property", "t", "s", "t0", "base", "vector", "margin"])
         for prop, batches in zip(loaded, all_batches):
             for batch in batches:
@@ -546,8 +552,7 @@ def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
             if entry.overrides or name not in columns:
                 columns[name] = column
     header = ["t"] + [name for name in ("f_hat", "N_hat", "M_hat", "nu") if name in columns]
-    tables_path = os.path.join(sc.out_dir, "witness_tables.csv")
-    with open(tables_path, "w", encoding="utf-8", newline="") as fh:
+    with _create(sc, "witness_tables.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for t in sc.grid.times:
@@ -600,7 +605,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         sc, xi = load_scenario(args.scenario, args.out_dir)
-        os.makedirs(sc.out_dir, exist_ok=True)
         if args.command == "laws":
             return cmd_laws(sc, xi)
         if args.command == "estimate":

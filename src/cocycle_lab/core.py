@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -56,34 +56,18 @@ class NormChoice(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _first_bad_coordinate(coord) -> float | None:
-    """The first entry of ``coord`` that is not finite and >= 0, or None."""
-    arr = np.asarray(coord, dtype=float)
-    bad = ~(np.isfinite(arr) & (arr >= 0.0))
-    return arr.flat[np.argmax(bad)].item() if bad.any() else None
-
-
 @dataclass(frozen=True)
 class Trivial:
-    """Base point for scalar models: a nonnegative time-like coordinate.
-
-    ``value`` may be a numpy array: then the point stands for one base
-    point per entry, and a model's ``semiflow`` and ``log_factors``
-    broadcast it together with (t, s).
-    """
+    """Base point for scalar models: a nonnegative time-like coordinate, or an array of them."""
 
     value: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        bad = _first_bad_coordinate(self.value)
-        if bad is not None:
-            raise DomainError(f"Trivial base point needs a finite value >= 0, got {bad}")
+        if not np.all(np.isfinite(self.value) & (np.asarray(self.value) >= 0.0)):
+            raise DomainError(f"Trivial base point needs a finite value >= 0, got {self.value}")
 
     def label(self) -> str:
         return f"trivial({self.value:.17g})"
-
-    def sort_key(self) -> tuple:
-        return (0, self.value, 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,8 +75,8 @@ class ShiftedGenerator:
     """The n-th generator function shifted left by sigma.
 
     Represents u -> x_n(u + sigma) where (x_n) is the fixed decreasing
-    family implemented in :mod:`cocycle_lab.models`.  ``sigma`` may be a
-    numpy array, one shift per entry, like ``Trivial.value``.
+    family implemented in :mod:`cocycle_lab.models`.  ``sigma`` may be
+    an array, like ``Trivial.value``.
     """
 
     n: int
@@ -101,26 +85,19 @@ class ShiftedGenerator:
     def __post_init__(self) -> None:
         if not (isinstance(self.n, int) and self.n >= 1):
             raise DomainError(f"generator index must be an integer >= 1, got {self.n!r}")
-        bad = _first_bad_coordinate(self.sigma)
-        if bad is not None:
-            raise DomainError(f"generator shift must be finite and >= 0, got {bad}")
+        if not np.all(np.isfinite(self.sigma) & (np.asarray(self.sigma) >= 0.0)):
+            raise DomainError(f"generator shift must be finite and >= 0, got {self.sigma}")
 
     def label(self) -> str:
         return f"x{self.n}^{self.sigma:.17g}"
-
-    def sort_key(self) -> tuple:
-        return (1, float(self.n), self.sigma)
 
 
 BasePoint = Trivial | ShiftedGenerator
 
 
 def base_discrepancy(a: BasePoint, b: BasePoint) -> float | np.ndarray:
-    """Coordinate discrepancy between base points (inf across variants).
-
-    Array coordinates broadcast, and give an array of discrepancies; a
-    mismatch of variant or generator index gives the scalar inf.
-    """
+    """Coordinate discrepancy between base points (inf across variants);
+    array coordinates broadcast."""
     if isinstance(a, Trivial) and isinstance(b, Trivial):
         return abs(a.value - b.value)
     if isinstance(a, ShiftedGenerator) and isinstance(b, ShiftedGenerator) and a.n == b.n:
@@ -146,9 +123,6 @@ def norm(v: Sequence[float] | np.ndarray, choice: NormChoice = NormChoice.SUM_AB
 # The pair (semiflow, cocycle)
 # ---------------------------------------------------------------------------
 
-# semiflow(t, s, x) is phi(t, s, x).  Times and the coordinate of x may be
-# arrays; they broadcast together, and the result is one base point whose
-# coordinate has their broadcast shape.
 SemiflowFn = Callable[[float | np.ndarray, float | np.ndarray, BasePoint], BasePoint]
 LogFactorsFn = Callable[[float | np.ndarray, float | np.ndarray, BasePoint], np.ndarray]
 
@@ -162,13 +136,14 @@ class SkewEvolutionSemiflow:
     Phi(t, s, x) v = v * exp(lf(t, s, x)), so norms are evaluated in
     log-space without overflow.  Both functions accept arrays: t, s and
     the coordinate of x (``Trivial.value`` or ``ShiftedGenerator.sigma``)
-    broadcast together.  ``log_factors`` puts the components on the first
-    axis, so its result has shape ``(dimension,)`` plus the broadcast
-    shape, and a scalar call returns shape ``(dimension,)``.  Every law
-    check, estimator, checker and validator reads the cocycle through it.  The cocycle laws ask for
+    broadcast together, so ``semiflow`` returns one base point with an
+    array coordinate and ``log_factors`` has shape ``(dimension,)`` plus
+    the broadcast shape.  Every law check, estimator, checker and
+    validator reads the cocycle through it.  The cocycle laws ask for
     lf(t, t, x) = 0 and lf(t, s, phi(s, t0, x)) + lf(s, t0, x) = lf(t, t0, x);
     ``check_cocycle_laws`` measures both in log space, as the relative
-    residual ||w * expm1(gap)|| / ||w|| with weights w = |v| exp(lf(t, t0, x)).
+    residual ||w * expm1(gap)|| / ||w|| with weights w = |v| exp(lf(t, t0, x)),
+    net of a roundoff allowance on each gap.
     ``strongly_measurable`` gates the integral-instability operations.
     ``descriptor`` records how the model was built, for reports.
     """
@@ -305,18 +280,11 @@ def shift_cocycle(xi: SkewEvolutionSemiflow, gamma: float) -> SkewEvolutionSemif
     if not math.isfinite(gamma):
         raise PreconditionError(f"shift parameter must be finite, got {gamma}")
 
-    base_log = xi.log_factors
-
     def shifted_log(t, s, x: BasePoint) -> np.ndarray:
-        return np.asarray(base_log(t, s, x), dtype=float) - gamma * (t - s)
+        return np.asarray(xi.log_factors(t, s, x), dtype=float) - gamma * (t - s)
 
-    return SkewEvolutionSemiflow(
-        semiflow=xi.semiflow,
-        dimension=xi.dimension,
-        norm_choice=xi.norm_choice,
-        strongly_measurable=xi.strongly_measurable,
-        log_factors=shifted_log,
-        descriptor={"kind": "shifted", "gamma": gamma, "base": xi.descriptor},
+    return replace(
+        xi, log_factors=shifted_log, descriptor={"kind": "shifted", "gamma": gamma, "base": xi.descriptor}
     )
 
 
@@ -439,7 +407,8 @@ class CheckReport:
     """Outcome of sampling one certificate inequality over a grid.
 
     ``worst_margin`` is the minimum log-margin over all samples and the
-    verdict is Pass exactly when no sample fell below -tol.
+    verdict is Pass exactly when no sample fell below -tol.  The cocycle
+    laws set ``roundoff_allowance``; JSON holds it only when it is set.
     """
 
     check: str
@@ -447,6 +416,7 @@ class CheckReport:
     samples_checked: int
     worst_margin: float
     counterexamples: tuple[Counterexample, ...]
+    roundoff_allowance: float | None = None
 
     @property
     def verdict(self) -> str:
@@ -457,7 +427,7 @@ class CheckReport:
         return not self.counterexamples
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "check": self.check,
             "tol": self.tol,
             "samples_checked": self.samples_checked,
@@ -465,6 +435,9 @@ class CheckReport:
             "counterexamples": [c.to_json_dict() for c in self.counterexamples],
             "verdict": self.verdict,
         }
+        if self.roundoff_allowance is not None:
+            doc["roundoff_allowance"] = self.roundoff_allowance
+        return doc
 
 
 def _report(
@@ -510,16 +483,23 @@ def _report(
 # Law checkers
 # ---------------------------------------------------------------------------
 
+# Rounding bound of a cocycle gap, per unit of |lf(t, s, phi)| + |lf(s, t0)| +
+# |lf(t, t0)|.  Each shipped log factor is a closed form of at most six
+# roundings relative to its value, so it is off by at most gamma_6 |lf|
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3);
+# the two additions that join the three add gamma_2 times the sum (ch. 4).
+# To first order in u = 2^-53 that is 8 u.  A factor that cancels inside its
+# own formula, like the sin exponent, can round by more; tol covers that.
+_GAP_ROUNDING = 8.0 * 2.0**-53
 
-def _law_samples(times: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def _law_samples(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, s, t0) of every law sample of one (base, vector), in sink order.
 
     The identity samples (t, t, t) come first, then the composition
-    triples in the grid's sample order.  The checkers make one pass per
-    base time t_k over the pairs ``np.triu_indices(n - k)`` of its tail
-    t_k <= t_j <= t_i, which run through the triples in the same order.
+    triples in the grid's sample order, which the checkers' passes over
+    ``np.triu_indices(n - k)`` for each base time t_k follow.
     """
-    T = np.asarray(times, dtype=float)
     k, j, i = _triples(len(T))
     return tuple(np.concatenate((T, T[c])) for c in (i, j, k))
 
@@ -574,6 +554,10 @@ def check_cocycle_laws(
     Phi(t, t0, x) v.  The identity law uses the same residual with
     lf(t, t, x) against 0.  Norms are formed in log space, for every
     vector at once, so no cocycle value is formed in linear space.
+
+    Each component of a gap is first shrunk toward 0 by its rounding
+    bound, ``_GAP_ROUNDING`` times the sum of the |lf| that form it; the
+    report records the largest bound as ``roundoff_allowance``.
     """
     grid.require_nonempty()
     for v in grid.vectors:
@@ -588,23 +572,32 @@ def check_cocycle_laws(
         # A vanished component leaves the relative residual undefined.
         return _log_factors(xi, t, s, x, vanished_ok=False)
 
-    def residual(gap: np.ndarray, log_w: np.ndarray, cols) -> np.ndarray:
-        """-||w * expm1(gap)|| / ||w||, with the weights w = exp(log_w[:, :, cols])."""
+    allowance = 0.0
+
+    def residual(gap: np.ndarray, log_w: np.ndarray, cols, *terms: np.ndarray) -> np.ndarray:
+        """Margins of ``gap``, formed from the log factors ``terms``, weighed by
+        exp(log_w[:, :, cols])."""
+        nonlocal allowance
+        bound = _GAP_ROUNDING * sum(np.abs(g) for g in terms)
+        allowance = max(allowance, float(np.max(bound)))
         # A roundoff gap of a huge log factor overflows expm1 to inf: that
         # residual is the margin -inf, and numpy need not warn about it.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_err = _log_norm(log_w[:, :, cols] + np.log(np.abs(np.expm1(gap))), xi.norm_choice)
+            err = np.abs(np.expm1(gap - np.clip(gap, -bound, bound)))
+            log_err = _log_norm(log_w[:, :, cols] + np.log(err), xi.norm_choice)
             return -np.exp(log_err - _log_norm(log_w, xi.norm_choice)[:, cols])
 
     def margins(x: BasePoint) -> np.ndarray:
+        identity = lf(T, T, x)
         # The identity samples all weigh by |v| alone.
-        pieces = [residual(lf(T, T, x), log_v, slice(None))]
+        pieces = [residual(identity, log_v, slice(None), identity)]
         for k in range(len(T)):
             j, i = np.triu_indices(len(T) - k)
             tail = T[k:]
             direct = lf(tail, T[k], x)  # lf(t_i, t_k, x) at column i - k
             through = lf(tail[i], tail[j], xi.semiflow(tail[j], T[k], x))
-            pieces.append(residual(through + direct[:, j] - direct[:, i], log_v + direct, i))
+            d_j, d_i = direct[:, j], direct[:, i]
+            pieces.append(residual(through + d_j - d_i, log_v + direct, i, through, d_j, d_i))
         return np.concatenate(pieces, axis=1)
 
     rows = (
@@ -612,7 +605,8 @@ def check_cocycle_laws(
         for x in grid.base_points
         for vlabel, row in zip(grid.vector_labels(), margins(x))
     )
-    return _report("cocycle-laws", tol, margin_sink, _law_samples(T), rows)
+    report = _report("cocycle-laws", tol, margin_sink, _law_samples(T), rows)
+    return replace(report, roundoff_allowance=allowance)
 
 
 # ---------------------------------------------------------------------------

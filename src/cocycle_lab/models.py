@@ -16,6 +16,7 @@ puts the components on the first axis: the result has shape
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -72,13 +73,10 @@ def integrate_generator(n: int, sigma: float, length: float) -> float:
 def _generator_integral(
     n: int, sigma: float | np.ndarray, length: float | np.ndarray
 ) -> float | np.ndarray:
-    """The closed form of ``integrate_generator``, unvalidated and array-aware.
-
-    A scalar ``sigma`` goes through ``math.exp``: ``np.exp`` differs from
-    it in the last bit on a few percent of inputs, and every estimator
-    and checker evaluates scalar base points.
-    """
+    """The closed form of ``integrate_generator``, unvalidated and array-aware."""
     beta = 1.0 / (2 * n * (2 * n + 1))
+    # np.exp differs from math.exp in the last bit on a few percent of inputs;
+    # math.exp keeps the bits of every estimator and checker.
     shift = np.exp(-sigma) if isinstance(sigma, np.ndarray) else math.exp(-sigma)
     return length / (2 * n + 1) + (beta / 2.0) * shift * (-np.expm1(-length))
 
@@ -93,45 +91,33 @@ def sin_scalar_exponent(t: float | np.ndarray, s: float | np.ndarray) -> float |
     return (t - s) - 2.0 * t * np.sin(np.pi * t / 4.0) + 2.0 * s * np.sin(np.pi * s / 4.0)
 
 
-def _require_trivial(x: BasePoint, kind: str) -> Trivial:
-    if not isinstance(x, Trivial):
-        raise DomainError(f"{kind} model acts on Trivial base points, got {x!r}")
+def _require(x: BasePoint, variant: type, kind: str) -> BasePoint:
+    if not isinstance(x, variant):
+        raise DomainError(f"{kind} model acts on {variant.__name__} base points, got {x!r}")
     return x
 
 
-def _require_generator(x: BasePoint, kind: str) -> ShiftedGenerator:
-    if not isinstance(x, ShiftedGenerator):
-        raise DomainError(f"{kind} model acts on ShiftedGenerator base points, got {x!r}")
-    return x
+def _trivial_model(descriptor: dict, exponent, norm_choice: NormChoice) -> SkewEvolutionSemiflow:
+    """The scalar cocycle v -> v e^{exponent(t, s)} over the drift x -> x + (t - s)."""
+    kind = descriptor["kind"]
 
-
-def _trivial_semiflow(kind: str):
-    def flow(t, s, x: BasePoint) -> BasePoint:
-        return Trivial(_require_trivial(x, kind).value + (t - s))
-
-    return flow
-
-
-def _trivial_log_factors(kind: str, exponent):
-    """``log_factors`` of a scalar model whose exponent(t, s) does not read the base point."""
+    def semiflow(t, s, x: BasePoint) -> BasePoint:
+        return Trivial(_require(x, Trivial, kind).value + (t - s))
 
     def log_factors(t, s, x: BasePoint) -> np.ndarray:
-        value = _require_trivial(x, kind).value
         e = np.asarray(exponent(t, s))
-        return np.broadcast_to(e, np.broadcast_shapes(e.shape, np.shape(value)))[None]
+        shape = np.broadcast_shapes(e.shape, np.shape(_require(x, Trivial, kind).value))
+        return np.broadcast_to(e, shape)[None]
 
-    return log_factors
+    return SkewEvolutionSemiflow(
+        semiflow=semiflow, dimension=1, norm_choice=norm_choice, log_factors=log_factors,
+        descriptor=descriptor,
+    )
 
 
 def sin_scalar_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewEvolutionSemiflow:
     """Scalar cocycle v -> v e^{E(t, s)} over the trivial drift semiflow."""
-    return SkewEvolutionSemiflow(
-        semiflow=_trivial_semiflow("sin_scalar"),
-        dimension=1,
-        norm_choice=norm_choice,
-        log_factors=_trivial_log_factors("sin_scalar", sin_scalar_exponent),
-        descriptor={"kind": "sin_scalar"},
-    )
+    return _trivial_model({"kind": "sin_scalar"}, sin_scalar_exponent, norm_choice)
 
 
 def pure_exponential_model(
@@ -140,12 +126,8 @@ def pure_exponential_model(
     """Scalar cocycle v -> v e^{rate (t - s)}; the estimator calibration model."""
     if not math.isfinite(rate):
         raise PreconditionError(f"rate must be finite, got {rate}")
-    return SkewEvolutionSemiflow(
-        semiflow=_trivial_semiflow("pure_exponential"),
-        dimension=1,
-        norm_choice=norm_choice,
-        log_factors=_trivial_log_factors("pure_exponential", lambda t, s: rate * (t - s)),
-        descriptor={"kind": "pure_exponential", "rate": rate},
+    return _trivial_model(
+        {"kind": "pure_exponential", "rate": rate}, lambda t, s: rate * (t - s), norm_choice
     )
 
 
@@ -166,11 +148,11 @@ def diag_integral_model(
     rate_arr = np.asarray(rates, dtype=float)
 
     def semiflow(t, s, x: BasePoint) -> BasePoint:
-        g = _require_generator(x, "diag_integral")
+        g = _require(x, ShiftedGenerator, "diag_integral")
         return ShiftedGenerator(g.n, g.sigma + (t - s))
 
     def log_factors(t, s, x: BasePoint) -> np.ndarray:
-        g = _require_generator(x, "diag_integral")
+        g = _require(x, ShiftedGenerator, "diag_integral")
         window = np.asarray(_generator_integral(g.n, g.sigma, t - s))
         return rate_arr.reshape((-1,) + (1,) * window.ndim) * window
 
@@ -189,30 +171,18 @@ def broken_semiflow_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewE
     Violates the semiflow composition law (and drags the cocycle
     composition down with it); the law checkers must flag it.
     """
-    good = diag_integral_model([1.0], norm_choice)
 
     def semiflow(t, s, x: BasePoint) -> BasePoint:
-        g = _require_generator(x, "broken_semiflow")
+        g = _require(x, ShiftedGenerator, "broken_semiflow")
         return ShiftedGenerator(g.n, g.sigma + (t + s))
 
-    return SkewEvolutionSemiflow(
-        semiflow=semiflow,
-        dimension=1,
-        norm_choice=norm_choice,
-        log_factors=good.log_factors,
-        descriptor={"kind": "broken_semiflow"},
-    )
+    good = diag_integral_model([1.0], norm_choice)
+    return replace(good, semiflow=semiflow, descriptor={"kind": "broken_semiflow"})
 
 
 def broken_cocycle_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewEvolutionSemiflow:
     """Test fixture: v -> v (1 + t - s) passes the identity law but not composition."""
-    return SkewEvolutionSemiflow(
-        semiflow=_trivial_semiflow("broken_cocycle"),
-        dimension=1,
-        norm_choice=norm_choice,
-        log_factors=_trivial_log_factors("broken_cocycle", lambda t, s: np.log1p(t - s)),
-        descriptor={"kind": "broken_cocycle"},
-    )
+    return _trivial_model({"kind": "broken_cocycle"}, lambda t, s: np.log1p(t - s), norm_choice)
 
 
 def build_model(

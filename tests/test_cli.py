@@ -286,7 +286,22 @@ def test_overflowing_log_factors_exit_2(tmp_path, capsys, argv):
     assert code == 2
     err = capsys.readouterr().err
     assert "cocycle-lab: error: log factors [inf] at (t=2.0, s=0.0) are not all finite" in err
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rate", [1e12, 1e15])
+def test_laws_allow_roundoff_of_huge_exact_log_factors(tmp_path, rate):
+    # without the allowance, rate 1e12 fails by one ulp of lf(2.7, 0) at
+    # (2.7, 0.3, 0), and rate 1e15 by a relative residual of 0.61
+    p = write_scenario(tmp_path / "steep.json", {"kind": "pure_exponential", "rate": rate},
+                       times=[0, 0.3, 1.1, 2.7])
+    out = tmp_path / "out"
+    assert main(["laws", "--scenario", str(p), "--out-dir", str(out)]) == 0
+    doc = read_json(out / "laws_report.json")
+    assert doc["cocycle"]["verdict"] == "pass"
+    # 8 u (|lf(t, s)| + |lf(s, t0)| + |lf(t, t0)|) is largest at t = 2.7, t0 = 0
+    assert doc["cocycle"]["roundoff_allowance"] == pytest.approx(8 * 2.0**-53 * 5.4 * rate, rel=1e-12)
+    assert "roundoff_allowance" not in doc["semiflow"]
 
 
 def test_laws_reject_vector_of_wrong_dimension(tmp_path, capsys):
@@ -575,6 +590,20 @@ def test_report_rejects_two_certificates_of_one_property(tmp_path, sin_scenario,
     # instability and exp-instability are different properties
     assert main(["report", "--scenario", str(sin_scenario), "--out-dir", str(out),
                  "--cert", str(n_cert), "--cert", str(e_cert)]) == 0
+
+
+def test_failing_commands_leave_no_output_directory(tmp_path, sin_scenario, capsys):
+    missing = tmp_path / "missing"
+    assert main(["check", "--scenario", str(sin_scenario), "--out-dir", str(missing),
+                 "--property", "decay", "--cert", str(tmp_path / "missing.json")]) == 2
+    assert "input file not found" in capsys.readouterr().err
+    assert not missing.exists()
+    cert = estimate_into(sin_scenario, tmp_path / "certs", "instability")
+    duplicate = tmp_path / "duplicate"
+    assert main(["report", "--scenario", str(sin_scenario), "--out-dir", str(duplicate),
+                 "--cert", str(cert), "--cert", str(cert)]) == 2
+    assert "duplicate instability certificate input" in capsys.readouterr().err
+    assert not duplicate.exists()
 
 
 def test_report_writes_no_margins_when_a_later_check_fails(tmp_path, sin_scenario, capsys):

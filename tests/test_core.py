@@ -432,6 +432,59 @@ def test_cocycle_law_margins_match_per_sample_reference(times, kind, choice, dat
         assert got[5] == pytest.approx(ref[5], rel=0.0, abs=1e-12)
 
 
+def _reference_semiflow_rows(xi, grid):
+    """Semiflow law samples one at a time, through the domain-checked eval_semiflow."""
+    rows, times = [], grid.times
+    for x in grid.base_points:
+        label = (x.label(), "-")
+        rows += [(t, t, t, *label, -base_discrepancy(eval_semiflow(xi, t, t, x), x)) for t in times]
+        for k, t0 in enumerate(times):
+            for j in range(k, len(times)):
+                s, mid = times[j], eval_semiflow(xi, times[j], t0, x)
+                for t in times[j:]:
+                    d = base_discrepancy(eval_semiflow(xi, t, s, mid), eval_semiflow(xi, t, t0, x))
+                    rows.append((t, s, t0, *label, -d))
+    return rows
+
+
+def _bits(rows):
+    return [(*r[:5], float(r[5]).hex()) for r in rows]
+
+
+@given(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=6).map(lambda ts: sorted(set(ts))),
+       st.sampled_from(["sin", "pexp", "diag", "broken_semiflow", "broken_cocycle"]),
+       st.floats(-2.0, 2.0), st.data())
+@settings(max_examples=100, deadline=None)
+def test_semiflow_law_margins_match_per_sample_reference(times, kind, gamma, data):
+    xi = build_model({"sin": {"kind": "sin_scalar"}, "pexp": {"kind": "pure_exponential", "rate": 1.5},
+                      "diag": {"kind": "diag_integral", "alphas": [1, -2]}}.get(kind, {"kind": kind}))
+    xi = shift_cocycle(xi, gamma) if gamma else xi
+    if kind in ("diag", "broken_semiflow"):
+        base_st = st.builds(ShiftedGenerator, st.integers(1, 4), st.floats(0.0, 30.0))
+    else:
+        base_st = st.builds(Trivial, st.floats(0.0, 1e3))
+    grid = SampleGrid.create(times, data.draw(st.lists(base_st, min_size=1, max_size=2)),
+                             [[1.0] * xi.dimension])
+    rows = []
+    report = check_semiflow_laws(xi, grid, 1e-9, row_sink(rows))
+    want = _reference_semiflow_rows(xi, grid)
+    assert report.samples_checked == len(want)
+    assert _bits(rows) == _bits(want)
+    failing = sorted(r[:5] for r in want if r[5] < -1e-9)
+    assert [c.sort_key() for c in report.counterexamples] == failing
+
+
+def test_broken_fixtures_fail_where_the_reference_fails(short_times):
+    # The cocycle roundoff allowance must not hide a broken law.
+    for kind in ("broken_cocycle", "broken_semiflow"):
+        xi = build_model({"kind": kind})
+        grid = grid_for(xi, short_times)
+        report = check_cocycle_laws(xi, grid)
+        failing = sorted(r[:5] for r in _reference_law_rows(xi, grid) if r[5] < -1e-9)
+        assert failing
+        assert [c.sort_key() for c in report.counterexamples] == failing
+
+
 def test_laws_need_nonempty_grid(sin_model):
     g = SampleGrid.create([], [], [])
     with pytest.raises(PreconditionError, match="grid nonempty"):

@@ -184,6 +184,57 @@ def test_build_model_rejects_bad_descriptors():
         build_model({"kind": "pure_exponential", "rate": math.inf})
 
 
+BUILTIN_DESCRIPTORS = [
+    {"kind": "sin_scalar"},
+    {"kind": "pure_exponential", "rate": -2.5},
+    {"kind": "broken_cocycle"},
+    {"kind": "broken_semiflow"},
+    {"kind": "diag_integral", "alphas": [1, -1, 0.25]},
+]
+
+
+def _coordinate(x):
+    return x.value if isinstance(x, Trivial) else x.sigma
+
+
+@pytest.mark.parametrize("descriptor", BUILTIN_DESCRIPTORS, ids=lambda d: d["kind"])
+@given(st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0), st.floats(0.0, 10.0)),
+                min_size=1, max_size=8),
+       st.floats(0.0, 20.0), st.floats(0.0, 10.0))
+@settings(max_examples=50)
+def test_array_base_points_match_point_by_point(descriptor, samples, s0, d0):
+    xi = build_model(descriptor)
+    point = Trivial if isinstance(default_base_points(xi)[0], Trivial) else (lambda c: ShiftedGenerator(2, c))
+    coords, ss, ds = (np.array(c) for c in zip(*samples))
+    ts = ss + ds
+    x = point(coords)
+    # times as arrays, and scalar times that the coordinate broadcasts with
+    for t, s in ((ts, ss), (s0 + d0, s0)):
+        flown = xi.semiflow(t, s, x)
+        assert type(flown) is type(x)
+        lf = xi.log_factors(t, s, x)
+        assert lf.shape == (xi.dimension, len(coords))
+        for q, c in enumerate(coords.tolist()):
+            tq, sq = np.broadcast_to(t, coords.shape)[q].item(), np.broadcast_to(s, coords.shape)[q].item()
+            assert _coordinate(flown)[q] == _coordinate(xi.semiflow(tq, sq, point(c)))
+            want = xi.log_factors(tq, sq, point(c))
+            if isinstance(x, ShiftedGenerator):
+                # np.exp of an array shift may differ from math.exp in the
+                # last bit; broken_semiflow reads the diag_integral factors
+                np.testing.assert_allclose(lf[:, q], want, rtol=1e-15, atol=0.0)
+            else:
+                assert lf[:, q].tolist() == want.tolist()
+
+
+def test_array_base_points_are_validated():
+    with pytest.raises(DomainError, match="needs a finite value >= 0"):
+        Trivial(np.array([0.0, -1.0, 2.0]))
+    with pytest.raises(DomainError, match="shift must be finite and >= 0"):
+        ShiftedGenerator(1, np.array([0.5, math.nan]))
+    with pytest.raises(DomainError, match="shift must be finite and >= 0"):
+        ShiftedGenerator(1, np.array([0.5, math.inf]))
+
+
 def test_default_base_points(sin_model, diag_model, pexp3_model):
     assert default_base_points(sin_model) == (Trivial(0.0),)
     assert default_base_points(pexp3_model) == (Trivial(0.0),)
