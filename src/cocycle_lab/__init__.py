@@ -55,7 +55,6 @@ from .quadrature import (
     QuadratureDepthError,
     adaptive_simpson,
     composite_simpson,
-    integrate_kernel,
     integrate_norm_trajectory,
     norm_integral_prefix,
 )
@@ -80,6 +79,7 @@ from .certificates import (
     estimate_exp_instability,
     estimate_instability,
     estimate_integral_instability,
+    integrate_kernel,
 )
 
 # Resolved on first access by ``__getattr__`` (PEP 562) below.
@@ -125,7 +125,6 @@ __all__ = [
     "QuadratureDepthError",
     "adaptive_simpson",
     "composite_simpson",
-    "integrate_kernel",
     "integrate_norm_trajectory",
     "norm_integral_prefix",
     "ExpInstabilityCertificate",
@@ -148,6 +147,7 @@ __all__ = [
     "estimate_exp_instability",
     "estimate_instability",
     "estimate_integral_instability",
+    "integrate_kernel",
     *_THEOREM_NAMES,
 ]
 

@@ -87,9 +87,6 @@ class ExpWitness:
     def log_value(self, t: float) -> float:
         return math.log(self.coef) + self.rate * t
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
-
 
 @dataclass(frozen=True)
 class TabulatedWitness:
@@ -140,9 +137,6 @@ class TabulatedWitness:
     def log_value(self, t: float) -> float:
         return self.log_values[self._index(t)]
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.times
-
 
 Witness = ExpWitness | TabulatedWitness
 
@@ -180,9 +174,6 @@ class ParametricDecay:
 
     def log_value(self, t: float) -> float:
         return -self.omega * t - math.log(self.n_tilde)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
 
 
 @dataclass(frozen=True)
@@ -224,6 +215,37 @@ def decay_limit_witnessed(cert: DecayCertificate) -> bool:
     if isinstance(cert, ParametricDecay):
         return True
     return cert.log_values[-1] < cert.log_values[0]
+
+
+def _log_exprel(x: float) -> float:
+    """log((1 - e^{-x}) / x) for x >= 0, with its limit 0 at x = 0."""
+    if x < 1.0:
+        return math.log(-math.expm1(-x) / x) if x else 0.0
+    return math.log1p(-math.exp(-x)) - math.log(x)
+
+
+def integrate_kernel(f: DecayCertificate, alpha: float) -> float:
+    """log of integral_0^1 e^{-alpha u} f(u) du, in closed form, for a finite alpha >= 0.
+
+    A table is constant on each piece (lo, hi] between its knots; the
+    parametric form is one piece (0, 1] of rate alpha + omega.  A piece of
+    log-value c and rate r adds c - r lo + log((1 - e^{-r (hi - lo)}) / r),
+    or c + log(hi - lo) at r = 0, by log-sum-exp.  An f that is 0 on all
+    of (0, 1] raises PreconditionError.
+    """
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise PreconditionError(f"kernel integral needs a finite alpha >= 0, got {alpha}")
+    if isinstance(f, ParametricDecay):
+        pieces = [(-math.log(f.n_tilde), 0.0, 1.0, alpha + f.omega)]
+    else:
+        edges = [0.0, *(t for t in f.times if 0.0 < t < 1.0), 1.0]
+        pieces = [(f.log_value(hi), lo, hi, alpha) for lo, hi in zip(edges, edges[1:])]
+    log_k = float(np.logaddexp.reduce([
+        c - rate * lo + math.log(hi - lo) + _log_exprel(rate * (hi - lo)) for c, lo, hi, rate in pieces
+    ]))
+    if log_k == -math.inf:
+        raise PreconditionError("kernel integral vanishes: f is 0 on all of (0, 1]")
+    return log_k
 
 
 def _validate_instability_witness(w: Witness, strict_above_one: bool) -> None:

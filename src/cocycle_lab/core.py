@@ -492,6 +492,14 @@ def _report(
 # own formula, like the sin exponent, can round by more; tol covers that.
 _GAP_ROUNDING = 8.0 * 2.0**-53
 
+# Rounding bound of a semiflow discrepancy, per unit of 2 (t - t0) plus the
+# coordinates passed through.  Each shipped semiflow maps c to c + (t - s) in
+# two roundings, off by at most u (|t - s| + |result|) (Higham, ch. 2).  The
+# through route takes two steps and the direct route one, with time gaps that
+# add up to 2 (t - t0).  Forming the discrepancy adds at most u of itself (none
+# within a factor 2, by Sterbenz), which the factor 2 covers.
+_FLOW_ROUNDING = 2.0 * 2.0**-53
+
 
 def _law_samples(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, s, t0) of every law sample of one (base, vector), in sink order.
@@ -512,28 +520,38 @@ def check_semiflow_laws(
 ) -> CheckReport:
     """Verify the identity and composition laws of the base semiflow.
 
-    Margins are the negated coordinate discrepancies, so a clean model
+    Margins are the negated coordinate discrepancies, each first shrunk
+    toward 0 by its rounding bound (``_FLOW_ROUNDING``), so a clean model
     reports worst_margin 0 and any violation shows up as margin < -tol.
+    The report records the largest bound as ``roundoff_allowance``.
     """
     grid.require_nonempty()
     T = np.asarray(grid.times, dtype=float)
+    allowance = 0.0
 
-    def margin(a: BasePoint, b: BasePoint, shape) -> np.ndarray:
+    def margin(a: BasePoint, b: BasePoint, span, *points: BasePoint) -> np.ndarray:
+        nonlocal allowance
+        coords = (p.value if isinstance(p, Trivial) else p.sigma for p in points)
+        bound = _FLOW_ROUNDING * 2.0 * span + sum(_FLOW_ROUNDING * c for c in coords)  # scaled first: no overflow
+        allowance = max(allowance, float(np.max(bound)))
         # A scalar inf (variant or index mismatch) stands for every sample.
-        return np.broadcast_to(-base_discrepancy(a, b), shape)
+        return -np.maximum(base_discrepancy(a, b) - bound, 0.0)
 
     def margins(x: BasePoint) -> np.ndarray:
-        pieces = [margin(xi.semiflow(T, T, x), x, T.shape)]
+        identity = xi.semiflow(T, T, x)
+        pieces = [margin(identity, x, T - T, identity, x)]  # the samples (t, t, t) span t - t0 = 0
         for k in range(len(T)):
             j, i = np.triu_indices(len(T) - k)
             tail = T[k:]
             # phi(t_i, t_j, phi(t_j, t_k, x)) against phi(t_i, t_k, x)
-            through = xi.semiflow(tail[i], tail[j], xi.semiflow(tail[j], T[k], x))
-            pieces.append(margin(through, xi.semiflow(tail[i], T[k], x), i.shape))
+            mid = xi.semiflow(tail[j], T[k], x)
+            through, direct = xi.semiflow(tail[i], tail[j], mid), xi.semiflow(tail[i], T[k], x)
+            pieces.append(margin(through, direct, tail[i] - T[k], mid, through, direct))
         return np.concatenate(pieces)
 
     rows = ((x.label(), "-", margins(x)) for x in grid.base_points)
-    return _report("semiflow-laws", tol, margin_sink, _law_samples(T), rows)
+    report = _report("semiflow-laws", tol, margin_sink, _law_samples(T), rows)
+    return replace(report, roundoff_allowance=allowance)
 
 
 def check_cocycle_laws(
@@ -578,7 +596,7 @@ def check_cocycle_laws(
         """Margins of ``gap``, formed from the log factors ``terms``, weighed by
         exp(log_w[:, :, cols])."""
         nonlocal allowance
-        bound = _GAP_ROUNDING * sum(np.abs(g) for g in terms)
+        bound = sum(_GAP_ROUNDING * np.abs(g) for g in terms)  # scaled first: no overflow
         allowance = max(allowance, float(np.max(bound)))
         # A roundoff gap of a huge log factor overflows expm1 to inf: that
         # residual is the margin -inf, and numpy need not warn about it.

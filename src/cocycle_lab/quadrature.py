@@ -1,12 +1,12 @@
-"""Adaptive Simpson quadrature for norm trajectories and weighted kernels.
+"""Adaptive Simpson quadrature for norm trajectories.
 
-The integral-instability side of the certificate calculus needs two
-integrals: the running integral of ||Phi(tau, t0, x) v|| along a
-trajectory, and kernels of the form integral_0^L e^{-alpha u} f(u) du
-for a decay witness f.  Both use the same adaptive Simpson core with the
-standard |S2 - S1| / 15 error estimate and Richardson correction.  The
-core refines many intervals at once, so the running integral from one
-base time t0 over every later grid segment is a single call.
+The integral-instability side of the certificate calculus needs the
+running integral of ||Phi(tau, t0, x) v|| along a trajectory.  It uses
+an adaptive Simpson core with the standard |S2 - S1| / 15 error
+estimate and Richardson correction.  The core refines many intervals at
+once, so the running integral from one base time t0 over every later
+grid segment is a single call.  The kernel integrals of a decay witness
+have closed forms (``certificates.integrate_kernel``).
 
 The lower limit of the trajectory integral is t0, recorded in the config
 as ``datko_lower_limit`` so serialized outputs show the convention.
@@ -258,43 +258,3 @@ def norm_integral_prefix(
     prefix = np.cumsum(np.concatenate([np.zeros((len(block), 1)), segments], axis=1), axis=1)
     return prefix if arr.ndim == 2 else prefix[0]
 
-
-def integrate_kernel(
-    f: Callable[[float], float],
-    alpha: float,
-    length: float,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Integral of e^{-alpha u} f(u) over [0, length] for a positive witness f.
-
-    ``breakpoints`` lets tabulated (step-interpolated) witnesses pass
-    their knots so each smooth piece is integrated separately; without
-    them the adaptive core would chase the jumps forever.  Any
-    nonpositive sample of f aborts the integration.
-    """
-    if not (math.isfinite(alpha) and math.isfinite(length)) or length <= 0.0:
-        raise PreconditionError(f"kernel integral needs finite alpha and length > 0, got ({alpha}, {length})")
-
-    def integrand(u: float) -> float:
-        val = f(u)
-        if not (val > 0.0) or not math.isfinite(val):
-            raise PreconditionError(f"nonpositive f sample detected at u={u}: {val}")
-        return math.exp(-alpha * u) * val
-
-    cuts = sorted({float(b) for b in breakpoints if 0.0 < float(b) < length})
-    edges = [0.0] + cuts + [length]
-    total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        # Step witnesses are right-closed: on (lo, hi] they take the value
-        # at hi, so sampling f exactly at lo would see the previous piece
-        # and the refinement loop would chase that jump to max_depth.
-        # Evaluating the left edge a half-ulp inside keeps step pieces
-        # exactly constant and is invisible for continuous integrands.
-        inside = math.nextafter(lo, hi)
-
-        def piece(us: np.ndarray, _lo: float = lo, _inside: float = inside) -> np.ndarray:
-            return np.array([integrand(u if u > _lo else _inside) for u in us.tolist()])
-
-        total += adaptive_simpson(piece, lo, hi, cfg)
-    return total

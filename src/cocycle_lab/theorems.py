@@ -43,6 +43,7 @@ from .certificates import (
     estimate_exp_instability,
     estimate_instability,
     estimate_integral_instability,
+    integrate_kernel,
     witness_to_json_dict,
 )
 from .core import (
@@ -54,7 +55,7 @@ from .core import (
     _triples,
     shift_cocycle,
 )
-from .quadrature import QuadratureConfig, integrate_kernel
+from .quadrature import QuadratureConfig
 
 DEFAULT_TOL = 1e-9
 
@@ -335,8 +336,8 @@ def prop_integral_decay_to_instability(
     gates = (check_decay(xi, f, grid, tol), check_integral_instability(xi, m_cert, grid, tol, quad_cfg))
     if invalid := _gate("prop_integral_decay_to_instability", inputs, gates):
         return invalid
-    k_val = integrate_kernel(f.value, 0.0, 1.0, quad_cfg, breakpoints=f.breakpoints())
-    log_k = math.log(k_val)
+    log_k = integrate_kernel(f, 0.0)
+    k_val = math.exp(log_k)
     logs = [
         float(np.logaddexp(-f.log_value(1.0), m_cert.M.log_value(t) - log_k)) for t in grid.times
     ]
@@ -429,8 +430,8 @@ def prop_shift_sufficiency(
     gates = (check_integral_instability(shifted, m_alpha, grid, tol, quad_cfg), check_decay(xi, f, grid, tol))
     if invalid := _gate("prop_shift_sufficiency", inputs, gates, {"alpha": alpha}):
         return invalid
-    k_val = integrate_kernel(f.value, alpha, 1.0, quad_cfg, breakpoints=f.breakpoints())
-    log_k = math.log(k_val)
+    log_k = integrate_kernel(f, alpha)
+    k_val = math.exp(log_k)
     floor = math.log1p(headroom)
     logs = [max(m_alpha.M.log_value(t) - log_k, floor) for t in grid.times]
     derived_cert = ExpInstabilityCertificate(
@@ -598,15 +599,16 @@ def thm2_validate(
             verdict="no-certificate",
             notes=(missing,),
         )
+    log_k1 = integrate_kernel(f, 0.0)
+    k1 = math.exp(log_k1)
     log_f_lam = f.log_value(lam)
-    k1 = integrate_kernel(f.value, 0.0, 1.0, quad_cfg, breakpoints=f.breakpoints())
     mtilde_logs = np.array([m_cert.M.log_value(t) - f.log_value(t) for t in grid.times])
     n_logs = np.logaddexp(-log_f_lam, mtilde_logs)
     derived_n = InstabilityCertificate(
         TabulatedWitness.from_log_values(grid.times, n_logs), grid_hash=grid.grid_hash
     )
     window_report = _check_window_bound(xi, log_f_lam, grid, tol)
-    chain_report = _check_integral_chain(xi, m_cert, math.log(k1), grid, tol)
+    chain_report = _check_integral_chain(xi, m_cert, log_k1, grid, tol)
     inst_report = check_instability(xi, derived_n, grid, tol)
     growth_report = _check_linear_growth(xi, mtilde_logs, grid, tol)
     aux_item, aux_reports, aux_note = _exp_estimate_aux(

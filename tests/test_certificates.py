@@ -59,7 +59,6 @@ def test_exp_witness_validation():
     w = ExpWitness(2.0, 0.5)
     assert w.value(2.0) == pytest.approx(2.0 * math.e, rel=1e-15)
     assert w.log_value(2.0) == pytest.approx(math.log(2.0) + 1.0, rel=1e-15)
-    assert w.breakpoints() == ()
 
 
 def test_tabulated_witness_validation():
@@ -85,7 +84,6 @@ def test_tabulated_witness_step_lookup():
     assert w.value(2.0) == 2.0
     assert w.value(99.0) == 2.0
     assert w.log_value(0.5) == math.log(3.0)
-    assert w.breakpoints() == (0.0, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,6 @@ def test_tabulated_decay_validation():
         TabulatedDecay.from_log_values([0.0, 1.0], [-math.inf, -math.inf])
     f = TabulatedDecay.from_values([0.0, 2.0], [1.0, 0.25])
     assert f.value(1.0) == 0.25
-    assert f.breakpoints() == (0.0, 2.0)
 
 
 def test_decay_limit_witnessed():

@@ -301,7 +301,20 @@ def test_laws_allow_roundoff_of_huge_exact_log_factors(tmp_path, rate):
     assert doc["cocycle"]["verdict"] == "pass"
     # 8 u (|lf(t, s)| + |lf(s, t0)| + |lf(t, t0)|) is largest at t = 2.7, t0 = 0
     assert doc["cocycle"]["roundoff_allowance"] == pytest.approx(8 * 2.0**-53 * 5.4 * rate, rel=1e-12)
-    assert "roundoff_allowance" not in doc["semiflow"]
+    # 2 u (2 (t - t0) + phi(s, t0) + phi(t, s, .) + phi(t, t0)) from the base point 0, at t = s = 2.7, t0 = 0
+    assert doc["semiflow"]["roundoff_allowance"] == pytest.approx(2 * 2.0**-53 * 5 * 2.7, rel=1e-12)
+
+
+def test_laws_allow_semiflow_roundoff_at_large_times(tmp_path):
+    # without the allowance the drift x + (t - s) failed by one ulp of t (2.4e-7)
+    p = write_scenario(tmp_path / "far.json", {"kind": "pure_exponential", "rate": 1},
+                       grid={"times": [0.7579544029403025, 0.8444218515250481, 1841143161.66169],
+                             "base_points": [{"kind": "trivial", "value": 0.25891675029296335}]})
+    out = tmp_path / "out"
+    assert main(["laws", "--scenario", str(p), "--out-dir", str(out)]) == 0
+    doc = read_json(out / "laws_report.json")
+    assert doc["semiflow"]["verdict"] == "pass"
+    assert 2.4e-7 < doc["semiflow"]["roundoff_allowance"] < 1e-5
 
 
 def test_laws_reject_vector_of_wrong_dimension(tmp_path, capsys):
@@ -706,6 +719,7 @@ FUZZ_SCENARIO = st.fixed_dictionaries(
             }),
         }),
         "gamma": FUZZ_NUMBERS,
+        "alpha": FUZZ_NUMBERS,
         "nu_candidates": st.one_of(st.lists(st.sampled_from(FUZZ_FLOATS), max_size=3).map(sorted),
                                    st.lists(FUZZ_NUMBERS, max_size=3), st.sampled_from(NOT_NUMBERS)),
         "random_vectors": st.sampled_from([0, 1, -1, True]),
@@ -713,13 +727,16 @@ FUZZ_SCENARIO = st.fixed_dictionaries(
     },
 )
 FUZZ_PROPERTIES = ("decay", "instability", "exp-instability", "integral-instability")
-# one theorem for each set of input certificates
-FUZZ_THEOREMS = ("remark-obs2", "prop-integral-decay", "thm1-sufficiency", "corollary")
+# one theorem for each set of input certificates, and every caller of the kernel integral
+FUZZ_THEOREMS = ("remark-obs2", "prop-integral-decay", "prop-shift-sufficiency", "thm1-sufficiency", "thm2",
+                 "corollary")
 
 
 @given(FUZZ_SCENARIO)
 @example({"model": {"kind": "sin_scalar"}, "grid": {"times": [0, 1e-300, 2e-300]}})
 @example({"model": {"kind": "sin_scalar"}, "grid": {"times": [0, 1e300]}})
+# log factors of 1.2e308 once overflowed the sum of the cocycle roundoff bound
+@example({"model": {"kind": "diag_integral", "alphas": [3.5]}, "grid": {"times": [0.0, 1e308]}})
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_scenarios_exit_0_1_or_2(doc):
     with tempfile.TemporaryDirectory() as tmp:

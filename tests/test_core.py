@@ -26,6 +26,7 @@ from cocycle_lab import (
     shift_cocycle,
 )
 from cocycle_lab.core import (
+    _FLOW_ROUNDING,
     _report,
     base_discrepancy,
     eval_semiflow,
@@ -432,18 +433,29 @@ def test_cocycle_law_margins_match_per_sample_reference(times, kind, choice, dat
         assert got[5] == pytest.approx(ref[5], rel=0.0, abs=1e-12)
 
 
-def _reference_semiflow_rows(xi, grid):
-    """Semiflow law samples one at a time, through the domain-checked eval_semiflow."""
+def _reference_semiflow_rows(xi, grid, rounding=_FLOW_ROUNDING):
+    """Semiflow law samples one at a time, through the domain-checked eval_semiflow.
+
+    Each discrepancy is shrunk toward 0 by ``rounding`` times 2 (t - t0)
+    plus the coordinates involved; ``rounding=0`` gives the raw margins.
+    """
+    def margin(a, b, span, *points):
+        bound = rounding * 2.0 * span + sum(rounding * (p.value if isinstance(p, Trivial) else p.sigma)
+                                            for p in points)
+        return -max(base_discrepancy(a, b) - bound, 0.0)
+
     rows, times = [], grid.times
     for x in grid.base_points:
         label = (x.label(), "-")
-        rows += [(t, t, t, *label, -base_discrepancy(eval_semiflow(xi, t, t, x), x)) for t in times]
+        for t in times:
+            same = eval_semiflow(xi, t, t, x)
+            rows.append((t, t, t, *label, margin(same, x, 0.0, same, x)))
         for k, t0 in enumerate(times):
             for j in range(k, len(times)):
                 s, mid = times[j], eval_semiflow(xi, times[j], t0, x)
                 for t in times[j:]:
-                    d = base_discrepancy(eval_semiflow(xi, t, s, mid), eval_semiflow(xi, t, t0, x))
-                    rows.append((t, s, t0, *label, -d))
+                    through, direct = eval_semiflow(xi, t, s, mid), eval_semiflow(xi, t, t0, x)
+                    rows.append((t, s, t0, *label, margin(through, direct, t - t0, mid, through, direct)))
     return rows
 
 
@@ -475,7 +487,7 @@ def test_semiflow_law_margins_match_per_sample_reference(times, kind, gamma, dat
 
 
 def test_broken_fixtures_fail_where_the_reference_fails(short_times):
-    # The cocycle roundoff allowance must not hide a broken law.
+    # The roundoff allowances must not hide a broken law.
     for kind in ("broken_cocycle", "broken_semiflow"):
         xi = build_model({"kind": kind})
         grid = grid_for(xi, short_times)
@@ -483,6 +495,12 @@ def test_broken_fixtures_fail_where_the_reference_fails(short_times):
         failing = sorted(r[:5] for r in _reference_law_rows(xi, grid) if r[5] < -1e-9)
         assert failing
         assert [c.sort_key() for c in report.counterexamples] == failing
+    xi = build_model({"kind": "broken_semiflow"})
+    grid = grid_for(xi, short_times)
+    report = check_semiflow_laws(xi, grid)
+    failing = sorted(r[:5] for r in _reference_semiflow_rows(xi, grid, rounding=0.0) if r[5] < -1e-9)
+    assert failing
+    assert [c.sort_key() for c in report.counterexamples] == failing
 
 
 def test_laws_need_nonempty_grid(sin_model):

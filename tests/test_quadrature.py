@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from cocycle_lab import (
     DomainError,
     NormChoice,
+    ParametricDecay,
     PreconditionError,
     QuadratureConfig,
     QuadratureDepthError,
     ShiftedGenerator,
+    TabulatedDecay,
     Trivial,
     adaptive_simpson,
     composite_simpson,
@@ -343,37 +345,70 @@ def test_nonfinite_integrand_fails_before_refining(bad):
 # ---------------------------------------------------------------------------
 
 
+def simpson_kernel(f, alpha):
+    """integral_0^1 e^{-alpha u} f(u) du by adaptive Simpson at TIGHT, one call per smooth piece.
+
+    A table's pieces (lo, hi] are cut at its knots, and each takes f at its
+    midpoint, which lies inside it; the parametric form is one piece.  The
+    scale of f is taken out of each piece, so that abs_tol cannot swamp a
+    small f.
+    """
+    if isinstance(f, ParametricDecay):
+        return adaptive_simpson(lambda u: np.exp(-alpha * u) * np.exp(-f.omega * u), 0.0, 1.0, TIGHT) / f.n_tilde
+    edges = [0.0, *(t for t in f.times if 0.0 < t < 1.0), 1.0]
+    return math.fsum(
+        f.value(0.5 * (lo + hi)) * adaptive_simpson(lambda u: np.exp(-alpha * u), lo, hi, TIGHT)
+        for lo, hi in zip(edges, edges[1:])
+    )
+
+
 def test_kernel_constant_and_exponential():
-    assert integrate_kernel(lambda u: 2.0, 0.0, 3.0, TIGHT) == pytest.approx(6.0, rel=1e-12)
-    got = integrate_kernel(lambda u: math.exp(-u), 1.5, 1.0, TIGHT)
-    assert got == pytest.approx((1.0 - math.exp(-2.5)) / 2.5, rel=1e-11)
+    assert integrate_kernel(TabulatedDecay.from_values([0.0], [2.0]), 0.0) == pytest.approx(math.log(2.0), abs=1e-15)
+    got = integrate_kernel(ParametricDecay(1.0, 1.0), 1.5)
+    assert got == pytest.approx(math.log((1.0 - math.exp(-2.5)) / 2.5), abs=1e-15)
 
 
-def test_kernel_step_witness_with_breakpoints():
-    from cocycle_lab.certificates import TabulatedWitness
-
-    step = TabulatedWitness.from_values([0.5, 1.0], [2.0, 4.0])
-    got = integrate_kernel(step.value, 0.0, 1.0, TIGHT, breakpoints=step.breakpoints())
-    # piecewise constant is integrated exactly once the knots are split out
-    assert got == pytest.approx(3.0, abs=1e-13)
+def test_kernel_step_witness_pieces():
+    step = TabulatedDecay.from_values([0.5, 1.0], [4.0, 2.0])
+    # each piece (lo, hi] takes the value at hi: 0.5 * 4 + 0.5 * 2
+    assert integrate_kernel(step, 0.0) == pytest.approx(math.log(3.0), abs=1e-15)
 
 
 def test_kernel_step_witness_exponential_weight():
-    from cocycle_lab.certificates import TabulatedWitness
-
-    step = TabulatedWitness.from_values([1.0, 2.0], [3.0, 5.0])
-    got = integrate_kernel(step.value, 1.0, 2.0, TIGHT, breakpoints=step.breakpoints())
-    exact = 3.0 * (1.0 - math.exp(-1.0)) + 5.0 * (math.exp(-1.0) - math.exp(-2.0))
-    assert got == pytest.approx(exact, rel=1e-11)
+    step = TabulatedDecay.from_values([0.25, 2.0], [5.0, 3.0])
+    exact = 5.0 * (1.0 - math.exp(-0.25)) + 3.0 * (math.exp(-0.25) - math.exp(-1.0))
+    assert integrate_kernel(step, 1.0) == pytest.approx(math.log(exact), abs=1e-14)
 
 
 def test_kernel_rejects_bad_inputs():
-    with pytest.raises(PreconditionError):
-        integrate_kernel(lambda u: 1.0, 0.0, 0.0, TIGHT)
-    with pytest.raises(PreconditionError):
-        integrate_kernel(lambda u: u - 0.5, 0.0, 1.0, TIGHT)  # nonpositive sample
-    with pytest.raises(PreconditionError):
-        integrate_kernel(lambda u: 1.0, math.nan, 1.0, TIGHT)
+    f = ParametricDecay(1.0, 1.0)
+    for alpha in (-1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="finite alpha >= 0"):
+            integrate_kernel(f, alpha)
+    vanishing = TabulatedDecay.from_log_values([0.0, 0.5, 1.0], [0.0, -math.inf, -math.inf])
+    with pytest.raises(PreconditionError, match="vanishes"):
+        integrate_kernel(vanishing, 0.0)
+
+
+def test_kernel_of_a_steep_table_is_finite():
+    # its values past 0 underflow to 0.0, which the linear Simpson path rejected
+    f = TabulatedDecay.from_log_values([0.0, 0.25, 0.5, 1.0], [0.0, -900.0, -1800.0, -3600.0])
+    assert integrate_kernel(f, 0.0) == pytest.approx(-900.0 + math.log(0.25), abs=1e-12)
+    assert integrate_kernel(f, 5.0) == pytest.approx(-900.0 + math.log((1.0 - math.exp(-1.25)) / 5.0), abs=1e-12)
+
+
+DECAY_TABLES = st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6, unique=True).flatmap(
+    lambda times: st.lists(st.floats(0.0, 20.0), min_size=len(times), max_size=len(times)).map(
+        lambda drops: TabulatedDecay.from_log_values(sorted(times), -np.cumsum(drops) + drops[0])
+    )
+)
+PARAMETRIC_DECAYS = st.builds(ParametricDecay, st.floats(1.0, 1e3), st.floats(1e-3, 50.0))
+
+
+@given(st.one_of(DECAY_TABLES, PARAMETRIC_DECAYS), st.floats(0.0, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_adaptive_simpson(f, alpha):
+    assert math.exp(integrate_kernel(f, alpha)) == pytest.approx(simpson_kernel(f, alpha), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,15 @@ def test_thm2_constants_and_derived_witness(pexp3):
     assert len(run.reports) == 6
 
 
+def test_vanishing_kernel_is_a_precondition_error(pexp3):
+    # f(0) = 1 passes the decay gate, but f is 0 on all of (0, 1], so K = K1 = 0
+    f = TabulatedDecay.from_log_values([0.0, 0.5, 1.0], [0.0, -math.inf, -math.inf])
+    g = grid_for(pexp3, THM2_TIMES)
+    for run in (prop_integral_decay_to_instability, thm2_validate):
+        with pytest.raises(PreconditionError, match="kernel integral vanishes"):
+            run(f, UNIT_M, pexp3, g)
+
+
 def test_thm2_integral_chain_samples_only_unit_windows():
     # K1 ||v|| <= M(t) ||Phi(t, t0) v|| follows from the chain only for
     # t >= t0 + 1; sampling shorter windows reported false counterexamples
