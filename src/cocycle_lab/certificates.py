@@ -15,10 +15,14 @@ sample the inequality and report log-margins.  Every estimate/check pair
 routes the per-sample statistic through one shared code path, so a
 fitted certificate re-checks cleanly on its own grid even at tol = 0.
 
-Each checker, like each theorem sampler, keeps only its sample selection
-and its margin formula, and ``core._report`` is the one report loop.  The
-sample order, and so the row order of margins.csv, is defined once, by
-``core._triples`` and ``core._pairs``.
+Two sample statistics are named once: the pair statistic
+log ||v|| - log ||Phi(t, t0, x)v|| and the backward ratio
+log ||Phi(s, t0, x)v|| - log ||Phi(t, t0, x)v||.  Each checker, like each
+theorem sampler, keeps only its sample selection and its margin formula
+over one of them, the estimators reduce the same floats, and
+``core._report`` is the one report loop.  The sample order, and so the row
+order of margins.csv, is defined once, by ``core._triples`` and
+``core._pairs``.
 
 Witnesses store a log-value table alongside linear values; margins only
 ever touch the log side.
@@ -105,6 +109,8 @@ class TabulatedWitness:
             raise PreconditionError("tabulated witness needs at least one knot")
         if len(self.times) != len(self.values) or len(self.times) != len(self.log_values):
             raise PreconditionError("tabulated witness arrays must have equal length")
+        if not all(map(math.isfinite, self.times)):
+            raise PreconditionError(f"witness knot times must be finite, got {list(self.times)}")
         if any(b >= a for a, b in zip(self.times[1:], self.times)) or self.times[0] < 0.0:
             raise PreconditionError("witness knot times must be strictly increasing and >= 0")
         for lv in self.log_values:
@@ -289,6 +295,8 @@ class ExpInstabilityCertificate:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.nu) and self.nu > 0.0):
             raise PreconditionError(f"nu must be finite and > 0, got {self.nu}")
+        if self.growth_cap is not None and not (math.isfinite(self.growth_cap) and self.growth_cap > 0.0):
+            raise PreconditionError(f"growth_cap must be None or finite and > 0, got {self.growth_cap}")
         _validate_instability_witness(self.N, strict_above_one=True)
 
 
@@ -346,48 +354,73 @@ def _log_vector_norms(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> np.ndarray
 def _pair_tables(xi: SkewEvolutionSemiflow, grid: SampleGrid):
     """Yield (base label, vector label, log ||v||, L) per (base, vector) pair.
 
-    L[i, j] = log ||Phi(t_i, t_j, x) v|| for i >= j and nan above the
-    diagonal; one ``log_norms`` call per base point fills every vector's
-    table.  Pairs come base-major, in grid order.
+    L[i, k] = log ||Phi(t_i, t_k, x) v|| at the ``_pairs`` samples k <= i
+    and nan above the diagonal; one ``log_norms`` call per base point
+    fills every vector's table.  Pairs come base-major, in grid order.
     """
     times = np.asarray(grid.times)
     n = len(times)
-    i, j = np.tril_indices(n)
+    k, i = _pairs(n)
     log_v = _log_vector_norms(xi, grid)
     labels = grid.vector_labels()
     for x in grid.base_points:
         table = np.full((len(labels), n, n), np.nan)
-        table[:, i, j] = log_norms(xi, times[i], times[j], x, grid.vectors)
+        table[:, i, k] = log_norms(xi, times[i], times[k], x, grid.vectors)
         for b, vlabel in enumerate(labels):
             yield x.label(), vlabel, log_v[b], table[b]
 
 
-def _sample(
-    check: str,
-    xi: SkewEvolutionSemiflow,
-    grid: SampleGrid,
-    tol: float,
-    sink: MarginSink | None,
-    samples: tuple[np.ndarray, np.ndarray, np.ndarray],
-    margin,
-) -> CheckReport:
-    """Report ``margin(log ||v||, L)`` of every ``_pair_tables`` pair.
+def _pair_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, k: np.ndarray, i: np.ndarray):
+    """Yield (base label, vector label, log ||v|| - L[i, k]) at the pair samples (k, i).
 
-    ``samples`` holds the index arrays (k, j, i) of the grid triples
-    t_i >= t_j >= t_k that ``margin`` evaluates, in sample order.
+    The pair statistic: the loss of norm from t0 = t_k to t = t_i that an
+    instability witness N(t_i) has to make up.
+    """
+    for xlabel, vlabel, log_v, table in _pair_tables(xi, grid):
+        yield xlabel, vlabel, log_v - table[i, k]
+
+
+def _backward_ratios(xi: SkewEvolutionSemiflow, grid: SampleGrid, k: np.ndarray, j: np.ndarray, i: np.ndarray):
+    """Yield (base label, vector label, L[j, k] - L[i, k]) at the triples (k, j, i).
+
+    The triple statistic, the backward ratio
+    log ||Phi(s, t0, x)v|| - log ||Phi(t, t0, x)v|| at (t, s, t0) = (t_i, t_j, t_k).
+    """
+    for xlabel, vlabel, _, table in _pair_tables(xi, grid):
+        yield xlabel, vlabel, table[j, k] - table[i, k]
+
+
+def _sample(check: str, grid: SampleGrid, tol: float, sink: MarginSink | None, samples, stats, margin) -> CheckReport:
+    """Report ``margin(statistic)`` of every (base, vector) row of ``stats``.
+
+    ``stats`` yields ``_pair_stats`` or ``_backward_ratios`` rows, taken at
+    the grid triples t_i >= t_j >= t_k whose index arrays (k, j, i) are
+    ``samples``, in sample order.  Each statistic is a fresh array, which
+    ``margin`` may overwrite.
     """
     times = np.asarray(grid.times)
     k, j, i = samples
-    rows = ((xlabel, vlabel, margin(log_v, table)) for xlabel, vlabel, log_v, table in _pair_tables(xi, grid))
+    rows = ((xlabel, vlabel, margin(stat)) for xlabel, vlabel, stat in stats)
     return _report(check, tol, sink, (times[i], times[j], times[k]), rows)
 
 
-def _exp_margin(cert: ExpInstabilityCertificate, grid: SampleGrid, samples):
-    """The exp-instability margin at the samples (k, j, i), for ``_sample``."""
+def _check_exp_margins(
+    check: str, xi: SkewEvolutionSemiflow, cert: ExpInstabilityCertificate, grid: SampleGrid, tol: float, sink, samples
+) -> CheckReport:
+    """Sample log N(t) - (nu (t - s) + backward ratio) at the triples (k, j, i).
+
+    The margins overwrite each ratio: at O(n^3) samples, one array less is
+    a large share of the peak memory.
+    """
     times = np.asarray(grid.times)
     k, j, i = samples
     log_n = np.array([cert.N.log_value(t) for t in grid.times])
-    return lambda log_v, table: log_n[i] - (cert.nu * (times[i] - times[j]) + (table[j, k] - table[i, k]))
+
+    def margin(ratio):
+        ratio += cert.nu * (times[i] - times[j])
+        return np.subtract(log_n[i], ratio, out=ratio)
+
+    return _sample(check, grid, tol, sink, samples, _backward_ratios(xi, grid, k, j, i), margin)
 
 
 def _decay_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> np.ndarray:
@@ -425,11 +458,10 @@ def estimate_instability(
     grid.require_nonempty()
     if not (math.isfinite(headroom) and headroom > 0.0):
         raise PreconditionError(f"headroom must be > 0, got {headroom}")
-    lower = np.tri(len(grid.times), dtype=bool)
+    k, i = _pairs(len(grid.times))
     need = np.zeros(len(grid.times))
-    for _, _, log_v, table in _pair_tables(xi, grid):
-        # worst log ||v|| - log ||Phi(t_i, t0_k)v|| over t0_k <= t_i
-        need = np.fmax(need, np.max(log_v - table, axis=1, where=lower, initial=-np.inf))
+    for *_, stat in _pair_stats(xi, grid, k, i):
+        np.fmax.at(need, i, stat)  # the worst pair statistic over t0_k <= t_i
     logs = math.log1p(headroom) + need
     witness = TabulatedWitness.from_log_values(grid.times, logs)
     return InstabilityCertificate(N=witness, grid_hash=grid.grid_hash)
@@ -440,26 +472,29 @@ def _pair_envelopes(
 ) -> tuple[np.ndarray, float]:
     """Worst backward ratio per time pair, and the best realized growth rate.
 
-    Returns R[i, j] = max over t0 <= s_j, x, v of
-    log ||Phi(s_j, t0)v|| - log ||Phi(t_i, t0)v|| (for i >= j), together
-    with rho_star = max over samples of the forward growth rate
-    (log ||Phi(t_i, t0)v|| - log ||Phi(s_j, t0)v||) / (t_i - s_j).
+    Returns R[i, j] = max over t0 <= s_j, x, v of the backward ratio
+    log ||Phi(s_j, t0)v|| - log ||Phi(t_i, t0)v|| (for i >= j, -inf above
+    the diagonal), together with rho_star = max over the triples with
+    s_j < t_i of the forward growth rate -ratio / (t_i - s_j).
     """
     times = np.asarray(grid.times)
     n = len(times)
-    lower = np.tri(n, dtype=bool)
-    within = lower[:, :, None] & lower[None, :, :]  # [i, j, k]: k <= j <= i
-    forward = within & ~np.eye(n, dtype=bool)[:, :, None]  # and j < i
-    gaps = (times[:, None] - times[None, :])[:, :, None]
-    R = np.full((n, n), -np.inf)
-    rho_star = -math.inf
-    for *_, table in _pair_tables(xi, grid):
-        rise = table[:, None, :] - table[None, :, :]  # [i, j, k] = L[i, k] - L[j, k]
-        R = np.maximum(R, np.max(-rise, axis=2, where=within, initial=-np.inf))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rates = rise / gaps
-        rho_star = max(rho_star, float(np.max(rates, where=forward, initial=-np.inf)))
-    return R, rho_star
+    k, j, i = _triples(n)
+    # Flat [i * n + j] envelopes of the greatest and the least ratio: ufunc.at
+    # is many times faster on flat indices than on index pairs.
+    R = np.full(n * n, -np.inf)
+    least = np.full(n * n, np.inf)
+    for *_, ratio in _backward_ratios(xi, grid, k, j, i):
+        ij = i * n + j
+        np.maximum.at(R, ij, ratio)
+        np.minimum.at(least, ij, ratio)
+        del ratio, ij  # O(n^3) each: freed before the next ratio is formed
+    # Division by a gap t_i - s_j > 0 is monotone, rounding included, so each
+    # pair's fastest rate is its least ratio's, exactly.
+    gaps = times[:, None] - times[None, :]
+    forward = gaps > 0.0
+    rho_star = float(np.max(-least.reshape(n, n)[forward] / gaps[forward], initial=-np.inf))
+    return R.reshape(n, n), rho_star
 
 
 def _ls_slope(times: Sequence[float], values: np.ndarray) -> float:
@@ -599,11 +634,11 @@ def _datko_stats(
 # ---------------------------------------------------------------------------
 
 
-def _checker_inputs(checker: str, cert, kinds, what: str, grid: SampleGrid) -> None:
-    """The checkers' shared preconditions: a certificate of the checked kind, a nonempty grid."""
+def _require_kind(cert, kinds, expected: str) -> None:
+    """The certificate-kind gate: PreconditionError "``expected``, got <type>"
+    unless ``cert`` is an instance of ``kinds`` (a class or a union)."""
     if not isinstance(cert, kinds):
-        raise PreconditionError(f"{checker} needs {what}, got {type(cert).__name__}")
-    grid.require_nonempty()
+        raise PreconditionError(f"{expected}, got {type(cert).__name__}")
 
 
 def check_decay(
@@ -614,7 +649,8 @@ def check_decay(
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:
     """Sample log ||Phi(u + t0, t0, x)v|| - log f(u) - log ||v|| over the grid."""
-    _checker_inputs("check_decay", cert, (ParametricDecay, TabulatedDecay), "a decay certificate", grid)
+    _require_kind(cert, DecayCertificate, "check_decay needs a decay certificate")
+    grid.require_nonempty()
     # Samples (u_i + t0_j, t0_j) over every grid u and t0, by t0 then u.
     times = np.asarray(grid.times)
     t0 = np.repeat(times, len(times))
@@ -636,12 +672,12 @@ def check_instability(
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:
     """Sample log N(t) + log ||Phi(t, t0, x)v|| - log ||v|| over t >= t0."""
-    _checker_inputs("check_instability", cert, InstabilityCertificate, "an instability certificate", grid)
+    _require_kind(cert, InstabilityCertificate, "check_instability needs an instability certificate")
+    grid.require_nonempty()
     k, i = _pairs(len(grid.times))
     log_n = np.array([cert.N.log_value(t) for t in grid.times])
     return _sample(
-        "instability", xi, grid, tol, margin_sink, (k, k, i),
-        lambda log_v, table: log_n[i] - (log_v - table[i, k]),
+        "instability", grid, tol, margin_sink, (k, k, i), _pair_stats(xi, grid, k, i), lambda stat: log_n[i] - stat
     )
 
 
@@ -657,13 +693,9 @@ def check_exp_instability(
     Margin: log N(t) - (nu (t - s) + log ||Phi(s, t0, x)v|| -
     log ||Phi(t, t0, x)v||), evaluated per base point and vector.
     """
-    _checker_inputs(
-        "check_exp_instability", cert, ExpInstabilityCertificate, "an exp-instability certificate", grid
-    )
-    samples = _triples(len(grid.times))
-    return _sample(
-        "exp-instability", xi, grid, tol, margin_sink, samples, _exp_margin(cert, grid, samples)
-    )
+    _require_kind(cert, ExpInstabilityCertificate, "check_exp_instability needs an exp-instability certificate")
+    grid.require_nonempty()
+    return _check_exp_margins("exp-instability", xi, cert, grid, tol, margin_sink, _triples(len(grid.times)))
 
 
 def check_integral_instability(
@@ -679,9 +711,8 @@ def check_integral_instability(
     The t = t0 samples have a zero integral and count as margin +inf.
     Uses the certificate's own quadrature config when it carries one.
     """
-    _checker_inputs(
-        "check_integral_instability", cert, IntegralInstabilityCertificate, "an integral certificate", grid
-    )
+    _require_kind(cert, IntegralInstabilityCertificate, "check_integral_instability needs an integral certificate")
+    grid.require_nonempty()
     if not xi.strongly_measurable:
         raise PreconditionError("integral instability needs a strongly measurable model")
     cfg = quad_cfg or cert.quad or QuadratureConfig()

@@ -26,6 +26,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import repeat
+from types import UnionType
 from typing import Callable
 
 import numpy as np
@@ -34,12 +35,11 @@ from ._version import __version__
 from .certificates import (
     DEFAULT_GROWTH_CAP,
     DEFAULT_HEADROOM,
+    DecayCertificate,
     ExpInstabilityCertificate,
     InstabilityCertificate,
     IntegralInstabilityCertificate,
     NoCertificate,
-    ParametricDecay,
-    TabulatedDecay,
     _quad_from_json,
     _require_keys,
     certificate_from_json_dict,
@@ -77,7 +77,7 @@ from .quadrature import QuadratureConfig, QuadratureDepthError
 
 @dataclass(frozen=True)
 class _Property:
-    certificates: tuple[type, ...]
+    certificates: type | UnionType
     estimate: Callable  # (scenario, model) -> certificate
     check: Callable  # (scenario, model, certificate, margin sink) -> CheckReport
     columns: Callable  # certificate -> {witness_tables.csv column: function of t}
@@ -86,13 +86,13 @@ class _Property:
 
 PROPERTIES = {
     "decay": _Property(
-        (ParametricDecay, TabulatedDecay),
+        DecayCertificate,
         lambda sc, xi: estimate_decay(xi, sc.grid),
         lambda sc, xi, cert, sink: check_decay(xi, cert, sc.grid, sc.margin_tol, sink),
         lambda cert: {"f_hat": cert.value},
     ),
     "instability": _Property(
-        (InstabilityCertificate,),
+        InstabilityCertificate,
         lambda sc, xi: estimate_instability(xi, sc.grid, sc.headroom),
         lambda sc, xi, cert, sink: check_instability(xi, cert, sc.grid, sc.margin_tol, sink),
         lambda cert: {"N_hat": cert.N.value},
@@ -100,7 +100,7 @@ PROPERTIES = {
     # The exp-instability witness takes the N_hat column even if a plain
     # instability certificate was also supplied.
     "exp-instability": _Property(
-        (ExpInstabilityCertificate,),
+        ExpInstabilityCertificate,
         lambda sc, xi: estimate_exp_instability(
             xi, sc.grid, nu_candidates=sc.nu_candidates, growth_cap=sc.growth_cap, headroom=sc.headroom
         ),
@@ -109,7 +109,7 @@ PROPERTIES = {
         overrides=True,
     ),
     "integral-instability": _Property(
-        (IntegralInstabilityCertificate,),
+        IntegralInstabilityCertificate,
         lambda sc, xi: estimate_integral_instability(xi, sc.grid, sc.quad, sc.headroom),
         lambda sc, xi, cert, sink: check_integral_instability(
             xi, cert, sc.grid, sc.margin_tol, sc.quad, sink
@@ -154,44 +154,14 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    model: dict
     grid: SampleGrid
     quad: QuadratureConfig
     margin_tol: float
     headroom: float
     growth_cap: float
-    gamma: float
-    seed: int | None
     nu_candidates: tuple[float, ...] | None
     alpha: float
     out_dir: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": dict(self.model),
-            "grid": {
-                "times": list(self.grid.times),
-                "base_points": [_base_point_doc(b) for b in self.grid.base_points],
-                "vectors": [list(v) for v in self.grid.vectors],
-            },
-            "tolerances": {
-                "quad": self.quad.to_json_dict(),
-                "margin_tol": self.margin_tol,
-                "headroom": self.headroom,
-                "growth_cap": self.growth_cap,
-            },
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "nu_candidates": None if self.nu_candidates is None else list(self.nu_candidates),
-            "alpha": self.alpha,
-            "out_dir": self.out_dir,
-        }
-
-
-def _base_point_doc(b) -> dict:
-    if isinstance(b, Trivial):
-        return {"kind": "trivial", "value": b.value}
-    return {"kind": "generator", "n": b.n, "sigma": b.sigma}
 
 
 def _parse_base_point(doc) -> Trivial | ShiftedGenerator:
@@ -245,8 +215,8 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     """Validate a scenario document and build its model and grid.
 
     Returns the normalized scenario plus the model with any gamma shift
-    applied.  Randomized vector augmentation is materialized here, so
-    serializing the result and parsing it again is the identity.
+    applied.  Seeded random vectors are materialized into the grid here,
+    so the grid (and its hash) depends only on the document.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -307,14 +277,11 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     if out_dir is not None and not isinstance(out_dir, str):
         raise ScenarioError(f"out_dir must be a string or null, got {out_dir!r}")
     scenario = Scenario(
-        model=dict(doc["model"]),
         grid=grid,
         quad=quad,
         margin_tol=margin_tol,
         headroom=headroom,
         growth_cap=growth_cap,
-        gamma=gamma,
-        seed=seed,
         nu_candidates=nu_candidates,
         alpha=alpha,
         out_dir=out_dir_override or out_dir or ".",
@@ -323,12 +290,7 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
 
 
 def load_scenario(path: str, out_dir_override: str | None = None) -> tuple[Scenario, SkewEvolutionSemiflow]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
-    return parse_scenario(doc, out_dir_override)
+    return parse_scenario(_load_json_file(path), out_dir_override)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +369,15 @@ def _run_parallel(tasks):
 
 
 def _load_json_file(path: str) -> dict:
+    """Parse the JSON file ``path``; NaN, Infinity and -Infinity, which
+    ``json`` accepts although JSON has no such numbers, are rejected."""
+
+    def no_constant(name: str):
+        raise ScenarioError(f"{path} is not valid JSON: {name} is not a JSON number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=no_constant)
     except FileNotFoundError as exc:
         raise ScenarioError(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:

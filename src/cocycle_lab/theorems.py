@@ -24,14 +24,16 @@ from .certificates import (
     DEFAULT_HEADROOM,
     DecayCertificate,
     ExpInstabilityCertificate,
-    ExpWitness,
     InstabilityCertificate,
     IntegralInstabilityCertificate,
     NoCertificate,
-    ParametricDecay,
     TabulatedDecay,
     TabulatedWitness,
-    _exp_margin,
+    Witness,
+    _backward_ratios,
+    _check_exp_margins,
+    _pair_stats,
+    _require_kind,
     _sample,
     certificate_to_json_dict,
     check_decay,
@@ -102,7 +104,7 @@ class DerivedItem:
     def to_json_dict(self) -> dict:
         cert, payload = self.certificate, None
         # A TabulatedDecay is a TabulatedWitness too, but serializes as a certificate.
-        if isinstance(cert, (ExpWitness, TabulatedWitness)) and not isinstance(cert, TabulatedDecay):
+        if isinstance(cert, Witness) and not isinstance(cert, TabulatedDecay):
             payload = {"form": cert.form, **witness_to_json_dict(cert)}
         elif cert is not None:
             payload = certificate_to_json_dict(cert)
@@ -187,16 +189,6 @@ def _gate(theorem, inputs, gates, constants=None) -> TheoremRun | None:
     return _invalid(theorem, inputs, gates, f"{which} fails its own check on this grid", constants)
 
 
-def _require(cert, kind: type, what: str) -> None:
-    if not isinstance(cert, kind):
-        raise PreconditionError(f"{what} must be a {kind.__name__}, got {type(cert).__name__}")
-
-
-def _require_decay(cert, what: str = "f") -> None:
-    if not isinstance(cert, (ParametricDecay, TabulatedDecay)):
-        raise PreconditionError(f"{what} must be a decay certificate, got {type(cert).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Custom inequality samplers shared by the validators
 # ---------------------------------------------------------------------------
@@ -218,8 +210,8 @@ def _check_linear_growth(
     with np.errstate(divide="ignore"):
         log_gap = np.log(times[i] - times[k])
     return _sample(
-        "linear-growth", xi, grid, tol, None, (k, k, i),
-        lambda log_v, table: np.where(i == k, math.inf, mtilde_logs[i] + (table[i, k] - log_v) - log_gap),
+        "linear-growth", grid, tol, None, (k, k, i), _pair_stats(xi, grid, k, i),
+        lambda stat: np.where(i == k, math.inf, mtilde_logs[i] - stat - log_gap),
     )
 
 
@@ -235,8 +227,8 @@ def _check_window_bound(
     window = times[i] < times[j] + 1.0
     k, j, i = k[window], j[window], i[window]
     return _sample(
-        "window-bound", xi, grid, tol, None, (k, j, i),
-        lambda log_v, table: (table[i, k] - table[j, k]) - log_f_lam,
+        "window-bound", grid, tol, None, (k, j, i), _backward_ratios(xi, grid, k, j, i),
+        lambda ratio: -ratio - log_f_lam,
     )
 
 
@@ -259,8 +251,8 @@ def _check_integral_chain(
     k, i = k[unit], i[unit]
     log_m = np.array([m_cert.M.log_value(t) for t in grid.times])
     return _sample(
-        "integral-chain", xi, grid, tol, None, (k, k, i),
-        lambda log_v, table: log_m[i] + (table[i, k] - log_v) - log_k1,
+        "integral-chain", grid, tol, None, (k, k, i), _pair_stats(xi, grid, k, i),
+        lambda stat: log_m[i] - stat - log_k1,
     )
 
 
@@ -301,7 +293,7 @@ def remark_obs2(
     most one there, so N itself witnesses instability.  The decay side
     is fitted from the grid and round-trip checked.
     """
-    _require(cert, ExpInstabilityCertificate, "cert")
+    _require_kind(cert, ExpInstabilityCertificate, "cert must be a ExpInstabilityCertificate")
     inputs = (("exp_instability", cert),)
     gates = (check_exp_instability(xi, cert, grid, tol),)
     if invalid := _gate("remark_obs2", inputs, gates):
@@ -330,8 +322,8 @@ def prop_integral_decay_to_instability(
     The instability witness is N(t) = 1/f(1) + M(t)/K with K the unit
     integral of f; K is recorded in the run's constants.
     """
-    _require_decay(f)
-    _require(m_cert, IntegralInstabilityCertificate, "M")
+    _require_kind(f, DecayCertificate, "f must be a decay certificate")
+    _require_kind(m_cert, IntegralInstabilityCertificate, "M must be a IntegralInstabilityCertificate")
     inputs = (("f", f), ("M", m_cert))
     gates = (check_decay(xi, f, grid, tol), check_integral_instability(xi, m_cert, grid, tol, quad_cfg))
     if invalid := _gate("prop_integral_decay_to_instability", inputs, gates):
@@ -373,7 +365,7 @@ def prop_shift_necessity(
     Uses alpha = nu/2, M(t) = max(1, N(t)/alpha), and checks on the
     alpha-shifted cocycle; alpha is recorded in the constants.
     """
-    _require(cert, ExpInstabilityCertificate, "cert")
+    _require_kind(cert, ExpInstabilityCertificate, "cert must be a ExpInstabilityCertificate")
     inputs = (("exp_instability", cert),)
     gates = (check_exp_instability(xi, cert, grid, tol),)
     if invalid := _gate("prop_shift_necessity", inputs, gates):
@@ -423,8 +415,8 @@ def prop_shift_sufficiency(
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise PreconditionError(f"alpha must be finite and > 0, got {alpha}")
-    _require(m_alpha, IntegralInstabilityCertificate, "M_alpha")
-    _require_decay(f)
+    _require_kind(m_alpha, IntegralInstabilityCertificate, "M_alpha must be a IntegralInstabilityCertificate")
+    _require_kind(f, DecayCertificate, "f must be a decay certificate")
     inputs = (("M_alpha", m_alpha), ("f", f))
     shifted = shift_cocycle(xi, alpha)
     gates = (check_integral_instability(shifted, m_alpha, grid, tol, quad_cfg), check_decay(xi, f, grid, tol))
@@ -438,10 +430,7 @@ def prop_shift_sufficiency(
         TabulatedWitness.from_log_values(grid.times, logs), nu=alpha, grid_hash=grid.grid_hash
     )
     k, i = _pairs(len(grid.times))
-    diag = (k, k, i)
-    diag_report = _sample(
-        "exp-instability-diagonal", xi, grid, tol, None, diag, _exp_margin(derived_cert, grid, diag)
-    )
+    diag_report = _check_exp_margins("exp-instability-diagonal", xi, derived_cert, grid, tol, None, (k, k, i))
     full_report = check_exp_instability(xi, derived_cert, grid, tol)
     notes = [f"full two-time check (context): {full_report.verdict}"]
     if not decay_limit_witnessed(f):
@@ -475,7 +464,7 @@ def thm1_necessity(
     Derives M(t) = max(1, N(t)/nu) for the integral side and reuses N
     for the plain side; the verdict aggregates both checks.
     """
-    _require(cert, ExpInstabilityCertificate, "cert")
+    _require_kind(cert, ExpInstabilityCertificate, "cert must be a ExpInstabilityCertificate")
     inputs = (("exp_instability", cert),)
     gates = (check_exp_instability(xi, cert, grid, tol),)
     if invalid := _gate("thm1_necessity", inputs, gates):
@@ -520,8 +509,8 @@ def thm1_sufficiency(
     exponential-rate certificate is also attainable on this grid is
     reported as context, not folded into the verdict.
     """
-    _require(n_cert, InstabilityCertificate, "N")
-    _require(m_cert, IntegralInstabilityCertificate, "M")
+    _require_kind(n_cert, InstabilityCertificate, "N must be a InstabilityCertificate")
+    _require_kind(m_cert, IntegralInstabilityCertificate, "M must be a IntegralInstabilityCertificate")
     inputs = (("N", n_cert), ("M", m_cert))
     gates = (check_instability(xi, n_cert, grid, tol), check_integral_instability(xi, m_cert, grid, tol, quad_cfg))
     if invalid := _gate("thm1_sufficiency", inputs, gates):
@@ -565,8 +554,8 @@ def thm2_validate(
     short-window lower bound, the unit-kernel integral chain, the derived
     instability witness, and the linear-growth inequality.
     """
-    _require_decay(f)
-    _require(m_cert, IntegralInstabilityCertificate, "M")
+    _require_kind(f, DecayCertificate, "f must be a decay certificate")
+    _require_kind(m_cert, IntegralInstabilityCertificate, "M must be a IntegralInstabilityCertificate")
     inputs = (("f", f), ("M", m_cert))
     if not xi.strongly_measurable:
         return _invalid(

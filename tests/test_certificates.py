@@ -37,10 +37,13 @@ from cocycle_lab import (
     estimate_exp_instability,
     estimate_instability,
     estimate_integral_instability,
+    norm,
     pure_exponential_model,
+    sin_scalar_model,
 )
 
-from cocycle_lab.certificates import _datko_stats, _ls_slope
+from cocycle_lab.certificates import DEFAULT_NU_CANDIDATES, _datko_stats, _ls_slope, _pair_envelopes
+from cocycle_lab.core import log_cocycle_norm
 from conftest import grid_for, row_sink
 
 
@@ -72,6 +75,13 @@ def test_tabulated_witness_validation():
         TabulatedWitness.from_values([0.0, 1.0], [1.0, -2.0])
     with pytest.raises(PreconditionError):
         TabulatedWitness.from_log_values([0.0], [math.nan])
+    # a NaN knot passed the ordering test and broke the step lookup
+    for bad in (math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="knot times must be finite"):
+            TabulatedWitness.from_values([0.0, 1.0, bad, 3.0], [1.0, 0.5, 0.2, 0.1])
+        with pytest.raises(PreconditionError, match="knot times must be finite"):
+            certificate_from_json_dict({"kind": "decay", "form": "tabulated", "times": [0.0, 1.0, 2.0, bad],
+                                        "values": [1.0, 0.5, 0.2, 0.1], "grid_hash": "", "tool_version": "0"})
 
 
 def test_tabulated_witness_step_lookup():
@@ -141,6 +151,17 @@ def test_exp_certificate_needs_positive_rate():
         ExpInstabilityCertificate(N=ExpWitness(1.01, 0.0), nu=0.0)
     with pytest.raises(PreconditionError):
         ExpInstabilityCertificate(N=ExpWitness(1.01, 0.0), nu=-1.0)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_exp_certificate_growth_cap_is_none_or_finite_and_positive(cap):
+    with pytest.raises(PreconditionError, match="growth_cap must be None or finite and > 0"):
+        ExpInstabilityCertificate(N=ExpWitness(1.01, 0.0), nu=1.0, growth_cap=cap)
+    doc = certificate_to_json_dict(ExpInstabilityCertificate(N=ExpWitness(1.01, 0.0), nu=1.0))
+    with pytest.raises(PreconditionError, match="growth_cap"):
+        certificate_from_json_dict({**doc, "growth_cap": cap})
+    assert ExpInstabilityCertificate(N=ExpWitness(1.01, 0.0), nu=1.0, growth_cap=None).growth_cap is None
+    assert ExpInstabilityCertificate(N=ExpWitness(1.01, 0.0), nu=1.0, growth_cap=1e-300).growth_cap == 1e-300
 
 
 def test_decay_to_exponential():
@@ -276,13 +297,13 @@ def test_checkers_reject_wrong_certificate_kind(pexp3_model, short_times):
     g = grid_for(pexp3_model, short_times)
     inst = InstabilityCertificate(N=ExpWitness(2.0, 0.0))
     decay = ParametricDecay(1.0, 1.0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^check_decay needs a decay certificate, got InstabilityCertificate$"):
         check_decay(pexp3_model, inst, g)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^check_instability needs an instability certificate, got Parametric"):
         check_instability(pexp3_model, decay, g)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^check_exp_instability needs an exp-instability certificate, got"):
         check_exp_instability(pexp3_model, inst, g)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^check_integral_instability needs an integral certificate, got"):
         check_integral_instability(pexp3_model, inst, g)
 
 
@@ -473,3 +494,83 @@ def test_parametric_json_preserves_values_exactly(n_tilde, omega):
     back = certificate_from_json_dict(certificate_to_json_dict(cert))
     assert back.n_tilde == cert.n_tilde
     assert back.omega == cert.omega
+
+
+# ---------------------------------------------------------------------------
+# The estimators against the scalar reference path
+# ---------------------------------------------------------------------------
+
+
+def _reference_fit(xi, grid):
+    """(pair need, R, rho_star) of the estimators, by plain loops over
+    every (x, v, k <= j <= i) with ``log_cocycle_norm``."""
+    T = grid.times
+    n = len(T)
+    need = [0.0] * n
+    R = [[-math.inf] * n for _ in range(n)]
+    rho = -math.inf
+    for x in grid.base_points:
+        for v in grid.vectors:
+            log_v = math.log(norm(v, xi.norm_choice))
+            L = {(i, k): log_cocycle_norm(xi, T[i], T[k], x, v) for k in range(n) for i in range(k, n)}
+            for k in range(n):
+                for j in range(k, n):
+                    need[j] = max(need[j], log_v - L[j, k])
+                    for i in range(j, n):
+                        ratio = L[j, k] - L[i, k]
+                        R[i][j] = max(R[i][j], ratio)
+                        if j < i:
+                            rho = max(rho, -ratio / (T[i] - T[j]))
+    return need, R, rho
+
+
+def _reference_nu(T, R, rho, growth_cap=8.0):
+    """The largest default candidate that the realized rate covers and whose
+    envelope slope stays within the cap, or None."""
+    for nu in reversed(DEFAULT_NU_CANDIDATES):
+        if nu > rho + 1e-9:
+            continue
+        y = [max(nu * (T[i] - T[j]) + R[i][j] for j in range(i + 1)) for i in range(len(T))]
+        if _ls_slope(T, np.array(y)) <= growth_cap:
+            return nu
+    return None
+
+
+_reference_models = st.one_of(
+    st.just(sin_scalar_model()),
+    st.floats(-3.0, 3.0).map(pure_exponential_model),
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3).map(diag_integral_model),
+)
+
+
+@given(
+    _reference_models,
+    st.lists(st.integers(0, 48), min_size=1, max_size=9, unique=True),
+    st.floats(0.05, 1.0),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_estimators_match_the_scalar_reference(xi, steps, spacing, data):
+    times = [spacing * s for s in sorted(steps)]
+    component = st.floats(-10.0, 10.0, allow_subnormal=False)
+    vectors = data.draw(
+        st.lists(
+            st.lists(component, min_size=xi.dimension, max_size=xi.dimension).map(lambda v: v if any(v) else [1.0, *v[1:]]),
+            min_size=1, max_size=3,
+        )
+    )
+    grid = SampleGrid.create(times, default_base_points(xi), vectors)
+    need, R_ref, rho_ref = _reference_fit(xi, grid)
+
+    n_hat = estimate_instability(xi, grid)
+    assert n_hat.N.log_values == pytest.approx([math.log1p(0.01) + v for v in need], rel=1e-12, abs=1e-12)
+    R, rho = _pair_envelopes(xi, grid)
+    for i in range(len(times)):
+        for j in range(len(times)):
+            if j <= i:
+                assert R[i, j] == pytest.approx(R_ref[i][j], rel=1e-12, abs=1e-12)
+            else:
+                assert R[i, j] == R_ref[i][j] == -math.inf
+    assert rho == pytest.approx(rho_ref, rel=1e-12, abs=1e-12)
+    fitted = estimate_exp_instability(xi, grid)
+    assert (None if isinstance(fitted, NoCertificate) else fitted.nu) == _reference_nu(grid.times, R_ref, rho_ref)

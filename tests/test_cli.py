@@ -70,12 +70,13 @@ def test_scenario_round_trip_is_identity():
         "out_dir": "somewhere",
     }
     sc1, _ = parse_scenario(doc)
-    normalized = sc1.to_json_dict()
-    sc2, _ = parse_scenario(normalized)
-    assert sc2.to_json_dict() == normalized
+    sc2, _ = parse_scenario(doc)
     assert sc2.grid.grid_hash == sc1.grid.grid_hash
-    # the two seeded extra vectors were materialized into the grid
+    # the two seeded extra vectors were materialized into the grid: listing
+    # them as plain vectors gives the same grid
     assert len(sc1.grid.vectors) == 6
+    listed = {"model": doc["model"], "grid": {"times": [0.0, 1.0, 2.0], "vectors": [list(v) for v in sc1.grid.vectors]}}
+    assert parse_scenario(listed)[0].grid.grid_hash == sc1.grid.grid_hash
 
 
 def test_scenario_defaults():
@@ -86,7 +87,6 @@ def test_scenario_defaults():
     assert sc.headroom == 0.01
     assert sc.growth_cap == 8.0
     assert sc.alpha == 1.5
-    assert sc.gamma == 0.0
     assert sc.nu_candidates is None
     assert xi.descriptor["kind"] == "sin_scalar"
 
@@ -246,6 +246,41 @@ def test_quadrature_depth_exhaustion_exits_2(tmp_path, capsys):
 def test_missing_scenario_file_exits_2(tmp_path):
     assert main(["laws", "--scenario", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path)]) == 2
+
+
+# Python's json reads these three literals, which are not JSON numbers.
+NON_FINITE_CERTIFICATES = {
+    "decay NaN knot": ("decay", '{"kind": "decay", "form": "tabulated", "times": [0, 1, NaN, 3], '
+                                '"values": [1, 0.5, 0.2, 0.1], "grid_hash": "", "tool_version": "0"}'),
+    "decay Infinity knot": ("decay", '{"kind": "decay", "form": "tabulated", "times": [0, 1, 2, Infinity], '
+                                     '"values": [1, 0.5, 0.2, 0.1], "grid_hash": "", "tool_version": "0"}'),
+    "growth_cap NaN": ("exp-instability", '{"kind": "exp_instability", "form": "parametric", '
+                                          '"N": {"coef": 2, "rate": 1}, "nu": 1, "growth_cap": NaN, '
+                                          '"grid_hash": "", "tool_version": "0"}'),
+    "N rate -Infinity": ("instability", '{"kind": "instability", "form": "parametric", '
+                                        '"N": {"coef": 2, "rate": -Infinity}, "grid_hash": "", "tool_version": "0"}'),
+}
+
+
+@pytest.mark.parametrize("prop, text", NON_FINITE_CERTIFICATES.values(), ids=NON_FINITE_CERTIFICATES)
+def test_certificate_files_with_non_finite_literals_exit_2(tmp_path, capsys, prop, text):
+    scenario = write_scenario(tmp_path / "s.json", {"kind": "pure_exponential", "rate": 1.0}, times=[0, 1, 2, 3])
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    out = tmp_path / "out"
+    for argv in (["check", "--property", prop, "--cert", str(cert)], ["report", "--cert", str(cert)]):
+        assert main([*argv, "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cert} is not valid JSON" in err and "is not a JSON number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_scenario_files_with_non_finite_literals_exit_2(tmp_path, capsys, literal):
+    scenario = tmp_path / "s.json"
+    scenario.write_text('{"model": {"kind": "pure_exponential", "rate": %s}}' % literal)
+    assert main(["laws", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{scenario} is not valid JSON: {literal} is not a JSON number" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
