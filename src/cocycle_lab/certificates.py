@@ -15,24 +15,26 @@ sample the inequality and report log-margins.  Every estimate/check pair
 routes the per-sample statistic through one shared code path, so a
 fitted certificate re-checks cleanly on its own grid even at tol = 0.
 
-Two sample statistics are named once: the pair statistic
-log ||v|| - log ||Phi(t, t0, x)v|| and the backward ratio
-log ||Phi(s, t0, x)v|| - log ||Phi(t, t0, x)v||.  Each checker, like each
-theorem sampler, keeps only its sample selection and its margin formula
-over one of them, the estimators reduce the same floats, and
-``core._report`` is the one report loop.  The sample order, and so the row
+Four sample statistics are named once, one per property: the decay
+statistic log ||Phi(u + t0, t0, x)v|| - log ||v||, the pair statistic
+log ||v|| - log ||Phi(t, t0, x)v||, the backward ratio
+log ||Phi(s, t0, x)v|| - log ||Phi(t, t0, x)v||, and the Datko statistic
+log(integral of the trajectory norm over [t0, t]) - log ||Phi(t, t0, x)v||.
+Each checker, like each theorem sampler, keeps only its sample selection
+and its margin formula over one of them and reports through ``_sample``;
+the estimators reduce the same floats.  The sample order, and so the row
 order of margins.csv, is defined once, by ``core._triples`` and
 ``core._pairs``.
 
 Witnesses store a log-value table alongside linear values; margins only
-ever touch the log side.
+ever touch the log side, which every witness evaluates on a whole array
+of times at once.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +50,7 @@ from .core import (
     _is_number,
     _pairs,
     _report,
+    _require_keys,
     _triples,
     log_norms,
     norm,
@@ -88,8 +91,8 @@ class ExpWitness:
     def value(self, t: float) -> float:
         return self.coef * math.exp(self.rate * t)
 
-    def log_value(self, t: float) -> float:
-        return math.log(self.coef) + self.rate * t
+    def log_value(self, t: float | np.ndarray) -> float | np.ndarray:
+        return math.log(self.coef) + self.rate * np.asarray(t)
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,8 @@ class TabulatedWitness:
     """Step-interpolated witness: value at the nearest knot time >= t.
 
     Past the last knot the last value extends; the log table is the
-    authoritative side for margin arithmetic.
+    authoritative side for margin arithmetic.  The constructors pass any
+    further ``fields`` (a subclass's) through.
     """
 
     times: tuple[float, ...]
@@ -118,30 +122,30 @@ class TabulatedWitness:
                 raise PreconditionError(f"witness log-values must be finite or -inf, got {lv}")
 
     @classmethod
-    def from_values(cls, times: Sequence[float], values: Sequence[float]) -> "TabulatedWitness":
+    def from_values(cls, times: Sequence[float], values: Sequence[float], **fields):
         vals = tuple(float(v) for v in values)
         if any(not (v > 0.0) or not math.isfinite(v) for v in vals):
             raise PreconditionError("tabulated witness values must be positive and finite")
-        return cls(tuple(float(t) for t in times), vals, tuple(math.log(v) for v in vals))
+        return cls(tuple(float(t) for t in times), vals, tuple(math.log(v) for v in vals), **fields)
 
     @classmethod
-    def from_log_values(cls, times: Sequence[float], logs: Sequence[float]) -> "TabulatedWitness":
+    def from_log_values(cls, times: Sequence[float], logs: Sequence[float], **fields):
         lv = tuple(float(v) for v in logs)
-        return cls(tuple(float(t) for t in times), tuple(math.exp(v) for v in lv), lv)
+        return cls(tuple(float(t) for t in times), tuple(math.exp(v) for v in lv), lv, **fields)
 
     @property
     def form(self) -> str:
         return "tabulated"
 
-    def _index(self, t: float) -> int:
-        idx = bisect.bisect_left(self.times, t)
-        return idx if idx < len(self.times) else len(self.times) - 1
+    def _index(self, t: float | np.ndarray):
+        """Index of the first knot >= t, or of the last knot past the table."""
+        return np.minimum(np.searchsorted(self.times, t), len(self.times) - 1)
 
     def value(self, t: float) -> float:
         return self.values[self._index(t)]
 
-    def log_value(self, t: float) -> float:
-        return self.log_values[self._index(t)]
+    def log_value(self, t: float | np.ndarray) -> float | np.ndarray:
+        return np.asarray(self.log_values)[self._index(t)]
 
 
 Witness = ExpWitness | TabulatedWitness
@@ -178,8 +182,8 @@ class ParametricDecay:
     def value(self, t: float) -> float:
         return math.exp(-self.omega * t) / self.n_tilde
 
-    def log_value(self, t: float) -> float:
-        return -self.omega * t - math.log(self.n_tilde)
+    def log_value(self, t: float | np.ndarray) -> float | np.ndarray:
+        return -self.omega * np.asarray(t) - math.log(self.n_tilde)
 
 
 @dataclass(frozen=True)
@@ -195,18 +199,6 @@ class TabulatedDecay(TabulatedWitness):
             raise PreconditionError("decay witness values must be nonincreasing")
         if self.log_values[0] == -math.inf:
             raise PreconditionError("decay witness values must be positive")
-
-    @classmethod
-    def from_values(
-        cls, times: Sequence[float], values: Sequence[float], grid_hash: str = ""
-    ) -> "TabulatedDecay":
-        return replace(super().from_values(times, values), grid_hash=grid_hash)
-
-    @classmethod
-    def from_log_values(
-        cls, times: Sequence[float], logs: Sequence[float], grid_hash: str = ""
-    ) -> "TabulatedDecay":
-        return replace(super().from_log_values(times, logs), grid_hash=grid_hash)
 
 
 DecayCertificate = ParametricDecay | TabulatedDecay
@@ -262,14 +254,11 @@ def _validate_instability_witness(w: Witness, strict_above_one: bool) -> None:
             )
         if strict_above_one and w.coef == 1.0 and w.rate == 0.0:
             raise PreconditionError("instability witness must exceed 1 for t > 0")
-    else:
-        floor = 0.0
-        if strict_above_one:
-            if any(lv <= floor for lv in w.log_values):
-                raise PreconditionError("instability witness values must be > 1")
-        else:
-            if any(lv < floor for lv in w.log_values):
-                raise PreconditionError("integral witness values must be >= 1")
+    elif strict_above_one:
+        if min(w.log_values) <= 0.0:
+            raise PreconditionError("instability witness values must be > 1")
+    elif min(w.log_values) < 0.0:
+        raise PreconditionError("integral witness values must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -390,18 +379,64 @@ def _backward_ratios(xi: SkewEvolutionSemiflow, grid: SampleGrid, k: np.ndarray,
         yield xlabel, vlabel, table[j, k] - table[i, k]
 
 
-def _sample(check: str, grid: SampleGrid, tol: float, sink: MarginSink | None, samples, stats, margin) -> CheckReport:
-    """Report ``margin(statistic)`` of every (base, vector) row of ``stats``.
+def _decay_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid):
+    """Yield (base label, vector label, m) per (base, vector) pair, with
+    m[j, i] = log ||Phi(u_i + t0_j, t0_j, x) v|| - log ||v||.
 
-    ``stats`` yields ``_pair_stats`` or ``_backward_ratios`` rows, taken at
-    the grid triples t_i >= t_j >= t_k whose index arrays (k, j, i) are
-    ``samples``, in sample order.  Each statistic is a fresh array, which
-    ``margin`` may overwrite.
+    The decay statistic, over every grid u and t0; one ``log_norms`` call
+    per base point fills every vector's table.
     """
     times = np.asarray(grid.times)
-    k, j, i = samples
+    t0 = times[:, None]
+    with np.errstate(over="ignore"):  # an infinite u + t0 is log_norms' DomainError
+        t = times + t0
+    log_v = _log_vector_norms(xi, grid)
+    labels = grid.vector_labels()
+    for x in grid.base_points:
+        table = log_norms(xi, t, t0, x, grid.vectors)
+        for b, vlabel in enumerate(labels):
+            yield x.label(), vlabel, table[b] - log_v[b]
+
+
+def _datko_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, quad_cfg: QuadratureConfig):
+    """Yield (base label, vector label, d) per (base, vector) pair, with
+    d[p] = log(integral over [t_k, t_i]) - log ||Phi(t_i, t_k, x)v|| at the pair samples p = (k, i).
+
+    The Datko statistic, in ``_pairs`` order; each base point and base time
+    t_k take one ``norm_integral_prefix`` call and one ``log_norms`` call
+    for every vector.  The t = t0 samples are -inf.  The ratio has degree 0
+    in v, so each v is normalized before the quadrature: otherwise the
+    integrator's absolute tolerance floor would make the refinement depth,
+    and hence the last few digits, depend on the scale of v.
+    """
+    times = grid.times
+    block = np.array([v / norm(v, xi.norm_choice) for v in grid.vector_arrays()])
+    labels = grid.vector_labels()
+    for x in grid.base_points:
+        stats = []
+        for k, t0 in enumerate(times):
+            prefix = norm_integral_prefix(xi, x, block, times[k:], quad_cfg)
+            with np.errstate(divide="ignore"):
+                stats.append(np.log(prefix) - log_norms(xi, np.asarray(times[k:]), t0, x, block))
+        for vlabel, row in zip(labels, np.concatenate(stats, axis=1)):
+            yield x.label(), vlabel, row
+
+
+def _at(grid: SampleGrid, k: np.ndarray, j: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, s, t0) = (t_i, t_j, t_k) of the grid triples (k, j, i)."""
+    times = np.asarray(grid.times)
+    return times[i], times[j], times[k]
+
+
+def _sample(check: str, tol: float, sink: MarginSink | None, coords, stats, margin) -> CheckReport:
+    """Report ``margin(statistic)`` of every (base, vector) row of ``stats``.
+
+    ``stats`` yields the rows of one named statistic, taken at the samples
+    whose (t, s, t0) arrays are ``coords``, in sample order.  Each
+    statistic is a fresh array, which ``margin`` may overwrite.
+    """
     rows = ((xlabel, vlabel, margin(stat)) for xlabel, vlabel, stat in stats)
-    return _report(check, tol, sink, (times[i], times[j], times[k]), rows)
+    return _report(check, tol, sink, coords, rows)
 
 
 def _check_exp_margins(
@@ -412,25 +447,15 @@ def _check_exp_margins(
     The margins overwrite each ratio: at O(n^3) samples, one array less is
     a large share of the peak memory.
     """
-    times = np.asarray(grid.times)
     k, j, i = samples
-    log_n = np.array([cert.N.log_value(t) for t in grid.times])
+    t, s, t0 = _at(grid, k, j, i)
+    log_n = cert.N.log_value(grid.times)
 
     def margin(ratio):
-        ratio += cert.nu * (times[i] - times[j])
+        ratio += cert.nu * (t - s)
         return np.subtract(log_n[i], ratio, out=ratio)
 
-    return _sample(check, grid, tol, sink, samples, _backward_ratios(xi, grid, k, j, i), margin)
-
-
-def _decay_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> np.ndarray:
-    """m[a, b, j, i] = log ||Phi(u_i + t0_j, t0_j, x_a) v_b|| - log ||v_b||."""
-    times = np.asarray(grid.times)
-    t0 = times[:, None]
-    with np.errstate(over="ignore"):  # an infinite u + t0 is log_norms' DomainError
-        t = times + t0
-    log_v = _log_vector_norms(xi, grid)[:, None, None]
-    return np.stack([log_norms(xi, t, t0, x, grid.vectors) - log_v for x in grid.base_points])
+    return _sample(check, tol, sink, (t, s, t0), _backward_ratios(xi, grid, k, j, i), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +470,9 @@ def estimate_decay(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> TabulatedDeca
     f_hat(0) is exactly 1 because the u = 0 ratio is identically one.
     """
     grid.require_nonempty()
-    stats = _decay_stats(xi, grid)
-    per_u = np.min(stats, axis=(0, 1, 2))
+    per_u = np.full(len(grid.times), np.inf)
+    for *_, m in _decay_stats(xi, grid):
+        np.minimum(per_u, m.min(axis=0), out=per_u)  # the worst decay statistic over t0
     logs = np.minimum.accumulate(per_u)
     return TabulatedDecay.from_log_values(grid.times, logs, grid_hash=grid.grid_hash)
 
@@ -592,41 +618,13 @@ def estimate_integral_instability(
         raise PreconditionError("integral instability needs a strongly measurable model")
     if not (math.isfinite(headroom) and headroom > 0.0):
         raise PreconditionError(f"headroom must be > 0, got {headroom}")
-    times = grid.times
-    vectors = grid.vector_arrays()
-    _, i = _pairs(len(times))
-    need = np.full(len(times), -np.inf)
-    for x in grid.base_points:
-        np.fmax.at(need, i, np.fmax.reduce(_datko_stats(xi, x, vectors, times, quad_cfg)))
+    _, i = _pairs(len(grid.times))
+    need = np.full(len(grid.times), -np.inf)
+    for *_, stat in _datko_stats(xi, grid, quad_cfg):
+        np.fmax.at(need, i, stat)  # the worst Datko statistic over t0_k <= t_i
     logs = np.maximum(0.0, math.log1p(headroom) + need)
-    witness = TabulatedWitness.from_log_values(times, logs)
+    witness = TabulatedWitness.from_log_values(grid.times, logs)
     return IntegralInstabilityCertificate(M=witness, grid_hash=grid.grid_hash, quad=quad_cfg)
-
-
-def _datko_stats(
-    xi: SkewEvolutionSemiflow,
-    x,
-    vectors: Sequence[np.ndarray],
-    times: Sequence[float],
-    quad_cfg: QuadratureConfig,
-) -> np.ndarray:
-    """d[b, p] = log(integral over [t_k, t_i]) - log ||Phi(t_i, t_k, x)v_b|| at the pair samples p = (k, i).
-
-    One row per vector, in ``_pairs`` order; each base time t_k takes one
-    ``norm_integral_prefix`` call and one ``log_norms`` call.  The t = t0
-    samples are -inf; both the estimator and the checker consume
-    exactly these floats.  The ratio has degree 0 in v, so each v is
-    normalized before the quadrature: otherwise the integrator's absolute
-    tolerance floor would make the refinement depth, and hence the last
-    few digits, depend on the scale of v.
-    """
-    block = np.array([v / norm(v, xi.norm_choice) for v in vectors])
-    stats = []
-    for k, t0 in enumerate(times):
-        prefix = norm_integral_prefix(xi, x, block, times[k:], quad_cfg)
-        with np.errstate(divide="ignore"):
-            stats.append(np.log(prefix) - log_norms(xi, np.asarray(times[k:]), t0, x, block))
-    return np.concatenate(stats, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +652,10 @@ def check_decay(
     # Samples (u_i + t0_j, t0_j) over every grid u and t0, by t0 then u.
     times = np.asarray(grid.times)
     t0 = np.repeat(times, len(times))
-    t = (times + times[:, None]).ravel()
-    log_f = np.array([cert.log_value(u) for u in grid.times])
-    rows = (
-        (x.label(), vlabel, (stats - log_f).ravel())
-        for x, per_vector in zip(grid.base_points, _decay_stats(xi, grid))
-        for vlabel, stats in zip(grid.vector_labels(), per_vector)
-    )
-    return _report("decay", tol, margin_sink, (t, t0, t0), rows)
+    with np.errstate(over="ignore"):  # an infinite u + t0 is log_norms' DomainError
+        t = (times + times[:, None]).ravel()
+    log_f = cert.log_value(times)
+    return _sample("decay", tol, margin_sink, (t, t0, t0), _decay_stats(xi, grid), lambda m: (m - log_f).ravel())
 
 
 def check_instability(
@@ -675,9 +669,9 @@ def check_instability(
     _require_kind(cert, InstabilityCertificate, "check_instability needs an instability certificate")
     grid.require_nonempty()
     k, i = _pairs(len(grid.times))
-    log_n = np.array([cert.N.log_value(t) for t in grid.times])
+    log_n = cert.N.log_value(grid.times)
     return _sample(
-        "instability", grid, tol, margin_sink, (k, k, i), _pair_stats(xi, grid, k, i), lambda stat: log_n[i] - stat
+        "instability", tol, margin_sink, _at(grid, k, k, i), _pair_stats(xi, grid, k, i), lambda stat: log_n[i] - stat
     )
 
 
@@ -716,31 +710,17 @@ def check_integral_instability(
     if not xi.strongly_measurable:
         raise PreconditionError("integral instability needs a strongly measurable model")
     cfg = quad_cfg or cert.quad or QuadratureConfig()
-    times = np.asarray(grid.times)
-    k, i = _pairs(len(times))
-    log_m = np.array([cert.M.log_value(t) for t in grid.times])
-    vectors = grid.vector_arrays()
-    rows = (
-        (x.label(), vlabel, log_m[i] - row)
-        for x in grid.base_points
-        for vlabel, row in zip(grid.vector_labels(), _datko_stats(xi, x, vectors, grid.times, cfg))
+    k, i = _pairs(len(grid.times))
+    log_m = cert.M.log_value(grid.times)
+    return _sample(
+        "integral-instability", tol, margin_sink, _at(grid, k, k, i), _datko_stats(xi, grid, cfg),
+        lambda stat: log_m[i] - stat,
     )
-    return _report("integral-instability", tol, margin_sink, (times[i], times[k], times[k]), rows)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def _require_keys(doc: dict, required: set[str], optional: set[str], what: str) -> None:
-    keys = set(doc)
-    missing = required - keys
-    unknown = keys - required - optional
-    if missing:
-        raise PreconditionError(f"{what} is missing keys {sorted(missing)}")
-    if unknown:
-        raise PreconditionError(f"{what} has unknown keys {sorted(unknown)}")
 
 
 def witness_to_json_dict(w: Witness) -> dict:
@@ -852,10 +832,10 @@ def certificate_from_json_dict(doc: dict):
             return ParametricDecay(number("n_tilde"), number("omega"), grid_hash, version)
         if form == "tabulated":
             _require_keys(doc, common | {"form", "times", "values"}, set(), "decay certificate")
-            w = TabulatedWitness.from_values(
-                _float_list(doc["times"], "times"), _float_list(doc["values"], "values")
+            return TabulatedDecay.from_values(
+                _float_list(doc["times"], "times"), _float_list(doc["values"], "values"),
+                grid_hash=grid_hash, tool_version=version,
             )
-            return TabulatedDecay(w.times, w.values, w.log_values, grid_hash, version)
         raise PreconditionError(f"unknown decay form {form!r}")
     if kind == "instability":
         _require_keys(doc, common | {"form", "N"}, set(), "instability certificate")

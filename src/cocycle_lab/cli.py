@@ -11,7 +11,7 @@ produce byte-identical files.
 
 Exit codes: 0 when everything passed, 1 when a check failed or an
 estimator found no certificate, 2 on usage, schema, or evaluation
-errors.
+errors, and when the run ran out of memory.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .certificates import (
     IntegralInstabilityCertificate,
     NoCertificate,
     _quad_from_json,
-    _require_keys,
     certificate_from_json_dict,
     certificate_to_json_dict,
     check_decay,
@@ -62,6 +61,7 @@ from .core import (
     Trivial,
     _float_list,
     _is_number,
+    _require_keys,
     check_cocycle_laws,
     check_semiflow_laws,
     shift_cocycle,
@@ -81,7 +81,6 @@ class _Property:
     estimate: Callable  # (scenario, model) -> certificate
     check: Callable  # (scenario, model, certificate, margin sink) -> CheckReport
     columns: Callable  # certificate -> {witness_tables.csv column: function of t}
-    overrides: bool = False  # take columns that an earlier certificate filled
 
 
 PROPERTIES = {
@@ -97,8 +96,8 @@ PROPERTIES = {
         lambda sc, xi, cert, sink: check_instability(xi, cert, sc.grid, sc.margin_tol, sink),
         lambda cert: {"N_hat": cert.N.value},
     ),
-    # The exp-instability witness takes the N_hat column even if a plain
-    # instability certificate was also supplied.
+    # Columns are filled in this order, so the exp-instability witness takes
+    # the N_hat column even if a plain instability certificate was also supplied.
     "exp-instability": _Property(
         ExpInstabilityCertificate,
         lambda sc, xi: estimate_exp_instability(
@@ -106,7 +105,6 @@ PROPERTIES = {
         ),
         lambda sc, xi, cert, sink: check_exp_instability(xi, cert, sc.grid, sc.margin_tol, sink),
         lambda cert: {"N_hat": cert.N.value, "nu": lambda t: cert.nu},
-        overrides=True,
     ),
     "integral-instability": _Property(
         IntegralInstabilityCertificate,
@@ -353,18 +351,8 @@ def _margin_rows(
 def _run_parallel(tasks):
     """Run zero-argument callables in order on the calling thread.
 
-    ``COCYCLE_LAB_THREADS`` must be a positive integer if it is set (a
-    documented contract), but it changes nothing.  perfbench/tracer.py
-    wraps this function by name.
+    perfbench/tracer.py wraps this function by name.
     """
-    raw = os.environ.get("COCYCLE_LAB_THREADS")
-    if raw is not None:
-        try:
-            valid = int(raw) >= 1
-        except ValueError:
-            valid = False
-        if not valid:
-            raise ScenarioError(f"COCYCLE_LAB_THREADS must be a positive integer, got {raw!r}")
     return [task() for task in tasks]
 
 
@@ -514,11 +502,9 @@ def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
                 fh.write(_margin_rows(prop, *batch))
 
     columns: dict[str, Callable] = {}
-    for prop, cert in loaded.items():
-        entry = PROPERTIES[prop]
-        for name, column in entry.columns(cert).items():
-            if entry.overrides or name not in columns:
-                columns[name] = column
+    for prop, entry in PROPERTIES.items():
+        if prop in loaded:
+            columns.update(entry.columns(loaded[prop]))
     header = ["t"] + [name for name in ("f_hat", "N_hat", "M_hat", "nu") if name in columns]
     with _create(sc, "witness_tables.csv") as fh:
         writer = csv.writer(fh)
@@ -587,6 +573,9 @@ def main(argv=None) -> int:
         OSError, ValueError, TypeError, OverflowError,
     ) as exc:
         print(f"cocycle-lab: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"cocycle-lab: error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
 
 

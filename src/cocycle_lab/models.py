@@ -31,6 +31,7 @@ from .core import (
     Trivial,
     _float_list,
     _is_number,
+    _require_keys,
 )
 
 
@@ -124,8 +125,9 @@ def pure_exponential_model(
     rate: float, norm_choice: NormChoice = NormChoice.SUM_ABS
 ) -> SkewEvolutionSemiflow:
     """Scalar cocycle v -> v e^{rate (t - s)}; the estimator calibration model."""
-    if not math.isfinite(rate):
-        raise PreconditionError(f"rate must be finite, got {rate}")
+    if not (_is_number(rate) and math.isfinite(rate)):
+        raise PreconditionError(f"rate must be a finite number, got {rate!r}")
+    rate = float(rate)
     return _trivial_model(
         {"kind": "pure_exponential", "rate": rate}, lambda t, s: rate * (t - s), norm_choice
     )
@@ -185,38 +187,33 @@ def broken_cocycle_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewEv
     return _trivial_model({"kind": "broken_cocycle"}, lambda t, s: np.log1p(t - s), norm_choice)
 
 
+# Model kind -> (descriptor keys besides "kind", all required; builder(descriptor, norm choice)).
+MODEL_KINDS = {
+    "sin_scalar": (set(), lambda d, nc: sin_scalar_model(nc)),
+    "diag_integral": ({"alphas"}, lambda d, nc: diag_integral_model(
+        _float_list(d["alphas"], "diag_integral alphas"), nc)),
+    "pure_exponential": ({"rate"}, lambda d, nc: pure_exponential_model(d["rate"], nc)),
+    "broken_semiflow": (set(), lambda d, nc: broken_semiflow_model(nc)),
+    "broken_cocycle": (set(), lambda d, nc: broken_cocycle_model(nc)),
+}
+
+
 def build_model(
     descriptor: dict, norm_choice: NormChoice = NormChoice.SUM_ABS
 ) -> SkewEvolutionSemiflow:
     """Construct a model from a descriptor dict, e.g. parsed scenario JSON.
 
-    Recognized kinds: sin_scalar, diag_integral (needs "alphas"),
-    pure_exponential (needs "rate"), and the two broken fixtures.
+    The kind selects the keys a descriptor must have and may have
+    (``MODEL_KINDS``); any other key is an error.
     """
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise PreconditionError(f"model descriptor needs a 'kind' key, got {descriptor!r}")
     kind = descriptor["kind"]
-    known = {"kind", "alphas", "rate"}
-    extra = set(descriptor) - known
-    if extra:
-        raise PreconditionError(f"unknown model descriptor keys: {sorted(extra)}")
-    if kind == "sin_scalar":
-        return sin_scalar_model(norm_choice)
-    if kind == "diag_integral":
-        if "alphas" not in descriptor:
-            raise PreconditionError("diag_integral descriptor needs 'alphas'")
-        return diag_integral_model(_float_list(descriptor["alphas"], "diag_integral alphas"), norm_choice)
-    if kind == "pure_exponential":
-        if "rate" not in descriptor:
-            raise PreconditionError("pure_exponential descriptor needs 'rate'")
-        if not _is_number(descriptor["rate"]):
-            raise PreconditionError(f"pure_exponential rate must be a number, got {descriptor['rate']!r}")
-        return pure_exponential_model(float(descriptor["rate"]), norm_choice)
-    if kind == "broken_semiflow":
-        return broken_semiflow_model(norm_choice)
-    if kind == "broken_cocycle":
-        return broken_cocycle_model(norm_choice)
-    raise PreconditionError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise PreconditionError(f"unknown model kind {kind!r}")
+    keys, builder = MODEL_KINDS[kind]
+    _require_keys(descriptor, {"kind", *keys}, set(), f"{kind} model descriptor")
+    return builder(descriptor, norm_choice)
 
 
 def default_base_points(xi: SkewEvolutionSemiflow) -> tuple[BasePoint, ...]:

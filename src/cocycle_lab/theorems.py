@@ -30,6 +30,7 @@ from .certificates import (
     TabulatedDecay,
     TabulatedWitness,
     Witness,
+    _at,
     _backward_ratios,
     _check_exp_margins,
     _pair_stats,
@@ -205,12 +206,12 @@ def _check_linear_growth(
     The t = t0 samples compare against a zero left side and count as
     +inf margins.
     """
-    times = np.asarray(grid.times)
-    k, i = _pairs(len(times))
+    k, i = _pairs(len(grid.times))
+    t, s, t0 = _at(grid, k, k, i)
     with np.errstate(divide="ignore"):
-        log_gap = np.log(times[i] - times[k])
+        log_gap = np.log(t - t0)
     return _sample(
-        "linear-growth", grid, tol, None, (k, k, i), _pair_stats(xi, grid, k, i),
+        "linear-growth", tol, None, (t, s, t0), _pair_stats(xi, grid, k, i),
         lambda stat: np.where(i == k, math.inf, mtilde_logs[i] - stat - log_gap),
     )
 
@@ -227,7 +228,7 @@ def _check_window_bound(
     window = times[i] < times[j] + 1.0
     k, j, i = k[window], j[window], i[window]
     return _sample(
-        "window-bound", grid, tol, None, (k, j, i), _backward_ratios(xi, grid, k, j, i),
+        "window-bound", tol, None, _at(grid, k, j, i), _backward_ratios(xi, grid, k, j, i),
         lambda ratio: -ratio - log_f_lam,
     )
 
@@ -249,18 +250,19 @@ def _check_integral_chain(
     k, i = _pairs(len(times))
     unit = times[i] >= times[k] + 1.0
     k, i = k[unit], i[unit]
-    log_m = np.array([m_cert.M.log_value(t) for t in grid.times])
+    log_m = m_cert.M.log_value(grid.times)
     return _sample(
-        "integral-chain", grid, tol, None, (k, k, i), _pair_stats(xi, grid, k, i),
+        "integral-chain", tol, None, _at(grid, k, k, i), _pair_stats(xi, grid, k, i),
         lambda stat: log_m[i] - stat - log_k1,
     )
 
 
-def _clamped_log_witness(logs: list[float], times) -> tuple[TabulatedWitness, int]:
-    """Clamp log-values up to 0 (witness >= 1), counting how often it fires."""
-    clamped = [max(0.0, lv) for lv in logs]
-    fired = sum(1 for lv in logs if lv < 0.0)
-    return TabulatedWitness.from_log_values(times, clamped), fired
+def _integral_witness(cert: ExpInstabilityCertificate, c: float, grid: SampleGrid):
+    """(M, notes): M(t) = max(1, N(t)/c) on the grid, and a note on how often the clamp to 1 fired."""
+    logs = cert.N.log_value(grid.times) - math.log(c)
+    fired = int(np.count_nonzero(logs < 0.0))
+    notes = [f"clamped M to 1 at {fired} of {len(grid.times)} grid times"] if fired else []
+    return TabulatedWitness.from_log_values(grid.times, np.maximum(0.0, logs)), notes
 
 
 def _exp_estimate_aux(
@@ -330,9 +332,7 @@ def prop_integral_decay_to_instability(
         return invalid
     log_k = integrate_kernel(f, 0.0)
     k_val = math.exp(log_k)
-    logs = [
-        float(np.logaddexp(-f.log_value(1.0), m_cert.M.log_value(t) - log_k)) for t in grid.times
-    ]
+    logs = np.logaddexp(-f.log_value(1.0), m_cert.M.log_value(grid.times) - log_k)
     derived_n = InstabilityCertificate(
         TabulatedWitness.from_log_values(grid.times, logs), grid_hash=grid.grid_hash
     )
@@ -371,16 +371,10 @@ def prop_shift_necessity(
     if invalid := _gate("prop_shift_necessity", inputs, gates):
         return invalid
     alpha = cert.nu / 2.0
-    log_alpha = math.log(alpha)
-    witness, clamp_count = _clamped_log_witness(
-        [cert.N.log_value(t) - log_alpha for t in grid.times], grid.times
-    )
+    witness, notes = _integral_witness(cert, alpha, grid)
     derived_m = IntegralInstabilityCertificate(witness, grid_hash=grid.grid_hash, quad=quad_cfg)
     shifted = shift_cocycle(xi, alpha)
     report = check_integral_instability(shifted, derived_m, grid, tol, quad_cfg)
-    notes = []
-    if clamp_count:
-        notes.append(f"clamped M to 1 at {clamp_count} of {len(grid.times)} grid times")
     derived = (
         DerivedItem("alpha", FORMULAS["prop_shift_necessity.alpha"], value=alpha),
         DerivedItem("integral", FORMULAS["prop_shift_necessity.integral"], derived_m),
@@ -424,8 +418,7 @@ def prop_shift_sufficiency(
         return invalid
     log_k = integrate_kernel(f, alpha)
     k_val = math.exp(log_k)
-    floor = math.log1p(headroom)
-    logs = [max(m_alpha.M.log_value(t) - log_k, floor) for t in grid.times]
+    logs = np.maximum(m_alpha.M.log_value(grid.times) - log_k, math.log1p(headroom))
     derived_cert = ExpInstabilityCertificate(
         TabulatedWitness.from_log_values(grid.times, logs), nu=alpha, grid_hash=grid.grid_hash
     )
@@ -469,17 +462,11 @@ def thm1_necessity(
     gates = (check_exp_instability(xi, cert, grid, tol),)
     if invalid := _gate("thm1_necessity", inputs, gates):
         return invalid
-    log_nu = math.log(cert.nu)
-    witness, clamp_count = _clamped_log_witness(
-        [cert.N.log_value(t) - log_nu for t in grid.times], grid.times
-    )
+    witness, notes = _integral_witness(cert, cert.nu, grid)
     derived_m = IntegralInstabilityCertificate(witness, grid_hash=grid.grid_hash, quad=quad_cfg)
     int_report = check_integral_instability(xi, derived_m, grid, tol, quad_cfg)
     derived_n = InstabilityCertificate(N=cert.N, grid_hash=grid.grid_hash)
     inst_report = check_instability(xi, derived_n, grid, tol)
-    notes = []
-    if clamp_count:
-        notes.append(f"clamped M to 1 at {clamp_count} of {len(grid.times)} grid times")
     derived = (
         DerivedItem("integral", FORMULAS["thm1_necessity.integral"], derived_m),
         DerivedItem("instability", FORMULAS["thm1_necessity.instability"], derived_n),
@@ -517,7 +504,7 @@ def thm1_sufficiency(
         return invalid
     f_hat = estimate_decay(xi, grid)
     decay_report = check_decay(xi, f_hat, grid, tol)
-    mtilde_logs = np.array([m_cert.M.log_value(t) - f_hat.log_value(t) for t in grid.times])
+    mtilde_logs = m_cert.M.log_value(grid.times) - f_hat.log_value(grid.times)
     mtilde = TabulatedWitness.from_log_values(grid.times, mtilde_logs)
     growth_report = _check_linear_growth(xi, mtilde_logs, grid, tol)
     aux_item, aux_reports, aux_note = _exp_estimate_aux(
@@ -569,11 +556,9 @@ def thm2_validate(
     gates = (check_decay(xi, f, grid, tol), check_integral_instability(xi, m_cert, grid, tol, quad_cfg))
     if invalid := _gate("thm2_validate", inputs, gates):
         return invalid
-    lam = None
-    for t in grid.times:
-        if t > 1.0 and float(t).is_integer() and f.log_value(t) < 0.0:
-            lam = float(t)
-            break
+    times = np.asarray(grid.times)
+    lams = times[(times > 1.0) & (times == np.floor(times)) & (f.log_value(times) < 0.0)]
+    lam = float(lams[0]) if lams.size else None
     missing = None
     if lam is None:
         missing = "no integer grid time above 1 has f(lambda) < 1"
@@ -591,7 +576,7 @@ def thm2_validate(
     log_k1 = integrate_kernel(f, 0.0)
     k1 = math.exp(log_k1)
     log_f_lam = f.log_value(lam)
-    mtilde_logs = np.array([m_cert.M.log_value(t) - f.log_value(t) for t in grid.times])
+    mtilde_logs = m_cert.M.log_value(grid.times) - f.log_value(grid.times)
     n_logs = np.logaddexp(-log_f_lam, mtilde_logs)
     derived_n = InstabilityCertificate(
         TabulatedWitness.from_log_values(grid.times, n_logs), grid_hash=grid.grid_hash

@@ -96,6 +96,22 @@ def test_tabulated_witness_step_lookup():
     assert w.log_value(0.5) == math.log(3.0)
 
 
+def test_log_value_of_an_array_matches_plain_formulas():
+    ts = [0.0, 0.25, 1.0, 1.5, 2.0, 7.0, 99.0]
+    tab = TabulatedDecay.from_values([0.25, 1.0, 2.0], [0.9, 0.5, 0.125], grid_hash="h", tool_version="v")
+    assert (tab.grid_hash, tab.tool_version) == ("h", "v")  # from_values passes the fields through
+    cases = [
+        (ExpWitness(2.0, 0.75), lambda t: math.log(2.0) + 0.75 * t),
+        (ParametricDecay(3.0, 0.5), lambda t: -0.5 * t - math.log(3.0)),
+        # the first knot >= t, or the last knot past the table
+        (tab, lambda t: next((lv for kt, lv in zip(tab.times, tab.log_values) if kt >= t), tab.log_values[-1])),
+    ]
+    for w, reference in cases:
+        assert w.log_value(np.array(ts)).tolist() == [reference(t) for t in ts]
+        assert w.log_value(tuple(ts)).tolist() == [reference(t) for t in ts]
+        assert [w.log_value(t) for t in ts] == [reference(t) for t in ts]
+
+
 # ---------------------------------------------------------------------------
 # Certificate invariants
 # ---------------------------------------------------------------------------
@@ -392,11 +408,19 @@ def test_ls_slope_matches_polyfit_on_any_time_scale(scale):
 def test_datko_rows_of_a_vector_block_match_single_vectors_exactly(short_times, choice):
     xi = diag_integral_model(np.linspace(-2.0, 2.0, 9), choice)
     vectors = [np.linspace(0.1, 1.7, 9), np.linspace(-1.0, 1.0, 9), 3.0 * np.eye(9)[4]]
-    x, cfg = ShiftedGenerator(2, 0.0), QuadratureConfig()
-    got = _datko_stats(xi, x, vectors, short_times, cfg)
+    bases, cfg = [ShiftedGenerator(2, 0.0), ShiftedGenerator(1, 0.5)], QuadratureConfig()
+    grid = SampleGrid.create(short_times, bases, vectors)
+    got = list(_datko_stats(xi, grid, cfg))
     n = len(short_times)
-    assert got.shape == (len(vectors), n * (n + 1) // 2)
-    assert got.tolist() == [_datko_stats(xi, x, [v], short_times, cfg)[0].tolist() for v in vectors]
+    assert [(x, v) for x, v, _ in got] == [(x.label(), v) for x in bases for v in grid.vector_labels()]
+    assert all(row.shape == (n * (n + 1) // 2,) for *_, row in got)
+    singles = [
+        row.tolist()
+        for x in bases
+        for v in vectors
+        for *_, row in _datko_stats(xi, SampleGrid.create(short_times, [x], [v]), cfg)
+    ]
+    assert [row.tolist() for *_, row in got] == singles
 
 
 def test_integral_check_emits_base_then_vector_batches(diag_model, short_times):

@@ -324,6 +324,20 @@ def test_overflowing_log_factors_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_decay_check_on_overflowing_sample_times_exits_2(tmp_path, capsys):
+    # the decay samples t = u + t0 pass the float range at u = t0 = 1e308,
+    # which once printed numpy's overflow warning before the error
+    p = write_scenario(tmp_path / "far.json", {"kind": "sin_scalar"}, times=[0.0, 1e308])
+    cert = tmp_path / "f.json"
+    cert.write_text(json.dumps({"kind": "decay", "form": "parametric", "n_tilde": 2.0, "omega": 1.0,
+                                "grid_hash": "", "tool_version": "0"}))
+    argv = ["check", "--property", "decay", "--cert", str(cert), "--scenario", str(p), "--out-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "(t, s) = (inf, 1e+308) outside the admissible region" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rate", [1e12, 1e15])
 def test_laws_allow_roundoff_of_huge_exact_log_factors(tmp_path, rate):
     # without the allowance, rate 1e12 fails by one ulp of lf(2.7, 0) at
@@ -772,6 +786,9 @@ FUZZ_THEOREMS = ("remark-obs2", "prop-integral-decay", "prop-shift-sufficiency",
 @example({"model": {"kind": "sin_scalar"}, "grid": {"times": [0, 1e300]}})
 # log factors of 1.2e308 once overflowed the sum of the cocycle roundoff bound
 @example({"model": {"kind": "diag_integral", "alphas": [3.5]}, "grid": {"times": [0.0, 1e308]}})
+# a base point coordinate that the semiflow overflows once raised numpy's overflow warning
+@example({"model": {"kind": "sin_scalar"},
+          "grid": {"times": [0.0, 1e308], "base_points": [{"kind": "trivial", "value": 1e308}]}})
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_scenarios_exit_0_1_or_2(doc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -822,24 +839,17 @@ def test_outputs_are_byte_identical_across_runs(tmp_path, sin_scenario):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_thread_count_env_validation(tmp_path, sin_scenario, monkeypatch):
-    out = tmp_path / "out"
-    monkeypatch.setenv("COCYCLE_LAB_THREADS", "2")
-    assert main(["laws", "--scenario", str(sin_scenario), "--out-dir", str(out)]) == 0
-    monkeypatch.setenv("COCYCLE_LAB_THREADS", "0")
-    assert main(["laws", "--scenario", str(sin_scenario), "--out-dir", str(out)]) == 2
-    monkeypatch.setenv("COCYCLE_LAB_THREADS", "many")
-    assert main(["laws", "--scenario", str(sin_scenario), "--out-dir", str(out)]) == 2
+def test_memory_error_exits_2(tmp_path, sin_scenario, monkeypatch, capsys):
+    from cocycle_lab import cli
 
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
-def test_single_thread_matches_parallel(tmp_path, sin_scenario, monkeypatch):
-    out1, out2 = tmp_path / "seq", tmp_path / "par"
-    monkeypatch.setenv("COCYCLE_LAB_THREADS", "1")
-    run_pipeline(sin_scenario, out1)
-    monkeypatch.setenv("COCYCLE_LAB_THREADS", "4")
-    run_pipeline(sin_scenario, out2)
-    for p in sorted(out1.iterdir()):
-        assert p.read_bytes() == (out2 / p.name).read_bytes(), p.name
+    monkeypatch.setattr(cli, "check_semiflow_laws", exhausted)
+    assert main(["laws", "--scenario", str(sin_scenario), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "cocycle-lab: error: out of memory: Unable to allocate 74.5 GiB for an array\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -515,12 +515,22 @@ def test_laws_need_nonempty_grid(sin_model):
 
 
 def test_report_builder_flags_nan_and_negative():
-    report = _report("demo", 1e-9, None, (np.array([1.0, 2.0, 3.0]), np.zeros(3), np.zeros(3)),
-                     [("x", "[1]", np.array([0.5, -1.0, math.nan]))])
+    coords = (np.array([1.0, 2.0, 3.0]), np.zeros(3), np.zeros(3))
+    report = _report("demo", 1e-9, None, coords, [("x", "[1]", np.array([0.5, -1.0, math.nan]))])
     assert report.samples_checked == 3
     assert report.worst_margin == -1.0
     assert len(report.counterexamples) == 2
     assert not report.passed
+    # NaN-mixed rows count their other margins toward the worst; an all-NaN row leaves it as it was
+    rows = [("x", "[1]", np.array([math.nan, 2.0, 0.5])), ("x", "[2]", np.full(3, math.nan)),
+            ("x", "[3]", np.array([math.nan, -3.0, math.inf]))]
+    report = _report("demo", 1e-9, None, coords, rows)
+    assert report.samples_checked == 9
+    assert report.worst_margin == -3.0
+    assert len(report.counterexamples) == 6
+    report = _report("demo", 1e-9, None, coords, rows[1:2])
+    assert report.worst_margin == math.inf
+    assert [c.t for c in report.counterexamples] == [1.0, 2.0, 3.0]
 
 
 def test_report_builder_array_path_matches_scalar_path():

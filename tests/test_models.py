@@ -182,6 +182,12 @@ def test_build_model_rejects_bad_descriptors():
         build_model({"kind": "diag_integral", "alphas": []})
     with pytest.raises(PreconditionError):
         build_model({"kind": "pure_exponential", "rate": math.inf})
+    # another kind's keys are unknown keys
+    for doc, key in (({"kind": "sin_scalar", "rate": 5}, "rate"),
+                     ({"kind": "diag_integral", "alphas": [1, -1], "rate": 3}, "rate"),
+                     ({"kind": "pure_exponential", "rate": 2, "alphas": [7]}, "alphas")):
+        with pytest.raises(PreconditionError, match=f"unknown keys \\['{key}'\\]"):
+            build_model(doc)
 
 
 BUILTIN_DESCRIPTORS = [
