@@ -467,7 +467,9 @@ def estimate_decay(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> TabulatedDeca
     """Fit the tightest grid lower bound f_hat(u) = min ratio, monotonized.
 
     The running minimum over increasing u makes the table nonincreasing;
-    f_hat(0) is exactly 1 because the u = 0 ratio is identically one.
+    f_hat(0) is 1 up to one rounding: the u = 0 ratio is identically one,
+    but log ||v|| comes from a math.fsum norm and log ||Phi(t, t, x)v|| from
+    a numpy log-sum-exp, and the two may differ in the last bit.
     """
     grid.require_nonempty()
     per_u = np.full(len(grid.times), np.inf)
@@ -703,7 +705,9 @@ def check_integral_instability(
     """Sample log M(t) + log ||Phi(t, t0, x)v|| - log integral over t >= t0.
 
     The t = t0 samples have a zero integral and count as margin +inf.
-    Uses the certificate's own quadrature config when it carries one.
+    The quadrature config is ``quad_cfg`` when given; only when it is None
+    does the certificate's own ``quad`` apply, and then the default.  The
+    CLI always passes the scenario's ``tolerances.quad``.
     """
     _require_kind(cert, IntegralInstabilityCertificate, "check_integral_instability needs an integral certificate")
     grid.require_nonempty()
@@ -869,9 +873,11 @@ def certificate_from_json_dict(doc: dict):
         details = doc.get("details", {})
         if not isinstance(details, dict):
             raise PreconditionError("details must be an object")
+        if not isinstance(doc["property"], str) or not isinstance(doc["reason"], str):
+            raise PreconditionError("property and reason must be strings")
         return NoCertificate(
-            property_name=str(doc["property"]),
-            reason=str(doc["reason"]),
+            property_name=doc["property"],
+            reason=doc["reason"],
             grid_hash=grid_hash,
             tool_version=version,
             details=details,

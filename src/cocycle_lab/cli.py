@@ -491,26 +491,25 @@ def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
         _run_check(sc, xi, prop, cert, lambda *batch: batches.append(batch))
         return batches
 
-    # Every check runs before margins.csv is opened, so a failing check
-    # leaves no partial file behind.
+    # Every check runs and every witness table row is formatted before
+    # either file is opened, so a failure leaves no partial file behind.
     all_batches = _run_parallel([lambda item=item: margins_for(item) for item in loaded.items()])
+    columns: dict[str, Callable] = {}
+    for prop, entry in PROPERTIES.items():
+        if prop in loaded:
+            columns.update(entry.columns(loaded[prop]))
+    header = ["t"] + [name for name in ("f_hat", "N_hat", "M_hat", "nu") if name in columns]
+    table = [[_fmt(t)] + [_fmt(columns[name](t)) for name in header[1:]] for t in sc.grid.times]
 
     with _create(sc, "margins.csv") as fh:
         csv.writer(fh).writerow(["property", "t", "s", "t0", "base", "vector", "margin"])
         for prop, batches in zip(loaded, all_batches):
             for batch in batches:
                 fh.write(_margin_rows(prop, *batch))
-
-    columns: dict[str, Callable] = {}
-    for prop, entry in PROPERTIES.items():
-        if prop in loaded:
-            columns.update(entry.columns(loaded[prop]))
-    header = ["t"] + [name for name in ("f_hat", "N_hat", "M_hat", "nu") if name in columns]
     with _create(sc, "witness_tables.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t in sc.grid.times:
-            writer.writerow([_fmt(t)] + [_fmt(columns[name](t)) for name in header[1:]])
+        writer.writerows(table)
     return 0
 
 

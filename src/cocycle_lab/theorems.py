@@ -62,8 +62,9 @@ from .quadrature import QuadratureConfig
 
 DEFAULT_TOL = 1e-9
 
-# Frozen derivation formulas; tests audit runs against these strings
-# byte-for-byte, so edit them only together with the constructions.
+# Frozen derivation formulas, keyed "<theorem>.<derived item name>"; _finish
+# looks each derived item's formula up here.  Tests audit runs against these
+# strings byte-for-byte, so edit them only together with the constructions.
 FORMULAS = {
     "remark_obs2.instability": "N_is(t) = N(t)",
     "remark_obs2.decay": "f_hat = estimate_decay(xi, grid)",
@@ -156,12 +157,28 @@ def _finish(
     aux_reports=(),
     constants=None,
     notes=(),
+    verdict=None,
 ) -> TheoremRun:
-    verdict = "pass" if all(r.passed for r in reports) else "fail"
+    """The run of ``theorem``; every validator builds its run here.
+
+    ``derived`` maps each derived item's name, in order, to its value (a
+    float) or its certificate; the item's formula is
+    ``FORMULAS["<theorem>.<name>"]``.  ``verdict=None`` means "pass" when
+    every report passes and "fail" otherwise.
+    """
+    items = []
+    for name, obj in dict(derived).items():
+        formula = FORMULAS[f"{theorem}.{name}"]
+        if isinstance(obj, float):
+            items.append(DerivedItem(name, formula, value=obj))
+        else:
+            items.append(DerivedItem(name, formula, certificate=obj))
+    if verdict is None:
+        verdict = "pass" if all(r.passed for r in reports) else "fail"
     return TheoremRun(
         theorem=theorem,
         inputs=tuple(inputs),
-        derived=tuple(derived),
+        derived=tuple(items),
         reports=tuple(reports),
         verdict=verdict,
         aux_reports=tuple(aux_reports),
@@ -170,24 +187,13 @@ def _finish(
     )
 
 
-def _invalid(theorem, inputs, reports, note, constants=None) -> TheoremRun:
-    return TheoremRun(
-        theorem=theorem,
-        inputs=tuple(inputs),
-        derived=(),
-        reports=tuple(reports),
-        verdict="input-invalid",
-        constants=dict(constants or {}),
-        notes=(note,),
-    )
-
-
 def _gate(theorem, inputs, gates, constants=None) -> TheoremRun | None:
     """The input-invalid run when an input certificate fails its own check."""
     if all(g.passed for g in gates):
         return None
     which = "input certificate" if len(gates) == 1 else "an input certificate"
-    return _invalid(theorem, inputs, gates, f"{which} fails its own check on this grid", constants)
+    note = f"{which} fails its own check on this grid"
+    return _finish(theorem, inputs, (), gates, constants=constants, notes=(note,), verdict="input-invalid")
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +272,15 @@ def _integral_witness(cert: ExpInstabilityCertificate, c: float, grid: SampleGri
 
 
 def _exp_estimate_aux(
-    xi: SkewEvolutionSemiflow, grid: SampleGrid, tol: float, formula: str
-) -> tuple[DerivedItem, tuple[CheckReport, ...], str]:
-    """Fit an exp-instability certificate for context, derived under ``FORMULAS[formula]``."""
+    xi: SkewEvolutionSemiflow, grid: SampleGrid, tol: float
+) -> tuple[ExpInstabilityCertificate | NoCertificate, tuple[CheckReport, ...], str]:
+    """(fitted, reports, note): an exp-instability certificate fitted for context,
+    its check report when the fit found one, and a note on the outcome."""
     fitted = estimate_exp_instability(xi, grid)
-    item = DerivedItem("exp_instability_estimate", FORMULAS[formula], fitted)
     if isinstance(fitted, NoCertificate):
-        return item, (), f"exp-instability estimate: no certificate ({fitted.reason})"
+        return fitted, (), f"exp-instability estimate: no certificate ({fitted.reason})"
     report = check_exp_instability(xi, fitted, grid, tol)
-    return item, (report,), f"exp-instability estimate: nu = {fitted.nu:.17g}, check {report.verdict}"
+    return fitted, (report,), f"exp-instability estimate: nu = {fitted.nu:.17g}, check {report.verdict}"
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +310,7 @@ def remark_obs2(
     inst_report = check_instability(xi, derived_n, grid, tol)
     f_hat = estimate_decay(xi, grid)
     decay_report = check_decay(xi, f_hat, grid, tol)
-    derived = (
-        DerivedItem("instability", FORMULAS["remark_obs2.instability"], derived_n),
-        DerivedItem("decay", FORMULAS["remark_obs2.decay"], f_hat),
-    )
+    derived = {"instability": derived_n, "decay": f_hat}
     return _finish("remark_obs2", inputs, derived, (*gates, inst_report, decay_report))
 
 
@@ -337,12 +340,7 @@ def prop_integral_decay_to_instability(
         TabulatedWitness.from_log_values(grid.times, logs), grid_hash=grid.grid_hash
     )
     report = check_instability(xi, derived_n, grid, tol)
-    derived = (
-        DerivedItem("K", FORMULAS["prop_integral_decay_to_instability.K"], value=k_val),
-        DerivedItem(
-            "instability", FORMULAS["prop_integral_decay_to_instability.instability"], derived_n
-        ),
-    )
+    derived = {"K": k_val, "instability": derived_n}
     return _finish(
         "prop_integral_decay_to_instability",
         inputs,
@@ -375,10 +373,7 @@ def prop_shift_necessity(
     derived_m = IntegralInstabilityCertificate(witness, grid_hash=grid.grid_hash, quad=quad_cfg)
     shifted = shift_cocycle(xi, alpha)
     report = check_integral_instability(shifted, derived_m, grid, tol, quad_cfg)
-    derived = (
-        DerivedItem("alpha", FORMULAS["prop_shift_necessity.alpha"], value=alpha),
-        DerivedItem("integral", FORMULAS["prop_shift_necessity.integral"], derived_m),
-    )
+    derived = {"alpha": alpha, "integral": derived_m}
     return _finish(
         "prop_shift_necessity",
         inputs,
@@ -428,12 +423,7 @@ def prop_shift_sufficiency(
     notes = [f"full two-time check (context): {full_report.verdict}"]
     if not decay_limit_witnessed(f):
         notes.append("decay witness table never decreases; vanishing limit not evidenced")
-    derived = (
-        DerivedItem("K", FORMULAS["prop_shift_sufficiency.K"], value=k_val),
-        DerivedItem(
-            "exp_instability", FORMULAS["prop_shift_sufficiency.exp_instability"], derived_cert
-        ),
-    )
+    derived = {"K": k_val, "exp_instability": derived_cert}
     return _finish(
         "prop_shift_sufficiency",
         inputs,
@@ -467,10 +457,7 @@ def thm1_necessity(
     int_report = check_integral_instability(xi, derived_m, grid, tol, quad_cfg)
     derived_n = InstabilityCertificate(N=cert.N, grid_hash=grid.grid_hash)
     inst_report = check_instability(xi, derived_n, grid, tol)
-    derived = (
-        DerivedItem("integral", FORMULAS["thm1_necessity.integral"], derived_m),
-        DerivedItem("instability", FORMULAS["thm1_necessity.instability"], derived_n),
-    )
+    derived = {"integral": derived_m, "instability": derived_n}
     return _finish(
         "thm1_necessity",
         inputs,
@@ -507,14 +494,8 @@ def thm1_sufficiency(
     mtilde_logs = m_cert.M.log_value(grid.times) - f_hat.log_value(grid.times)
     mtilde = TabulatedWitness.from_log_values(grid.times, mtilde_logs)
     growth_report = _check_linear_growth(xi, mtilde_logs, grid, tol)
-    aux_item, aux_reports, aux_note = _exp_estimate_aux(
-        xi, grid, tol, "thm1_sufficiency.exp_instability_estimate"
-    )
-    derived = (
-        DerivedItem("decay", FORMULAS["thm1_sufficiency.decay"], f_hat),
-        DerivedItem("linear_growth", FORMULAS["thm1_sufficiency.linear_growth"], mtilde),
-        aux_item,
-    )
+    fitted, aux_reports, aux_note = _exp_estimate_aux(xi, grid, tol)
+    derived = {"decay": f_hat, "linear_growth": mtilde, "exp_instability_estimate": fitted}
     return _finish(
         "thm1_sufficiency",
         inputs,
@@ -544,15 +525,13 @@ def thm2_validate(
     _require_kind(f, DecayCertificate, "f must be a decay certificate")
     _require_kind(m_cert, IntegralInstabilityCertificate, "M must be a IntegralInstabilityCertificate")
     inputs = (("f", f), ("M", m_cert))
+    refusal = None
     if not xi.strongly_measurable:
-        return _invalid(
-            "thm2_validate", inputs, (), "model is not flagged strongly measurable"
-        )
-    if not decay_limit_witnessed(f):
-        return _invalid(
-            "thm2_validate", inputs, (),
-            "decay witness table never decreases; vanishing limit not evidenced",
-        )
+        refusal = "model is not flagged strongly measurable"
+    elif not decay_limit_witnessed(f):
+        refusal = "decay witness table never decreases; vanishing limit not evidenced"
+    if refusal is not None:
+        return _finish("thm2_validate", inputs, (), (), notes=(refusal,), verdict="input-invalid")
     gates = (check_decay(xi, f, grid, tol), check_integral_instability(xi, m_cert, grid, tol, quad_cfg))
     if invalid := _gate("thm2_validate", inputs, gates):
         return invalid
@@ -565,14 +544,7 @@ def thm2_validate(
     elif grid.times[-1] < grid.times[0] + 1.0:
         missing = "no grid pair spans the unit window t >= t0 + 1 of the integral chain"
     if missing is not None:
-        return TheoremRun(
-            theorem="thm2_validate",
-            inputs=inputs,
-            derived=(),
-            reports=gates,
-            verdict="no-certificate",
-            notes=(missing,),
-        )
+        return _finish("thm2_validate", inputs, (), gates, notes=(missing,), verdict="no-certificate")
     log_k1 = integrate_kernel(f, 0.0)
     k1 = math.exp(log_k1)
     log_f_lam = f.log_value(lam)
@@ -585,15 +557,8 @@ def thm2_validate(
     chain_report = _check_integral_chain(xi, m_cert, log_k1, grid, tol)
     inst_report = check_instability(xi, derived_n, grid, tol)
     growth_report = _check_linear_growth(xi, mtilde_logs, grid, tol)
-    aux_item, aux_reports, aux_note = _exp_estimate_aux(
-        xi, grid, tol, "thm2_validate.exp_instability_estimate"
-    )
-    derived = (
-        DerivedItem("lambda", FORMULAS["thm2_validate.lambda"], value=lam),
-        DerivedItem("K1", FORMULAS["thm2_validate.K1"], value=k1),
-        DerivedItem("instability", FORMULAS["thm2_validate.instability"], derived_n),
-        aux_item,
-    )
+    fitted, aux_reports, aux_note = _exp_estimate_aux(xi, grid, tol)
+    derived = {"lambda": lam, "K1": k1, "instability": derived_n, "exp_instability_estimate": fitted}
     return _finish(
         "thm2_validate",
         inputs,
@@ -625,10 +590,8 @@ def corollary_equivalence(
     m_hat = estimate_integral_instability(xi, grid, quad_cfg)
     gate = check_integral_instability(xi, m_hat, grid, tol, quad_cfg)
     if not gate.passed:
-        return _invalid(
-            "corollary_equivalence", (), (gate,),
-            "fitted integral-instability certificate fails its own check",
-        )
+        note = "fitted integral-instability certificate fails its own check"
+        return _finish("corollary_equivalence", (), (), (gate,), notes=(note,), verdict="input-invalid")
     f_hat = estimate_decay(xi, grid)
     decay_report = check_decay(xi, f_hat, grid, tol)
     n_hat = estimate_instability(xi, grid)
@@ -636,42 +599,19 @@ def corollary_equivalence(
     fitted = estimate_exp_instability(
         xi, grid, nu_candidates=nu_candidates, growth_cap=growth_cap
     )
-    derived = [
-        DerivedItem("integral", FORMULAS["corollary_equivalence.integral"], m_hat),
-        DerivedItem("decay", FORMULAS["corollary_equivalence.decay"], f_hat),
-        DerivedItem("instability", FORMULAS["corollary_equivalence.instability"], n_hat),
-        DerivedItem("exp_instability", FORMULAS["corollary_equivalence.exp_instability"], fitted),
-    ]
+    derived = {"integral": m_hat, "decay": f_hat, "instability": n_hat, "exp_instability": fitted}
     reports = [gate, decay_report, inst_report]
-    outcomes = {
-        "decay": decay_report.verdict,
-        "instability": inst_report.verdict,
-    }
+    verdict = None
     if isinstance(fitted, NoCertificate):
-        outcomes["exp-instability"] = "no-certificate"
         exp_note = f"no-certificate ({fitted.reason})"
+        if all(r.passed for r in reports):
+            verdict = "no-certificate"
     else:
         exp_report = check_exp_instability(xi, fitted, grid, tol)
         reports.append(exp_report)
-        outcomes["exp-instability"] = exp_report.verdict
         exp_note = f"nu = {fitted.nu:.17g}, check {exp_report.verdict}"
     notes = (
-        f"decay: {outcomes['decay']}; instability: {outcomes['instability']}; "
+        f"decay: {decay_report.verdict}; instability: {inst_report.verdict}; "
         f"exp-instability: {exp_note}",
     )
-    verdicts = set(outcomes.values())
-    if verdicts == {"pass"}:
-        verdict = "pass"
-    elif outcomes["exp-instability"] == "no-certificate" and verdicts == {"pass", "no-certificate"}:
-        verdict = "no-certificate"
-    else:
-        verdict = "fail"
-    return TheoremRun(
-        theorem="corollary_equivalence",
-        inputs=(),
-        derived=tuple(derived),
-        reports=tuple(reports),
-        verdict=verdict,
-        constants={},
-        notes=notes,
-    )
+    return _finish("corollary_equivalence", (), derived, reports, notes=notes, verdict=verdict)

@@ -496,6 +496,9 @@ def test_deserialization_rejects_malformed_documents():
         TabulatedDecay.from_values([0.0, 1.0], [1.0, 0.5]))
     cases.append({**tab, "values": [1.0, "x"]})
     cases.append({**tab, "values": [0.5, 1.0]})  # violates monotonicity
+    nocert = certificate_to_json_dict(NoCertificate(property_name="decay", reason="why not"))
+    cases.append({**nocert, "property": 5})
+    cases.append({**nocert, "reason": ["x"]})
     for doc in cases:
         with pytest.raises(PreconditionError):
             certificate_from_json_dict(doc)

@@ -683,6 +683,25 @@ def test_report_writes_no_margins_when_a_later_check_fails(tmp_path, sin_scenari
     assert not (out / "witness_tables.csv").exists()
 
 
+def test_report_writes_nothing_when_a_witness_value_overflows(tmp_path, capsys):
+    # N(t) = 2 e^{100 t} passes its check in log space, but its linear
+    # witness_tables.csv value overflows a float near t = 7 of the default grid
+    scenario = tmp_path / "pexp1.json"
+    scenario.write_text(json.dumps({"model": {"kind": "pure_exponential", "rate": 1.0}}))
+    cert = tmp_path / "steep.json"
+    cert.write_text(json.dumps({
+        "kind": "instability", "form": "parametric", "N": {"coef": 2.0, "rate": 100.0},
+        "grid_hash": "", "tool_version": "0.1.0",
+    }))
+    assert main(["check", "--scenario", str(scenario), "--out-dir", str(tmp_path / "checked"),
+                 "--property", "instability", "--cert", str(cert)]) == 0
+    out = tmp_path / "out"
+    assert main(["report", "--scenario", str(scenario), "--out-dir", str(out),
+                 "--cert", str(cert)]) == 2
+    assert "math range error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def reference_margin_rows(prop, ts, ss, t0s, base, vector, margins):
     """One batch written row by row through csv.writer: the reference for _margin_rows."""
     buf = io.StringIO()

@@ -99,6 +99,8 @@ def test_every_validator_passes_on_calibration_model(pexp3, exp_cert, short_time
         "prop_shift_sufficiency", "thm1_necessity", "thm1_sufficiency", "thm2_validate",
         "corollary_equivalence",
     )
+    # every frozen formula is reached, and only frozen formulas are
+    assert {f"{run.theorem}.{d.name}" for run in runs for d in run.derived} == set(FORMULAS)
 
 
 def test_formula_table_is_pinned():
