@@ -47,7 +47,8 @@ from .core import (
     SampleGrid,
     SkewEvolutionSemiflow,
     _float_list,
-    _is_number,
+    _integer,
+    _number,
     _pairs,
     _report,
     _require_keys,
@@ -471,7 +472,6 @@ def estimate_decay(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> TabulatedDeca
     but log ||v|| comes from a math.fsum norm and log ||Phi(t, t, x)v|| from
     a numpy log-sum-exp, and the two may differ in the last bit.
     """
-    grid.require_nonempty()
     per_u = np.full(len(grid.times), np.inf)
     for *_, m in _decay_stats(xi, grid):
         np.minimum(per_u, m.min(axis=0), out=per_u)  # the worst decay statistic over t0
@@ -483,7 +483,6 @@ def estimate_instability(
     xi: SkewEvolutionSemiflow, grid: SampleGrid, headroom: float = DEFAULT_HEADROOM
 ) -> InstabilityCertificate:
     """Fit N_hat(t) = (1 + headroom) * max(1, worst inverse growth up to t)."""
-    grid.require_nonempty()
     if not (math.isfinite(headroom) and headroom > 0.0):
         raise PreconditionError(f"headroom must be > 0, got {headroom}")
     k, i = _pairs(len(grid.times))
@@ -540,6 +539,16 @@ def _ls_slope(times: Sequence[float], values: np.ndarray) -> float:
     return float(np.dot(u, values - values.mean()) / np.dot(u, u)) / spread
 
 
+def _nu_ladder(candidates: Sequence[float]) -> tuple[float, ...]:
+    """The rate candidates as floats: a nonempty, increasing list of positive reals."""
+    ladder = tuple(float(c) for c in candidates)
+    if not ladder or any(not (math.isfinite(c) and c > 0.0) for c in ladder):
+        raise PreconditionError("nu candidates must be a nonempty list of positive reals")
+    if any(b >= a for a, b in zip(ladder[1:], ladder)):
+        raise PreconditionError("nu candidates must be sorted increasing")
+    return ladder
+
+
 def estimate_exp_instability(
     xi: SkewEvolutionSemiflow,
     grid: SampleGrid,
@@ -556,18 +565,11 @@ def estimate_exp_instability(
     times stays within ``growth_cap``.  If no candidate qualifies a
     NoCertificate result is returned rather than an exception.
     """
-    grid.require_nonempty()
     if not (math.isfinite(growth_cap) and growth_cap > 0.0):
         raise PreconditionError(f"growth_cap must be > 0, got {growth_cap}")
     if not (math.isfinite(headroom) and headroom > 0.0):
         raise PreconditionError(f"headroom must be > 0, got {headroom}")
-    if nu_candidates is None:
-        nu_candidates = DEFAULT_NU_CANDIDATES
-    candidates = tuple(float(c) for c in nu_candidates)
-    if not candidates or any(not (math.isfinite(c) and c > 0.0) for c in candidates):
-        raise PreconditionError("nu candidates must be positive reals")
-    if any(b >= a for a, b in zip(candidates[1:], candidates)):
-        raise PreconditionError("nu candidates must be sorted increasing")
+    candidates = DEFAULT_NU_CANDIDATES if nu_candidates is None else _nu_ladder(nu_candidates)
 
     times = np.asarray(grid.times)
     R, rho_star = _pair_envelopes(xi, grid)
@@ -615,7 +617,6 @@ def estimate_integral_instability(
     headroom: float = DEFAULT_HEADROOM,
 ) -> IntegralInstabilityCertificate:
     """Fit M_hat(t) = max(1, (1 + headroom) * worst integral-to-norm ratio)."""
-    grid.require_nonempty()
     if not xi.strongly_measurable:
         raise PreconditionError("integral instability needs a strongly measurable model")
     if not (math.isfinite(headroom) and headroom > 0.0):
@@ -650,7 +651,6 @@ def check_decay(
 ) -> CheckReport:
     """Sample log ||Phi(u + t0, t0, x)v|| - log f(u) - log ||v|| over the grid."""
     _require_kind(cert, DecayCertificate, "check_decay needs a decay certificate")
-    grid.require_nonempty()
     # Samples (u_i + t0_j, t0_j) over every grid u and t0, by t0 then u.
     times = np.asarray(grid.times)
     t0 = np.repeat(times, len(times))
@@ -669,7 +669,6 @@ def check_instability(
 ) -> CheckReport:
     """Sample log N(t) + log ||Phi(t, t0, x)v|| - log ||v|| over t >= t0."""
     _require_kind(cert, InstabilityCertificate, "check_instability needs an instability certificate")
-    grid.require_nonempty()
     k, i = _pairs(len(grid.times))
     log_n = cert.N.log_value(grid.times)
     return _sample(
@@ -690,7 +689,6 @@ def check_exp_instability(
     log ||Phi(t, t0, x)v||), evaluated per base point and vector.
     """
     _require_kind(cert, ExpInstabilityCertificate, "check_exp_instability needs an exp-instability certificate")
-    grid.require_nonempty()
     return _check_exp_margins("exp-instability", xi, cert, grid, tol, margin_sink, _triples(len(grid.times)))
 
 
@@ -710,7 +708,6 @@ def check_integral_instability(
     CLI always passes the scenario's ``tolerances.quad``.
     """
     _require_kind(cert, IntegralInstabilityCertificate, "check_integral_instability needs an integral certificate")
-    grid.require_nonempty()
     if not xi.strongly_measurable:
         raise PreconditionError("integral instability needs a strongly measurable model")
     cfg = quad_cfg or cert.quad or QuadratureConfig()
@@ -734,13 +731,9 @@ def witness_to_json_dict(w: Witness) -> dict:
 
 
 def witness_from_json_dict(doc: dict, form: str, what: str) -> Witness:
-    if not isinstance(doc, dict):
-        raise PreconditionError(f"{what} must be an object")
     if form == "parametric":
         _require_keys(doc, {"coef", "rate"}, set(), what)
-        if not (_is_number(doc["coef"]) and _is_number(doc["rate"])):
-            raise PreconditionError(f"{what} coef and rate must be numbers")
-        return ExpWitness(float(doc["coef"]), float(doc["rate"]))
+        return ExpWitness(_number(doc, "coef", name=f"{what}.coef"), _number(doc, "rate", name=f"{what}.rate"))
     if form == "tabulated":
         _require_keys(doc, {"times", "values"}, set(), what)
         return TabulatedWitness.from_values(
@@ -756,18 +749,12 @@ def _quad_to_json(quad: QuadratureConfig | None):
 def _quad_from_json(doc, what: str) -> QuadratureConfig | None:
     if doc is None:
         return None
-    if not isinstance(doc, dict):
-        raise PreconditionError(f"{what} must be an object or null")
     _require_keys(doc, set(), {"rel_tol", "abs_tol", "max_depth", "datko_lower_limit"}, what)
-    # max_depth is passed through as is: QuadratureConfig rejects non-integers.
-    for key in ("rel_tol", "abs_tol", "max_depth"):
-        if key in doc and not _is_number(doc[key]):
-            raise PreconditionError(f"{what}.{key} must be a number, got {doc[key]!r}")
     defaults = QuadratureConfig()
     return QuadratureConfig(
-        rel_tol=float(doc.get("rel_tol", defaults.rel_tol)),
-        abs_tol=float(doc.get("abs_tol", defaults.abs_tol)),
-        max_depth=doc.get("max_depth", defaults.max_depth),
+        rel_tol=_number(doc, "rel_tol", defaults.rel_tol, name=f"{what}.rel_tol"),
+        abs_tol=_number(doc, "abs_tol", defaults.abs_tol, name=f"{what}.abs_tol"),
+        max_depth=_integer(doc, "max_depth", defaults.max_depth, name=f"{what}.max_depth"),
         datko_lower_limit=doc.get("datko_lower_limit", defaults.datko_lower_limit),
     )
 
@@ -824,16 +811,11 @@ def certificate_from_json_dict(doc: dict):
     if not isinstance(grid_hash, str) or not isinstance(version, str):
         raise PreconditionError("grid_hash and tool_version must be strings")
 
-    def number(key: str) -> float:
-        if key not in doc or not isinstance(doc[key], (int, float)) or isinstance(doc[key], bool):
-            raise PreconditionError(f"certificate field {key!r} must be a number")
-        return float(doc[key])
-
     if kind == "decay":
         form = doc.get("form")
         if form == "parametric":
             _require_keys(doc, common | {"form", "n_tilde", "omega"}, set(), "decay certificate")
-            return ParametricDecay(number("n_tilde"), number("omega"), grid_hash, version)
+            return ParametricDecay(_number(doc, "n_tilde"), _number(doc, "omega"), grid_hash, version)
         if form == "tabulated":
             _require_keys(doc, common | {"form", "times", "values"}, set(), "decay certificate")
             return TabulatedDecay.from_values(
@@ -850,15 +832,12 @@ def certificate_from_json_dict(doc: dict):
         _require_keys(
             doc, common | {"form", "N", "nu"}, {"growth_cap"}, "exp-instability certificate"
         )
-        cap = doc.get("growth_cap")
-        if cap is not None and (not isinstance(cap, (int, float)) or isinstance(cap, bool)):
-            raise PreconditionError("growth_cap must be a number or null")
         return ExpInstabilityCertificate(
             witness_from_json_dict(doc["N"], doc["form"], "N"),
-            number("nu"),
+            _number(doc, "nu"),
             grid_hash,
             version,
-            growth_cap=None if cap is None else float(cap),
+            growth_cap=None if doc.get("growth_cap") is None else _number(doc, "growth_cap"),
         )
     if kind == "integral_instability":
         _require_keys(doc, common | {"form", "M"}, {"quad"}, "integral certificate")

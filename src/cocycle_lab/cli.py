@@ -21,7 +21,6 @@ import csv
 import gc
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from .certificates import (
     InstabilityCertificate,
     IntegralInstabilityCertificate,
     NoCertificate,
+    _nu_ladder,
     _quad_from_json,
     certificate_from_json_dict,
     certificate_to_json_dict,
@@ -53,14 +53,14 @@ from .certificates import (
     estimate_integral_instability,
 )
 from .core import (
-    DomainError,
     PreconditionError,
     SampleGrid,
     ShiftedGenerator,
     SkewEvolutionSemiflow,
     Trivial,
     _float_list,
-    _is_number,
+    _integer,
+    _number,
     _require_keys,
     check_cocycle_laws,
     check_semiflow_laws,
@@ -141,10 +141,6 @@ THEOREMS = {
 }
 
 
-class ScenarioError(ValueError):
-    """Malformed scenario or input file; maps to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # Scenario parsing
 # ---------------------------------------------------------------------------
@@ -164,17 +160,14 @@ class Scenario:
 
 def _parse_base_point(doc) -> Trivial | ShiftedGenerator:
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise ScenarioError(f"base point entries need a 'kind' key, got {doc!r}")
+        raise PreconditionError(f"base point entries need a 'kind' key, got {doc!r}")
     if doc["kind"] == "trivial":
         _require_keys(doc, {"kind"}, {"value"}, "trivial base point")
         return Trivial(_number(doc, "value", 0.0))
     if doc["kind"] == "generator":
         _require_keys(doc, {"kind", "n"}, {"sigma"}, "generator base point")
-        n = doc["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ScenarioError(f"generator n must be an integer, got {n!r}")
-        return ShiftedGenerator(n, _number(doc, "sigma", 0.0))
-    raise ScenarioError(f"unknown base point kind {doc['kind']!r}")
+        return ShiftedGenerator(_integer(doc, "n", name="generator n"), _number(doc, "sigma", 0.0))
+    raise PreconditionError(f"unknown base point kind {doc['kind']!r}")
 
 
 def _parse_times(doc) -> list[float]:
@@ -182,13 +175,11 @@ def _parse_times(doc) -> list[float]:
         return _float_list(doc, "grid times")
     if isinstance(doc, dict):
         _require_keys(doc, {"min", "max", "count"}, set(), "grid times")
-        count = doc["count"]
-        if not (isinstance(count, int) and not isinstance(count, bool) and count >= 1):
-            raise ScenarioError(f"grid times count must be a positive integer, got {count!r}")
+        count = _integer(doc, "count", minimum=1, name="grid times count")
         lo, hi = _number(doc, "min", 0.0), _number(doc, "max", 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed span fails the grid's checks
             return [float(t) for t in np.linspace(lo, hi, count)]
-    raise ScenarioError("grid times must be a list or a {min, max, count} object")
+    raise PreconditionError("grid times must be a list or a {min, max, count} object")
 
 
 def default_times() -> list[float]:
@@ -198,15 +189,15 @@ def default_times() -> list[float]:
 def _object(doc: dict, key: str) -> dict:
     value = doc.get(key, {})
     if not isinstance(value, dict):
-        raise ScenarioError(f"{key} must be a JSON object")
+        raise PreconditionError(f"{key} must be a JSON object")
     return value
 
 
-def _number(doc: dict, key: str, default: float, positive: bool = False) -> float:
-    value = doc.get(key, default)
-    if not (_is_number(value) and math.isfinite(value) and (value > 0.0 or not positive)):
-        raise ScenarioError(f"{key} must be a finite number{' > 0' if positive else ''}, got {value!r}")
-    return float(value)
+def _grid_list(grid_doc: dict, key: str) -> list:
+    value = grid_doc[key]
+    if not isinstance(value, list):
+        raise PreconditionError(f"grid.{key} must be a JSON list, got {value!r}")
+    return value
 
 
 def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scenario, SkewEvolutionSemiflow]:
@@ -216,8 +207,6 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     applied.  Seeded random vectors are materialized into the grid here,
     so the grid (and its hash) depends only on the document.
     """
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario must be a JSON object")
     _require_keys(
         doc,
         {"model"},
@@ -237,43 +226,36 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     _require_keys(grid_doc, set(), {"times", "base_points", "vectors"}, "grid")
     times = _parse_times(grid_doc["times"]) if "times" in grid_doc else default_times()
     if "base_points" in grid_doc:
-        bases = [_parse_base_point(b) for b in grid_doc["base_points"]]
+        bases = [_parse_base_point(b) for b in _grid_list(grid_doc, "base_points")]
     else:
         bases = list(default_base_points(base_model))
     if "vectors" in grid_doc:
-        vectors = [_float_list(v, "grid vectors entry") for v in grid_doc["vectors"]]
+        vectors = [_float_list(v, "grid vectors entry") for v in _grid_list(grid_doc, "vectors")]
     else:
         vectors = [list(v) for v in default_vectors(base_model.dimension)]
 
-    seed = doc.get("seed")
-    if seed is not None and not (isinstance(seed, int) and not isinstance(seed, bool)):
-        raise ScenarioError(f"seed must be an integer or null, got {seed!r}")
-    extra = doc.get("random_vectors", 0)
-    if not (isinstance(extra, int) and not isinstance(extra, bool) and extra >= 0):
-        raise ScenarioError(f"random_vectors must be a nonnegative integer, got {extra!r}")
+    seed = None if doc.get("seed") is None else _integer(doc, "seed")
+    extra = _integer(doc, "random_vectors", 0, minimum=0)
     if extra > 0:
         if seed is None:
-            raise ScenarioError("random_vectors needs an explicit seed")
+            raise PreconditionError("random_vectors needs an explicit seed")
         rng = np.random.default_rng(seed)
         for row in rng.standard_normal((extra, base_model.dimension)):
             vectors.append([float(c) for c in row])
 
     grid = SampleGrid.create(times, bases, vectors)
-    grid.require_nonempty()
 
     gamma = _number(doc, "gamma", 0.0)
     xi = shift_cocycle(base_model, gamma) if gamma != 0.0 else base_model
 
     nu_candidates = doc.get("nu_candidates")
     if nu_candidates is not None:
-        nu_candidates = tuple(_float_list(nu_candidates, "nu_candidates"))
-        if not nu_candidates:
-            raise ScenarioError("nu_candidates must be null or a nonempty list")
+        nu_candidates = _nu_ladder(_float_list(nu_candidates, "nu_candidates"))
     alpha = _number(doc, "alpha", 1.5, positive=True)
 
     out_dir = doc.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
-        raise ScenarioError(f"out_dir must be a string or null, got {out_dir!r}")
+        raise PreconditionError(f"out_dir must be a string or null, got {out_dir!r}")
     scenario = Scenario(
         grid=grid,
         quad=quad,
@@ -361,15 +343,15 @@ def _load_json_file(path: str) -> dict:
     ``json`` accepts although JSON has no such numbers, are rejected."""
 
     def no_constant(name: str):
-        raise ScenarioError(f"{path} is not valid JSON: {name} is not a JSON number")
+        raise PreconditionError(f"{path} is not valid JSON: {name} is not a JSON number")
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=no_constant)
     except FileNotFoundError as exc:
-        raise ScenarioError(f"input file not found: {path}") from exc
+        raise PreconditionError(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
+        raise PreconditionError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_certificate(path: str, sc: Scenario):
@@ -380,7 +362,7 @@ def _load_certificate(path: str, sc: Scenario):
         doc = doc["certificate"]
     cert = certificate_from_json_dict(doc)
     if isinstance(cert, NoCertificate):
-        raise ScenarioError(f"{path} records a no-certificate outcome, not a usable certificate")
+        raise PreconditionError(f"{path} records a no-certificate outcome, not a usable certificate")
     if cert.grid_hash and cert.grid_hash != sc.grid.grid_hash:
         print(
             f"cocycle-lab: note: {path} was fitted on another grid (grid_hash {cert.grid_hash}, "
@@ -394,7 +376,7 @@ def _property_of(cert) -> str:
     for prop, entry in PROPERTIES.items():
         if isinstance(cert, entry.certificates):
             return prop
-    raise ScenarioError(f"unsupported certificate type {type(cert).__name__}")
+    raise PreconditionError(f"unsupported certificate type {type(cert).__name__}")
 
 
 def _load_inputs(paths: list[str], sc: Scenario, user: str, takes) -> dict[str, object]:
@@ -404,9 +386,9 @@ def _load_inputs(paths: list[str], sc: Scenario, user: str, takes) -> dict[str, 
         cert = _load_certificate(path, sc)
         prop = _property_of(cert)
         if prop not in takes:
-            raise ScenarioError(f"{user} takes no {prop} certificate ({path})")
+            raise PreconditionError(f"{user} takes no {prop} certificate ({path})")
         if prop in certs:
-            raise ScenarioError(f"duplicate {prop} certificate input ({path})")
+            raise PreconditionError(f"duplicate {prop} certificate input ({path})")
         certs[prop] = cert
     return certs
 
@@ -448,7 +430,7 @@ def cmd_check(sc: Scenario, xi, prop: str, cert_path: str) -> int:
     cert = _load_certificate(cert_path, sc)
     found = _property_of(cert)
     if found != prop:
-        raise ScenarioError(f"a {found} certificate does not match property {prop!r}")
+        raise PreconditionError(f"a {found} certificate does not match property {prop!r}")
     report = _run_check(sc, xi, prop, cert)
     doc = {
         "property": prop,
@@ -467,7 +449,7 @@ def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int
     slots = _load_inputs(cert_paths, sc, f"theorem {theorem_id}", wanted)
     missing = [prop for prop in wanted if prop not in slots]
     if missing:
-        raise ScenarioError(
+        raise PreconditionError(
             f"theorem {theorem_id} is missing input certificates: {', '.join(missing)}"
         )
     from . import theorems
@@ -482,7 +464,7 @@ def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int
 
 def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
     if not input_paths:
-        raise ScenarioError("report needs at least one certificate or check file (--cert)")
+        raise PreconditionError("report needs at least one certificate or check file (--cert)")
     loaded = _load_inputs(input_paths, sc, "report", PROPERTIES)
 
     def margins_for(item):
@@ -567,10 +549,7 @@ def main(argv=None) -> int:
         if args.command == "theorem":
             return cmd_theorem(sc, xi, args.theorem, args.cert)
         return cmd_report(sc, xi, args.cert)
-    except (
-        ScenarioError, PreconditionError, DomainError, QuadratureDepthError,
-        OSError, ValueError, TypeError, OverflowError,
-    ) as exc:
+    except (ValueError, QuadratureDepthError, OSError, TypeError, OverflowError) as exc:
         print(f"cocycle-lab: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -45,7 +46,28 @@ def _float_list(value, what: str) -> list[float]:
     return [float(v) for v in value]
 
 
+def _number(doc: dict, key: str, default: float | None = None, positive: bool = False, name: str | None = None) -> float:
+    """The JSON field ``doc[key]``, or ``default`` when it is absent, as a finite float (> 0 if
+    ``positive``); with no default the key is required.  Messages name ``name``, or else the key."""
+    value = doc.get(key, default)
+    # math.isfinite(10**400) raises OverflowError; this comparison is exact for ints too
+    if not (_is_number(value) and abs(value) <= sys.float_info.max and (value > 0.0 or not positive)):
+        raise PreconditionError(f"{name or key} must be a finite number{' > 0' if positive else ''}, got {value!r}")
+    return float(value)
+
+
+def _integer(doc: dict, key: str, default: int | None = None, minimum: int | None = None, name: str | None = None) -> int:
+    """Like ``_number``, for an int that is not a bool, >= ``minimum`` if given."""
+    value = doc.get(key, default)
+    if not (isinstance(value, int) and not isinstance(value, bool) and (minimum is None or value >= minimum)):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise PreconditionError(f"{name or key} must be an integer{at_least}, got {value!r}")
+    return value
+
+
 def _require_keys(doc: dict, required: set[str], optional: set[str], what: str) -> None:
+    if not isinstance(doc, dict):
+        raise PreconditionError(f"{what} must be a JSON object")
     keys = set(doc)
     missing = required - keys
     unknown = keys - required - optional
@@ -308,12 +330,31 @@ class SampleGrid:
     """Times, base points, and nonzero vectors to sample inequalities on.
 
     Admissible triples are (t, s, t0) drawn from ``times`` with
-    t >= s >= t0, crossed with every base point and vector.
+    t >= s >= t0, crossed with every base point and vector.  A grid checks
+    itself when it is built, ``dataclasses.replace`` included: it has at
+    least one time, base point and vector; its times are finite, >= 0 and
+    strictly increasing; its vectors are finite, nonzero and of one length.
     """
 
     times: tuple[float, ...]
     base_points: tuple[BasePoint, ...]
     vectors: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        if not (self.times and self.base_points and self.vectors):
+            raise PreconditionError("grid nonempty")
+        for t in self.times:
+            if not (math.isfinite(t) and t >= 0.0):
+                raise PreconditionError(f"grid times must be finite and >= 0, got {t}")
+        if any(b >= a for a, b in zip(self.times[1:], self.times)):
+            raise PreconditionError("grid times must be strictly increasing")
+        for v in self.vectors:
+            if not all(math.isfinite(c) for c in v):
+                raise PreconditionError(f"vector components must be finite, got {v}")
+            if all(c == 0.0 for c in v):
+                raise PreconditionError("zero vectors are not allowed in a sample grid")
+            if len(v) != len(self.vectors[0]):
+                raise PreconditionError(f"grid vectors must all have one length, got {format_vector(v)}")
 
     @classmethod
     def create(
@@ -322,25 +363,11 @@ class SampleGrid:
         base_points: Iterable[BasePoint],
         vectors: Iterable[Sequence[float]],
     ) -> "SampleGrid":
-        ts = tuple(float(t) for t in times)
-        for t in ts:
-            if not (math.isfinite(t) and t >= 0.0):
-                raise PreconditionError(f"grid times must be finite and >= 0, got {t}")
-        if any(b >= a for a, b in zip(ts[1:], ts)):
-            raise PreconditionError("grid times must be strictly increasing")
-        vecs = []
-        for v in vectors:
-            tup = tuple(float(c) for c in v)
-            if not all(math.isfinite(c) for c in tup):
-                raise PreconditionError(f"vector components must be finite, got {tup}")
-            if all(c == 0.0 for c in tup):
-                raise PreconditionError("zero vectors are not allowed in a sample grid")
-            vecs.append(tup)
-        return cls(times=ts, base_points=tuple(base_points), vectors=tuple(vecs))
-
-    def require_nonempty(self) -> None:
-        if not (self.times and self.base_points and self.vectors):
-            raise PreconditionError("grid nonempty")
+        return cls(
+            times=tuple(float(t) for t in times),
+            base_points=tuple(base_points),
+            vectors=tuple(tuple(float(c) for c in v) for v in vectors),
+        )
 
     def vector_arrays(self) -> list[np.ndarray]:
         return [np.asarray(v, dtype=float) for v in self.vectors]
@@ -541,7 +568,6 @@ def check_semiflow_laws(
     reports worst_margin 0 and any violation shows up as margin < -tol.
     The report records the largest bound as ``roundoff_allowance``.
     """
-    grid.require_nonempty()
     T = np.asarray(grid.times, dtype=float)
     allowance = 0.0
 
@@ -593,7 +619,6 @@ def check_cocycle_laws(
     bound, ``_GAP_ROUNDING`` times the sum of the |lf| that form it; the
     report records the largest bound as ``roundoff_allowance``.
     """
-    grid.require_nonempty()
     for v in grid.vectors:
         if len(v) != xi.dimension:
             raise DomainError(f"vector has shape ({len(v)},), model dimension is {xi.dimension}")

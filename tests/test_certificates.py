@@ -278,9 +278,8 @@ def test_estimator_validation(pexp3_model, short_times):
     # an empty candidate tuple is an error, not the default ladder
     with pytest.raises(PreconditionError):
         estimate_exp_instability(pexp3_model, g, nu_candidates=())
-    empty = SampleGrid.create([], [], [])
     with pytest.raises(PreconditionError, match="grid nonempty"):
-        estimate_decay(pexp3_model, empty)
+        estimate_decay(pexp3_model, SampleGrid.create([], [], []))
 
 
 def test_integral_estimate_needs_measurability(short_times):

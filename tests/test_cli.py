@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import DomainError, PreconditionError
-from cocycle_lab.cli import THEOREMS, ScenarioError, _margin_rows, main, parse_scenario
+from cocycle_lab.cli import THEOREMS, _margin_rows, main, parse_scenario
 
 SMALL_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
 # long enough that the oscillating model realizes growth above the
@@ -165,9 +165,14 @@ def test_scenario_grid_spec_object():
     {"model": {"kind": "diag_integral", "alphas": ["1"]}},
     {"model": {"kind": "diag_integral", "alphas": [1.0, False]}},
     {"model": {"kind": "diag_integral", "alphas": "1"}},
+    # grid entries must be JSON lists, never iterated as one
+    {"model": {"kind": "sin_scalar"}, "grid": {"vectors": {}}},
+    {"model": {"kind": "sin_scalar"}, "grid": {"vectors": "x"}},
+    {"model": {"kind": "sin_scalar"}, "grid": {"base_points": {"kind": "trivial"}}},
+    {"model": {"kind": "sin_scalar"}, "grid": {"base_points": ""}},
 ])
 def test_scenario_rejects_malformed_documents(doc):
-    with pytest.raises((ScenarioError, PreconditionError, DomainError)):
+    with pytest.raises((PreconditionError, DomainError)):
         parse_scenario(doc)
 
 
@@ -371,6 +376,42 @@ def test_laws_reject_vector_of_wrong_dimension(tmp_path, capsys):
                        grid={"times": SMALL_TIMES, "vectors": [[1.0]]})
     assert main(["laws", "--scenario", str(p), "--out-dir", str(tmp_path / "out")]) == 2
     assert "model dimension is 2" in capsys.readouterr().err
+
+
+def test_integer_literal_too_large_for_a_float_names_the_field():
+    # it used to exit 2 with only "int too large to convert to float"
+    with pytest.raises(PreconditionError, match="gamma must be a finite number"):
+        parse_scenario({"model": {"kind": "sin_scalar"}, "gamma": 10**400})
+
+
+@pytest.mark.parametrize("key, value", [("vectors", {}), ("vectors", "x"), ("base_points", {"kind": "trivial"}),
+                                        ("base_points", "")])
+def test_grid_entries_must_be_lists(key, value):
+    with pytest.raises(PreconditionError, match=f"grid.{key} must be a JSON list"):
+        parse_scenario({"model": {"kind": "sin_scalar"}, "grid": {key: value}})
+
+
+@pytest.mark.parametrize("argv", [
+    ["laws"], *(["estimate", "--property", prop] for prop in ("decay", "instability", "exp-instability",
+                                                             "integral-instability")),
+    ["check", "--property", "decay", "--cert", "cert.json"], ["theorem", "--theorem", "thm2"], ["report"],
+])
+def test_ragged_vectors_exit_2_with_the_grid_message(tmp_path, capsys, argv):
+    # estimate used to print numpy's "inhomogeneous shape" instead
+    p = write_scenario(tmp_path / "ragged.json", {"kind": "diag_integral", "alphas": [1, -1]},
+                       grid={"times": [0, 1, 2], "vectors": [[1, 0], [1]]})
+    assert main([*argv[:1], "--scenario", str(p), "--out-dir", str(tmp_path / "out"), *argv[1:]]) == 2
+    assert "grid vectors must all have one length, got [1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ladder", [[0.5, 0.25, -1], [0.5, 0.25]])
+def test_bad_nu_candidates_exit_2_for_every_command(tmp_path, capsys, ladder):
+    # only estimate --property exp-instability used to check the ladder
+    p = write_scenario(tmp_path / "nu.json", {"kind": "pure_exponential", "rate": 1.0}, times=[0, 1, 2],
+                       nu_candidates=ladder)
+    assert main(["laws", "--scenario", str(p), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "nu candidates must be" in capsys.readouterr().err
 
 
 def test_laws_fail_on_broken_model(tmp_path):

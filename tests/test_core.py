@@ -117,9 +117,21 @@ def test_grid_validation():
         SampleGrid.create([-1.0, 0.0], [Trivial(0.0)], [(1.0,)])
     with pytest.raises(PreconditionError):
         SampleGrid.create([0.0, 1.0], [Trivial(0.0)], [(0.0, 0.0)])
-    empty = SampleGrid.create([], [Trivial(0.0)], [(1.0,)])
     with pytest.raises(PreconditionError, match="grid nonempty"):
-        empty.require_nonempty()
+        SampleGrid.create([], [Trivial(0.0)], [(1.0,)])
+
+
+def test_grid_checks_itself_however_it_is_built():
+    # the rules sit in __post_init__, so no caller has to ask again
+    grid = SampleGrid.create([0.0, 1.0], [Trivial(0.0)], [(1.0, 0.0)])
+    with pytest.raises(PreconditionError, match="grid nonempty"):
+        SampleGrid(times=(), base_points=grid.base_points, vectors=grid.vectors)
+    with pytest.raises(PreconditionError, match="grid nonempty"):
+        dataclasses.replace(grid, vectors=())
+    with pytest.raises(PreconditionError, match="strictly increasing"):
+        dataclasses.replace(grid, times=(1.0, 0.0))
+    with pytest.raises(PreconditionError, match="one length"):
+        dataclasses.replace(grid, vectors=((1.0, 0.0), (1.0,)))
 
 
 def test_grid_hash_sensitivity():
@@ -504,9 +516,8 @@ def test_broken_fixtures_fail_where_the_reference_fails(short_times):
 
 
 def test_laws_need_nonempty_grid(sin_model):
-    g = SampleGrid.create([], [], [])
     with pytest.raises(PreconditionError, match="grid nonempty"):
-        check_semiflow_laws(sin_model, g)
+        check_semiflow_laws(sin_model, SampleGrid.create([], [], []))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name in src/ and tests/ is used, and
-every private module-level helper in src/ is referenced in src/."""
+"""Source hygiene: every imported name in src/ and tests/ is used,
+every private module-level helper in src/ is referenced in src/, and
+only core.py spells out the JSON type rules."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,28 @@ def test_dead_helper_scan_flags_and_exempts():
         "b.py": "def _attr(): pass\ndef _listed(): pass\n",
     }
     assert dead_helpers(sources) == ["a.py: _dead", "a.py: _Gone"]
+
+
+def bool_checks(source: str) -> list[int]:
+    """Lines of the ``isinstance(..., bool)`` calls in ``source``, a tuple of
+    types included: telling a JSON number from a bool is core.py's job."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+    ]
+
+
+def test_json_type_rules_live_in_core():
+    found = {
+        str(p.relative_to(ROOT)): bool_checks(p.read_text(encoding="utf-8")) for p in SRC_FILES if p.name != "core.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_bool_check_scan_flags_and_exempts():
+    source = ("isinstance(a, bool)\nisinstance(b, (int, bool))\nisinstance(c, int)\nbool(d)\n"
+              "x.isinstance(e, bool)\nif not isinstance(f, int) or isinstance(f, bool): pass\n")
+    assert bool_checks(source) == [1, 2, 6]
