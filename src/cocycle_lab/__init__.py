@@ -54,7 +54,6 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureDepthError,
     adaptive_simpson,
-    composite_simpson,
     integrate_norm_trajectory,
     norm_integral_prefix,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureDepthError",
     "adaptive_simpson",
-    "composite_simpson",
     "integrate_norm_trajectory",
     "norm_integral_prefix",
     "ExpInstabilityCertificate",

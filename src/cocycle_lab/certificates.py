@@ -403,23 +403,23 @@ def _datko_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, quad_cfg: Quadratu
     """Yield (base label, vector label, d) per (base, vector) pair, with
     d[p] = log(integral over [t_k, t_i]) - log ||Phi(t_i, t_k, x)v|| at the pair samples p = (k, i).
 
-    The Datko statistic, in ``_pairs`` order; each base point and base time
-    t_k take one ``norm_integral_prefix`` call and one ``log_norms`` call
-    for every vector.  The t = t0 samples are -inf.  The ratio has degree 0
-    in v, so each v is normalized before the quadrature: otherwise the
-    integrator's absolute tolerance floor would make the refinement depth,
-    and hence the last few digits, depend on the scale of v.
+    The Datko statistic, in ``_pairs`` order; each base point takes one
+    ``norm_integral_prefix`` call, which integrates from every base time
+    for every vector, and one ``log_norms`` call on the pair samples.  The
+    t = t0 samples are -inf.  The ratio has degree 0 in v, so each v is
+    normalized before the quadrature: otherwise the integrator's absolute
+    tolerance floor would make the refinement depth, and hence the last
+    few digits, depend on the scale of v.
     """
-    times = grid.times
+    times = np.asarray(grid.times)
+    k, i = _pairs(len(times))
     block = np.array([v / norm(v, xi.norm_choice) for v in grid.vector_arrays()])
     labels = grid.vector_labels()
     for x in grid.base_points:
-        stats = []
-        for k, t0 in enumerate(times):
-            prefix = norm_integral_prefix(xi, x, block, times[k:], quad_cfg)
-            with np.errstate(divide="ignore"):
-                stats.append(np.log(prefix) - log_norms(xi, np.asarray(times[k:]), t0, x, block))
-        for vlabel, row in zip(labels, np.concatenate(stats, axis=1)):
+        prefix = norm_integral_prefix(xi, x, block, times, quad_cfg)
+        with np.errstate(divide="ignore"):
+            stats = np.log(prefix[:, k, i]) - log_norms(xi, times[i], times[k], x, block)
+        for vlabel, row in zip(labels, stats):
             yield x.label(), vlabel, row
 
 

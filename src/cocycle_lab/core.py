@@ -40,9 +40,16 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite_number(v) -> bool:
+    # math.isfinite(10**400) raises OverflowError; this comparison is exact for ints too
+    return _is_number(v) and abs(v) <= sys.float_info.max
+
+
 def _float_list(value, what: str) -> list[float]:
-    if not isinstance(value, list) or not all(_is_number(v) for v in value):
-        raise PreconditionError(f"{what} must be a list of numbers")
+    """``value`` as a list of floats.  An int beyond the float range is refused here,
+    where float() would overflow; a non-finite float is left to the caller's own check."""
+    if not isinstance(value, list) or not all(isinstance(v, float) or _is_finite_number(v) for v in value):
+        raise PreconditionError(f"{what} must be a list of numbers within the float range")
     return [float(v) for v in value]
 
 
@@ -50,8 +57,7 @@ def _number(doc: dict, key: str, default: float | None = None, positive: bool = 
     """The JSON field ``doc[key]``, or ``default`` when it is absent, as a finite float (> 0 if
     ``positive``); with no default the key is required.  Messages name ``name``, or else the key."""
     value = doc.get(key, default)
-    # math.isfinite(10**400) raises OverflowError; this comparison is exact for ints too
-    if not (_is_number(value) and abs(value) <= sys.float_info.max and (value > 0.0 or not positive)):
+    if not (_is_finite_number(value) and (value > 0.0 or not positive)):
         raise PreconditionError(f"{name or key} must be a finite number{' > 0' if positive else ''}, got {value!r}")
     return float(value)
 

@@ -30,7 +30,7 @@ from .core import (
     SkewEvolutionSemiflow,
     Trivial,
     _float_list,
-    _is_number,
+    _is_finite_number,
     _require_keys,
 )
 
@@ -125,8 +125,8 @@ def pure_exponential_model(
     rate: float, norm_choice: NormChoice = NormChoice.SUM_ABS
 ) -> SkewEvolutionSemiflow:
     """Scalar cocycle v -> v e^{rate (t - s)}; the estimator calibration model."""
-    if not (_is_number(rate) and math.isfinite(rate)):
-        raise PreconditionError(f"rate must be a finite number, got {rate!r}")
+    if not _is_finite_number(rate):
+        raise PreconditionError(f"pure_exponential rate must be a finite number, got {rate!r}")
     rate = float(rate)
     return _trivial_model(
         {"kind": "pure_exponential", "rate": rate}, lambda t, s: rate * (t - s), norm_choice

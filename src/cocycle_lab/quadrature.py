@@ -3,10 +3,12 @@
 The integral-instability side of the certificate calculus needs the
 running integral of ||Phi(tau, t0, x) v|| along a trajectory.  It uses
 an adaptive Simpson core with the standard |S2 - S1| / 15 error
-estimate and Richardson correction.  The core refines many intervals at
-once, so the running integral from one base time t0 over every later
-grid segment is a single call.  The kernel integrals of a decay witness
-have closed forms (``certificates.integrate_kernel``).
+estimate and Richardson correction.  The core refines many families of
+intervals at once, each node evaluated only in its own family, so the
+running integrals of one base point from every base time t0, for every
+distinct |v|, over every later grid segment take a few calls.  The
+kernel integrals of a decay witness have closed forms
+(``certificates.integrate_kernel``).
 
 The lower limit of the trajectory integral is t0, recorded in the config
 as ``datko_lower_limit`` so serialized outputs show the convention.
@@ -71,31 +73,42 @@ def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
+def _halves(keep: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """A quantity of each split subinterval ``keep[i]``'s left half at 2i and right half at 2i + 1."""
+    out = np.empty(2 * len(keep))
+    out[0::2], out[1::2] = left[keep], right[keep]
+    return out
+
+
 # inf and nan end in DomainError below, so numpy need not warn first
 @np.errstate(over="ignore", invalid="ignore")
-def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureConfig):
+def adaptive_simpson(
+    f: Callable[[np.ndarray | tuple[np.ndarray, np.ndarray]], np.ndarray], a, b, cfg: QuadratureConfig
+):
     """Integrate f over each [a, b] to max(abs_tol, rel_tol * |estimate|).
 
     ``a`` and ``b`` are floats, equal-length 1-D arrays, or 2-D arrays of
-    one shape (F, m): F families of m intervals.  ``f`` maps a 1-D array of
-    nodes to their values, or for 2-D ends to an (F, n) array whose row r
-    is family r's integrand; interval (r, c) reads row r.  All intervals
-    refine level by level, one ``f`` call per depth, and a subinterval
-    stops once its Richardson estimate |S2 - S1| / 15 meets its tolerance,
-    halved at each split.  Each interval's leaves are summed right to left
-    in strict sequence, as a depth-first stack popping right halves first
-    would, so a batch returns bit for bit what one call per interval (and
-    per family) would.  A non-finite error estimate raises DomainError at
-    once; reaching max_depth raises QuadratureDepthError with the estimate
-    (an array shaped like the ends for array input) as ``partial``.  Both
-    name the interval of the first failing (family, interval) pair at the
-    shallowest failing depth.
+    one shape (F, m): F families of m intervals.  For float and 1-D ends
+    ``f`` maps a 1-D array of nodes to their values.  For 2-D ends ``f``
+    takes one argument, the pair ``(nodes, rows)`` of two equal-length
+    1-D arrays, and returns the value at each node of the integrand of
+    family ``rows[p]``; interval (r, c) belongs to family r.  All
+    intervals refine level by level, one ``f`` call per depth, and a
+    subinterval stops once its Richardson estimate |S2 - S1| / 15 meets
+    its tolerance, halved at each split.  Each interval's leaves are summed
+    right to left in strict sequence from 0.0, as a depth-first stack
+    popping right halves first would, so a batch returns bit for bit what
+    one call per interval (and per family) would.  A non-finite error
+    estimate raises DomainError at once; reaching max_depth raises
+    QuadratureDepthError with the estimate (an array shaped like the ends
+    for array input) as ``partial``.  Both name the interval of the first
+    failing (family, interval) pair at the shallowest failing depth.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     lo, hi = (np.atleast_1d(np.asarray(end, dtype=float)) for end in (a, b))
     if lo.ndim > 2 or lo.shape != hi.shape:
         raise PreconditionError(f"interval ends must be 1-D or 2-D arrays of one shape, got {lo.shape} and {hi.shape}")
-    shape, families = lo.shape, len(lo) if lo.ndim == 2 else 1
+    shape, batched = lo.shape, lo.ndim == 2
     lo, hi = lo.ravel(), hi.ravel()
     bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi >= lo))
     if bad.any():
@@ -107,12 +120,13 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a, b, cfg: Quadratur
     owner = np.flatnonzero(hi > lo)
     if not len(owner):
         return 0.0 if scalar else np.zeros(shape)
-    per_family = len(lo) // families
+    per_family = shape[-1]
 
     def values(live: np.ndarray, *parts: np.ndarray) -> np.ndarray:
-        """f at the nodes of ``parts``, one row per part, each node read from its owner's family row."""
-        ys = np.reshape(f(np.concatenate(parts)), (families, len(parts), len(live)))
-        return ys[live // per_family, :, np.arange(len(live))].T
+        """f at the nodes of ``parts``, one row per part, each node in its owner's family."""
+        nodes = np.concatenate(parts)
+        ys = f((nodes, np.tile(live // per_family, len(parts)))) if batched else f(nodes)
+        return np.reshape(ys, (len(parts), len(live)))
 
     xa, xb = lo[owner], hi[owner]
     xm = 0.5 * (xa + xb)
@@ -120,7 +134,7 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a, b, cfg: Quadratur
     s_whole = _simpson(ya, ym, yb, xb - xa)
     loc_tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(s_whole))  # nan -> abs_tol, as max() does
 
-    leaves = []  # (owner, left end, value) of every finished subinterval
+    levels = []  # per depth: (finished mask, entries split, owners and values of the finished)
     exhausted = owner[:0]
     for depth in range(cfg.max_depth + 1):
         if not len(owner):
@@ -140,22 +154,39 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a, b, cfg: Quadratur
         if depth == cfg.max_depth:
             exhausted = owner[~done]
             done[:] = True
-        leaves.append((owner[done], xa[done], s_left[done] + s_right[done] + err[done]))
         keep = np.flatnonzero(~done)
+        levels.append((done, keep, owner[done], s_left[done] + s_right[done] + err[done]))
         owner = np.repeat(owner[keep], 2)
-        # each split subinterval becomes its left half, then its right half
-        left = np.array([xa, ya, lm, ylm, xm, ym, s_left])[:, keep]
-        right = np.array([xm, ym, rm, yrm, xb, yb, s_right])[:, keep]
-        xa, ya, xm, ym, xb, yb, s_whole = np.stack([left, right], axis=2).reshape(7, -1)
+        xa, ya, xm, ym, xb, yb, s_whole = (
+            _halves(keep, *pair)
+            for pair in ((xa, xm), (ya, ym), (lm, rm), (ylm, yrm), (xm, xb), (ym, yb), (s_left, s_right))
+        )
         loc_tol = np.repeat(0.5 * loc_tol[keep], 2)
 
-    who, left_end, value = (np.concatenate(col) for col in zip(*leaves))
-    order = np.lexsort((-left_end, who))  # by interval, then right to left
-    who, value = who[order], value[order]
-    col = 1 + np.arange(len(who)) - np.searchsorted(who, who)
-    rows = np.zeros((len(lo), 1 + col.max()))
-    rows[who, col] = value
-    total = np.cumsum(rows, axis=1)[:, -1]  # strictly sequential, from 0.0
+    # Each interval sums its leaves right to left, so each leaf needs its rank
+    # from the right.  Entries 2i and 2i + 1 of a depth are the halves of
+    # entry keep[i] of the depth above: count the leaves under every entry
+    # from the deepest depth up, then the leaves right of it from the top down.
+    counts = [np.zeros(0, dtype=np.int64)]  # nothing below the deepest depth
+    for done, keep, *_ in reversed(levels):
+        count = np.ones(len(done), dtype=np.int64)
+        count[keep] = counts[-1][0::2] + counts[-1][1::2]
+        counts.append(count)
+    counts.reverse()
+    ranks, right = [], np.zeros(len(counts[0]), dtype=np.int64)
+    for (done, keep, *_), below in zip(levels, counts[1:]):
+        ranks.append(right[done])
+        right = np.repeat(right[keep], 2)
+        right[0::2] += below[1::2]  # a left half has its sibling's leaves to its right
+    rank = np.concatenate(ranks)
+    who = np.concatenate([owners for *_, owners, _ in levels])
+    value = np.concatenate([leaf_values for *_, leaf_values in levels])
+    order = np.argsort(rank)
+    bounds = np.searchsorted(rank[order], np.arange(rank.max() + 2))
+    total = np.zeros(len(lo))
+    for start, stop in zip(bounds[:-1], bounds[1:]):  # strictly sequential, from 0.0
+        step = order[start:stop]  # at most one leaf per interval
+        total[who[step]] += value[step]
     result = float(total[0]) if scalar else total.reshape(shape)
     if len(exhausted):
         i = int(exhausted[0])
@@ -166,44 +197,35 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a, b, cfg: Quadratur
     return result
 
 
-def composite_simpson(f: Callable[[float], float], a: float, b: float, panels: int) -> float:
-    """Fixed-step Simpson rule; the independent cross-check for the adaptive path."""
-    if panels < 1:
-        raise PreconditionError("panels must be >= 1")
-    if a == b:
-        return 0.0
-    xs = np.linspace(a, b, 2 * panels + 1)
-    ys = np.array([f(float(x)) for x in xs])
-    h = (b - a) / panels
-    return float(h / 6.0 * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1::2]) + 2.0 * np.sum(ys[2:-2:2])))
-
-
 def _norm_trajectory_fn(
-    xi: SkewEvolutionSemiflow, t0: float, x: BasePoint, block: np.ndarray
+    xi: SkewEvolutionSemiflow, t0s: np.ndarray, x: BasePoint, block: np.ndarray
 ):
-    """Integrand taus -> ||Phi(tau, t0, x) v|| for every row v of a (V, dim) block.
+    """Integrand (taus, rows) -> ||Phi(taus[p], t0s[r], x) block[r]|| with r = rows[p], per node p.
 
-    Maps a 1-D array of n taus to a (V, n) array.  The norm is assembled
-    directly from the model's log factors, skipping a per-call log/exp
-    round trip, and one ``log_factors`` call per node array serves every
-    vector; this is the hot inner function of every Datko-style integral.
-    Sums run along a contiguous last axis, which adds each node's
-    components in the order np.sum does for one.
+    Family r of the batch is the trajectory from base time ``t0s[r]`` of
+    vector ``block[r]``; each node is evaluated in its own family only.
+    The norm is assembled directly from the model's log factors, skipping a
+    per-call log/exp round trip, and one ``log_factors`` call serves every
+    node of every family; this is the hot inner function of every
+    Datko-style integral.  Only |v| is read.  Sums run along a contiguous
+    last axis, which adds each node's components in the order np.sum does
+    for one.
     """
     factors = xi.log_factors
     euclid = xi.norm_choice is NormChoice.EUCLID
     p = 2.0 if euclid else 1.0
-    mags = np.abs(block)[:, None, :]
+    mags = np.abs(block)
     weights = mags * mags if euclid else mags
 
-    def terms(taus: np.ndarray) -> np.ndarray:  # [vector, node, component]
-        return weights * np.ascontiguousarray(np.exp(p * factors(taus, t0, x)).T)
+    def terms(nodes) -> np.ndarray:  # [node, component]
+        taus, rows = nodes
+        return weights[rows] * np.ascontiguousarray(np.exp(p * factors(taus, t0s[rows], x)).T)
 
     if xi.norm_choice is NormChoice.SUM_ABS:
-        return lambda taus: terms(taus).sum(axis=2)
+        return lambda nodes: terms(nodes).sum(axis=1)
     if euclid:
-        return lambda taus: np.sqrt(terms(taus).sum(axis=2))
-    return lambda taus: np.max(terms(taus), axis=2)
+        return lambda nodes: np.sqrt(terms(nodes).sum(axis=1))
+    return lambda nodes: np.max(terms(nodes), axis=1)
 
 
 def integrate_norm_trajectory(
@@ -224,7 +246,13 @@ def integrate_norm_trajectory(
     arr = np.asarray(v, dtype=float)
     if not np.any(arr != 0.0):
         raise PreconditionError("trajectory integral needs a nonzero vector")
-    return adaptive_simpson(_norm_trajectory_fn(xi, t0, x, arr[None]), t0, t, cfg)
+    fn = _norm_trajectory_fn(xi, np.array([float(t0)]), x, arr[None])
+    return adaptive_simpson(lambda taus: fn((taus, np.zeros(len(taus), dtype=int))), t0, t, cfg)
+
+
+# The most real grid segments (over base times and distinct |v|) that one
+# adaptive_simpson call of norm_integral_prefix holds, which bounds its memory.
+MAX_BATCH_SEGMENTS = 4096
 
 
 def norm_integral_prefix(
@@ -234,15 +262,26 @@ def norm_integral_prefix(
     times: Sequence[float],
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> np.ndarray:
-    """Cumulative trajectory integrals from times[0] to every grid time.
+    """Cumulative trajectory integrals from every grid time to every later one.
 
-    ``v`` is one vector, giving an (n,) prefix, or a (V, dim) block of
-    vectors, giving one prefix per row in a (V, n) array.  Every grid
-    segment of every vector is refined in one batched adaptive_simpson
-    call, bit for bit as one call per vector would, and prefix-summed, so
-    all endpoints share one consistent set of segment values.  The
-    integral and check paths both call this, which keeps their margins
-    bit-identical.
+    ``v`` is one vector, giving an (n, n) array P, or a (V, dim) block of
+    vectors, giving one such array per row in a (V, n, n) array.
+    P[..., k, i] is the integral of ||Phi(tau, t_k, x) v|| over [t_k, t_i],
+    and 0 for i <= k; row k is the prefix over the grid ``times[k:]``, each
+    grid segment refined on its own and the segments summed left to right.
+
+    Rows with equal |v| have the same integrand, so each distinct |v| is
+    integrated once.  Families (base time k, distinct |v|) are batched in
+    one adaptive_simpson call per group of consecutive base times, each
+    group holding at most ``MAX_BATCH_SEGMENTS`` real segments (or one
+    base time); a family's segments before t_k have zero length.  Every
+    segment ends with the bits that one call for it alone would give.  A
+    failing integral raises from the first failing group, naming the
+    interval of the first failing (base time, vector, segment) at the
+    shallowest failing depth within that group, so a non-finite integrand
+    there is named before any segment that runs out of depth.  The
+    integral and check paths both read their integrals here, which keeps
+    their margins bit-identical.
     """
     ts = np.asarray(times, dtype=float)
     if not len(ts):
@@ -253,8 +292,23 @@ def norm_integral_prefix(
     block = np.atleast_2d(arr)
     if not np.all(np.any(block != 0.0, axis=1)):
         raise PreconditionError("trajectory integral needs a nonzero vector")
-    ends = [np.broadcast_to(end, (len(block), len(ts) - 1)) for end in (ts[:-1], ts[1:])]
-    segments = adaptive_simpson(_norm_trajectory_fn(xi, float(ts[0]), x, block), *ends, cfg)
-    prefix = np.cumsum(np.concatenate([np.zeros((len(block), 1)), segments], axis=1), axis=1)
+    # distinct |v| rows, in order of first appearance; inverse maps each row to its own
+    _, first, inverse = np.unique(np.abs(block), axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    distinct, inverse = block[first[order]], np.argsort(order)[inverse.ravel()]
+    n, d = len(ts), len(distinct)
+    prefix = np.zeros((d, n, n))
+    real = (n - 1 - np.arange(n - 1)) * d  # real segments of each base time
+    k0 = 0
+    while k0 < n - 1:
+        k1 = k0 + max(1, int(np.searchsorted(np.cumsum(real[k0:]), MAX_BATCH_SEGMENTS, side="right")))
+        ks, j = np.arange(k0, k1), np.arange(k0, n - 1)
+        live = j >= ks[:, None]  # (base time, segment j), both from k0
+        lo = np.repeat(np.broadcast_to(ts[j], live.shape), d, axis=0)
+        hi = np.repeat(np.where(live, ts[j + 1], ts[j]), d, axis=0)
+        fn = _norm_trajectory_fn(xi, np.repeat(ts[ks], d), x, np.tile(distinct, (len(ks), 1)))
+        segments = adaptive_simpson(fn, lo, hi, cfg).reshape(len(ks), d, -1)
+        prefix[:, k0:k1, k0 + 1:] = np.cumsum(segments, axis=2).transpose(1, 0, 2)
+        k0 = k1
+    prefix = prefix[inverse]
     return prefix if arr.ndim == 2 else prefix[0]
-

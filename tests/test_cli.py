@@ -181,23 +181,40 @@ def test_scenario_rejects_malformed_documents(doc):
 # ---------------------------------------------------------------------------
 
 
-def test_malformed_scenarios_exit_2(tmp_path):
-    fixtures = {
-        "not_json.json": "{ definitely not json",
-        "extra_key.json": json.dumps({"model": {"kind": "sin_scalar"}, "shape": "round"}),
-        "no_kind.json": json.dumps({"model": {"rate": 1.0}}),
-        "bad_tol.json": json.dumps(
-            {"model": {"kind": "sin_scalar"}, "tolerances": {"margin_tol": 0.0}}),
-        "bad_times.json": json.dumps(
-            {"model": {"kind": "sin_scalar"}, "grid": {"times": [0.0, 0.0]}}),
-        # an integer literal too large for a float
-        "huge_rate.json": json.dumps({"model": {"kind": "pure_exponential", "rate": 10**400}}),
-    }
-    for name, text in fixtures.items():
-        p = tmp_path / name
-        p.write_text(text)
-        code = main(["laws", "--scenario", str(p), "--out-dir", str(tmp_path / "out")])
-        assert code == 2, name
+HUGE = 10**400  # an integer literal too large for a float
+
+
+# file name -> (scenario text, a part of its error message)
+MALFORMED_SCENARIOS = {
+    "not_json.json": ("{ definitely not json", "is not valid JSON"),
+    "extra_key.json": (json.dumps({"model": {"kind": "sin_scalar"}, "shape": "round"}),
+                       "scenario has unknown keys ['shape']"),
+    "no_kind.json": (json.dumps({"model": {"rate": 1.0}}), "model descriptor needs a 'kind' key"),
+    "bad_tol.json": (json.dumps({"model": {"kind": "sin_scalar"}, "tolerances": {"margin_tol": 0.0}}),
+                     "margin_tol must be a finite number > 0"),
+    "bad_times.json": (json.dumps({"model": {"kind": "sin_scalar"}, "grid": {"times": [0.0, 0.0]}}),
+                       "grid times must be strictly increasing"),
+    "huge_rate.json": (json.dumps({"model": {"kind": "pure_exponential", "rate": HUGE}}),
+                       "pure_exponential rate must be a finite number"),
+    "huge_alpha.json": (json.dumps({"model": {"kind": "diag_integral", "alphas": [1, HUGE]}}),
+                        "diag_integral alphas must be a list of numbers within the float range"),
+    "huge_time.json": (json.dumps({"model": {"kind": "sin_scalar"}, "grid": {"times": [0, HUGE]}}),
+                       "grid times must be a list of numbers within the float range"),
+    "huge_vector.json": (json.dumps({"model": {"kind": "sin_scalar"}, "grid": {"vectors": [[HUGE]]}}),
+                         "grid vectors entry must be a list of numbers within the float range"),
+    "huge_nu.json": (json.dumps({"model": {"kind": "sin_scalar"}, "nu_candidates": [0.5, HUGE]}),
+                     "nu_candidates must be a list of numbers within the float range"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenarios_exit_2(tmp_path, capsys, name):
+    text, message = MALFORMED_SCENARIOS[name]
+    p = tmp_path / name
+    p.write_text(text)
+    code = main(["laws", "--scenario", str(p), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_overflowing_integral_exits_2_quickly(tmp_path):
@@ -1104,6 +1121,7 @@ def test_benchmark_tracer_reaches_every_layer(tmp_path):
     layers = traced("estimate", "estimate", "--property", "integral-instability")
     assert layers["certificates.estimate_s"] > 0
     assert layers["quadrature.segments"] > 0
+    assert layers["quadrature.s"] > 0
     cert = str(out / "cert_integral-instability.json")
     assert traced("check", "check", "--property", "integral-instability",
                   "--cert", cert)["certificates.samples"] > 0

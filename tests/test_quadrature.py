@@ -1,12 +1,16 @@
 """Adaptive quadrature and the norm-trajectory integrals built on it."""
 
+import itertools
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocycle_lab import quadrature
 from cocycle_lab import (
     DomainError,
     NormChoice,
@@ -18,7 +22,6 @@ from cocycle_lab import (
     TabulatedDecay,
     Trivial,
     adaptive_simpson,
-    composite_simpson,
     diag_integral_model,
     integrate_generator,
     integrate_kernel,
@@ -72,6 +75,18 @@ def reference_simpson(f, a, b, cfg):
     return total
 
 
+def composite_simpson(f, a, b, panels):
+    """Fixed-step Simpson rule; the independent cross-check for the adaptive path."""
+    if panels < 1:
+        raise PreconditionError("panels must be >= 1")
+    if a == b:
+        return 0.0
+    xs = np.linspace(a, b, 2 * panels + 1)
+    ys = np.array([f(float(x)) for x in xs])
+    h = (b - a) / panels
+    return float(h / 6.0 * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1::2]) + 2.0 * np.sum(ys[2:-2:2])))
+
+
 def reference_value(f, a, b, cfg):
     """(value or partial, whether max_depth was hit) of reference_simpson."""
     try:
@@ -80,9 +95,8 @@ def reference_value(f, a, b, cfg):
         return exc.partial, True
 
 
-def reference_prefix(xi, x, v, times, cfg):
-    """The per-segment loop over a scalar integrand, one segment at a time."""
-    t0 = times[0]
+def reference_integrand(xi, x, v, t0):
+    """tau -> ||Phi(tau, t0, x) v|| for one float tau, in plain numpy scalars."""
     mags = np.abs(np.asarray(v, dtype=float))
 
     def integrand(tau):
@@ -93,10 +107,19 @@ def reference_prefix(xi, x, v, times, cfg):
             return math.sqrt(float(np.sum(mags * mags * np.exp(2.0 * lf))))
         return float(np.max(mags * np.exp(lf)))
 
-    out = [0.0]
-    for a, b in zip(times, times[1:]):
-        out.append(out[-1] + reference_simpson(integrand, a, b, cfg))
-    return out
+    return integrand
+
+
+def reference_segments(xi, x, v, times, cfg):
+    """reference_value of each grid segment from base time times[0], one segment at a time."""
+    integrand = reference_integrand(xi, x, v, times[0])
+    return [reference_value(integrand, a, b, cfg) for a, b in zip(times, times[1:])]
+
+
+def reference_prefix(segments):
+    """The running sum of reference_segments, left to right from 0.0."""
+    assert not any(hit for _, hit in segments)
+    return list(itertools.accumulate((value for value, _ in segments), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +298,15 @@ def test_family_batch_matches_one_call_per_family_bit_for_bit(families, pieces, 
     ref = [one_family_outcome(f, a[r], b[r], cfg) for r, f in enumerate(fs)]
     calls = []
 
-    def batched(u):
+    def batched(nodes):
+        u, rows = nodes
+        assert u.shape == rows.shape
         calls.append(len(u))
-        return np.stack([f(u) for f in fs])
+        # each node is asked for once, in its own family only
+        out = np.empty(len(u))
+        for r, f in enumerate(fs):
+            out[rows == r] = f(u[rows == r])
+        return out
 
     domain = [(depth, r) for r, (kind, _, depth) in enumerate(ref) if kind == "domain"]
     if domain:
@@ -301,7 +330,7 @@ def test_family_batch_matches_one_call_per_family_bit_for_bit(families, pieces, 
 
 
 def test_family_batch_shapes():
-    f = lambda u: np.stack([u, 2.0 * u])
+    f = lambda nodes: nodes[0] * (1.0 + nodes[1])
     assert adaptive_simpson(f, np.zeros((2, 0)), np.zeros((2, 0)), TIGHT).shape == (2, 0)
     assert adaptive_simpson(f, np.zeros((2, 3)), np.zeros((2, 3)), TIGHT).tolist() == [[0.0] * 3] * 2
     got = adaptive_simpson(f, np.zeros((2, 1)), np.ones((2, 1)), TIGHT)
@@ -442,11 +471,13 @@ def test_trajectory_validation(pexp3_model):
 def test_prefix_matches_single_calls(pexp3_model):
     times = [0.0, 0.5, 1.25, 2.0]
     prefix = norm_integral_prefix(pexp3_model, Trivial(0.0), (1.0,), times, TIGHT)
-    assert prefix[0] == 0.0
-    for i, t in enumerate(times):
-        whole = integrate_norm_trajectory(pexp3_model, 0.0, Trivial(0.0), (1.0,), t, TIGHT)
-        assert prefix[i] == pytest.approx(whole, rel=1e-9, abs=1e-12)
-    assert np.all(np.diff(prefix) > 0.0)
+    assert prefix.shape == (4, 4)
+    for k, t0 in enumerate(times):
+        assert prefix[k, : k + 1].tolist() == [0.0] * (k + 1)
+        for i in range(k + 1, len(times)):
+            whole = integrate_norm_trajectory(pexp3_model, t0, Trivial(0.0), (1.0,), times[i], TIGHT)
+            assert prefix[k, i] == pytest.approx(whole, rel=1e-9, abs=1e-12)
+        assert np.all(np.diff(prefix[k, k:]) > 0.0)
 
 
 PREFIX_CASES = {
@@ -463,18 +494,19 @@ PREFIX_CASES = {
 def test_prefix_matches_per_segment_reference_exactly(full_times, case, choice):
     make, x, v = PREFIX_CASES[case]
     xi = make(choice)
+    got = norm_integral_prefix(xi, x, v, full_times, QuadratureConfig())
+    assert got.shape == (len(full_times), len(full_times))
     for k in (0, 13, 40, 63):
-        times = full_times[k:]
-        got = norm_integral_prefix(xi, x, v, times, QuadratureConfig())
-        assert got.tolist() == reference_prefix(xi, x, v, times, QuadratureConfig())
+        assert got[k, :k].tolist() == [0.0] * k
+        assert got[k, k:].tolist() == reference_prefix(reference_segments(xi, x, v, full_times[k:], QuadratureConfig()))
 
 
 BLOCK_CASES = {
-    "sin": (sin_scalar_model, Trivial(0.0), [[1.0], [-2.5], [1e-3]]),
+    "sin": (sin_scalar_model, Trivial(0.0), [[1.0], [-2.5], [1e-3], [2.5]]),
     "shifted_exp": (lambda nc: shift_cocycle(pure_exponential_model(2.3, nc), 0.8), Trivial(0.0),
                     [[-1.7], [0.4]]),
     "diag2": (lambda nc: diag_integral_model([1.0, -1.0], nc), ShiftedGenerator(1, 0.5),
-              [[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]]),
+              [[1.0, 0.0], [0.0, 1.0], [0.6, -0.8], [-0.6, 0.8], [1.0, 0.0]]),
     "diag3": (lambda nc: diag_integral_model([1.0, -1.0, 0.4], nc), ShiftedGenerator(1, 0.5),
               [[1.0, -0.3, 2.0], [0.0, 0.0, 1.0], [-3.0, 1.0, 0.0]]),
     "diag9": (lambda nc: diag_integral_model(np.linspace(-2.0, 2.0, 9), nc), ShiftedGenerator(2, 0.0),
@@ -488,12 +520,83 @@ def test_prefix_of_a_vector_block_stacks_single_prefixes_exactly(full_times, cas
     make, x, vectors = BLOCK_CASES[case]
     xi = make(choice)
     block = np.array(vectors, dtype=float)
-    for k in (0, 40, 63, 64):
-        times = full_times[k:]
-        got = norm_integral_prefix(xi, x, block, times, QuadratureConfig())
-        assert got.shape == (len(block), len(times))
-        assert got.tolist() == [norm_integral_prefix(xi, x, v, times, QuadratureConfig()).tolist()
-                                for v in block]
+    got = norm_integral_prefix(xi, x, block, full_times, QuadratureConfig())
+    assert got.shape == (len(block), len(full_times), len(full_times))
+    assert got.tolist() == [norm_integral_prefix(xi, x, v, full_times, QuadratureConfig()).tolist()
+                            for v in block]
+
+
+BATCH_MODELS = {
+    "sin": (sin_scalar_model, Trivial(0.0)),
+    "diag": (lambda nc: diag_integral_model([1.0, -1.0, 0.4], nc), ShiftedGenerator(1, 0.5)),
+    "pure_exp": (lambda nc: pure_exponential_model(-1.3, nc), Trivial(0.0)),
+    "shifted_diag": (lambda nc: shift_cocycle(diag_integral_model([0.7, -0.2], nc), 0.6), ShiftedGenerator(2, 0.0)),
+}
+
+
+@st.composite
+def signed_blocks(draw, dim):
+    """Nonzero rows, then copies of some of them, each with a random sign, shuffled."""
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim).filter(any), min_size=1, max_size=3))
+    copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.sampled_from([1.0, -1.0])), max_size=3))
+    block = rows + [[sign * c for c in rows[r]] for r, sign in copies]
+    return np.array(draw(st.permutations(block)))
+
+
+GRIDS = st.tuples(st.floats(0.0, 2.0), st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=11)).map(
+    lambda start_gaps: list(itertools.accumulate(start_gaps[1], initial=start_gaps[0]))
+)
+
+
+@given(
+    st.sampled_from(sorted(BATCH_MODELS)),
+    st.sampled_from(list(NormChoice)),
+    GRIDS,
+    st.sampled_from([2, 4, 48]),
+    st.sampled_from([1, 5, 4096]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_over_base_times_matches_per_segment_reference(name, choice, times, max_depth, cap, data):
+    make, x = BATCH_MODELS[name]
+    xi = make(choice)
+    block = data.draw(signed_blocks(xi.dimension))
+    cfg = QuadratureConfig(max_depth=max_depth)
+    # per (base time k, row b): each segment's (value, hit max_depth), from its own scalar loop,
+    # which rows of one |v| share
+    by_mags = {}
+    for k in range(len(times)):
+        for v in block:
+            if (k, tuple(np.abs(v))) not in by_mags:
+                by_mags[k, tuple(np.abs(v))] = reference_segments(xi, x, v, times[k:], cfg)
+    ref = {(k, b): by_mags[k, tuple(np.abs(v))] for k in range(len(times)) for b, v in enumerate(block)}
+    hits = [(k, b, j) for (k, b), segs in ref.items() for j, (_, hit) in enumerate(segs) if hit]
+    # a smaller cap splits the base times into more adaptive_simpson calls
+    with mock.patch.object(quadrature, "MAX_BATCH_SEGMENTS", cap):
+        if hits:
+            # the first hit by base time, then row, then segment, whatever the grouping
+            k, _, j = min(hits)
+            with pytest.raises(QuadratureDepthError, match=re.escape(f"on [{times[k + j]}, {times[k + j + 1]}]")):
+                norm_integral_prefix(xi, x, block, times, cfg)
+            return
+        got = norm_integral_prefix(xi, x, block, times, cfg)
+    assert got.shape == (len(block), len(times), len(times))
+    for (k, b), segs in ref.items():
+        assert got[b, k, :k].tolist() == [0.0] * k
+        assert got[b, k, k:].tolist() == reference_prefix(segs)
+
+
+def test_prefix_error_names_the_first_failure_of_the_first_failing_call():
+    # From t0 = 226, e^{E(tau, t0)} overflows on [227, 229]; from t0 = 0 the
+    # segment [2, 226] only runs out of depth, which a call reports at its end
+    xi, times, cfg = sin_scalar_model(), [0.0, 2.0, 226.0, 227.0, 229.0], QuadratureConfig(max_depth=10)
+    with pytest.raises(DomainError, match=r"not finite on \[227.0, 229.0\]"):
+        norm_integral_prefix(xi, Trivial(0.0), (1.0,), times, cfg)
+    # one base time per call: the call for t0 = 0 fails first
+    with mock.patch.object(quadrature, "MAX_BATCH_SEGMENTS", 1):
+        with pytest.raises(QuadratureDepthError, match=r"max_depth=10 on \[2.0, 226.0\]"):
+            norm_integral_prefix(xi, Trivial(0.0), (1.0,), times, cfg)
 
 
 def test_prefix_validation(pexp3_model):
