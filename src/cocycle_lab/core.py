@@ -48,7 +48,9 @@ def _is_finite_number(v) -> bool:
 def _float_list(value, what: str) -> list[float]:
     """``value`` as a list of floats.  An int beyond the float range is refused here,
     where float() would overflow; a non-finite float is left to the caller's own check."""
-    if not isinstance(value, list) or not all(isinstance(v, float) or _is_finite_number(v) for v in value):
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        raise PreconditionError(f"{what} must be a list of numbers")
+    if not all(isinstance(v, float) or _is_finite_number(v) for v in value):
         raise PreconditionError(f"{what} must be a list of numbers within the float range")
     return [float(v) for v in value]
 

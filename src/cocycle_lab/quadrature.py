@@ -73,13 +73,6 @@ def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _halves(keep: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """A quantity of each split subinterval ``keep[i]``'s left half at 2i and right half at 2i + 1."""
-    out = np.empty(2 * len(keep))
-    out[0::2], out[1::2] = left[keep], right[keep]
-    return out
-
-
 # inf and nan end in DomainError below, so numpy need not warn first
 @np.errstate(over="ignore", invalid="ignore")
 def adaptive_simpson(
@@ -134,7 +127,7 @@ def adaptive_simpson(
     s_whole = _simpson(ya, ym, yb, xb - xa)
     loc_tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(s_whole))  # nan -> abs_tol, as max() does
 
-    levels = []  # per depth: (finished mask, entries split, owners and values of the finished)
+    leaves = []  # (owner, left end, value) of every finished subinterval
     exhausted = owner[:0]
     for depth in range(cfg.max_depth + 1):
         if not len(owner):
@@ -154,33 +147,19 @@ def adaptive_simpson(
         if depth == cfg.max_depth:
             exhausted = owner[~done]
             done[:] = True
+        leaves.append((owner[done], xa[done], s_left[done] + s_right[done] + err[done]))
         keep = np.flatnonzero(~done)
-        levels.append((done, keep, owner[done], s_left[done] + s_right[done] + err[done]))
         owner = np.repeat(owner[keep], 2)
-        xa, ya, xm, ym, xb, yb, s_whole = (
-            _halves(keep, *pair)
-            for pair in ((xa, xm), (ya, ym), (lm, rm), (ylm, yrm), (xm, xb), (ym, yb), (s_left, s_right))
-        )
+        # each split subinterval becomes its left half, then its right half
+        left = np.array([xa, ya, lm, ylm, xm, ym, s_left])[:, keep]
+        right = np.array([xm, ym, rm, yrm, xb, yb, s_right])[:, keep]
+        xa, ya, xm, ym, xb, yb, s_whole = np.stack([left, right], axis=2).reshape(7, -1)
         loc_tol = np.repeat(0.5 * loc_tol[keep], 2)
 
-    # Each interval sums its leaves right to left, so each leaf needs its rank
-    # from the right.  Entries 2i and 2i + 1 of a depth are the halves of
-    # entry keep[i] of the depth above: count the leaves under every entry
-    # from the deepest depth up, then the leaves right of it from the top down.
-    counts = [np.zeros(0, dtype=np.int64)]  # nothing below the deepest depth
-    for done, keep, *_ in reversed(levels):
-        count = np.ones(len(done), dtype=np.int64)
-        count[keep] = counts[-1][0::2] + counts[-1][1::2]
-        counts.append(count)
-    counts.reverse()
-    ranks, right = [], np.zeros(len(counts[0]), dtype=np.int64)
-    for (done, keep, *_), below in zip(levels, counts[1:]):
-        ranks.append(right[done])
-        right = np.repeat(right[keep], 2)
-        right[0::2] += below[1::2]  # a left half has its sibling's leaves to its right
-    rank = np.concatenate(ranks)
-    who = np.concatenate([owners for *_, owners, _ in levels])
-    value = np.concatenate([leaf_values for *_, leaf_values in levels])
+    who, left_end, value = (np.concatenate(col) for col in zip(*leaves))
+    order = np.lexsort((-left_end, who))  # by interval, then right to left
+    who, value = who[order], value[order]
+    rank = np.arange(len(who)) - np.searchsorted(who, who)  # each leaf's rank from the right
     order = np.argsort(rank)
     bounds = np.searchsorted(rank[order], np.arange(rank.max() + 2))
     total = np.zeros(len(lo))

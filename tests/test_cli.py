@@ -204,6 +204,13 @@ MALFORMED_SCENARIOS = {
                          "grid vectors entry must be a list of numbers within the float range"),
     "huge_nu.json": (json.dumps({"model": {"kind": "sin_scalar"}, "nu_candidates": [0.5, HUGE]}),
                      "nu_candidates must be a list of numbers within the float range"),
+    # a non-number is not out of range: the message ends at "numbers"
+    "string_vector.json": (json.dumps({"model": {"kind": "sin_scalar"}, "grid": {"vectors": ["x"]}}),
+                           "grid vectors entry must be a list of numbers\n"),
+    "string_entry.json": (json.dumps({"model": {"kind": "sin_scalar"}, "grid": {"vectors": [["x"]]}}),
+                          "grid vectors entry must be a list of numbers\n"),
+    "string_time.json": (json.dumps({"model": {"kind": "sin_scalar"}, "grid": {"times": ["x", 1]}}),
+                         "grid times must be a list of numbers\n"),
 }
 
 

@@ -520,10 +520,13 @@ def test_prefix_of_a_vector_block_stacks_single_prefixes_exactly(full_times, cas
     make, x, vectors = BLOCK_CASES[case]
     xi = make(choice)
     block = np.array(vectors, dtype=float)
-    got = norm_integral_prefix(xi, x, block, full_times, QuadratureConfig())
-    assert got.shape == (len(block), len(full_times), len(full_times))
-    assert got.tolist() == [norm_integral_prefix(xi, x, v, full_times, QuadratureConfig()).tolist()
-                            for v in block]
+    for k in (0, 40, 63, 64):  # k = 64 leaves a grid of one time
+        times = full_times[k:]
+        got = norm_integral_prefix(xi, x, block, times, QuadratureConfig())
+        assert got.shape == (len(block), len(times), len(times))
+        assert got.tolist() == [norm_integral_prefix(xi, x, v, times, QuadratureConfig()).tolist()
+                                for v in block]
+    assert got.tolist() == [[[0.0]]] * len(block)
 
 
 BATCH_MODELS = {
