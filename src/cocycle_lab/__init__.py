@@ -35,7 +35,6 @@ from .core import (
     Trivial,
     check_cocycle_laws,
     check_semiflow_laws,
-    metric_distance,
     norm,
     shift_cocycle,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "Trivial",
     "check_cocycle_laws",
     "check_semiflow_laws",
-    "metric_distance",
     "norm",
     "shift_cocycle",
     "build_model",

@@ -48,6 +48,7 @@ from .core import (
     SkewEvolutionSemiflow,
     _float_list,
     _integer,
+    _json_float,
     _number,
     _pairs,
     _report,
@@ -494,36 +495,6 @@ def estimate_instability(
     return InstabilityCertificate(N=witness, grid_hash=grid.grid_hash)
 
 
-def _pair_envelopes(
-    xi: SkewEvolutionSemiflow, grid: SampleGrid
-) -> tuple[np.ndarray, float]:
-    """Worst backward ratio per time pair, and the best realized growth rate.
-
-    Returns R[i, j] = max over t0 <= s_j, x, v of the backward ratio
-    log ||Phi(s_j, t0)v|| - log ||Phi(t_i, t0)v|| (for i >= j, -inf above
-    the diagonal), together with rho_star = max over the triples with
-    s_j < t_i of the forward growth rate -ratio / (t_i - s_j).
-    """
-    times = np.asarray(grid.times)
-    n = len(times)
-    k, j, i = _triples(n)
-    # Flat [i * n + j] envelopes of the greatest and the least ratio: ufunc.at
-    # is many times faster on flat indices than on index pairs.
-    R = np.full(n * n, -np.inf)
-    least = np.full(n * n, np.inf)
-    for *_, ratio in _backward_ratios(xi, grid, k, j, i):
-        ij = i * n + j
-        np.maximum.at(R, ij, ratio)
-        np.minimum.at(least, ij, ratio)
-        del ratio, ij  # O(n^3) each: freed before the next ratio is formed
-    # Division by a gap t_i - s_j > 0 is monotone, rounding included, so each
-    # pair's fastest rate is its least ratio's, exactly.
-    gaps = times[:, None] - times[None, :]
-    forward = gaps > 0.0
-    rho_star = float(np.max(-least.reshape(n, n)[forward] / gaps[forward], initial=-np.inf))
-    return R.reshape(n, n), rho_star
-
-
 def _ls_slope(times: Sequence[float], values: np.ndarray) -> float:
     """Least-squares slope of values over times, in closed form.
 
@@ -564,6 +535,15 @@ def estimate_exp_instability(
     (b) the least-squares slope of the fitted log-witness over the grid
     times stays within ``growth_cap``.  If no candidate qualifies a
     NoCertificate result is returned rather than an exception.
+
+    Both read the pair tables L[i, k] = log ||Phi(t_i, t_k, x)v||, in O(n^2)
+    per candidate.  The required log-witness
+    y_i = max over s_j <= t_i, t0_k <= s_j of nu (t_i - s_j) + L[j, k] - L[i, k]
+    is nu t_i + max over k of (C[i, k] - L[i, k]), with the running maximum
+    C[i, k] = max over k <= j <= i of (L[j, k] - nu t_j) down each column.
+    A chord slope (L[i, k] - L[j, k]) / (t_i - t_j) is a weighted mean of
+    the consecutive slopes it spans, so the best realized rate rho_star is
+    the largest consecutive slope (-inf on a one-time grid).
     """
     if not (math.isfinite(growth_cap) and growth_cap > 0.0):
         raise PreconditionError(f"growth_cap must be > 0, got {growth_cap}")
@@ -572,16 +552,16 @@ def estimate_exp_instability(
     candidates = DEFAULT_NU_CANDIDATES if nu_candidates is None else _nu_ladder(nu_candidates)
 
     times = np.asarray(grid.times)
-    R, rho_star = _pair_envelopes(xi, grid)
-    gaps = times[:, None] - times[None, :]
+    # (pairs, n, n), nan above each diagonal: fmax skips the nan entries.
+    L = np.stack([table for *_, table in _pair_tables(xi, grid)])
+    rates = np.diff(L, axis=1) / np.diff(times)[:, None]
+    rho_star = float(np.fmax.reduce(rates, axis=None, initial=-np.inf))
     slopes: dict[float, float] = {}
     for nu in reversed(candidates):
         if nu > rho_star + _RATE_TOL:
             continue
-        with np.errstate(invalid="ignore"):
-            needed = nu * gaps + R
-        # R is -inf above the diagonal, so each row's maximum runs over s <= t.
-        y = np.max(needed, axis=1)
+        C = np.fmax.accumulate(L - nu * times[:, None], axis=1)
+        y = nu * times + np.fmax.reduce(C - L, axis=(0, 2), initial=-np.inf)
         slope = _ls_slope(grid.times, y)
         slopes[nu] = slope
         if slope <= growth_cap:
@@ -603,8 +583,8 @@ def estimate_exp_instability(
         grid_hash=grid.grid_hash,
         details={
             "candidates": list(candidates),
-            "realized_rate": rho_star,
-            "envelope_slopes": {f"{nu:.17g}": s for nu, s in sorted(slopes.items())},
+            "realized_rate": _json_float(rho_star),
+            "envelope_slopes": {f"{nu:.17g}": _json_float(s) for nu, s in sorted(slopes.items())},
             "growth_cap": growth_cap,
         },
     )

@@ -286,7 +286,9 @@ def _create(sc: Scenario, name: str):
 
 
 def _write_json(sc: Scenario, name: str, doc: dict) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Write ``doc`` as strict JSON: a non-finite float raises ValueError, so
+    reports spell such margins out as strings (``core._json_float``)."""
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with _create(sc, name) as fh:
         fh.write(text)
 

@@ -416,6 +416,11 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _json_float(x: float) -> float | str:
+    """``x`` for strict JSON: a finite float as is, inf, -inf and nan as the strings "inf", "-inf" and "nan"."""
+    return x if math.isfinite(x) else repr(x)
+
+
 @dataclass(frozen=True)
 class Counterexample:
     t: float
@@ -435,7 +440,7 @@ class Counterexample:
             "t0": self.t0,
             "base": self.base,
             "vector": self.vector,
-            "margin": self.margin,
+            "margin": _json_float(self.margin),
         }
 
 
@@ -476,7 +481,7 @@ class CheckReport:
             "check": self.check,
             "tol": self.tol,
             "samples_checked": self.samples_checked,
-            "worst_margin": self.worst_margin,
+            "worst_margin": _json_float(self.worst_margin),
             "counterexamples": [c.to_json_dict() for c in self.counterexamples],
             "verdict": self.verdict,
         }
@@ -674,34 +679,3 @@ def check_cocycle_laws(
     )
     report = _report("cocycle-laws", tol, margin_sink, _law_samples(T), rows)
     return replace(report, roundoff_allowance=allowance)
-
-
-# ---------------------------------------------------------------------------
-# Metric on the generator base space
-# ---------------------------------------------------------------------------
-
-
-def metric_distance(
-    x: BasePoint, y: BasePoint, n_max: int = 20, samples_per_unit: int = 16
-) -> float:
-    """Weighted sup-metric between two shifted generator functions.
-
-    Sums 2^{-n} d_n / (1 + d_n) for n = 1 .. n_max, where d_n is the sup
-    of |x(u) - y(u)| over [0, n] approximated on a uniform grid with
-    ``samples_per_unit`` subintervals per unit.  Truncation error is at
-    most 2^{-n_max}.
-    """
-    from .models import generator_value  # deferred: models builds on this module
-
-    if not (isinstance(x, ShiftedGenerator) and isinstance(y, ShiftedGenerator)):
-        raise PreconditionError("metric_distance is defined on shifted generator points")
-    if n_max < 1 or samples_per_unit < 1:
-        raise PreconditionError("n_max and samples_per_unit must be >= 1")
-    total = 0.0
-    for n in range(1, n_max + 1):
-        u = np.linspace(0.0, float(n), n * samples_per_unit + 1)
-        dn = float(
-            np.max(np.abs(generator_value(x.n, x.sigma, u) - generator_value(y.n, y.sigma, u)))
-        )
-        total += 2.0 ** (-n) * dn / (1.0 + dn)
-    return total

@@ -42,8 +42,14 @@ from cocycle_lab import (
     sin_scalar_model,
 )
 
-from cocycle_lab.certificates import DEFAULT_NU_CANDIDATES, _datko_stats, _ls_slope, _pair_envelopes
-from cocycle_lab.core import log_cocycle_norm
+from cocycle_lab.certificates import (
+    DEFAULT_NU_CANDIDATES,
+    _backward_ratios,
+    _datko_stats,
+    _ls_slope,
+    _pair_tables,
+)
+from cocycle_lab.core import _triples, log_cocycle_norm, shift_cocycle
 from conftest import grid_for, row_sink
 
 
@@ -550,16 +556,51 @@ def _reference_fit(xi, grid):
     return need, R, rho
 
 
-def _reference_nu(T, R, rho, growth_cap=8.0):
-    """The largest default candidate that the realized rate covers and whose
-    envelope slope stays within the cap, or None."""
-    for nu in reversed(DEFAULT_NU_CANDIDATES):
+def _ladder_fit(times, R, rho, candidates=DEFAULT_NU_CANDIDATES, growth_cap=8.0):
+    """The estimator's ladder over the envelopes R[i][j] (-inf for j > i) and
+    rho_star: (nu, y) of the largest candidate that the realized rate covers
+    and whose envelope slope stays within the cap, or (None, None), and the
+    slope of every rate-covered candidate tried."""
+    T = np.asarray(times)
+    gaps = T[:, None] - T[None, :]
+    slopes = {}
+    for nu in reversed(candidates):
         if nu > rho + 1e-9:
             continue
-        y = [max(nu * (T[i] - T[j]) + R[i][j] for j in range(i + 1)) for i in range(len(T))]
-        if _ls_slope(T, np.array(y)) <= growth_cap:
-            return nu
-    return None
+        y = np.max(nu * gaps + np.asarray(R), axis=1)
+        slopes[nu] = _ls_slope(T, y)
+        if slopes[nu] <= growth_cap:
+            return nu, y, slopes
+    return None, None, slopes
+
+
+def _cubic_envelopes(xi, grid):
+    """The O(n^3) oracle of the exp-instability estimator: (R, rho_star) from
+    every triple, as the estimator once scattered them.
+
+    R[i, j] = max over t0_k <= s_j, x, v of the backward ratio
+    L[j, k] - L[i, k] (-inf above the diagonal), and rho_star = max over the
+    triples with s_j < t_i of the chord slope -ratio / (t_i - s_j).
+    """
+    times = np.asarray(grid.times)
+    n = len(times)
+    k, j, i = _triples(n)
+    R = np.full((n, n), -np.inf)
+    least = np.full((n, n), np.inf)
+    for *_, ratio in _backward_ratios(xi, grid, k, j, i):
+        np.maximum.at(R, (i, j), ratio)
+        np.minimum.at(least, (i, j), ratio)
+    gaps = times[:, None] - times[None, :]
+    forward = gaps > 0.0
+    return R, float(np.max(-least[forward] / gaps[forward], initial=-np.inf))
+
+
+def _fit_scale(xi, grid, nu):
+    """The rounding scale of a fitted log-witness: max(1, nu t_max, max |L|).
+    Both fits add and subtract the log norms L and nu t in another order, so
+    each rounds by a few ulps of that."""
+    max_log_norm = max(float(np.nanmax(np.abs(table))) for *_, table in _pair_tables(xi, grid))
+    return max(1.0, nu * grid.times[-1], max_log_norm)
 
 
 _reference_models = st.one_of(
@@ -590,7 +631,7 @@ def test_estimators_match_the_scalar_reference(xi, steps, spacing, data):
 
     n_hat = estimate_instability(xi, grid)
     assert n_hat.N.log_values == pytest.approx([math.log1p(0.01) + v for v in need], rel=1e-12, abs=1e-12)
-    R, rho = _pair_envelopes(xi, grid)
+    R, rho = _cubic_envelopes(xi, grid)
     for i in range(len(times)):
         for j in range(len(times)):
             if j <= i:
@@ -598,5 +639,75 @@ def test_estimators_match_the_scalar_reference(xi, steps, spacing, data):
             else:
                 assert R[i, j] == R_ref[i][j] == -math.inf
     assert rho == pytest.approx(rho_ref, rel=1e-12, abs=1e-12)
+    nu, y, _ = _ladder_fit(grid.times, R_ref, rho_ref)
     fitted = estimate_exp_instability(xi, grid)
-    assert (None if isinstance(fitted, NoCertificate) else fitted.nu) == _reference_nu(grid.times, R_ref, rho_ref)
+    assert (None if isinstance(fitted, NoCertificate) else fitted.nu) == nu
+    if nu is not None:
+        expected = math.log1p(0.01) + np.maximum(y, 0.0)
+        assert fitted.N.log_values == pytest.approx(expected.tolist(), rel=1e-12, abs=1e-12)
+
+
+def test_exp_estimate_matches_the_scalar_reference_on_an_irregular_grid():
+    xi = shift_cocycle(diag_integral_model([2.0, -0.5]), 0.3)
+    grid = SampleGrid.create([0.0, 0.3, 1.1, 1.2, 2.9, 4.0], default_base_points(diag_integral_model([1.0])),
+                             [(1.0, 0.0), (0.5, -2.0)])
+    _, R_ref, rho_ref = _reference_fit(xi, grid)
+    nu, y, _ = _ladder_fit(grid.times, R_ref, rho_ref)
+    fitted = estimate_exp_instability(xi, grid)
+    assert isinstance(fitted, ExpInstabilityCertificate) and fitted.nu == nu == 0.5
+    ulps = 4 * np.spacing(_fit_scale(xi, grid, nu))
+    assert np.abs(np.array(fitted.N.log_values) - (math.log1p(0.01) + np.maximum(y, 0.0))).max() <= ulps
+    assert check_exp_instability(xi, fitted, grid, tol=0.0).passed
+
+
+_BASE_KINDS = {
+    "sin": (st.just(sin_scalar_model()), st.builds(Trivial, st.floats(0.0, 3.0))),
+    "exp": (st.floats(-3.0, 3.0).map(pure_exponential_model), st.builds(Trivial, st.floats(0.0, 3.0))),
+    "diag": (
+        st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3).map(diag_integral_model),
+        st.builds(ShiftedGenerator, st.integers(1, 3), st.floats(0.0, 2.0)),
+    ),
+}
+
+
+@given(st.sampled_from(sorted(_BASE_KINDS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_exp_estimate_matches_the_cubic_oracle(kind, data):
+    models, points = _BASE_KINDS[kind]
+    xi = data.draw(models)
+    gamma = data.draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    if gamma:
+        xi = shift_cocycle(xi, gamma)
+    # strictly increasing grids of 1 to 12 times, irregular spacing included
+    start = data.draw(st.floats(0.0, 2.0))
+    gaps = data.draw(st.lists(st.floats(0.01, 2.0), max_size=11))
+    times = np.cumsum([start, *gaps]).tolist()
+    component = st.floats(-10.0, 10.0, allow_subnormal=False)
+    vector = st.lists(component, min_size=xi.dimension, max_size=xi.dimension).map(
+        lambda v: v if any(v) else [1.0, *v[1:]])
+    grid = SampleGrid.create(times, data.draw(st.lists(points, min_size=1, max_size=3)),
+                             data.draw(st.lists(vector, min_size=1, max_size=3)))
+    ladder = data.draw(st.one_of(
+        st.none(), st.lists(st.floats(0.05, 5.0), min_size=1, max_size=6, unique=True).map(sorted)))
+    # small caps force the envelope-slope branch
+    growth_cap = data.draw(st.sampled_from([8.0, 1.0, 0.05, 1e-3]))
+    candidates = DEFAULT_NU_CANDIDATES if ladder is None else tuple(ladder)
+
+    R, rho = _cubic_envelopes(xi, grid)
+    nu, y, slopes = _ladder_fit(grid.times, R, rho, candidates, growth_cap)
+    fitted = estimate_exp_instability(xi, grid, nu_candidates=ladder, growth_cap=growth_cap)
+    if nu is None:
+        assert isinstance(fitted, NoCertificate)
+        covered = rho + 1e-9 >= candidates[0]
+        assert ("growth_cap" in fitted.reason) == covered
+        assert ("realized growth rate" in fitted.reason) == (not covered)
+        assert fitted.details["envelope_slopes"].keys() == {f"{c:.17g}" for c in slopes}
+        # a chord slope is a weighted mean of consecutive ones, up to rounding
+        realized = float(fitted.details["realized_rate"])
+        assert realized == rho or abs(realized - rho) <= 1e-14 * max(abs(rho), 1.0)
+    else:
+        assert isinstance(fitted, ExpInstabilityCertificate) and fitted.nu == nu
+        expected = math.log1p(0.01) + np.maximum(y, 0.0)
+        ulps = 4 * np.spacing(_fit_scale(xi, grid, nu))
+        assert np.abs(np.array(fitted.N.log_values) - expected).max() <= ulps
+        assert check_exp_instability(xi, fitted, grid, tol=0.0).passed

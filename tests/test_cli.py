@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import DomainError, PreconditionError
-from cocycle_lab.cli import THEOREMS, _margin_rows, main, parse_scenario
+from cocycle_lab.cli import THEOREMS, _load_json_file, _margin_rows, main, parse_scenario
 
 SMALL_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
 # long enough that the oscillating model realizes growth above the
@@ -479,6 +479,28 @@ def test_estimate_no_certificate_exits_1(tmp_path, contracting_scenario):
     assert "details" in doc
 
 
+def test_one_time_grid_writes_strict_json(tmp_path):
+    """Infinite margins and rates are written as strings, so every file
+    reads back, a check file through ``report`` too."""
+    scenario = write_scenario(tmp_path / "one.json", {"kind": "pure_exponential", "rate": 2.0}, times=[0.0])
+    out = tmp_path / "out"
+    common = ["--scenario", str(scenario), "--out-dir", str(out)]
+    codes = {}
+    for prop in ("decay", "instability", "exp-instability", "integral-instability"):
+        cert, check = out / f"cert_{prop}.json", out / f"check_{prop}.json"
+        codes[prop] = (
+            main(["estimate", "--property", prop, *common]),
+            main(["check", "--property", prop, "--cert", str(cert), *common]),
+            main(["report", "--cert", str(check), *common]) if check.exists() else None,
+        )
+    assert codes == {"decay": (0, 0, 0), "instability": (0, 0, 0), "exp-instability": (1, 2, None),
+                     "integral-instability": (0, 0, 0)}
+    docs = {path.name: _load_json_file(str(path)) for path in out.glob("*.json")}
+    assert len(docs) == 7
+    assert docs["cert_exp-instability.json"]["details"]["realized_rate"] == "-inf"
+    assert docs["check_integral-instability.json"]["report"]["worst_margin"] == "inf"
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -891,12 +913,16 @@ def test_fuzzed_scenarios_exit_0_1_or_2(doc):
         run(["laws"])
         estimated = [prop for prop in FUZZ_PROPERTIES if run(["estimate", "--property", prop]) == 0]
         cert = {prop: os.path.join(out, f"cert_{prop}.json") for prop in FUZZ_PROPERTIES}
-        for prop in FUZZ_PROPERTIES:
-            run(["check", "--property", prop, "--cert", cert[prop]])
+        checked = [prop for prop in FUZZ_PROPERTIES if run(["check", "--property", prop, "--cert", cert[prop]]) < 2]
         run(["report", *(arg for prop in estimated for arg in ("--cert", cert[prop]))])
+        run(["report", *(arg for prop in checked for arg in ("--cert", os.path.join(out, f"check_{prop}.json")))])
         for theorem in FUZZ_THEOREMS:
             run(["theorem", "--theorem", theorem,
                  *(arg for prop in THEOREMS[theorem][0] for arg in ("--cert", cert[prop]))])
+        # every JSON file written is strict JSON, which the CLI's own reader accepts
+        for name in os.listdir(out) if os.path.isdir(out) else ():
+            if name.endswith(".json"):
+                _load_json_file(os.path.join(out, name))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from cocycle_lab import (
     build_model,
     check_cocycle_laws,
     check_semiflow_laws,
-    metric_distance,
     norm,
     shift_cocycle,
 )
@@ -573,30 +572,3 @@ def test_margin_sink_sees_every_sample(pexp3_model):
     rows = []
     report = check_cocycle_laws(pexp3_model, g, 1e-9, row_sink(rows))
     assert len(rows) == report.samples_checked
-
-
-# ---------------------------------------------------------------------------
-# Metric on the generator space
-# ---------------------------------------------------------------------------
-
-
-def test_metric_identity_and_symmetry():
-    a, b = ShiftedGenerator(1, 0.0), ShiftedGenerator(1, 1.0)
-    assert metric_distance(a, a) == 0.0
-    assert metric_distance(a, b) == metric_distance(b, a)
-
-
-def test_metric_matches_closed_form_for_shifted_pair():
-    # |x_1(u) - x_1(u + 1)| = (beta_1/2)(1 - e^{-1}) e^{-u} peaks at u = 0,
-    # which every sampling grid contains, so d_n is exact and the metric
-    # collapses to (1 - 2^{-n_max}) d/(1 + d).
-    beta = 1.0 / (2 * 1 * 3)
-    d = (beta / 2.0) * (1.0 - math.exp(-1.0))
-    expected = (1.0 - 2.0 ** -20) * d / (1.0 + d)
-    got = metric_distance(ShiftedGenerator(1, 0.0), ShiftedGenerator(1, 1.0), n_max=20)
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_metric_rejects_trivial_points():
-    with pytest.raises(PreconditionError):
-        metric_distance(Trivial(0.0), Trivial(1.0))

@@ -1,11 +1,15 @@
 """Source hygiene: every imported name in src/ and tests/ is used,
-every private module-level helper in src/ is referenced in src/, and
-only core.py spells out the JSON type rules."""
+every private module-level helper in src/ is referenced in src/, every
+public name is referenced in src/, the release gate or README's Library
+section, and only core.py spells out the JSON type rules."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+import cocycle_lab
 
 ROOT = Path(__file__).resolve().parent.parent
 # __init__.py modules import names to re-export them, not to use them.
@@ -41,6 +45,15 @@ def test_unused_import_scan_flags_and_exempts():
 SRC_FILES = sorted((ROOT / "src").rglob("*.py"))
 
 
+def referenced(tree: ast.AST) -> set[str]:
+    """Every name and attribute that ``tree`` refers to; a definition is not a reference."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
 def dead_helpers(sources: dict[str, str]) -> list[str]:
     """Private module-level functions and classes that no source refers to.
 
@@ -48,13 +61,7 @@ def dead_helpers(sources: dict[str, str]) -> list[str]:
     -> source text map); the definition itself is not one.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    used = set().union(*map(referenced, trees.values()))
     return [
         f"{name}: {node.name}"
         for name, tree in sorted(trees.items())
@@ -77,6 +84,33 @@ def test_dead_helper_scan_flags_and_exempts():
         "b.py": "def _attr(): pass\ndef _listed(): pass\n",
     }
     assert dead_helpers(sources) == ["a.py: _dead", "a.py: _Gone"]
+
+
+def library_code(readme: str) -> str:
+    """The ```python blocks of README's ``## Library`` section, joined."""
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return "\n".join(re.findall(r"```python\n(.*?)```", section, flags=re.S))
+
+
+def unreferenced_public(public, sources: list[str]) -> list[str]:
+    """The names of ``public`` that none of ``sources`` refers to."""
+    used = set().union(*(referenced(ast.parse(text)) for text in sources))
+    return [name for name in public if name not in used]
+
+
+def test_every_public_name_is_referenced():
+    sources = [p.read_text(encoding="utf-8") for p in SRC_FILES if p.name != "__init__.py"]
+    sources.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    sources.append(library_code((ROOT / "README.md").read_text(encoding="utf-8")))
+    assert unreferenced_public(cocycle_lab.__all__, sources) == []
+
+
+def test_public_name_scan_flags_and_exempts():
+    readme = ("# x\n```python\nonly_before()\n```\n## Library\n\n```python\nfrom m import a\nshown()\n```\n"
+              "text about unshown\n## Next\n```python\nonly_after()\n```\n")
+    sources = ["def dead(): pass\ncalled(helper.attr)\n", "gate_only(1)\n", library_code(readme)]
+    public = ["called", "attr", "dead", "gate_only", "shown", "a", "unshown", "only_before", "only_after"]
+    assert unreferenced_public(public, sources) == ["dead", "a", "unshown", "only_before", "only_after"]
 
 
 def bool_checks(source: str) -> list[int]:
