@@ -313,9 +313,6 @@ class NoCertificate:
     details: dict = field(default_factory=dict)
 
 
-Certificate = DecayCertificate | InstabilityCertificate | ExpInstabilityCertificate | IntegralInstabilityCertificate
-
-
 def decay_to_exponential(f: DecayCertificate, mu: float) -> ParametricDecay:
     """Convert any decay witness into the parametric form via one pivot time.
 
@@ -437,8 +434,8 @@ def _sample(check: str, tol: float, sink: MarginSink | None, coords, stats, marg
     whose (t, s, t0) arrays are ``coords``, in sample order.  Each
     statistic is a fresh array, which ``margin`` may overwrite.
     """
-    rows = ((xlabel, vlabel, margin(stat)) for xlabel, vlabel, stat in stats)
-    return _report(check, tol, sink, coords, rows)
+    rows = ((xlabel, vlabel, coords, margin(stat)) for xlabel, vlabel, stat in stats)
+    return _report(check, tol, sink, rows)
 
 
 def _check_exp_margins(
@@ -730,12 +727,14 @@ def _quad_from_json(doc, what: str) -> QuadratureConfig | None:
     if doc is None:
         return None
     _require_keys(doc, set(), {"rel_tol", "abs_tol", "max_depth", "datko_lower_limit"}, what)
+    # Older files name the trajectory integral's lower limit, which is always t0.
+    if doc.get("datko_lower_limit", "t0") != "t0":
+        raise PreconditionError(f"{what}.datko_lower_limit supports only 't0', got {doc['datko_lower_limit']!r}")
     defaults = QuadratureConfig()
     return QuadratureConfig(
         rel_tol=_number(doc, "rel_tol", defaults.rel_tol, name=f"{what}.rel_tol"),
         abs_tol=_number(doc, "abs_tol", defaults.abs_tol, name=f"{what}.abs_tol"),
         max_depth=_integer(doc, "max_depth", defaults.max_depth, name=f"{what}.max_depth"),
-        datko_lower_limit=doc.get("datko_lower_limit", defaults.datko_lower_limit),
     )
 
 

@@ -239,6 +239,8 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     if extra > 0:
         if seed is None:
             raise PreconditionError("random_vectors needs an explicit seed")
+        if extra * base_model.dimension > sys.maxsize:  # no numpy array of that many entries can exist
+            raise PreconditionError(f"random_vectors must be at most {sys.maxsize // base_model.dimension}")
         rng = np.random.default_rng(seed)
         for row in rng.standard_normal((extra, base_model.dimension)):
             vectors.append([float(c) for c in row])

@@ -206,11 +206,6 @@ def _require_pair(t: float, s: float) -> None:
         raise DomainError(f"(t, s) = ({t}, {s}) outside the admissible region t >= s >= 0")
 
 
-def eval_semiflow(xi: SkewEvolutionSemiflow, t: float, s: float, x: BasePoint) -> BasePoint:
-    _require_pair(t, s)
-    return xi.semiflow(t, s, x)
-
-
 def log_cocycle_norm(
     xi: SkewEvolutionSemiflow, t: float, s: float, x: BasePoint, v: Sequence[float] | np.ndarray
 ) -> float:
@@ -446,9 +441,10 @@ class Counterexample:
 
 # A sink receives one call per batch of samples that share a base point and a
 # vector: (ts, ss, t0s, base_label, vector_label, margins), where ts, ss, t0s
-# and margins are equal-length 1-D float arrays in sample order.  The arrays
-# may be shared between batches, so a sink that keeps them must not write to
-# them.
+# and margins are equal-length 1-D float arrays in sample order.  The law
+# checkers send a base point's identity samples (t, t, t) first, then one batch
+# per base time t0, each vector's in turn.  The arrays may be shared between
+# batches, so a sink that keeps them must not write to them.
 MarginSink = Callable[[np.ndarray, np.ndarray, np.ndarray, str, str, np.ndarray], None]
 
 
@@ -490,20 +486,17 @@ class CheckReport:
         return doc
 
 
-def _report(
-    check: str, tol: float, sink: MarginSink | None, coords: tuple, rows
-) -> CheckReport:
-    """Sample one inequality: the report over (base label, vector label, margins) rows.
+def _report(check: str, tol: float, sink: MarginSink | None, rows) -> CheckReport:
+    """Sample one inequality: the report over (base label, vector label, (t, s, t0), margins) rows.
 
-    Every row holds the margins of one base point and vector at the same
-    samples, whose (t, s, t0) arrays are ``coords``; the rows go to the
-    sink in order.  Only failures cost per-sample work.
+    Every row holds the margins of one base point and vector at the
+    samples whose (t, s, t0) arrays it carries; the rows go to the sink in
+    order.  Only failures cost per-sample work.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"margin tolerance must be finite and >= 0, got {tol}")
     samples, worst, failures = 0, math.inf, []
-    ts, ss, t0s = coords
-    for base, vector, margins in rows:
+    for base, vector, (ts, ss, t0s), margins in rows:
         if margins.size == 0:
             continue
         samples += margins.size
@@ -557,17 +550,6 @@ def _flow(xi: SkewEvolutionSemiflow, t, s, x: BasePoint) -> BasePoint:
         return xi.semiflow(t, s, x)
 
 
-def _law_samples(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, s, t0) of every law sample of one (base, vector), in sink order.
-
-    The identity samples (t, t, t) come first, then the composition
-    triples in the grid's sample order, which the checkers' passes over
-    ``np.triu_indices(n - k)`` for each base time t_k follow.
-    """
-    k, j, i = _triples(len(T))
-    return tuple(np.concatenate((T, T[c])) for c in (i, j, k))
-
-
 def check_semiflow_laws(
     xi: SkewEvolutionSemiflow,
     grid: SampleGrid,
@@ -592,20 +574,19 @@ def check_semiflow_laws(
         # A scalar inf (variant or index mismatch) stands for every sample.
         return -np.maximum(base_discrepancy(a, b) - bound, 0.0)
 
-    def margins(x: BasePoint) -> np.ndarray:
+    def rows(x: BasePoint):
+        label = x.label()
         identity = _flow(xi, T, T, x)
-        pieces = [margin(identity, x, T - T, identity, x)]  # the samples (t, t, t) span t - t0 = 0
+        yield label, "-", (T, T, T), margin(identity, x, T - T, identity, x)  # (t, t, t) spans t - t0 = 0
         for k in range(len(T)):
             j, i = np.triu_indices(len(T) - k)
-            tail = T[k:]
-            # phi(t_i, t_j, phi(t_j, t_k, x)) against phi(t_i, t_k, x)
-            mid = _flow(xi, tail[j], T[k], x)
-            through, direct = _flow(xi, tail[i], tail[j], mid), _flow(xi, tail[i], T[k], x)
-            pieces.append(margin(through, direct, tail[i] - T[k], mid, through, direct))
-        return np.concatenate(pieces)
+            t, s, t0 = T[k:][i], T[k:][j], np.full(len(i), T[k])
+            # phi(t, s, phi(s, t_k, x)) against phi(t, t_k, x)
+            mid = _flow(xi, s, T[k], x)
+            through, direct = _flow(xi, t, s, mid), _flow(xi, t, T[k], x)
+            yield label, "-", (t, s, t0), margin(through, direct, t - T[k], mid, through, direct)
 
-    rows = ((x.label(), "-", margins(x)) for x in grid.base_points)
-    report = _report("semiflow-laws", tol, margin_sink, _law_samples(T), rows)
+    report = _report("semiflow-laws", tol, margin_sink, (row for x in grid.base_points for row in rows(x)))
     return replace(report, roundoff_allowance=allowance)
 
 
@@ -659,23 +640,23 @@ def check_cocycle_laws(
             log_err = _log_norm(log_w[:, :, cols] + np.log(err), xi.norm_choice)
             return -np.exp(log_err - _log_norm(log_w, xi.norm_choice)[:, cols])
 
-    def margins(x: BasePoint) -> np.ndarray:
+    vlabels = grid.vector_labels()
+
+    def rows(x: BasePoint):
+        label = x.label()
         identity = lf(T, T, x)
         # The identity samples all weigh by |v| alone.
-        pieces = [residual(identity, log_v, slice(None), identity)]
+        for vlabel, row in zip(vlabels, residual(identity, log_v, slice(None), identity)):
+            yield label, vlabel, (T, T, T), row
         for k in range(len(T)):
             j, i = np.triu_indices(len(T) - k)
-            tail = T[k:]
-            direct = lf(tail, T[k], x)  # lf(t_i, t_k, x) at column i - k
-            through = lf(tail[i], tail[j], _flow(xi, tail[j], T[k], x))
+            t, s, t0 = T[k:][i], T[k:][j], np.full(len(i), T[k])
+            direct = lf(T[k:], T[k], x)  # lf(t_i, t_k, x) at column i - k
+            through = lf(t, s, _flow(xi, s, T[k], x))
             d_j, d_i = direct[:, j], direct[:, i]
-            pieces.append(residual(through + d_j - d_i, log_v + direct, i, through, d_j, d_i))
-        return np.concatenate(pieces, axis=1)
+            margins = residual(through + d_j - d_i, log_v + direct, i, through, d_j, d_i)
+            for vlabel, row in zip(vlabels, margins):
+                yield label, vlabel, (t, s, t0), row
 
-    rows = (
-        (x.label(), vlabel, row)
-        for x in grid.base_points
-        for vlabel, row in zip(grid.vector_labels(), margins(x))
-    )
-    report = _report("cocycle-laws", tol, margin_sink, _law_samples(T), rows)
+    report = _report("cocycle-laws", tol, margin_sink, (row for x in grid.base_points for row in rows(x)))
     return replace(report, roundoff_allowance=allowance)

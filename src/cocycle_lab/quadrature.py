@@ -9,9 +9,6 @@ running integrals of one base point from every base time t0, for every
 distinct |v|, over every later grid segment take a few calls.  The
 kernel integrals of a decay witness have closed forms
 (``certificates.integrate_kernel``).
-
-The lower limit of the trajectory integral is t0, recorded in the config
-as ``datko_lower_limit`` so serialized outputs show the convention.
 """
 
 from __future__ import annotations
@@ -44,9 +41,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_depth: int = 48
-    # Only supported value; present so the lower-limit convention for the
-    # trajectory integral is visible wherever the config is serialized.
-    datko_lower_limit: str = "t0"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 1e-13):
@@ -55,18 +49,9 @@ class QuadratureConfig:
             raise PreconditionError(f"abs_tol must be > 0, got {self.abs_tol}")
         if not (isinstance(self.max_depth, int) and 1 <= self.max_depth <= 60):
             raise PreconditionError(f"max_depth must be an integer in [1, 60], got {self.max_depth}")
-        if self.datko_lower_limit != "t0":
-            raise PreconditionError(
-                f"datko_lower_limit supports only 't0', got {self.datko_lower_limit!r}"
-            )
 
     def to_json_dict(self) -> dict:
-        return {
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "max_depth": self.max_depth,
-            "datko_lower_limit": self.datko_lower_limit,
-        }
+        return {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol, "max_depth": self.max_depth}
 
 
 def _simpson(fa, fm, fb, h):
@@ -158,14 +143,8 @@ def adaptive_simpson(
 
     who, left_end, value = (np.concatenate(col) for col in zip(*leaves))
     order = np.lexsort((-left_end, who))  # by interval, then right to left
-    who, value = who[order], value[order]
-    rank = np.arange(len(who)) - np.searchsorted(who, who)  # each leaf's rank from the right
-    order = np.argsort(rank)
-    bounds = np.searchsorted(rank[order], np.arange(rank.max() + 2))
     total = np.zeros(len(lo))
-    for start, stop in zip(bounds[:-1], bounds[1:]):  # strictly sequential, from 0.0
-        step = order[start:stop]  # at most one leaf per interval
-        total[who[step]] += value[step]
+    np.add.at(total, who[order], value[order])  # adds in index order: strictly sequential, from 0.0
     result = float(total[0]) if scalar else total.reshape(shape)
     if len(exhausted):
         i = int(exhausted[0])
@@ -218,15 +197,21 @@ def integrate_norm_trajectory(
     """Integral of tau -> ||Phi(tau, t0, x) v|| over [t0, t].
 
     Nonnegative, zero exactly when t == t0, and additive across a split
-    point up to the combined tolerances.
+    point up to the combined tolerances.  The one-segment case of
+    ``norm_integral_prefix``, with its bits.
     """
     if not (math.isfinite(t0) and math.isfinite(t)) or t0 < 0.0 or t < t0:
         raise DomainError(f"need t >= t0 >= 0, got (t={t}, t0={t0})")
     arr = np.asarray(v, dtype=float)
     if not np.any(arr != 0.0):
         raise PreconditionError("trajectory integral needs a nonzero vector")
-    fn = _norm_trajectory_fn(xi, np.array([float(t0)]), x, arr[None])
-    return adaptive_simpson(lambda taus: fn((taus, np.zeros(len(taus), dtype=int))), t0, t, cfg)
+    if t == t0:
+        return 0.0
+    try:
+        return float(norm_integral_prefix(xi, x, arr, (t0, t), cfg)[0, 1])
+    except QuadratureDepthError as exc:
+        exc.partial = exc.partial.item()  # the estimate of the one segment, as a float
+        raise
 
 
 # The most real grid segments (over base times and distinct |v|) that one

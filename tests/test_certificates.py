@@ -474,6 +474,15 @@ def test_serialization_round_trip(cert):
     json.dumps(doc)
 
 
+def test_quad_reads_the_old_lower_limit_key():
+    cert = IntegralInstabilityCertificate(M=ExpWitness(1.0, 0.5), quad=QuadratureConfig(max_depth=32))
+    doc = certificate_to_json_dict(cert)
+    assert "datko_lower_limit" not in doc["quad"]
+    assert certificate_from_json_dict({**doc, "quad": {**doc["quad"], "datko_lower_limit": "t0"}}) == cert
+    with pytest.raises(PreconditionError, match=r"^quad.datko_lower_limit supports only 't0', got 's'$"):
+        certificate_from_json_dict({**doc, "quad": {**doc["quad"], "datko_lower_limit": "s"}})
+
+
 def test_tool_version_preserved_on_load():
     doc = certificate_to_json_dict(ParametricDecay(2.0, 1.0))
     doc["tool_version"] = "0.0.1-test"

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab import DomainError, PreconditionError
+from cocycle_lab import DomainError, PreconditionError, QuadratureConfig
 from cocycle_lab.cli import THEOREMS, _load_json_file, _margin_rows, main, parse_scenario
 
 SMALL_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -176,6 +176,11 @@ def test_scenario_rejects_malformed_documents(doc):
         parse_scenario(doc)
 
 
+def test_scenario_quad_accepts_the_old_lower_limit_key():
+    sc, _ = parse_scenario({"model": {"kind": "sin_scalar"}, "tolerances": {"quad": {"datko_lower_limit": "t0"}}})
+    assert sc.quad == QuadratureConfig()
+
+
 # ---------------------------------------------------------------------------
 # Exit codes for malformed inputs
 # ---------------------------------------------------------------------------
@@ -202,6 +207,11 @@ MALFORMED_SCENARIOS = {
                        "grid times must be a list of numbers within the float range"),
     "huge_vector.json": (json.dumps({"model": {"kind": "sin_scalar"}, "grid": {"vectors": [[HUGE]]}}),
                          "grid vectors entry must be a list of numbers within the float range"),
+    "huge_random_vectors.json": (json.dumps({"model": {"kind": "sin_scalar"}, "seed": 1, "random_vectors": HUGE}),
+                                 "random_vectors must be at most"),
+    "bad_lower_limit.json": (json.dumps({"model": {"kind": "sin_scalar"},
+                                         "tolerances": {"quad": {"datko_lower_limit": "s"}}}),
+                             "tolerances.quad.datko_lower_limit supports only 't0'"),
     "huge_nu.json": (json.dumps({"model": {"kind": "sin_scalar"}, "nu_candidates": [0.5, HUGE]}),
                      "nu_candidates must be a list of numbers within the float range"),
     # a non-number is not out of range: the message ends at "numbers"

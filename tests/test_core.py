@@ -27,8 +27,9 @@ from cocycle_lab import (
 from cocycle_lab.core import (
     _FLOW_ROUNDING,
     _report,
+    _require_pair,
+    _triples,
     base_discrepancy,
-    eval_semiflow,
     format_vector,
     log_cocycle_norm,
     log_norms,
@@ -150,6 +151,12 @@ def test_format_vector():
 # ---------------------------------------------------------------------------
 # Evaluation wrappers
 # ---------------------------------------------------------------------------
+
+
+def eval_semiflow(xi, t, s, x):
+    """The semiflow at one pair, behind the scalar reference's domain check."""
+    _require_pair(t, s)
+    return xi.semiflow(t, s, x)
 
 
 def test_eval_domain_errors(sin_model):
@@ -389,10 +396,11 @@ def _reference_law_rows(xi, grid):
 
     rows, times = [], grid.times
     for x in grid.base_points:
-        for v in grid.vectors:
-            label = (x.label(), format_vector(v))
+        labels = [(x.label(), format_vector(v)) for v in grid.vectors]
+        for v, label in zip(grid.vectors, labels):
             rows += [(t, t, t, *label, rel(phi(t, t, x, v), v)) for t in times]
-            for k, t0 in enumerate(times):
+        for k, t0 in enumerate(times):
+            for v, label in zip(grid.vectors, labels):
                 for j in range(k, len(times)):
                     s, mid = times[j], xi.semiflow(times[j], t0, x)
                     for t in times[j:]:
@@ -514,6 +522,29 @@ def test_broken_fixtures_fail_where_the_reference_fails(short_times):
     assert [c.sort_key() for c in report.counterexamples] == failing
 
 
+def test_law_checks_send_one_base_time_per_batch(diag_model, short_times):
+    grid = SampleGrid.create(short_times, [ShiftedGenerator(1, 0.0), ShiftedGenerator(2, 0.5)],
+                             [(1.0, 0.0), (0.6, -0.8), (-2.0, 1.0)])
+    T, n = np.asarray(short_times), len(short_times)
+    k, j, i = _triples(n)
+    # one (base, vector)'s samples: the identities, then every triple in (k, j, i) order
+    want = [np.concatenate((T, T[c])) for c in (i, j, k)]
+    for check in (check_semiflow_laws, check_cocycle_laws):
+        batches = []
+        check(diag_model, grid, 1e-9, lambda ts, ss, t0s, base, vector, m: batches.append((base, vector, ts, ss, t0s)))
+        joined = {}
+        for base, vector, *coords in batches:
+            t0s = coords[2]
+            first = int(np.searchsorted(T, t0s[0]))  # index of the batch's first base time
+            # the n identity samples (t, t, t), or the triples of one base time
+            assert all(np.array_equal(c, T) for c in coords) or (
+                np.all(t0s == T[first]) and len(t0s) <= (n - first) * (n - first + 1) // 2)
+            joined.setdefault((base, vector), []).append(coords)
+        assert len(joined) == len(grid.base_points) * (1 if check is check_semiflow_laws else len(grid.vectors))
+        for pieces in joined.values():
+            assert all(np.array_equal(np.concatenate(c), w) for c, w in zip(zip(*pieces), want))
+
+
 def test_laws_need_nonempty_grid(sin_model):
     with pytest.raises(PreconditionError, match="grid nonempty"):
         check_semiflow_laws(sin_model, SampleGrid.create([], [], []))
@@ -526,19 +557,19 @@ def test_laws_need_nonempty_grid(sin_model):
 
 def test_report_builder_flags_nan_and_negative():
     coords = (np.array([1.0, 2.0, 3.0]), np.zeros(3), np.zeros(3))
-    report = _report("demo", 1e-9, None, coords, [("x", "[1]", np.array([0.5, -1.0, math.nan]))])
+    report = _report("demo", 1e-9, None, [("x", "[1]", coords, np.array([0.5, -1.0, math.nan]))])
     assert report.samples_checked == 3
     assert report.worst_margin == -1.0
     assert len(report.counterexamples) == 2
     assert not report.passed
     # NaN-mixed rows count their other margins toward the worst; an all-NaN row leaves it as it was
-    rows = [("x", "[1]", np.array([math.nan, 2.0, 0.5])), ("x", "[2]", np.full(3, math.nan)),
-            ("x", "[3]", np.array([math.nan, -3.0, math.inf]))]
-    report = _report("demo", 1e-9, None, coords, rows)
+    rows = [("x", "[1]", coords, np.array([math.nan, 2.0, 0.5])), ("x", "[2]", coords, np.full(3, math.nan)),
+            ("x", "[3]", coords, np.array([math.nan, -3.0, math.inf]))]
+    report = _report("demo", 1e-9, None, rows)
     assert report.samples_checked == 9
     assert report.worst_margin == -3.0
     assert len(report.counterexamples) == 6
-    report = _report("demo", 1e-9, None, coords, rows[1:2])
+    report = _report("demo", 1e-9, None, rows[1:2])
     assert report.worst_margin == math.inf
     assert [c.t for c in report.counterexamples] == [1.0, 2.0, 3.0]
 
@@ -547,7 +578,7 @@ def test_report_builder_array_path_matches_scalar_path():
     # one batch must report exactly what a scan of one sample at a time reports
     ts = np.array([1.0, 2.0, 3.0])
     margins = np.array([0.25, -0.5, math.inf])
-    report = _report("demo", 0.0, None, (ts, np.zeros(3), np.zeros(3)), [("x", "[1]", margins.copy())])
+    report = _report("demo", 0.0, None, [("x", "[1]", (ts, np.zeros(3), np.zeros(3)), margins.copy())])
     scanned = [
         Counterexample(t, 0.0, 0.0, "x", "[1]", m) for t, m in zip(ts.tolist(), margins.tolist()) if m < 0.0
     ]

@@ -136,15 +136,11 @@ def test_config_validation():
         QuadratureConfig(max_depth=0)
     with pytest.raises(PreconditionError):
         QuadratureConfig(max_depth=61)
-    with pytest.raises(PreconditionError):
-        QuadratureConfig(datko_lower_limit="s")
 
 
 def test_config_keys_and_json():
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-11, max_depth=32)
-    assert cfg.to_json_dict() == {
-        "rel_tol": 1e-9, "abs_tol": 1e-11, "max_depth": 32, "datko_lower_limit": "t0",
-    }
+    assert cfg.to_json_dict() == {"rel_tol": 1e-9, "abs_tol": 1e-11, "max_depth": 32}
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +495,34 @@ def test_prefix_matches_per_segment_reference_exactly(full_times, case, choice):
     for k in (0, 13, 40, 63):
         assert got[k, :k].tolist() == [0.0] * k
         assert got[k, k:].tolist() == reference_prefix(reference_segments(xi, x, v, full_times[k:], QuadratureConfig()))
+
+
+def trajectory_by_one_simpson_call(xi, t0, x, v, t, cfg):
+    """The integral over [t0, t] as one scalar adaptive_simpson call: the oracle
+    of integrate_norm_trajectory's route through norm_integral_prefix."""
+    fn = quadrature._norm_trajectory_fn(xi, np.array([float(t0)]), x, np.asarray(v, dtype=float)[None])
+    return adaptive_simpson(lambda taus: fn((taus, np.zeros(len(taus), dtype=int))), t0, t, cfg)
+
+
+def trajectory_outcome(integrate, *args):
+    """("ok", value bits) or ("depth", message, partial bits) of one integral."""
+    try:
+        return "ok", integrate(*args).hex()
+    except QuadratureDepthError as exc:
+        assert isinstance(exc.partial, float)
+        return "depth", str(exc), exc.partial.hex()
+
+
+# segments up to 1 wide: wider sin segments at rel_tol 1e-8 can refine to millions of leaves
+@given(st.sampled_from(sorted(PREFIX_CASES)), st.sampled_from(list(NormChoice)), st.floats(0.0, 15.0),
+       st.floats(1e-3, 1.0), st.floats(1.0, 10.0), st.integers(-12, -6), st.sampled_from([3, 48]))
+@settings(max_examples=60, deadline=None)
+def test_trajectory_integral_matches_one_simpson_call_bit_for_bit(case, choice, t0, width, scale, log_rel, depth):
+    make, x, v = PREFIX_CASES[case]
+    xi, cfg = make(choice), QuadratureConfig(rel_tol=10.0**log_rel, max_depth=depth)
+    args = (xi, t0, x, scale * np.asarray(v), t0 + width, cfg)
+    want = trajectory_outcome(trajectory_by_one_simpson_call, *args)
+    assert trajectory_outcome(integrate_norm_trajectory, *args) == want
 
 
 BLOCK_CASES = {
