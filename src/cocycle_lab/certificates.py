@@ -21,10 +21,11 @@ log ||v|| - log ||Phi(t, t0, x)v||, the backward ratio
 log ||Phi(s, t0, x)v|| - log ||Phi(t, t0, x)v||, and the Datko statistic
 log(integral of the trajectory norm over [t0, t]) - log ||Phi(t, t0, x)v||.
 Each checker, like each theorem sampler, keeps only its sample selection
-and its margin formula over one of them and reports through ``_sample``;
+and its margin formula over one of them and reports through ``core._report``;
 the estimators reduce the same floats.  The sample order, and so the row
-order of margins.csv, is defined once, by ``core._triples`` and
-``core._pairs``.
+order of margins.csv, is defined once, by ``core._pairs``: the triples of
+each base time are a tail of that pair layout (``core._base_time_blocks``),
+so the triple checks sweep one base time at a time.
 
 Witnesses store a log-value table alongside linear values; margins only
 ever touch the log side, which every witness evaluates on a whole array
@@ -46,6 +47,7 @@ from .core import (
     PreconditionError,
     SampleGrid,
     SkewEvolutionSemiflow,
+    _base_time_blocks,
     _float_list,
     _integer,
     _json_float,
@@ -53,7 +55,6 @@ from .core import (
     _pairs,
     _report,
     _require_keys,
-    _triples,
     log_norms,
     norm,
 )
@@ -368,14 +369,19 @@ def _pair_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, k: np.ndarray, i: n
         yield xlabel, vlabel, log_v - table[i, k]
 
 
-def _backward_ratios(xi: SkewEvolutionSemiflow, grid: SampleGrid, k: np.ndarray, j: np.ndarray, i: np.ndarray):
-    """Yield (base label, vector label, L[j, k] - L[i, k]) at the triples (k, j, i).
+def _backward_ratios(xi: SkewEvolutionSemiflow, grid: SampleGrid, j: np.ndarray, i: np.ndarray):
+    """Yield (base label, vector label, block, L[j, k] - L[i, k]) per base point, vector and
+    base time t_k, with ``block`` = (k, j, i, (t, s, t0)) from ``core._base_time_blocks``.
 
-    The triple statistic, the backward ratio
-    log ||Phi(s, t0, x)v|| - log ||Phi(t, t0, x)v|| at (t, s, t0) = (t_i, t_j, t_k).
+    The triple statistic, the backward ratio log ||Phi(s, t0, x)v|| -
+    log ||Phi(t, t0, x)v||, read from column k of each pair table.
     """
+    blocks = list(_base_time_blocks(np.asarray(grid.times), j, i))
     for xlabel, vlabel, _, table in _pair_tables(xi, grid):
-        yield xlabel, vlabel, table[j, k] - table[i, k]
+        for block in blocks:
+            k, jk, ik, _ = block
+            column = table[:, k]  # one 1-D gather is cheaper than a (row array, column) index
+            yield xlabel, vlabel, block, column[jk] - column[ik]
 
 
 def _decay_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid):
@@ -421,40 +427,20 @@ def _datko_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, quad_cfg: Quadratu
             yield x.label(), vlabel, row
 
 
-def _at(grid: SampleGrid, k: np.ndarray, j: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, s, t0) = (t_i, t_j, t_k) of the grid triples (k, j, i)."""
+def _at(grid: SampleGrid, k: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, s, t0) = (t_i, t_k, t_k) of the s = t0 samples (k, i)."""
     times = np.asarray(grid.times)
-    return times[i], times[j], times[k]
+    return times[i], times[k], times[k]
 
 
 def _sample(check: str, tol: float, sink: MarginSink | None, coords, stats, margin) -> CheckReport:
     """Report ``margin(statistic)`` of every (base, vector) row of ``stats``.
 
     ``stats`` yields the rows of one named statistic, taken at the samples
-    whose (t, s, t0) arrays are ``coords``, in sample order.  Each
-    statistic is a fresh array, which ``margin`` may overwrite.
+    whose (t, s, t0) arrays are ``coords``, in sample order.
     """
     rows = ((xlabel, vlabel, coords, margin(stat)) for xlabel, vlabel, stat in stats)
     return _report(check, tol, sink, rows)
-
-
-def _check_exp_margins(
-    check: str, xi: SkewEvolutionSemiflow, cert: ExpInstabilityCertificate, grid: SampleGrid, tol: float, sink, samples
-) -> CheckReport:
-    """Sample log N(t) - (nu (t - s) + backward ratio) at the triples (k, j, i).
-
-    The margins overwrite each ratio: at O(n^3) samples, one array less is
-    a large share of the peak memory.
-    """
-    k, j, i = samples
-    t, s, t0 = _at(grid, k, j, i)
-    log_n = cert.N.log_value(grid.times)
-
-    def margin(ratio):
-        ratio += cert.nu * (t - s)
-        return np.subtract(log_n[i], ratio, out=ratio)
-
-    return _sample(check, tol, sink, (t, s, t0), _backward_ratios(xi, grid, k, j, i), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +635,7 @@ def check_instability(
     k, i = _pairs(len(grid.times))
     log_n = cert.N.log_value(grid.times)
     return _sample(
-        "instability", tol, margin_sink, _at(grid, k, k, i), _pair_stats(xi, grid, k, i), lambda stat: log_n[i] - stat
+        "instability", tol, margin_sink, _at(grid, k, i), _pair_stats(xi, grid, k, i), lambda stat: log_n[i] - stat
     )
 
 
@@ -663,10 +649,17 @@ def check_exp_instability(
     """Sample the two-time inequality over all triples t >= s >= t0.
 
     Margin: log N(t) - (nu (t - s) + log ||Phi(s, t0, x)v|| -
-    log ||Phi(t, t0, x)v||), evaluated per base point and vector.
+    log ||Phi(t, t0, x)v||), evaluated per base point, vector and base time.
     """
     _require_kind(cert, ExpInstabilityCertificate, "check_exp_instability needs an exp-instability certificate")
-    return _check_exp_margins("exp-instability", xi, cert, grid, tol, margin_sink, _triples(len(grid.times)))
+    times = np.asarray(grid.times)
+    j, i = _pairs(len(times))
+    # log N(t) and nu (t - s) over the pairs once: every base time's block is a tail of them
+    log_n, gap = cert.N.log_value(grid.times)[i], cert.nu * (times[i] - times[j])
+    ratios = _backward_ratios(xi, grid, j, i)
+    return _report("exp-instability", tol, margin_sink, (
+        (xl, vl, coords, log_n[-len(r):] - (r + gap[-len(r):])) for xl, vl, (*_, coords), r in ratios
+    ))
 
 
 def check_integral_instability(
@@ -691,7 +684,7 @@ def check_integral_instability(
     k, i = _pairs(len(grid.times))
     log_m = cert.M.log_value(grid.times)
     return _sample(
-        "integral-instability", tol, margin_sink, _at(grid, k, k, i), _datko_stats(xi, grid, cfg),
+        "integral-instability", tol, margin_sink, _at(grid, k, i), _datko_stats(xi, grid, cfg),
         lambda stat: log_m[i] - stat,
     )
 

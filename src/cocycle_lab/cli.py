@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, groupby, repeat
 from types import UnionType
 from typing import Callable
 
@@ -306,30 +306,28 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _grid_texts(values: np.ndarray) -> list[str]:
-    """``_fmt`` of every value, formatting each distinct float once."""
-    bits, inverse = np.unique(
-        np.ascontiguousarray(values, dtype=float).view(np.int64), return_inverse=True
-    )
+def _grid_texts(pieces) -> list[str]:
+    """``_fmt`` of every value of the arrays ``pieces``, in order, formatting each distinct float once."""
+    bits, inverse = np.unique(np.concatenate(pieces, dtype=float).view(np.int64), return_inverse=True)
     texts = np.array(list(map(_fmt, bits.view(float).tolist())), dtype=object)
     return texts[inverse].tolist()
 
 
-def _margin_rows(
-    prop: str, ts: np.ndarray, ss: np.ndarray, t0s: np.ndarray, base: str, vector: str, margins: np.ndarray
-) -> str:
-    """One margin sink batch as the margins.csv rows that ``csv.writer``
-    writes for ``[prop, _fmt(t), _fmt(s), _fmt(t0), base, vector, _fmt(margin)]``,
-    each ending in CRLF."""
-    if len(margins) == 0:
+def _margin_rows(prop: str, batches) -> str:
+    """The margin sink batches of one base point and vector as the margins.csv
+    rows that ``csv.writer`` writes for
+    ``[prop, _fmt(t), _fmt(s), _fmt(t0), base, vector, _fmt(margin)]``, each
+    ending in CRLF.  Formatted together, the batches pay the per-call costs once."""
+    ts, ss, t0s, bases, vectors, margins = zip(*batches)
+    if not any(map(len, margins)):
         return ""
     rows = zip(
         repeat(_csv_field(prop)),
         _grid_texts(ts),
         _grid_texts(ss),
         _grid_texts(t0s),
-        repeat(f"{_csv_field(base)},{_csv_field(vector)}"),
-        map(format, margins.tolist(), repeat(".17g")),
+        repeat(f"{_csv_field(bases[0])},{_csv_field(vectors[0])}"),
+        map(format, chain.from_iterable(m.tolist() for m in margins), repeat(".17g")),
     )
     return "\r\n".join(map(",".join, rows)) + "\r\n"
 
@@ -490,8 +488,8 @@ def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
     with _create(sc, "margins.csv") as fh:
         csv.writer(fh).writerow(["property", "t", "s", "t0", "base", "vector", "margin"])
         for prop, batches in zip(loaded, all_batches):
-            for batch in batches:
-                fh.write(_margin_rows(prop, *batch))
+            for _, group in groupby(batches, key=lambda batch: batch[3:5]):  # one (base, vector) at a time
+                fh.write(_margin_rows(prop, group))
     with _create(sc, "witness_tables.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -392,18 +392,23 @@ def format_vector(v: Sequence[float]) -> str:
 
 # The sample layout.  Grid triples t_i >= t_j >= t_k are sampled in
 # lexicographic (k, j, i) order, which fixes the row order of margins.csv and
-# of every counterexample list; the s = t0 samples are those with j = k.
-
-
-def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (k, j, i) of the triples k <= j <= i, in lexicographic order."""
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    return np.nonzero(upper[:, :, None] & upper[None, :, :])
+# of every counterexample list: base time t_k takes the tail j >= k of the
+# pairs (j, i) of _pairs(n), and the s = t0 samples are those with j = k.
 
 
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (k, i) of the s = t0 samples k <= i, by k then i."""
     return np.triu_indices(n)
+
+
+def _base_time_blocks(times: np.ndarray, j: np.ndarray, i: np.ndarray):
+    """Yield the triples (k, j, i, (t, s, t0)) of each base time t_k from the pairs (j, i),
+    sorted by j, as views: of the index tails, of read-only t and s, and a broadcast t0."""
+    t, s = times[i], times[j]
+    t.flags.writeable = s.flags.writeable = False
+    for k in range(len(times)):
+        a = int(np.searchsorted(j, k))
+        yield k, j[a:], i[a:], (t[a:], s[a:], np.broadcast_to(times[k], len(j) - a))
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +446,10 @@ class Counterexample:
 
 # A sink receives one call per batch of samples that share a base point and a
 # vector: (ts, ss, t0s, base_label, vector_label, margins), where ts, ss, t0s
-# and margins are equal-length 1-D float arrays in sample order.  The law
-# checkers send a base point's identity samples (t, t, t) first, then one batch
-# per base time t0, each vector's in turn.  The arrays may be shared between
-# batches, so a sink that keeps them must not write to them.
+# and margins are equal-length 1-D float arrays in sample order.  The triple
+# checks send one batch per base time t0; the law checkers send a base point's
+# identity samples (t, t, t) first.  The coordinate arrays may be shared between
+# batches (read-only views, for the triple checks): a sink must not write to them.
 MarginSink = Callable[[np.ndarray, np.ndarray, np.ndarray, str, str, np.ndarray], None]
 
 
@@ -502,7 +507,7 @@ def _report(check: str, tol: float, sink: MarginSink | None, rows) -> CheckRepor
         samples += margins.size
         # fmin skips NaN, and min keeps worst against the NaN of an all-NaN row.
         worst = min(worst, float(np.fmin.reduce(margins)))
-        for idx in np.flatnonzero((margins < -tol) | np.isnan(margins)):
+        for idx in (~(margins >= -tol)).nonzero()[0]:  # below -tol, or NaN
             failures.append(
                 Counterexample(
                     float(ts[idx]), float(ss[idx]), float(t0s[idx]), base, vector, float(margins[idx])
@@ -578,9 +583,7 @@ def check_semiflow_laws(
         label = x.label()
         identity = _flow(xi, T, T, x)
         yield label, "-", (T, T, T), margin(identity, x, T - T, identity, x)  # (t, t, t) spans t - t0 = 0
-        for k in range(len(T)):
-            j, i = np.triu_indices(len(T) - k)
-            t, s, t0 = T[k:][i], T[k:][j], np.full(len(i), T[k])
+        for k, _, _, (t, s, t0) in _base_time_blocks(T, *_pairs(len(T))):
             # phi(t, s, phi(s, t_k, x)) against phi(t, t_k, x)
             mid = _flow(xi, s, T[k], x)
             through, direct = _flow(xi, t, s, mid), _flow(xi, t, T[k], x)
@@ -648,13 +651,11 @@ def check_cocycle_laws(
         # The identity samples all weigh by |v| alone.
         for vlabel, row in zip(vlabels, residual(identity, log_v, slice(None), identity)):
             yield label, vlabel, (T, T, T), row
-        for k in range(len(T)):
-            j, i = np.triu_indices(len(T) - k)
-            t, s, t0 = T[k:][i], T[k:][j], np.full(len(i), T[k])
-            direct = lf(T[k:], T[k], x)  # lf(t_i, t_k, x) at column i - k
+        for k, j, i, (t, s, t0) in _base_time_blocks(T, *_pairs(len(T))):
+            direct = lf(T[k:], T[k], x)  # lf(t_c, t_k, x) at column c - k
             through = lf(t, s, _flow(xi, s, T[k], x))
-            d_j, d_i = direct[:, j], direct[:, i]
-            margins = residual(through + d_j - d_i, log_v + direct, i, through, d_j, d_i)
+            d_j, d_i = direct[:, j - k], direct[:, i - k]
+            margins = residual(through + d_j - d_i, log_v + direct, i - k, through, d_j, d_i)
             for vlabel, row in zip(vlabels, margins):
                 yield label, vlabel, (t, s, t0), row
 

@@ -54,6 +54,11 @@ class QuadratureConfig:
         return {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol, "max_depth": self.max_depth}
 
 
+# The most subintervals one adaptive_simpson call keeps live at once, which
+# bounds its memory: a split past it stops the call as max_depth does.
+MAX_LIVE_SUBINTERVALS = 2**20
+
+
 def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -77,7 +82,8 @@ def adaptive_simpson(
     right to left in strict sequence from 0.0, as a depth-first stack
     popping right halves first would, so a batch returns bit for bit what
     one call per interval (and per family) would.  A non-finite error
-    estimate raises DomainError at once; reaching max_depth raises
+    estimate raises DomainError at once; reaching max_depth, or a split
+    past ``MAX_LIVE_SUBINTERVALS`` live subintervals, raises
     QuadratureDepthError with the estimate (an array shaped like the ends
     for array input) as ``partial``.  Both name the interval of the first
     failing (family, interval) pair at the shallowest failing depth.
@@ -129,7 +135,9 @@ def adaptive_simpson(
         if broken.any():
             i = int(np.argmax(broken))
             raise DomainError(f"integrand is not finite on [{float(xa[i])}, {float(xb[i])}]")
-        if depth == cfg.max_depth:
+        if depth == cfg.max_depth or 2 * np.count_nonzero(~done) > MAX_LIVE_SUBINTERVALS:
+            limit = f"max_depth={cfg.max_depth}" if depth == cfg.max_depth else (
+                f"the budget of {MAX_LIVE_SUBINTERVALS} live subintervals")
             exhausted = owner[~done]
             done[:] = True
         leaves.append((owner[done], xa[done], s_left[done] + s_right[done] + err[done]))
@@ -149,7 +157,7 @@ def adaptive_simpson(
     if len(exhausted):
         i = int(exhausted[0])
         raise QuadratureDepthError(
-            f"adaptive refinement hit max_depth={cfg.max_depth} on [{float(lo[i])}, {float(hi[i])}]",
+            f"adaptive refinement hit {limit} on [{float(lo[i])}, {float(hi[i])}]",
             partial=result,
         )
     return result

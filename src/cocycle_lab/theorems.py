@@ -32,8 +32,9 @@ from .certificates import (
     Witness,
     _at,
     _backward_ratios,
-    _check_exp_margins,
     _pair_stats,
+    _pair_tables,
+    _report,
     _require_kind,
     _sample,
     certificate_to_json_dict,
@@ -55,7 +56,6 @@ from .core import (
     SampleGrid,
     SkewEvolutionSemiflow,
     _pairs,
-    _triples,
     shift_cocycle,
 )
 from .quadrature import QuadratureConfig
@@ -213,7 +213,7 @@ def _check_linear_growth(
     +inf margins.
     """
     k, i = _pairs(len(grid.times))
-    t, s, t0 = _at(grid, k, k, i)
+    t, s, t0 = _at(grid, k, i)
     with np.errstate(divide="ignore"):
         log_gap = np.log(t - t0)
     return _sample(
@@ -230,13 +230,19 @@ def _check_window_bound(
 ) -> CheckReport:
     """Margins of ||Phi(t, t0, x)v|| >= f(lambda) ||Phi(s, t0, x)v||, t in [s, s+1)."""
     times = np.asarray(grid.times)
-    k, j, i = _triples(len(times))
-    window = times[i] < times[j] + 1.0
-    k, j, i = k[window], j[window], i[window]
-    return _sample(
-        "window-bound", tol, None, _at(grid, k, j, i), _backward_ratios(xi, grid, k, j, i),
-        lambda ratio: -ratio - log_f_lam,
-    )
+    j, i = _pairs(len(times))
+    window = times[i] < times[j] + 1.0  # a filter on the pairs (s, t), so on every base time's block
+    ratios = _backward_ratios(xi, grid, j[window], i[window])
+    return _report("window-bound", tol, None, ((xl, vl, c, -ratio - log_f_lam) for xl, vl, (*_, c), ratio in ratios))
+
+
+def _check_exp_diagonal(xi: SkewEvolutionSemiflow, cert: ExpInstabilityCertificate, grid: SampleGrid, tol: float):
+    """The exp-instability margins at the s = t0 samples, from the pair tables."""
+    k, i = _pairs(len(grid.times))
+    t, s, t0 = _at(grid, k, i)
+    log_n, gap = cert.N.log_value(grid.times)[i], cert.nu * (t - s)
+    ratios = ((xl, vl, table[k, k] - table[i, k]) for xl, vl, _, table in _pair_tables(xi, grid))
+    return _sample("exp-instability-diagonal", tol, None, (t, s, t0), ratios, lambda ratio: log_n - (ratio + gap))
 
 
 def _check_integral_chain(
@@ -258,7 +264,7 @@ def _check_integral_chain(
     k, i = k[unit], i[unit]
     log_m = m_cert.M.log_value(grid.times)
     return _sample(
-        "integral-chain", tol, None, _at(grid, k, k, i), _pair_stats(xi, grid, k, i),
+        "integral-chain", tol, None, _at(grid, k, i), _pair_stats(xi, grid, k, i),
         lambda stat: log_m[i] - stat - log_k1,
     )
 
@@ -417,8 +423,7 @@ def prop_shift_sufficiency(
     derived_cert = ExpInstabilityCertificate(
         TabulatedWitness.from_log_values(grid.times, logs), nu=alpha, grid_hash=grid.grid_hash
     )
-    k, i = _pairs(len(grid.times))
-    diag_report = _check_exp_margins("exp-instability-diagonal", xi, derived_cert, grid, tol, None, (k, k, i))
+    diag_report = _check_exp_diagonal(xi, derived_cert, grid, tol)
     full_report = check_exp_instability(xi, derived_cert, grid, tol)
     notes = [f"full two-time check (context): {full_report.verdict}"]
     if not decay_limit_witnessed(f):

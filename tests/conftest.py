@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cocycle_lab import (
@@ -12,6 +13,13 @@ from cocycle_lab import (
 
 def grid_for(xi, times):
     return SampleGrid.create(times, default_base_points(xi), default_vectors(xi.dimension))
+
+
+def triples(n):
+    """Index arrays (k, j, i) of the triples k <= j <= i, in lexicographic order:
+    the test oracle of the sample layout."""
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    return np.nonzero(upper[:, :, None] & upper[None, :, :])
 
 
 def row_sink(rows):

@@ -1,6 +1,8 @@
 """Certificates: witness validation, fitters, checkers, serialization."""
 
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,8 +51,9 @@ from cocycle_lab.certificates import (
     _ls_slope,
     _pair_tables,
 )
-from cocycle_lab.core import _triples, log_cocycle_norm, shift_cocycle
-from conftest import grid_for, row_sink
+from cocycle_lab.core import _report, log_cocycle_norm, shift_cocycle
+from cocycle_lab.theorems import _check_exp_diagonal, _check_window_bound
+from conftest import grid_for, row_sink, triples
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +596,9 @@ def _cubic_envelopes(xi, grid):
     """
     times = np.asarray(grid.times)
     n = len(times)
-    k, j, i = _triples(n)
     R = np.full((n, n), -np.inf)
     least = np.full((n, n), np.inf)
-    for *_, ratio in _backward_ratios(xi, grid, k, j, i):
+    for _, _, (_, j, i, _), ratio in _backward_ratios(xi, grid, *np.triu_indices(n)):
         np.maximum.at(R, (i, j), ratio)
         np.minimum.at(least, (i, j), ratio)
     gaps = times[:, None] - times[None, :]
@@ -720,3 +722,118 @@ def test_exp_estimate_matches_the_cubic_oracle(kind, data):
         ulps = 4 * np.spacing(_fit_scale(xi, grid, nu))
         assert np.abs(np.array(fitted.N.log_values) - expected).max() <= ulps
         assert check_exp_instability(xi, fitted, grid, tol=0.0).passed
+
+
+# ---------------------------------------------------------------------------
+# Triple checks: one base time at a time, against the O(n^3) layout
+# ---------------------------------------------------------------------------
+
+
+def _oracle_exp_report(check, xi, cert, grid, tol, samples, sink=None):
+    """The exp-instability report at the triples ``samples`` = (k, j, i), with
+    the margins formed as the checker once formed them, over every triple at once."""
+    k, j, i = samples
+    T = np.asarray(grid.times)
+    log_n = cert.N.log_value(grid.times)
+    rows = (
+        (xlabel, vlabel, (T[i], T[j], T[k]), log_n[i] - (table[j, k] - table[i, k] + cert.nu * (T[i] - T[j])))
+        for xlabel, vlabel, _, table in _pair_tables(xi, grid)
+    )
+    return _report(check, tol, sink, rows)
+
+
+def _oracle_window_report(xi, log_f_lam, grid, tol):
+    T = np.asarray(grid.times)
+    k, j, i = triples(len(T))
+    window = T[i] < T[j] + 1.0
+    k, j, i = k[window], j[window], i[window]
+    rows = (
+        (xlabel, vlabel, (T[i], T[j], T[k]), -(table[j, k] - table[i, k]) - log_f_lam)
+        for xlabel, vlabel, _, table in _pair_tables(xi, grid)
+    )
+    return _report("window-bound", tol, None, rows)
+
+
+def _bits(report):
+    """A report as its JSON text: -0.0 and nan margins compare by their bits."""
+    return json.dumps(report.to_json_dict())
+
+
+def _joined(batches):
+    """The sink stream joined per (base, vector), in order, as the bytes of each array."""
+    joined = {}
+    for ts, ss, t0s, base, vector, margins in batches:
+        joined.setdefault((base, vector), []).append((ts, ss, t0s, margins))
+    return [(key, [np.concatenate(c).tobytes() for c in zip(*pieces)]) for key, pieces in joined.items()]
+
+
+@given(st.sampled_from(sorted(_BASE_KINDS)), st.data())
+@settings(max_examples=120, deadline=None)
+def test_triple_checks_match_the_cubic_oracle(kind, data):
+    models, points = _BASE_KINDS[kind]
+    xi = data.draw(models)
+    # strictly increasing grids of 2 to 12 times, irregular spacing included
+    start = data.draw(st.floats(0.0, 2.0))
+    times = np.cumsum([start, *data.draw(st.lists(st.floats(0.01, 2.0), min_size=1, max_size=11))]).tolist()
+    component = st.floats(-10.0, 10.0, allow_subnormal=False)
+    vector = st.lists(component, min_size=xi.dimension, max_size=xi.dimension).map(
+        lambda v: v if any(v) else [1.0, *v[1:]])
+    grid = SampleGrid.create(times, data.draw(st.lists(points, min_size=1, max_size=3)),
+                             data.draw(st.lists(vector, min_size=1, max_size=3)))
+    # certificates that pass and that fail, checked at tol = 0 too
+    if data.draw(st.booleans()):
+        witness = ExpWitness(data.draw(st.floats(1.0, 20.0)), data.draw(st.floats(0.01, 3.0)))
+    else:
+        knots = sorted(set(data.draw(st.lists(st.floats(0.0, 25.0), min_size=1, max_size=6))))
+        logs = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=len(knots), max_size=len(knots)))
+        witness = TabulatedWitness.from_log_values(knots, logs)
+    cert = ExpInstabilityCertificate(witness, nu=data.draw(st.floats(0.01, 5.0)))
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    n = len(times)
+
+    batches, oracle_batches = [], []
+    got = check_exp_instability(xi, cert, grid, tol, lambda *batch: batches.append(batch))
+    want = _oracle_exp_report("exp-instability", xi, cert, grid, tol, triples(n), lambda *b: oracle_batches.append(b))
+    assert _bits(got) == _bits(want)
+    assert got.samples_checked == len(grid.base_points) * len(grid.vectors) * n * (n + 1) * (n + 2) // 6
+    assert _joined(batches) == _joined(oracle_batches)
+
+    k, i = np.triu_indices(n)
+    diagonal = _oracle_exp_report("exp-instability-diagonal", xi, cert, grid, tol, (k, k, i))
+    assert _bits(_check_exp_diagonal(xi, cert, grid, tol)) == _bits(diagonal)
+
+    log_f_lam = data.draw(st.floats(-10.0, 1.0))
+    assert _bits(_check_window_bound(xi, log_f_lam, grid, tol)) == _bits(_oracle_window_report(xi, log_f_lam, grid, tol))
+
+
+def test_exp_check_sends_one_base_time_per_batch(diag_model, short_times):
+    grid = grid_for(diag_model, short_times)
+    n = len(short_times)
+    batches = []
+    cert = ExpInstabilityCertificate(ExpWitness(2.0, 1.0), nu=0.5)
+    check_exp_instability(diag_model, cert, grid, margin_sink=lambda *batch: batches.append(batch))
+    # base point by base point, vectors in grid order, then base time by base time
+    labels = [(x.label(), v) for x in grid.base_points for v in grid.vector_labels() for _ in range(n)]
+    assert [batch[3:5] for batch in batches] == labels
+    for b, (ts, ss, t0s, _, _, margins) in enumerate(batches):
+        k = b % n
+        assert len(ts) == len(ss) == len(t0s) == len(margins) == (n - k) * (n - k + 1) // 2
+        assert np.all(t0s == short_times[k])
+        assert not (ts.flags.writeable or ss.flags.writeable or t0s.flags.writeable)
+
+
+def test_triple_checks_peak_at_one_base_time_block(diag_model):
+    # At n = 257 the (k, j, i) index and coordinate arrays of every triple
+    # peaked at 209 MB in the check and 117 MB in the window bound.
+    grid = grid_for(diag_model, np.linspace(0.0, 16.0, 257).tolist())
+    cert = estimate_exp_instability(diag_model, grid)
+    checks = (lambda: check_exp_instability(diag_model, cert, grid), lambda: _check_window_bound(diag_model, -50.0, grid, 1e-9))
+    for check in checks:
+        tracemalloc.start()
+        try:
+            report = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 64 * 2**20

@@ -282,6 +282,15 @@ def test_quadrature_depth_exhaustion_exits_2(tmp_path, capsys):
     assert "cocycle-lab: error: adaptive refinement hit max_depth=1" in capsys.readouterr().err
 
 
+def test_quadrature_breadth_budget_exits_2(tmp_path, capsys):
+    p = write_scenario(tmp_path / "wide.json", {"kind": "sin_scalar"}, times=[0, 2, 226, 227, 228])
+    code = main(["estimate", "--property", "integral-instability",
+                 "--scenario", str(p), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cocycle-lab: error: adaptive refinement hit the budget of 1048576 live subintervals on [2.0, 226.0]" in err
+
+
 def test_missing_scenario_file_exits_2(tmp_path):
     assert main(["laws", "--scenario", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path)]) == 2
@@ -820,22 +829,25 @@ def test_margin_rows_match_csv_writer(label):
     ts = np.array([0.0, -0.0, 0.25, 0.25, 5e-324, 16.0, 0.0, 3.0, 0.1])
     ss, t0s, margins = ts[::-1], np.full(n, 2.5), np.array(SPECIAL_MARGINS)
     for prop, base, vector in ((label, "x1^0", "[1,0]"), ("decay", label, label)):
-        got = _margin_rows(prop, ts, ss, t0s, base, vector, margins)
+        got = _margin_rows(prop, [(ts, ss, t0s, base, vector, margins)])
         assert got == reference_margin_rows(prop, ts, ss, t0s, base, vector, margins)
-    assert _margin_rows(label, ts[:0], ts[:0], ts[:0], label, label, margins[:0]) == ""
+    assert _margin_rows(label, [(ts[:0], ts[:0], ts[:0], label, label, margins[:0])]) == ""
 
 
 @given(
     st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0), st.floats(0.0, 20.0), st.floats()),
              min_size=1, max_size=12),
     st.lists(st.text(alphabet=' ,"abc01[]\r\n', max_size=5), min_size=3, max_size=3),
+    st.lists(st.integers(0, 12), max_size=4),
 )
 @settings(max_examples=200)
-def test_margin_rows_match_csv_writer_on_random_batches(rows, labels):
+def test_margin_rows_match_csv_writer_on_random_batches(rows, labels, cuts):
+    # one (base, vector)'s samples, cut into batches at the sorted ``cuts`` (empty batches included)
     ts, ss, t0s, margins = (np.array(col, dtype=float) for col in zip(*rows))
     prop, base, vector = labels
-    assert (_margin_rows(prop, ts, ss, t0s, base, vector, margins)
-            == reference_margin_rows(prop, ts, ss, t0s, base, vector, margins))
+    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    batches = [(ts[a:b], ss[a:b], t0s[a:b], base, vector, margins[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert _margin_rows(prop, batches) == reference_margin_rows(prop, ts, ss, t0s, base, vector, margins)
 
 
 # ---------------------------------------------------------------------------

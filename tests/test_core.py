@@ -28,7 +28,6 @@ from cocycle_lab.core import (
     _FLOW_ROUNDING,
     _report,
     _require_pair,
-    _triples,
     base_discrepancy,
     format_vector,
     log_cocycle_norm,
@@ -36,7 +35,7 @@ from cocycle_lab.core import (
 )
 from cocycle_lab.models import diag_integral_model, pure_exponential_model, sin_scalar_model
 
-from conftest import grid_for, row_sink
+from conftest import grid_for, row_sink, triples
 
 times_st = st.floats(0.0, 30.0, allow_nan=False)
 
@@ -526,7 +525,7 @@ def test_law_checks_send_one_base_time_per_batch(diag_model, short_times):
     grid = SampleGrid.create(short_times, [ShiftedGenerator(1, 0.0), ShiftedGenerator(2, 0.5)],
                              [(1.0, 0.0), (0.6, -0.8), (-2.0, 1.0)])
     T, n = np.asarray(short_times), len(short_times)
-    k, j, i = _triples(n)
+    k, j, i = triples(n)
     # one (base, vector)'s samples: the identities, then every triple in (k, j, i) order
     want = [np.concatenate((T, T[c])) for c in (i, j, k)]
     for check in (check_semiflow_laws, check_cocycle_laws):

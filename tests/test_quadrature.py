@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -624,6 +625,36 @@ def test_prefix_error_names_the_first_failure_of_the_first_failing_call():
     with mock.patch.object(quadrature, "MAX_BATCH_SEGMENTS", 1):
         with pytest.raises(QuadratureDepthError, match=r"max_depth=10 on \[2.0, 226.0\]"):
             norm_integral_prefix(xi, Trivial(0.0), (1.0,), times, cfg)
+
+
+@pytest.mark.parametrize("run, where", [
+    # [2, 226] from t0 = 0: an integrand near e^690 that oscillates, and every level doubles most subintervals
+    (lambda: norm_integral_prefix(sin_scalar_model(), Trivial(0.0), [1.0], [0, 2, 226, 227, 228]), "[2.0, 226.0]"),
+    # the first three nodes see at most e^16, the peak near t = 14 is about e^42
+    (lambda: integrate_norm_trajectory(sin_scalar_model(), 0.0, Trivial(0.0), [1.0], 16.0), "[0.0, 16.0]"),
+])
+def test_refinement_in_breadth_stops_at_the_live_budget(run, where):
+    budget = f"the budget of {quadrature.MAX_LIVE_SUBINTERVALS} live subintervals on {where}"
+    start = time.perf_counter()
+    with pytest.raises(QuadratureDepthError, match=re.escape(budget)) as info:
+        run()
+    assert time.perf_counter() - start < 10.0
+    assert np.all(np.isfinite(info.value.partial))
+
+
+def test_live_budget_stops_through_the_max_depth_path():
+    # A call stopped by the budget returns the partial that max_depth at that depth gives, bit for bit.
+    f = lambda u: np.sqrt(np.abs(u - 1.0 / 3.0)) + np.sqrt(np.abs(u - 0.7))
+    with mock.patch.object(quadrature, "MAX_LIVE_SUBINTERVALS", 8):
+        with pytest.raises(QuadratureDepthError, match=r"budget of 8 live subintervals on \[0.0, 1.0\]") as info:
+            adaptive_simpson(f, [0.0, 1.0], [1.0, 2.0], QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16))
+    partials = []
+    for depth in range(1, 10):
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16, max_depth=depth)
+        with pytest.raises(QuadratureDepthError, match=rf"max_depth={depth} on \[0.0, 1.0\]") as at_depth:
+            adaptive_simpson(f, [0.0, 1.0], [1.0, 2.0], cfg)
+        partials.append(at_depth.value.partial.tolist())
+    assert info.value.partial.tolist() in partials
 
 
 def test_prefix_validation(pexp3_model):
