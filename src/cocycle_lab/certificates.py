@@ -335,9 +335,27 @@ def decay_to_exponential(f: DecayCertificate, mu: float) -> ParametricDecay:
 # ---------------------------------------------------------------------------
 
 
-def _log_vector_norms(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> np.ndarray:
-    """log ||v_b|| for every grid vector, under the model's norm."""
-    return np.array([math.log(norm(v, xi.norm_choice)) for v in grid.vector_arrays()])
+def _vector_norms(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(log ||v_b||, v_b / ||v_b||) for every grid vector, under the model's norm.
+
+    A vector whose norm overflows a float (``math.fsum`` raises, ``hypot``
+    returns inf) is first scaled by 2^-e, exactly, with 2^e above its
+    largest component; every other vector keeps ``core.norm``'s bits.
+    """
+    logs, units = [], []
+    for v in grid.vector_arrays():
+        e = 0
+        try:
+            r = norm(v, xi.norm_choice)
+        except OverflowError:
+            r = math.inf
+        if r == math.inf:
+            e = math.frexp(float(np.max(np.abs(v))))[1]
+            v = np.ldexp(v, -e)
+            r = norm(v, xi.norm_choice)
+        logs.append(math.log(r) + e * math.log(2.0))
+        units.append(v / r)
+    return np.array(logs), np.array(units)
 
 
 def _pair_tables(xi: SkewEvolutionSemiflow, grid: SampleGrid):
@@ -350,7 +368,7 @@ def _pair_tables(xi: SkewEvolutionSemiflow, grid: SampleGrid):
     times = np.asarray(grid.times)
     n = len(times)
     k, i = _pairs(n)
-    log_v = _log_vector_norms(xi, grid)
+    log_v, _ = _vector_norms(xi, grid)
     labels = grid.vector_labels()
     for x in grid.base_points:
         table = np.full((len(labels), n, n), np.nan)
@@ -395,7 +413,7 @@ def _decay_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid):
     t0 = times[:, None]
     with np.errstate(over="ignore"):  # an infinite u + t0 is log_norms' DomainError
         t = times + t0
-    log_v = _log_vector_norms(xi, grid)
+    log_v, _ = _vector_norms(xi, grid)
     labels = grid.vector_labels()
     for x in grid.base_points:
         table = log_norms(xi, t, t0, x, grid.vectors)
@@ -417,7 +435,7 @@ def _datko_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, quad_cfg: Quadratu
     """
     times = np.asarray(grid.times)
     k, i = _pairs(len(times))
-    block = np.array([v / norm(v, xi.norm_choice) for v in grid.vector_arrays()])
+    _, block = _vector_norms(xi, grid)
     labels = grid.vector_labels()
     for x in grid.base_points:
         prefix = norm_integral_prefix(xi, x, block, times, quad_cfg)

@@ -176,6 +176,8 @@ def _parse_times(doc) -> list[float]:
     if isinstance(doc, dict):
         _require_keys(doc, {"min", "max", "count"}, set(), "grid times")
         count = _integer(doc, "count", minimum=1, name="grid times count")
+        if count > sys.maxsize // 8:  # no float64 array of that many entries can exist
+            raise PreconditionError(f"grid times count must be at most {sys.maxsize // 8}")
         lo, hi = _number(doc, "min", 0.0), _number(doc, "max", 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed span fails the grid's checks
             return [float(t) for t in np.linspace(lo, hi, count)]

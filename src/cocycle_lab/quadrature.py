@@ -22,9 +22,9 @@ import numpy as np
 from .core import (
     BasePoint,
     DomainError,
-    NormChoice,
     PreconditionError,
     SkewEvolutionSemiflow,
+    _log_norm,
 )
 
 
@@ -168,30 +168,22 @@ def _norm_trajectory_fn(
 ):
     """Integrand (taus, rows) -> ||Phi(taus[p], t0s[r], x) block[r]|| with r = rows[p], per node p.
 
-    Family r of the batch is the trajectory from base time ``t0s[r]`` of
-    vector ``block[r]``; each node is evaluated in its own family only.
-    The norm is assembled directly from the model's log factors, skipping a
-    per-call log/exp round trip, and one ``log_factors`` call serves every
-    node of every family; this is the hot inner function of every
-    Datko-style integral.  Only |v| is read.  Sums run along a contiguous
-    last axis, which adds each node's components in the order np.sum does
-    for one.
+    Family r is the trajectory from base time ``t0s[r]`` of vector
+    ``block[r]``, and one ``log_factors`` call serves every node of every
+    family.  The norm is exp of ``core._log_norm``, the kernel of
+    ``log_norms``, without its domain checks (every node lies in [t0, t]);
+    only |v| is read.  Each node's terms lie on a contiguous last axis, so
+    a node is reduced as it would be alone.
     """
-    factors = xi.log_factors
-    euclid = xi.norm_choice is NormChoice.EUCLID
-    p = 2.0 if euclid else 1.0
-    mags = np.abs(block)
-    weights = mags * mags if euclid else mags
+    with np.errstate(divide="ignore"):
+        log_mags = np.log(np.abs(block))  # zero components give -inf terms, which drop out
 
-    def terms(nodes) -> np.ndarray:  # [node, component]
+    def integrand(nodes) -> np.ndarray:
         taus, rows = nodes
-        return weights[rows] * np.ascontiguousarray(np.exp(p * factors(taus, t0s[rows], x)).T)
+        terms = np.ascontiguousarray(xi.log_factors(taus, t0s[rows], x).T) + log_mags[rows]  # [node, component]
+        return np.exp(_log_norm(terms, xi.norm_choice))
 
-    if xi.norm_choice is NormChoice.SUM_ABS:
-        return lambda nodes: terms(nodes).sum(axis=1)
-    if euclid:
-        return lambda nodes: np.sqrt(terms(nodes).sum(axis=1))
-    return lambda nodes: np.max(terms(nodes), axis=1)
+    return integrand
 
 
 def integrate_norm_trajectory(

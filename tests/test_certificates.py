@@ -401,6 +401,26 @@ def test_euclidean_estimates_accept_tiny_vectors(short_times):
     assert check_integral_instability(xi, integral, tiny, tol=0.0).passed
 
 
+@pytest.mark.parametrize("choice", list(NormChoice))
+def test_estimates_accept_a_vector_whose_norm_overflows(short_times, choice):
+    # ||(1.5e308, 1.5e308)|| is beyond the float range under the sum and Euclidean norms
+    xi = diag_integral_model([1.0, -1.0], choice)
+    huge, unit = (SampleGrid.create(short_times, default_base_points(xi), [v])
+                  for v in [(1.5e308, 1.5e308), (1.0, 1.0)])
+    pairs = [
+        (estimate_decay, check_decay, lambda c: c),
+        (estimate_instability, check_instability, lambda c: c.N),
+        (estimate_exp_instability, check_exp_instability, lambda c: c.N),
+        (estimate_integral_instability, check_integral_instability, lambda c: c.M),
+    ]
+    times = np.asarray(short_times)
+    for estimate, check, witness in pairs:
+        cert = estimate(xi, huge)
+        assert np.allclose(witness(cert).log_value(times), witness(estimate(xi, unit)).log_value(times),
+                           atol=1e-12, rtol=0.0)
+        assert check(xi, cert, huge, tol=0.0).passed
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 def test_ls_slope_matches_polyfit_on_any_time_scale(scale):
     t = np.array([0.0, 0.5, 1.25, 2.0, 3.5])

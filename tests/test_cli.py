@@ -209,6 +209,11 @@ MALFORMED_SCENARIOS = {
                          "grid vectors entry must be a list of numbers within the float range"),
     "huge_random_vectors.json": (json.dumps({"model": {"kind": "sin_scalar"}, "seed": 1, "random_vectors": HUGE}),
                                  "random_vectors must be at most"),
+    # counts that no float64 array can hold; the largest used to escape as an IndexError (exit 1)
+    **{f"huge_count_{name}.json": (json.dumps({"model": {"kind": "sin_scalar"},
+                                               "grid": {"times": {"min": 0, "max": 1, "count": count}}}),
+                                   "grid times count must be at most")
+       for name, count in [("maxsize", sys.maxsize), ("2_62", 2**62), ("1e29", 10**29)]},
     "bad_lower_limit.json": (json.dumps({"model": {"kind": "sin_scalar"},
                                          "tolerances": {"quad": {"datko_lower_limit": "s"}}}),
                              "tolerances.quad.datko_lower_limit supports only 't0'"),
@@ -232,6 +237,7 @@ def test_malformed_scenarios_exit_2(tmp_path, capsys, name):
     code = main(["laws", "--scenario", str(p), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_integral_exits_2_quickly(tmp_path):
@@ -540,6 +546,22 @@ def test_check_round_trip(tmp_path, sin_scenario):
     doc = read_json(out / "check_decay.json")
     assert doc["report"]["verdict"] == "pass"
     assert doc["certificate_grid_hash"] == doc["scenario_grid_hash"]
+
+
+def test_every_command_accepts_a_vector_whose_norm_overflows(tmp_path):
+    # laws passed, but every other command exited 2 with "intermediate overflow in fsum"
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"model": {"kind": "diag_integral", "alphas": [1, -1]},
+                             "grid": {"times": LONG_TIMES, "vectors": [[1e308, 1e308]]}}))
+    out = tmp_path / "out"
+    assert main(["laws", "--scenario", str(p), "--out-dir", str(out)]) == 0
+    props = ("decay", "instability", "exp-instability", "integral-instability")
+    certs = [estimate_into(p, out, prop) for prop in props]
+    for prop, cert in zip(props, certs):
+        assert main(["check", "--scenario", str(p), "--out-dir", str(out),
+                     "--property", prop, "--cert", str(cert)]) == 0
+    assert main(["report", "--scenario", str(p), "--out-dir", str(out),
+                 *(arg for cert in certs for arg in ("--cert", str(cert)))]) == 0
 
 
 def test_check_on_different_grid_records_both_hashes(tmp_path, sin_scenario):

@@ -32,6 +32,7 @@ from cocycle_lab import (
     shift_cocycle,
     sin_scalar_model,
 )
+from cocycle_lab.core import _log_norm, log_cocycle_norm
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -97,16 +98,13 @@ def reference_value(f, a, b, cfg):
 
 
 def reference_integrand(xi, x, v, t0):
-    """tau -> ||Phi(tau, t0, x) v|| for one float tau, in plain numpy scalars."""
-    mags = np.abs(np.asarray(v, dtype=float))
+    """tau -> ||Phi(tau, t0, x) v|| for one float tau: exp of ``core._log_norm`` over one row of log terms."""
+    with np.errstate(divide="ignore"):
+        log_mags = np.log(np.abs(np.asarray(v, dtype=float)))
 
     def integrand(tau):
-        lf = xi.log_factors(tau, t0, x)
-        if xi.norm_choice is NormChoice.SUM_ABS:
-            return float(np.sum(mags * np.exp(lf)))
-        if xi.norm_choice is NormChoice.EUCLID:
-            return math.sqrt(float(np.sum(mags * mags * np.exp(2.0 * lf))))
-        return float(np.max(mags * np.exp(lf)))
+        terms = np.asarray(xi.log_factors(tau, t0, x), dtype=float) + log_mags
+        return float(np.exp(_log_norm(terms[None, :], xi.norm_choice))[0])
 
     return integrand
 
@@ -465,6 +463,22 @@ def test_trajectory_validation(pexp3_model):
         integrate_norm_trajectory(pexp3_model, 0.0, Trivial(0.0), (0.0,), 1.0, TIGHT)
 
 
+@pytest.mark.parametrize("rate", [25.0, 40.0])
+def test_euclidean_integrand_does_not_overflow_early(rate):
+    # the squared norm e^{2 rate tau} overflowed past tau = 354.9 / rate
+    xi = pure_exponential_model(rate, NormChoice.EUCLID)
+    got = integrate_norm_trajectory(xi, 0.0, Trivial(0.0), (1.0,), 16.0, TIGHT)
+    assert got == pytest.approx(math.expm1(16.0 * rate) / rate, rel=1e-9)
+
+
+def test_euclidean_integral_keeps_a_tiny_component():
+    # |v|^2 = 1e-400 underflowed to 0, so the integral over [0, 2] was exactly 0
+    args = (0.0, Trivial(0.0), (1e-200,), 2.0)
+    got = integrate_norm_trajectory(pure_exponential_model(1.0, NormChoice.EUCLID), *args)
+    assert got > 0.0
+    assert got == integrate_norm_trajectory(pure_exponential_model(1.0, NormChoice.SUM_ABS), *args)
+
+
 def test_prefix_matches_single_calls(pexp3_model):
     times = [0.0, 0.5, 1.25, 2.0]
     prefix = norm_integral_prefix(pexp3_model, Trivial(0.0), (1.0,), times, TIGHT)
@@ -552,6 +566,21 @@ def test_prefix_of_a_vector_block_stacks_single_prefixes_exactly(full_times, cas
         assert got.tolist() == [norm_integral_prefix(xi, x, v, times, QuadratureConfig()).tolist()
                                 for v in block]
     assert got.tolist() == [[[0.0]]] * len(block)
+
+
+@pytest.mark.parametrize("choice", list(NormChoice))
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_integrand_is_exp_of_the_scalar_log_norm(case, choice):
+    make, x, vectors = BLOCK_CASES[case]
+    xi, block = make(choice), np.array(vectors, dtype=float)
+    rng = np.random.default_rng(7)
+    t0s = np.array([0.0, 1.5, 7.25])
+    fn = quadrature._norm_trajectory_fn(xi, np.repeat(t0s, len(block)), x, np.tile(block, (len(t0s), 1)))
+    rows = rng.integers(0, len(t0s) * len(block), 300)
+    taus = t0s[rows // len(block)] + rng.uniform(0.0, 4.0, len(rows))
+    for tau, r, got in zip(taus, rows, fn((taus, rows))):
+        want = math.exp(log_cocycle_norm(xi, tau, t0s[r // len(block)], x, block[r % len(block)]))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 BATCH_MODELS = {
