@@ -179,8 +179,12 @@ def _parse_times(doc) -> list[float]:
         if count > sys.maxsize // 8:  # no float64 array of that many entries can exist
             raise PreconditionError(f"grid times count must be at most {sys.maxsize // 8}")
         lo, hi = _number(doc, "min", 0.0), _number(doc, "max", 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed span fails the grid's checks
-            return [float(t) for t in np.linspace(lo, hi, count)]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed span fails the grid's checks
+                times = np.linspace(lo, hi, count)
+        except (ValueError, MemoryError) as exc:  # linspace's intermediates outgrow any array, or memory runs out
+            raise PreconditionError(f"grid times count {count} is too large to build: {exc}") from exc
+        return [float(t) for t in times]
     raise PreconditionError("grid times must be a list or a {min, max, count} object")
 
 

@@ -307,7 +307,7 @@ def remark_obs2(
     most one there, so N itself witnesses instability.  The decay side
     is fitted from the grid and round-trip checked.
     """
-    _require_kind(cert, ExpInstabilityCertificate, "cert must be a ExpInstabilityCertificate")
+    _require_kind(cert, ExpInstabilityCertificate, "cert must be an ExpInstabilityCertificate")
     inputs = (("exp_instability", cert),)
     gates = (check_exp_instability(xi, cert, grid, tol),)
     if invalid := _gate("remark_obs2", inputs, gates):
@@ -334,7 +334,7 @@ def prop_integral_decay_to_instability(
     integral of f; K is recorded in the run's constants.
     """
     _require_kind(f, DecayCertificate, "f must be a decay certificate")
-    _require_kind(m_cert, IntegralInstabilityCertificate, "M must be a IntegralInstabilityCertificate")
+    _require_kind(m_cert, IntegralInstabilityCertificate, "M must be an IntegralInstabilityCertificate")
     inputs = (("f", f), ("M", m_cert))
     gates = (check_decay(xi, f, grid, tol), check_integral_instability(xi, m_cert, grid, tol, quad_cfg))
     if invalid := _gate("prop_integral_decay_to_instability", inputs, gates):
@@ -369,7 +369,7 @@ def prop_shift_necessity(
     Uses alpha = nu/2, M(t) = max(1, N(t)/alpha), and checks on the
     alpha-shifted cocycle; alpha is recorded in the constants.
     """
-    _require_kind(cert, ExpInstabilityCertificate, "cert must be a ExpInstabilityCertificate")
+    _require_kind(cert, ExpInstabilityCertificate, "cert must be an ExpInstabilityCertificate")
     inputs = (("exp_instability", cert),)
     gates = (check_exp_instability(xi, cert, grid, tol),)
     if invalid := _gate("prop_shift_necessity", inputs, gates):
@@ -410,7 +410,7 @@ def prop_shift_sufficiency(
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise PreconditionError(f"alpha must be finite and > 0, got {alpha}")
-    _require_kind(m_alpha, IntegralInstabilityCertificate, "M_alpha must be a IntegralInstabilityCertificate")
+    _require_kind(m_alpha, IntegralInstabilityCertificate, "M_alpha must be an IntegralInstabilityCertificate")
     _require_kind(f, DecayCertificate, "f must be a decay certificate")
     inputs = (("M_alpha", m_alpha), ("f", f))
     shifted = shift_cocycle(xi, alpha)
@@ -452,7 +452,7 @@ def thm1_necessity(
     Derives M(t) = max(1, N(t)/nu) for the integral side and reuses N
     for the plain side; the verdict aggregates both checks.
     """
-    _require_kind(cert, ExpInstabilityCertificate, "cert must be a ExpInstabilityCertificate")
+    _require_kind(cert, ExpInstabilityCertificate, "cert must be an ExpInstabilityCertificate")
     inputs = (("exp_instability", cert),)
     gates = (check_exp_instability(xi, cert, grid, tol),)
     if invalid := _gate("thm1_necessity", inputs, gates):
@@ -488,8 +488,8 @@ def thm1_sufficiency(
     exponential-rate certificate is also attainable on this grid is
     reported as context, not folded into the verdict.
     """
-    _require_kind(n_cert, InstabilityCertificate, "N must be a InstabilityCertificate")
-    _require_kind(m_cert, IntegralInstabilityCertificate, "M must be a IntegralInstabilityCertificate")
+    _require_kind(n_cert, InstabilityCertificate, "N must be an InstabilityCertificate")
+    _require_kind(m_cert, IntegralInstabilityCertificate, "M must be an IntegralInstabilityCertificate")
     inputs = (("N", n_cert), ("M", m_cert))
     gates = (check_instability(xi, n_cert, grid, tol), check_integral_instability(xi, m_cert, grid, tol, quad_cfg))
     if invalid := _gate("thm1_sufficiency", inputs, gates):
@@ -528,7 +528,7 @@ def thm2_validate(
     instability witness, and the linear-growth inequality.
     """
     _require_kind(f, DecayCertificate, "f must be a decay certificate")
-    _require_kind(m_cert, IntegralInstabilityCertificate, "M must be a IntegralInstabilityCertificate")
+    _require_kind(m_cert, IntegralInstabilityCertificate, "M must be an IntegralInstabilityCertificate")
     inputs = (("f", f), ("M", m_cert))
     refusal = None
     if not xi.strongly_measurable:

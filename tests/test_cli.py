@@ -214,6 +214,11 @@ MALFORMED_SCENARIOS = {
                                                "grid": {"times": {"min": 0, "max": 1, "count": count}}}),
                                    "grid times count must be at most")
        for name, count in [("maxsize", sys.maxsize), ("2_62", 2**62), ("1e29", 10**29)]},
+    # counts under that bound that numpy still cannot build: too big an intermediate, or no such memory
+    **{f"huge_count_{name}.json": (json.dumps({"model": {"kind": "sin_scalar"},
+                                               "grid": {"times": {"min": 0, "max": 1, "count": count}}}),
+                                   f"grid times count {count} is too large to build")
+       for name, count in [("bound", sys.maxsize // 8), ("2_57", 2**57)]},
     "bad_lower_limit.json": (json.dumps({"model": {"kind": "sin_scalar"},
                                          "tolerances": {"quad": {"datko_lower_limit": "s"}}}),
                              "tolerances.quad.datko_lower_limit supports only 't0'"),
@@ -1067,19 +1072,51 @@ def test_only_theorem_imports_theorem_code(tmp_path):
     assert "cocycle_lab.theorems" in names
 
 
-def test_package_names_resolve_lazily():
-    code = ("import sys, cocycle_lab; loaded = 'cocycle_lab.theorems' in sys.modules; "
-            "from cocycle_lab import thm2_validate; "
-            "print(loaded, thm2_validate is sys.modules['cocycle_lab.theorems'].thm2_validate)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
-    import cocycle_lab
+# Run in a fresh interpreter: what a bare import loads and sets, then each
+# name of the surface against the module that defines it.
+LAZY_SURFACE = """
+import json, os, sys
+import cocycle_lab
+report = {
+    "loaded": sorted(m for m in sys.modules if m == "numpy" or m.startswith("cocycle_lab.")),
+    "threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "undir": sorted(set(cocycle_lab.__all__) - set(dir(cocycle_lab))),
+    "submodules": [m.__name__ for m in (cocycle_lab.core, cocycle_lab.models,
+                                        cocycle_lab.quadrature, cocycle_lab.certificates)],
+    "listed_once": sum(map(len, cocycle_lab._EXPORTS.values())) == len(set(cocycle_lab.__all__)),
+    "misplaced": [],
+}
+for module, names in cocycle_lab._EXPORTS.items():
+    for name in names:
+        value = getattr(cocycle_lab, name)
+        home = sys.modules[f"cocycle_lab.{module}"]
+        if value is not getattr(home, name) or getattr(value, "__module__", home.__name__) != home.__name__:
+            report["misplaced"].append(name)
+try:
+    cocycle_lab.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+print(json.dumps(report))
+"""
 
-    for name in cocycle_lab.__all__:
-        assert getattr(cocycle_lab, name) is not None, name
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        getattr(cocycle_lab, "no_such_name")
+
+def test_package_names_resolve_lazily():
+    for preset in (None, "3"):  # OPENBLAS_NUM_THREADS unset, then set by the user
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", LAZY_SURFACE], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "loaded": [],
+            "threads": preset or "1",
+            "undir": [],
+            "submodules": ["cocycle_lab.core", "cocycle_lab.models",
+                           "cocycle_lab.quadrature", "cocycle_lab.certificates"],
+            "listed_once": True,
+            "misplaced": [],
+            "unknown": "module 'cocycle_lab' has no attribute 'no_such_name'",
+        }
 
 
 def launchers():

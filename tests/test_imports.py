@@ -13,10 +13,7 @@ import pytest
 import cocycle_lab
 
 ROOT = Path(__file__).resolve().parent.parent
-# __init__.py modules import names to re-export them, not to use them.
-FILES = sorted(
-    p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
-)
+FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

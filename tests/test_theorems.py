@@ -240,11 +240,11 @@ def test_thm2_grid_without_unit_window():
 
 def test_validators_reject_wrong_input_types(pexp3, short_times_module):
     g = grid_for(pexp3, short_times_module)
-    with pytest.raises(PreconditionError, match="^cert must be a ExpInstabilityCertificate, got InstabilityCertificate$"):
+    with pytest.raises(PreconditionError, match="^cert must be an ExpInstabilityCertificate, got InstabilityCertificate$"):
         remark_obs2(UNIT_N, pexp3, g)
     with pytest.raises(PreconditionError, match="^f must be a decay certificate, got InstabilityCertificate$"):
         prop_integral_decay_to_instability(UNIT_N, UNIT_M, pexp3, g)
-    with pytest.raises(PreconditionError, match="^N must be a InstabilityCertificate, got IntegralInstabilityCertificate$"):
+    with pytest.raises(PreconditionError, match="^N must be an InstabilityCertificate, got IntegralInstabilityCertificate$"):
         thm1_sufficiency(UNIT_M, UNIT_M, pexp3, g)
     with pytest.raises(PreconditionError):
         prop_shift_sufficiency(0.0, UNIT_M, UNIT_F, pexp3, g)
