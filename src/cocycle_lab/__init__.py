@@ -37,7 +37,6 @@ _EXPORTS = {
         "Trivial",
         "check_cocycle_laws",
         "check_semiflow_laws",
-        "norm",
         "shift_cocycle",
     ),
     "models": (

@@ -51,12 +51,12 @@ from .core import (
     _float_list,
     _integer,
     _json_float,
+    _log_norm,
     _number,
     _pairs,
     _report,
     _require_keys,
     log_norms,
-    norm,
 )
 from .quadrature import QuadratureConfig, norm_integral_prefix
 
@@ -336,26 +336,16 @@ def decay_to_exponential(f: DecayCertificate, mu: float) -> ParametricDecay:
 
 
 def _vector_norms(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(log ||v_b||, v_b / ||v_b||) for every grid vector, under the model's norm.
+    """(log ||v_b||, |v_b| / ||v_b||) for every grid vector, under the model's norm.
 
-    A vector whose norm overflows a float (``math.fsum`` raises, ``hypot``
-    returns inf) is first scaled by 2^-e, exactly, with 2^e above its
-    largest component; every other vector keeps ``core.norm``'s bits.
+    Both come from log |v| through ``core._log_norm``, the kernel of
+    ``log_norms``, so no norm is formed in linear space: a vector whose
+    norm overflows a float needs no rescue.
     """
-    logs, units = [], []
-    for v in grid.vector_arrays():
-        e = 0
-        try:
-            r = norm(v, xi.norm_choice)
-        except OverflowError:
-            r = math.inf
-        if r == math.inf:
-            e = math.frexp(float(np.max(np.abs(v))))[1]
-            v = np.ldexp(v, -e)
-            r = norm(v, xi.norm_choice)
-        logs.append(math.log(r) + e * math.log(2.0))
-        units.append(v / r)
-    return np.array(logs), np.array(units)
+    with np.errstate(divide="ignore"):
+        log_mags = np.log(np.abs(np.asarray(grid.vectors, dtype=float)))  # zero components give -inf terms
+    logs = _log_norm(log_mags, xi.norm_choice)
+    return logs, np.exp(log_mags - logs[:, None])
 
 
 def _pair_tables(xi: SkewEvolutionSemiflow, grid: SampleGrid):
@@ -470,9 +460,9 @@ def estimate_decay(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> TabulatedDeca
     """Fit the tightest grid lower bound f_hat(u) = min ratio, monotonized.
 
     The running minimum over increasing u makes the table nonincreasing;
-    f_hat(0) is 1 up to one rounding: the u = 0 ratio is identically one,
-    but log ||v|| comes from a math.fsum norm and log ||Phi(t, t, x)v|| from
-    a numpy log-sum-exp, and the two may differ in the last bit.
+    f_hat(0) is exactly 1 when lf(t, t, x) is exactly 0, as in every
+    shipped model: log ||v|| and log ||Phi(t0, t0, x)v|| are then the one
+    ``core._log_norm`` of the same terms, so every u = 0 statistic is 0.
     """
     per_u = np.full(len(grid.times), np.inf)
     for *_, m in _decay_stats(xi, grid):

@@ -240,7 +240,7 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     else:
         vectors = [list(v) for v in default_vectors(base_model.dimension)]
 
-    seed = None if doc.get("seed") is None else _integer(doc, "seed")
+    seed = None if doc.get("seed") is None else _integer(doc, "seed", minimum=0)
     extra = _integer(doc, "random_vectors", 0, minimum=0)
     if extra > 0:
         if seed is None:
@@ -348,7 +348,8 @@ def _run_parallel(tasks):
 
 def _load_json_file(path: str) -> dict:
     """Parse the JSON file ``path``; NaN, Infinity and -Infinity, which
-    ``json`` accepts although JSON has no such numbers, are rejected."""
+    ``json`` accepts although JSON has no such numbers, are rejected, and
+    so is a document nested too deeply for the parser's recursion limit."""
 
     def no_constant(name: str):
         raise PreconditionError(f"{path} is not valid JSON: {name} is not a JSON number")
@@ -360,6 +361,8 @@ def _load_json_file(path: str) -> dict:
         raise PreconditionError(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise PreconditionError(f"{path} nests too deeply to read") from exc
 
 
 def _load_certificate(path: str, sc: Scenario):

@@ -146,20 +146,6 @@ def base_discrepancy(a: BasePoint, b: BasePoint) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectors and norms
-# ---------------------------------------------------------------------------
-
-
-def norm(v: Sequence[float] | np.ndarray, choice: NormChoice = NormChoice.SUM_ABS) -> float:
-    arr = np.asarray(v, dtype=float)
-    if choice is NormChoice.SUM_ABS:
-        return math.fsum(np.abs(arr).flat)  # correctly rounded: np.sum's order error broke the triangle inequality
-    if choice is NormChoice.EUCLID:
-        return math.hypot(*arr)  # scaled: components below 1e-154 do not square to 0
-    return float(np.max(np.abs(arr)))
-
-
-# ---------------------------------------------------------------------------
 # The pair (semiflow, cocycle)
 # ---------------------------------------------------------------------------
 
@@ -371,9 +357,6 @@ class SampleGrid:
             base_points=tuple(base_points),
             vectors=tuple(tuple(float(c) for c in v) for v in vectors),
         )
-
-    def vector_arrays(self) -> list[np.ndarray]:
-        return [np.asarray(v, dtype=float) for v in self.vectors]
 
     def vector_labels(self) -> list[str]:
         return [format_vector(v) for v in self.vectors]

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from cocycle_lab import (
+    NormChoice,
     SampleGrid,
     default_base_points,
     default_vectors,
@@ -20,6 +23,17 @@ def triples(n):
     the test oracle of the sample layout."""
     upper = np.triu(np.ones((n, n), dtype=bool))
     return np.nonzero(upper[:, :, None] & upper[None, :, :])
+
+
+def plain_norm(v, choice):
+    """||v|| under ``choice`` in plain Python: the test oracle of the package's one
+    log-space norm kernel, so it must not call that kernel."""
+    mags = [abs(c) for c in v]
+    if choice is NormChoice.SUM_ABS:
+        return math.fsum(mags)
+    if choice is NormChoice.EUCLID:
+        return math.sqrt(math.fsum(c * c for c in mags))
+    return max(mags)
 
 
 def row_sink(rows):

@@ -39,7 +39,6 @@ from cocycle_lab import (
     estimate_exp_instability,
     estimate_instability,
     estimate_integral_instability,
-    norm,
     pure_exponential_model,
     sin_scalar_model,
 )
@@ -50,10 +49,11 @@ from cocycle_lab.certificates import (
     _datko_stats,
     _ls_slope,
     _pair_tables,
+    _vector_norms,
 )
-from cocycle_lab.core import _report, log_cocycle_norm, shift_cocycle
+from cocycle_lab.core import _report, log_cocycle_norm, log_norms, shift_cocycle
 from cocycle_lab.theorems import _check_exp_diagonal, _check_window_bound
-from conftest import grid_for, row_sink, triples
+from conftest import grid_for, plain_norm, row_sink, triples
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +421,46 @@ def test_estimates_accept_a_vector_whose_norm_overflows(short_times, choice):
         assert check(xi, cert, huge, tol=0.0).passed
 
 
+EXTREME_VECTORS = [(1e308, 1e308), (5e-324,), (1e-300, 1e300)]
+
+
+def _extreme_model(v, choice):
+    """sin_scalar for a 1-D v, else diag_integral with the growing factor on v's
+    largest component, so that every property has a certificate."""
+    if len(v) == 1:
+        return sin_scalar_model(choice)
+    return diag_integral_model([1.0, -1.0] if v[0] >= v[1] else [-1.0, 1.0], choice)
+
+
+@pytest.mark.parametrize("choice", list(NormChoice))
+def test_vector_norms_are_log_norms_at_equal_times(short_times, choice):
+    # log ||v|| and log ||Phi(t, t, x)v|| come from one kernel on the same terms
+    for vectors in [[(5e-324,), (2.5,), (-1e308,)], [(1e308, 1e308), (1e-300, 1e300), (0.7, -1.3), (1.0, 0.0)]]:
+        xi = _extreme_model(vectors[0], choice)
+        grid = SampleGrid.create(short_times, default_base_points(xi), vectors)
+        logs, _ = _vector_norms(xi, grid)
+        for x in grid.base_points:
+            for t in short_times:
+                assert logs.tobytes() == log_norms(xi, t, t, x, grid.vectors).tobytes(), (vectors, x, t)
+
+
+@pytest.mark.parametrize("choice", list(NormChoice))
+@pytest.mark.parametrize("v", EXTREME_VECTORS, ids=str)
+def test_every_check_passes_at_zero_tol_on_extreme_vectors(short_times, choice, v):
+    xi = _extreme_model(v, choice)
+    grid = SampleGrid.create(short_times, default_base_points(xi), [v])
+    pairs = [
+        (estimate_decay, check_decay),
+        (estimate_instability, check_instability),
+        (estimate_exp_instability, check_exp_instability),
+        (estimate_integral_instability, check_integral_instability),
+    ]
+    for estimate, check in pairs:
+        cert = estimate(xi, grid)
+        assert not isinstance(cert, NoCertificate), estimate.__name__
+        assert check(xi, cert, grid, tol=0.0).passed, estimate.__name__
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 def test_ls_slope_matches_polyfit_on_any_time_scale(scale):
     t = np.array([0.0, 0.5, 1.25, 2.0, 3.5])
@@ -575,7 +615,7 @@ def _reference_fit(xi, grid):
     rho = -math.inf
     for x in grid.base_points:
         for v in grid.vectors:
-            log_v = math.log(norm(v, xi.norm_choice))
+            log_v = math.log(plain_norm(v, xi.norm_choice))
             L = {(i, k): log_cocycle_norm(xi, T[i], T[k], x, v) for k in range(n) for i in range(k, n)}
             for k in range(n):
                 for j in range(k, n):

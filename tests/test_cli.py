@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import gc
+import importlib.util
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cocycle_lab import DomainError, PreconditionError, QuadratureConfig
+from cocycle_lab import DomainError, PreconditionError, QuadratureConfig, estimate_decay
 from cocycle_lab.cli import THEOREMS, _load_json_file, _margin_rows, main, parse_scenario
 
 SMALL_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -89,6 +90,28 @@ def test_scenario_defaults():
     assert sc.alpha == 1.5
     assert sc.nu_candidates is None
     assert xi.descriptor["kind"] == "sin_scalar"
+
+
+def benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, which builds the benchmark's scenarios from a seed;
+    its dataclasses need it in sys.modules while it loads."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fitted_decay_starts_at_exactly_one(monkeypatch):
+    # log ||v|| and log ||Phi(t0, t0, x)v|| come from one kernel, so f_hat(0)
+    # is 1, not 0.9999999999999999 as seeded diag-theorems once wrote
+    workloads = benchmark_workloads(monkeypatch)
+    docs = [workloads.diag_theorems(seed).scenarios["seeded"] for seed in (1, 2, 3)]
+    for doc in docs + [{"model": {"kind": "sin_scalar"}}]:
+        sc, xi = parse_scenario(doc)
+        f_hat = estimate_decay(xi, sc.grid)
+        assert (f_hat.values[0], f_hat.log_values[0]) == (1.0, 0.0), doc
 
 
 @pytest.mark.parametrize("out_dir", [5, ["a"], {"x": 1}, False, True, 0.0])
@@ -231,6 +254,13 @@ MALFORMED_SCENARIOS = {
                           "grid vectors entry must be a list of numbers\n"),
     "string_time.json": (json.dumps({"model": {"kind": "sin_scalar"}, "grid": {"times": ["x", 1]}}),
                          "grid times must be a list of numbers\n"),
+    # accepted alone, and with random_vectors numpy's message named no field
+    "negative_seed.json": (json.dumps({"model": {"kind": "sin_scalar"}, "seed": -1}),
+                           "seed must be an integer >= 0, got -1"),
+    "negative_seed_random.json": (json.dumps({"model": {"kind": "sin_scalar"}, "seed": -1, "random_vectors": 1}),
+                                  "seed must be an integer >= 0, got -1"),
+    # the parser's RecursionError once escaped as a traceback (exit 1)
+    "deep_nesting.json": ("[" * 100000 + "]" * 100000, "deep_nesting.json nests too deeply to read"),
 }
 
 
@@ -622,6 +652,15 @@ def test_check_accepts_embedded_certificate_from_check_file(tmp_path, sin_scenar
     code = main(["check", "--scenario", str(sin_scenario), "--out-dir", str(out),
                  "--property", "decay", "--cert", str(nested)])
     assert code == 0
+
+
+def test_check_rejects_a_deeply_nested_cert(tmp_path, capsys, sin_scenario):
+    cert = tmp_path / "deep.json"
+    cert.write_text('{"kind": ' + "[" * 100000 + "]" * 100000 + "}")
+    code = main(["check", "--scenario", str(sin_scenario), "--out-dir", str(tmp_path / "out"),
+                 "--property", "decay", "--cert", str(cert)])
+    assert code == 2
+    assert f"{cert} nests too deeply to read" in capsys.readouterr().err
 
 
 def test_check_rejects_no_certificate_file(tmp_path, contracting_scenario):

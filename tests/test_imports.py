@@ -1,8 +1,9 @@
 """Source hygiene: every imported name in src/ and tests/ is used,
 every private module-level helper in src/ is referenced in src/, every
 public name (exported, or a module-level function or class in src/) is
-referenced in src/, the release gate or README's Library section, and only
-core.py spells out the JSON type rules."""
+referenced in src/, the release gate or README's Library section, only
+core.py spells out the JSON type rules, and no norm is formed in linear
+space outside the scalar reference."""
 
 import ast
 import re
@@ -148,3 +149,58 @@ def test_bool_check_scan_flags_and_exempts():
     source = ("isinstance(a, bool)\nisinstance(b, (int, bool))\nisinstance(c, int)\nbool(d)\n"
               "x.isinstance(e, bool)\nif not isinstance(f, int) or isinstance(f, bool): pass\n")
     assert bool_checks(source) == [1, 2, 6]
+
+
+# Linear-space norms: a vector norm is formed in log space by core._log_norm,
+# and only the scalar reference core.log_cocycle_norm may sum in linear space.
+LINEAR_NORMS = {"math.fsum", "math.hypot", "np.hypot", "np.linalg.norm"}
+
+
+def dotted(node: ast.AST) -> str:
+    """``a.b.c`` for a chain of attributes on a name, else ""."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def linear_norms(source: str, allowed: str = "") -> list[int]:
+    """Lines of ``source`` that name one of ``LINEAR_NORMS``, or import one by name,
+    outside the module-level function ``allowed``."""
+    tree = ast.parse(source)
+    exempt = {
+        id(n) for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == allowed for n in ast.walk(node)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.replace("numpy", "np", 1) if node.module.startswith("numpy") else node.module
+            names = {f"{module}.{alias.name}" for alias in node.names}
+        else:
+            names = {dotted(node)} if isinstance(node, ast.Attribute) else set()
+        if names & LINEAR_NORMS:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_linear_norms_live_in_the_scalar_reference():
+    found = {
+        str(p.relative_to(ROOT)): linear_norms(p.read_text(encoding="utf-8"),
+                                               "log_cocycle_norm" if p.name == "core.py" else "")
+        for p in SRC_FILES
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_linear_norm_scan_flags_and_exempts():
+    source = ("def log_cocycle_norm(v):\n    return math.fsum(v) + np.linalg.norm(v)\n"
+              "def other(v):\n    return math.fsum(v)\n"
+              "n = np.hypot(a, b) + math.hypot(c) + np.linalg.norm(d)\n"
+              "from math import fsum\nfrom numpy.linalg import norm\nfrom numpy import hypot, log\n"
+              "x = np.log(v) + math.exp(1) + linalg.norm(v) + fsum(v)\n")
+    assert linear_norms(source, "log_cocycle_norm") == [4, 5, 5, 5, 6, 7, 8]
+    assert linear_norms(source) == [2, 2, 4, 5, 5, 5, 6, 7, 8]
