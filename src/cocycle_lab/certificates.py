@@ -178,10 +178,6 @@ class ParametricDecay:
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise PreconditionError(f"omega must be finite and > 0, got {self.omega}")
 
-    @property
-    def form(self) -> str:
-        return "parametric"
-
     def value(self, t: float) -> float:
         return math.exp(-self.omega * t) / self.n_tilde
 

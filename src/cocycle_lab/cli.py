@@ -137,7 +137,8 @@ THEOREMS = {
     "thm2": (("decay", "integral-instability"), lambda thm, sc, xi, c: thm.thm2_validate(
         c["decay"], c["integral-instability"], xi, sc.grid, sc.quad, sc.margin_tol)),
     "corollary": ((), lambda thm, sc, xi, c: thm.corollary_equivalence(
-        xi, sc.grid, sc.quad, sc.margin_tol, nu_candidates=sc.nu_candidates, growth_cap=sc.growth_cap)),
+        xi, sc.grid, sc.quad, sc.margin_tol, nu_candidates=sc.nu_candidates, growth_cap=sc.growth_cap,
+        headroom=sc.headroom)),
 }
 
 

@@ -4,8 +4,7 @@ A skew-evolution semiflow is a pair: a semiflow on a base space of
 trajectories, plus a linear cocycle acting on R^p fibers above it.  This
 module owns the base-point and grid types, the evaluation entry points
 with their domain checks (pairs (t, s) must satisfy t >= s >= 0), the
-exponential shift, the algebraic law checkers, and the metric on the
-base space of shifted generator functions.
+exponential shift and the algebraic law checkers.
 
 Norms of cocycle values span many orders of magnitude, so every margin
 that feeds a pass/fail decision is computed in log-space from the

@@ -29,11 +29,7 @@ from .core import (
 
 
 class QuadratureDepthError(RuntimeError):
-    """Raised when refinement hits max_depth; carries the partial estimate."""
-
-    def __init__(self, message: str, partial: float):
-        super().__init__(message)
-        self.partial = partial
+    """Raised when refinement hits max_depth or the live-subinterval budget."""
 
 
 @dataclass(frozen=True)
@@ -84,9 +80,8 @@ def adaptive_simpson(
     one call per interval (and per family) would.  A non-finite error
     estimate raises DomainError at once; reaching max_depth, or a split
     past ``MAX_LIVE_SUBINTERVALS`` live subintervals, raises
-    QuadratureDepthError with the estimate (an array shaped like the ends
-    for array input) as ``partial``.  Both name the interval of the first
-    failing (family, interval) pair at the shallowest failing depth.
+    QuadratureDepthError at that level.  Both name the interval of the
+    first failing (family, interval) pair at the shallowest failing depth.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     lo, hi = (np.atleast_1d(np.asarray(end, dtype=float)) for end in (a, b))
@@ -119,7 +114,6 @@ def adaptive_simpson(
     loc_tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(s_whole))  # nan -> abs_tol, as max() does
 
     leaves = []  # (owner, left end, value) of every finished subinterval
-    exhausted = owner[:0]
     for depth in range(cfg.max_depth + 1):
         if not len(owner):
             break
@@ -135,11 +129,12 @@ def adaptive_simpson(
         if broken.any():
             i = int(np.argmax(broken))
             raise DomainError(f"integrand is not finite on [{float(xa[i])}, {float(xb[i])}]")
-        if depth == cfg.max_depth or 2 * np.count_nonzero(~done) > MAX_LIVE_SUBINTERVALS:
+        splits = np.count_nonzero(~done)
+        if splits and (depth == cfg.max_depth or 2 * splits > MAX_LIVE_SUBINTERVALS):
             limit = f"max_depth={cfg.max_depth}" if depth == cfg.max_depth else (
                 f"the budget of {MAX_LIVE_SUBINTERVALS} live subintervals")
-            exhausted = owner[~done]
-            done[:] = True
+            i = int(owner[np.argmin(done)])
+            raise QuadratureDepthError(f"adaptive refinement hit {limit} on [{float(lo[i])}, {float(hi[i])}]")
         leaves.append((owner[done], xa[done], s_left[done] + s_right[done] + err[done]))
         keep = np.flatnonzero(~done)
         owner = np.repeat(owner[keep], 2)
@@ -153,14 +148,7 @@ def adaptive_simpson(
     order = np.lexsort((-left_end, who))  # by interval, then right to left
     total = np.zeros(len(lo))
     np.add.at(total, who[order], value[order])  # adds in index order: strictly sequential, from 0.0
-    result = float(total[0]) if scalar else total.reshape(shape)
-    if len(exhausted):
-        i = int(exhausted[0])
-        raise QuadratureDepthError(
-            f"adaptive refinement hit {limit} on [{float(lo[i])}, {float(hi[i])}]",
-            partial=result,
-        )
-    return result
+    return float(total[0]) if scalar else total.reshape(shape)
 
 
 def _norm_trajectory_fn(
@@ -207,11 +195,7 @@ def integrate_norm_trajectory(
         raise PreconditionError("trajectory integral needs a nonzero vector")
     if t == t0:
         return 0.0
-    try:
-        return float(norm_integral_prefix(xi, x, arr, (t0, t), cfg)[0, 1])
-    except QuadratureDepthError as exc:
-        exc.partial = exc.partial.item()  # the estimate of the one segment, as a float
-        raise
+    return float(norm_integral_prefix(xi, x, arr, (t0, t), cfg)[0, 1])
 
 
 # The most real grid segments (over base times and distinct |v|) that one

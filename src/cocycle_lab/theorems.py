@@ -582,6 +582,7 @@ def corollary_equivalence(
     tol: float = DEFAULT_TOL,
     nu_candidates=None,
     growth_cap: float = DEFAULT_GROWTH_CAP,
+    headroom: float = DEFAULT_HEADROOM,
 ) -> TheoremRun:
     """Under a fitted integral-instability certificate, the three point
     properties (decay, instability, exp-instability) should be witnessed
@@ -592,17 +593,17 @@ def corollary_equivalence(
     two succeed (the disagreement context lands in the notes), fail when
     a fitted certificate fails its own check.
     """
-    m_hat = estimate_integral_instability(xi, grid, quad_cfg)
+    m_hat = estimate_integral_instability(xi, grid, quad_cfg, headroom)
     gate = check_integral_instability(xi, m_hat, grid, tol, quad_cfg)
     if not gate.passed:
         note = "fitted integral-instability certificate fails its own check"
         return _finish("corollary_equivalence", (), (), (gate,), notes=(note,), verdict="input-invalid")
     f_hat = estimate_decay(xi, grid)
     decay_report = check_decay(xi, f_hat, grid, tol)
-    n_hat = estimate_instability(xi, grid)
+    n_hat = estimate_instability(xi, grid, headroom)
     inst_report = check_instability(xi, n_hat, grid, tol)
     fitted = estimate_exp_instability(
-        xi, grid, nu_candidates=nu_candidates, growth_cap=growth_cap
+        xi, grid, nu_candidates=nu_candidates, growth_cap=growth_cap, headroom=headroom
     )
     derived = {"integral": m_hat, "decay": f_hat, "instability": n_hat, "exp_instability": fitted}
     reports = [gate, decay_report, inst_report]

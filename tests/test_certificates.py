@@ -1,5 +1,6 @@
 """Certificates: witness validation, fitters, checkers, serialization."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -291,13 +292,34 @@ def test_estimator_validation(pexp3_model, short_times):
         estimate_decay(pexp3_model, SampleGrid.create([], [], []))
 
 
-def test_integral_estimate_needs_measurability(short_times):
-    import dataclasses
+UNMEASURABLE = dataclasses.replace(pure_exponential_model(3.0), strongly_measurable=False)
 
-    xi = pure_exponential_model(3.0)
-    blocked = dataclasses.replace(xi, strongly_measurable=False)
+
+def test_integral_estimate_needs_measurability(short_times):
     with pytest.raises(PreconditionError, match="strongly measurable"):
-        estimate_integral_instability(blocked, grid_for(blocked, short_times))
+        estimate_integral_instability(UNMEASURABLE, grid_for(UNMEASURABLE, short_times))
+
+
+REFUSALS = {
+    "exp_instability_zero_headroom": (
+        lambda g: estimate_exp_instability(pure_exponential_model(3.0), g, headroom=0.0),
+        r"^headroom must be > 0, got 0.0$"),
+    "integral_instability_zero_headroom": (
+        lambda g: estimate_integral_instability(pure_exponential_model(3.0), g, headroom=0.0),
+        r"^headroom must be > 0, got 0.0$"),
+    "check_integral_unmeasurable": (
+        lambda g: check_integral_instability(UNMEASURABLE, IntegralInstabilityCertificate(M=ExpWitness(1.0, 0.0)), g),
+        r"^integral instability needs a strongly measurable model$"),
+    "serialize_unknown_object": (
+        lambda g: certificate_to_json_dict(object()), r"^cannot serialize object of type object$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_paths(name, short_times):
+    call, match = REFUSALS[name]
+    with pytest.raises(PreconditionError, match=match):
+        call(SampleGrid.create(short_times, [Trivial(0.0)], [(1.0,)]))
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +601,28 @@ def test_deserialization_rejects_malformed_documents():
     for doc in cases:
         with pytest.raises(PreconditionError):
             certificate_from_json_dict(doc)
+
+
+ONE_BAD_FIELD = {
+    "unknown_witness_form": (InstabilityCertificate(N=ExpWitness(2.0, 0.0)), {"form": "spline"},
+                             r"^unknown witness form 'spline'$"),
+    "grid_hash_not_a_string": (ParametricDecay(2.0, 1.0), {"grid_hash": 7},
+                               r"^grid_hash and tool_version must be strings$"),
+    "details_a_list": (NoCertificate(property_name="decay", reason="why not"), {"details": [1]},
+                       r"^details must be an object$"),
+    "quad_a_list": (IntegralInstabilityCertificate(M=ExpWitness(1.0, 0.5), quad=QuadratureConfig()), {"quad": [1]},
+                    r"^quad must be a JSON object$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_BAD_FIELD))
+def test_deserialization_rejects_one_bad_field(name):
+    cert, bad, match = ONE_BAD_FIELD[name]
+    doc = certificate_to_json_dict(cert)
+    assert {"grid_hash", "tool_version"} <= set(doc) and set(bad) <= set(doc)
+    assert certificate_from_json_dict(doc) == cert
+    with pytest.raises(PreconditionError, match=match):
+        certificate_from_json_dict({**doc, **bad})
 
 
 def test_no_certificate_serialization_keeps_details():

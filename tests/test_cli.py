@@ -744,6 +744,20 @@ def test_theorem_corollary_disagreement_exits_1(tmp_path, contracting_scenario):
     assert "exp-instability: no-certificate" in doc["notes"][0]
 
 
+def test_theorem_corollary_fits_with_the_scenario_headroom(tmp_path):
+    scenario = tmp_path / "sc.json"
+    scenario.write_text(json.dumps({"model": {"kind": "pure_exponential", "rate": 1.3},
+                                    "grid": {"times": {"min": 0, "max": 4, "count": 9}},
+                                    "tolerances": {"headroom": 0.5}}))
+    out = tmp_path / "out"
+    assert main(["theorem", "--scenario", str(scenario), "--out-dir", str(out), "--theorem", "corollary"]) == 0
+    derived = {item["name"]: item["certificate"] for item in read_json(out / "theorem_corollary.json")["derived"]}
+    assert derived["instability"]["N"]["values"] == [1.5] * 9
+    for name, prop in [("integral", "integral-instability"), ("instability", "instability"),
+                       ("exp_instability", "exp-instability")]:
+        assert derived[name] == read_json(estimate_into(scenario, out, prop))
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

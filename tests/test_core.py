@@ -199,6 +199,39 @@ def test_log_norm_zero_image():
         log_norms(dead, np.array([1.0]), 0.0, Trivial(0.0), [(1.0,)])
 
 
+@pytest.mark.parametrize("choice", list(NormChoice))
+def test_scalar_log_norm_of_the_zero_vector(choice):
+    xi = diag_integral_model([1.0, -1.0], choice)
+    assert log_cocycle_norm(xi, 1.0, 0.0, ShiftedGenerator(1, 0.0), (0.0, 0.0)) == -math.inf
+
+
+REFUSALS = {
+    "log_cocycle_norm_wrong_shape": (
+        lambda: log_cocycle_norm(pure_exponential_model(1.0), 1.0, 0.0, Trivial(0.0), (1.0, 2.0)),
+        DomainError, r"^vector has shape \(2,\), model dimension is 1$"),
+    "log_cocycle_norm_infinite_time": (
+        lambda: log_cocycle_norm(pure_exponential_model(1.0), math.inf, 0.0, Trivial(0.0), (1.0,)),
+        DomainError, r"^times must be finite, got \(t=inf, s=0.0\)$"),
+    "grid_infinite_component": (
+        lambda: SampleGrid.create([0.0], [Trivial(0.0)], [(1.0, math.inf)]),
+        PreconditionError, r"^vector components must be finite, got \(1.0, inf\)$"),
+    "semiflow_laws_negative_tol": (
+        lambda: check_semiflow_laws(pure_exponential_model(1.0), SampleGrid.create([0.0], [Trivial(0.0)], [(1.0,)]),
+                                    tol=-1.0),
+        PreconditionError, r"^margin tolerance must be finite and >= 0, got -1.0$"),
+    "diag_nan_rate": (
+        lambda: diag_integral_model([math.nan]),
+        PreconditionError, r"^component rates must be finite, got \(nan,\)$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_paths(name):
+    call, error, match = REFUSALS[name]
+    with pytest.raises(error, match=match):
+        call()
+
+
 def _with_log_factors(xi, log_factors):
     return dataclasses.replace(xi, log_factors=log_factors)
 

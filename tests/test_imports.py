@@ -2,16 +2,21 @@
 every private module-level helper in src/ is referenced in src/, every
 public name (exported, or a module-level function or class in src/) is
 referenced in src/, the release gate or README's Library section, only
-core.py spells out the JSON type rules, and no norm is formed in linear
-space outside the scalar reference."""
+core.py spells out the JSON type rules, no norm is formed in linear
+space outside the scalar reference, and every exception that src/ raises
+by name is one that cli.main turns into exit 2."""
 
 import ast
+import builtins
+import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cocycle_lab
+from cocycle_lab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
@@ -204,3 +209,68 @@ def test_linear_norm_scan_flags_and_exempts():
               "x = np.log(v) + math.exp(1) + linalg.norm(v) + fsum(v)\n")
     assert linear_norms(source, "log_cocycle_norm") == [4, 5, 5, 5, 6, 7, 8]
     assert linear_norms(source) == [2, 2, 4, 5, 5, 5, 6, 7, 8]
+
+
+# Every exception that src/ raises by name reaches one of cli.main's except
+# clauses, so bad input exits 2 with a message instead of a traceback.
+
+
+def caught_by_main(cli_source: str) -> set[str]:
+    """The exception names in the ``except`` clauses of the module-level ``main``."""
+    main = next(node for node in ast.parse(cli_source).body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    return {
+        n.id for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler) and handler.type
+        for n in ast.walk(handler.type) if isinstance(n, ast.Name)
+    }
+
+
+def unmapped_raises(source: str, namespace: dict, caught: tuple[type, ...]) -> list[str]:
+    """``line N: name`` of each ``raise name`` or ``raise name(...)`` in ``source`` whose class,
+    looked up in ``namespace`` and then the builtins, subclasses none of ``caught``.  The
+    AttributeError of a module-level ``__getattr__`` is exempt: the module protocol asks for it."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Raise) and node.exc is not None):
+                continue
+            name = dotted(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            if getattr(top, "name", None) == "__getattr__" and name == "AttributeError":
+                continue
+            cls = namespace.get(name, getattr(builtins, name, None))
+            if not (isinstance(cls, type) and issubclass(cls, caught)):
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def main_catches() -> tuple[type, ...]:
+    names = caught_by_main((ROOT / "src" / "cocycle_lab" / "cli.py").read_text(encoding="utf-8"))
+    return tuple(vars(cli).get(name, getattr(builtins, name, None)) for name in sorted(names))
+
+
+def test_every_raised_exception_exits_2():
+    caught = main_catches()
+    assert all(isinstance(cls, type) and issubclass(cls, BaseException) for cls in caught)
+    found = {}
+    for p in SRC_FILES:
+        module = importlib.import_module("cocycle_lab" if p.name == "__init__.py" else f"cocycle_lab.{p.stem}")
+        found[str(p.relative_to(ROOT))] = unmapped_raises(p.read_text(encoding="utf-8"), vars(module), caught)
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_raise_scan_flags_and_exempts():
+    cli_source = ("def main():\n    try:\n        pass\n    except (ValueError, Custom) as exc:\n        pass\n"
+                  "    except MemoryError:\n        pass\ndef other():\n    try:\n        pass\n"
+                  "    except KeyError:\n        pass\n")
+    assert caught_by_main(cli_source) == {"ValueError", "Custom", "MemoryError"}
+    source = ("def f():\n    raise KeyError('k')\ndef g(x):\n    raise Custom(x) from None\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n"
+              "class C:\n    def m(self):\n        raise AttributeError('m')\n"
+              "def h():\n    raise\nraise ValueError\nraise np.linalg.LinAlgError()\n")
+    namespace = {"Custom": type("Custom", (RuntimeError,), {}), "np": np}
+    assert unmapped_raises(source, namespace, (ValueError, namespace["Custom"])) == [
+        "line 2: KeyError", "line 9: AttributeError", "line 13: np.linalg.LinAlgError"]
+    # a KeyError planted in src/ is flagged against cli.main's real clauses
+    core = (ROOT / "src" / "cocycle_lab" / "core.py").read_text(encoding="utf-8")
+    planted = core + "\n\ndef planted():\n    raise KeyError('planted')\n"
+    assert unmapped_raises(planted, vars(importlib.import_module("cocycle_lab.core")), main_catches()) == [
+        f"line {len(planted.splitlines())}: KeyError"]

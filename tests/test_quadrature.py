@@ -73,7 +73,7 @@ def reference_simpson(f, a, b, cfg):
             stack.append((xa, ya, lm, ylm, xm, ym, s_left, half, depth + 1))
             stack.append((xm, ym, rm, yrm, xb, yb, s_right, half, depth + 1))
     if exhausted:
-        raise QuadratureDepthError("max_depth", partial=total)
+        raise QuadratureDepthError("max_depth")
     return total
 
 
@@ -90,11 +90,11 @@ def composite_simpson(f, a, b, panels):
 
 
 def reference_value(f, a, b, cfg):
-    """(value or partial, whether max_depth was hit) of reference_simpson."""
+    """(value, False) of reference_simpson, or (None, True) if it hit max_depth."""
     try:
         return reference_simpson(f, a, b, cfg), False
-    except QuadratureDepthError as exc:
-        return exc.partial, True
+    except QuadratureDepthError:
+        return None, True
 
 
 def reference_integrand(xi, x, v, t0):
@@ -199,14 +199,16 @@ def test_batched_simpson_matches_reference_bit_for_bit(pieces, name, max_depth):
         calls.append(len(u))
         return f(u)
 
-    try:
-        got = adaptive_simpson(counted, a, b, cfg)
-    except QuadratureDepthError as exc:
-        got = exc.partial
-        first = next(i for i, (_, hit) in enumerate(ref) if hit)
-        assert str(exc).endswith(f"on [{a[first]}, {b[first]}]")
-    else:
-        assert not any(hit for _, hit in ref)
+    hits = [i for i, (_, hit) in enumerate(ref) if hit]
+    if hits:
+        with pytest.raises(QuadratureDepthError) as info:
+            adaptive_simpson(counted, a, b, cfg)
+        assert str(info.value) == f"adaptive refinement hit max_depth={max_depth} on [{a[hits[0]]}, {b[hits[0]]}]"
+        # the intervals that converge alone give their reference bits as a batch of their own
+        ok = [i for i, (_, hit) in enumerate(ref) if not hit]
+        a, b, ref = a[ok], b[ok], [ref[i] for i in ok]
+        calls.clear()
+    got = adaptive_simpson(counted, a, b, cfg)
     assert isinstance(got, np.ndarray)
     assert got.tolist() == [value for value, _ in ref]
     # one call for the first three nodes, then one per refinement depth
@@ -238,11 +240,11 @@ def test_batched_errors_name_leftmost_interval_at_shallowest_depth():
 
     cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14, max_depth=2)
     a, b = np.array([1.0, 0.0, 0.0]), np.array([2.0, 1.0, 1.0])
-    with pytest.raises(QuadratureDepthError, match=r"max_depth=2 on \[0.0, 1.0\]") as info:
+    with pytest.raises(QuadratureDepthError, match=r"max_depth=2 on \[0.0, 1.0\]"):
         adaptive_simpson(g, a, b, cfg)
     ref = [reference_value(g, lo, hi, cfg) for lo, hi in zip(a.tolist(), b.tolist())]
     assert [hit for _, hit in ref] == [False, True, True]
-    assert info.value.partial.tolist() == [value for value, _ in ref]
+    assert adaptive_simpson(g, a[:1], b[:1], cfg).tolist() == [ref[0][0]]
 
 
 FAMILY_INTEGRANDS = {
@@ -254,7 +256,7 @@ FAMILY_INTEGRANDS = {
 
 
 def one_family_outcome(f, a, b, cfg):
-    """("ok" | "depth" | "domain", values or message, depth) of one 1-D call.
+    """("ok", values, None), ("depth", None, message) or ("domain", message, depth) of one 1-D call.
 
     The depth of a DomainError is read from the call count: one call for
     the first three nodes, then one per refinement depth.
@@ -268,7 +270,7 @@ def one_family_outcome(f, a, b, cfg):
     try:
         return "ok", adaptive_simpson(counted, a, b, cfg), None
     except QuadratureDepthError as exc:
-        return "depth", exc.partial, str(exc)
+        return "depth", None, str(exc)
     except DomainError as exc:
         return "domain", str(exc), len(calls) - 2
 
@@ -293,34 +295,38 @@ def test_family_batch_matches_one_call_per_family_bit_for_bit(families, pieces, 
     ref = [one_family_outcome(f, a[r], b[r], cfg) for r, f in enumerate(fs)]
     calls = []
 
-    def batched(nodes):
-        u, rows = nodes
-        assert u.shape == rows.shape
-        calls.append(len(u))
-        # each node is asked for once, in its own family only
-        out = np.empty(len(u))
-        for r, f in enumerate(fs):
-            out[rows == r] = f(u[rows == r])
-        return out
+    def batch_of(fs):
+        def batched(nodes):
+            u, rows = nodes
+            assert u.shape == rows.shape
+            calls.append(len(u))
+            # each node is asked for once, in its own family only
+            out = np.empty(len(u))
+            for r, f in enumerate(fs):
+                out[rows == r] = f(u[rows == r])
+            return out
+
+        return batched
 
     domain = [(depth, r) for r, (kind, _, depth) in enumerate(ref) if kind == "domain"]
     if domain:
         _, first = min(domain)
         with pytest.raises(DomainError) as info:
-            adaptive_simpson(batched, a, b, cfg)
+            adaptive_simpson(batch_of(fs), a, b, cfg)
         assert str(info.value) == ref[first][1]
         return
-    expected = [value for _, value, _ in ref]
     hits = [message for kind, _, message in ref if kind == "depth"]
     if hits:
         with pytest.raises(QuadratureDepthError) as info:
-            adaptive_simpson(batched, a, b, cfg)
+            adaptive_simpson(batch_of(fs), a, b, cfg)
         assert str(info.value) == hits[0]
-        got = info.value.partial
-    else:
-        got = adaptive_simpson(batched, a, b, cfg)
+        # the families that converge alone give their reference bits as a batch of their own
+        ok = [r for r, (kind, _, _) in enumerate(ref) if kind == "ok"]
+        a, b, fs, ref = a[ok], b[ok], [fs[r] for r in ok], [ref[r] for r in ok]
+        calls.clear()
+    got = adaptive_simpson(batch_of(fs), a, b, cfg)
     assert got.shape == a.shape
-    assert got.tolist() == [row.tolist() for row in expected]
+    assert got.tolist() == [value.tolist() for _, value, _ in ref]
     assert len(calls) <= max_depth + 2
 
 
@@ -340,14 +346,6 @@ def test_composite_validation():
     with pytest.raises(PreconditionError):
         composite_simpson(math.sin, 0.0, 1.0, 0)
     assert composite_simpson(math.sin, 2.0, 2.0, 4) == 0.0
-
-
-def test_depth_error_carries_partial():
-    # sqrt has unbounded derivative at 0; two halvings cannot reach 1e-14
-    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14, max_depth=2)
-    with pytest.raises(QuadratureDepthError) as info:
-        adaptive_simpson(np.sqrt, 0.0, 1.0, cfg)
-    assert info.value.partial == pytest.approx(2.0 / 3.0, abs=5e-3)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -520,12 +518,11 @@ def trajectory_by_one_simpson_call(xi, t0, x, v, t, cfg):
 
 
 def trajectory_outcome(integrate, *args):
-    """("ok", value bits) or ("depth", message, partial bits) of one integral."""
+    """("ok", value bits) or ("depth", message) of one integral."""
     try:
         return "ok", integrate(*args).hex()
     except QuadratureDepthError as exc:
-        assert isinstance(exc.partial, float)
-        return "depth", str(exc), exc.partial.hex()
+        return "depth", str(exc)
 
 
 # segments up to 1 wide: wider sin segments at rel_tol 1e-8 can refine to millions of leaves
@@ -665,25 +662,27 @@ def test_prefix_error_names_the_first_failure_of_the_first_failing_call():
 def test_refinement_in_breadth_stops_at_the_live_budget(run, where):
     budget = f"the budget of {quadrature.MAX_LIVE_SUBINTERVALS} live subintervals on {where}"
     start = time.perf_counter()
-    with pytest.raises(QuadratureDepthError, match=re.escape(budget)) as info:
+    with pytest.raises(QuadratureDepthError, match=re.escape(budget)):
         run()
     assert time.perf_counter() - start < 10.0
-    assert np.all(np.isfinite(info.value.partial))
 
 
 def test_live_budget_stops_through_the_max_depth_path():
-    # A call stopped by the budget returns the partial that max_depth at that depth gives, bit for bit.
+    # A call stopped by the budget asks for the nodes that max_depth at that depth asks for, and names the same interval.
     f = lambda u: np.sqrt(np.abs(u - 1.0 / 3.0)) + np.sqrt(np.abs(u - 0.7))
+
+    def nodes_asked(cfg, match):
+        asked = []
+        with pytest.raises(QuadratureDepthError, match=match):
+            adaptive_simpson(lambda u: asked.append(u.tolist()) or f(u), [0.0, 1.0], [1.0, 2.0], cfg)
+        return asked
+
     with mock.patch.object(quadrature, "MAX_LIVE_SUBINTERVALS", 8):
-        with pytest.raises(QuadratureDepthError, match=r"budget of 8 live subintervals on \[0.0, 1.0\]") as info:
-            adaptive_simpson(f, [0.0, 1.0], [1.0, 2.0], QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16))
-    partials = []
-    for depth in range(1, 10):
-        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16, max_depth=depth)
-        with pytest.raises(QuadratureDepthError, match=rf"max_depth={depth} on \[0.0, 1.0\]") as at_depth:
-            adaptive_simpson(f, [0.0, 1.0], [1.0, 2.0], cfg)
-        partials.append(at_depth.value.partial.tolist())
-    assert info.value.partial.tolist() in partials
+        budget = nodes_asked(QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16),
+                             r"budget of 8 live subintervals on \[0.0, 1.0\]")
+    at_depth = [nodes_asked(QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16, max_depth=depth),
+                            rf"max_depth={depth} on \[0.0, 1.0\]") for depth in range(1, 10)]
+    assert budget in at_depth
 
 
 def test_prefix_validation(pexp3_model):

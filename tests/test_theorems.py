@@ -219,6 +219,30 @@ def test_thm2_rejects_failing_input_certificate():
     assert any(not r.passed for r in run.reports)
 
 
+# Each validator on an input certificate that fails its own check: nu = 4
+# outruns the growth of e^t, and UNIT_N and UNIT_M fail on the contracting e^{-5t}.
+TOO_FAST = ExpInstabilityCertificate(N=ExpWitness(1.01, 0.0), nu=4.0)
+GATE_FAILURES = {
+    "remark_obs2": (1.0, lambda xi, g: remark_obs2(TOO_FAST, xi, g)),
+    "prop_shift_necessity": (1.0, lambda xi, g: prop_shift_necessity(TOO_FAST, xi, g)),
+    "thm1_necessity": (1.0, lambda xi, g: thm1_necessity(TOO_FAST, xi, g)),
+    "thm1_sufficiency": (-5.0, lambda xi, g: thm1_sufficiency(UNIT_N, UNIT_M, xi, g)),
+    "prop_integral_decay": (-5.0, lambda xi, g: prop_integral_decay_to_instability(UNIT_F, UNIT_M, xi, g)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_FAILURES))
+def test_validators_refuse_a_failing_input_certificate(name):
+    rate, validate = GATE_FAILURES[name]
+    xi = pure_exponential_model(rate)
+    run = validate(xi, grid_for(xi, THM2_TIMES))
+    assert run.verdict == "input-invalid"
+    assert not run.passed
+    assert run.derived == ()
+    assert run.notes[0].endswith("input certificate fails its own check on this grid")
+    assert any(not r.passed for r in run.reports)
+
+
 def test_thm2_no_eligible_pivot_time(pexp3, full_times):
     # f never drops below 1 at any integer grid time inside the window
     f = TabulatedDecay.from_values([0.0, 16.5, 17.0], [1.0, 1.0, 0.5])
