@@ -331,19 +331,6 @@ def decay_to_exponential(f: DecayCertificate, mu: float) -> ParametricDecay:
 # ---------------------------------------------------------------------------
 
 
-def _vector_norms(xi: SkewEvolutionSemiflow, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(log ||v_b||, |v_b| / ||v_b||) for every grid vector, under the model's norm.
-
-    Both come from log |v| through ``core._log_norm``, the kernel of
-    ``log_norms``, so no norm is formed in linear space: a vector whose
-    norm overflows a float needs no rescue.
-    """
-    with np.errstate(divide="ignore"):
-        log_mags = np.log(np.abs(np.asarray(grid.vectors, dtype=float)))  # zero components give -inf terms
-    logs = _log_norm(log_mags, xi.norm_choice)
-    return logs, np.exp(log_mags - logs[:, None])
-
-
 def _pair_tables(xi: SkewEvolutionSemiflow, grid: SampleGrid):
     """Yield (base label, vector label, log ||v||, L) per (base, vector) pair.
 
@@ -354,11 +341,12 @@ def _pair_tables(xi: SkewEvolutionSemiflow, grid: SampleGrid):
     times = np.asarray(grid.times)
     n = len(times)
     k, i = _pairs(n)
-    log_v, _ = _vector_norms(xi, grid)
+    log_mags = grid.log_magnitudes
+    log_v = _log_norm(log_mags, xi.norm_choice)
     labels = grid.vector_labels()
     for x in grid.base_points:
         table = np.full((len(labels), n, n), np.nan)
-        table[:, i, k] = log_norms(xi, times[i], times[k], x, grid.vectors)
+        table[:, i, k] = log_norms(xi, times[i], times[k], x, log_mags)
         for b, vlabel in enumerate(labels):
             yield x.label(), vlabel, log_v[b], table[b]
 
@@ -399,10 +387,11 @@ def _decay_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid):
     t0 = times[:, None]
     with np.errstate(over="ignore"):  # an infinite u + t0 is log_norms' DomainError
         t = times + t0
-    log_v, _ = _vector_norms(xi, grid)
+    log_mags = grid.log_magnitudes
+    log_v = _log_norm(log_mags, xi.norm_choice)
     labels = grid.vector_labels()
     for x in grid.base_points:
-        table = log_norms(xi, t, t0, x, grid.vectors)
+        table = log_norms(xi, t, t0, x, log_mags)
         for b, vlabel in enumerate(labels):
             yield x.label(), vlabel, table[b] - log_v[b]
 
@@ -417,16 +406,18 @@ def _datko_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, quad_cfg: Quadratu
     t = t0 samples are -inf.  The ratio has degree 0 in v, so each v is
     normalized before the quadrature: otherwise the integrator's absolute
     tolerance floor would make the refinement depth, and hence the last
-    few digits, depend on the scale of v.
+    few digits, depend on the scale of v.  Both read log |v| - log ||v||,
+    so a component far below the norm, as in [1e-300, 1e300], is kept.
     """
     times = np.asarray(grid.times)
     k, i = _pairs(len(times))
-    _, block = _vector_norms(xi, grid)
+    log_mags = grid.log_magnitudes
+    log_mags = log_mags - _log_norm(log_mags, xi.norm_choice)[:, None]
     labels = grid.vector_labels()
     for x in grid.base_points:
-        prefix = norm_integral_prefix(xi, x, block, times, quad_cfg)
+        prefix = norm_integral_prefix(xi, x, log_mags, times, quad_cfg)
         with np.errstate(divide="ignore"):
-            stats = np.log(prefix[:, k, i]) - log_norms(xi, times[i], times[k], x, block)
+            stats = np.log(prefix[:, k, i]) - log_norms(xi, times[i], times[k], x, log_mags)
         for vlabel, row in zip(labels, stats):
             yield x.label(), vlabel, row
 

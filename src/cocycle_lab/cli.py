@@ -442,7 +442,7 @@ def cmd_check(sc: Scenario, xi, prop: str, cert_path: str) -> int:
     cert = _load_certificate(cert_path, sc)
     found = _property_of(cert)
     if found != prop:
-        raise PreconditionError(f"a {found} certificate does not match property {prop!r}")
+        raise PreconditionError(f"{cert_path} holds a certificate for property {found!r}, not {prop!r}")
     report = _run_check(sc, xi, prop, cert)
     doc = {
         "property": prop,

@@ -257,12 +257,12 @@ def log_norms(
     t: float | np.ndarray,
     s: float | np.ndarray,
     x: BasePoint,
-    vectors: Sequence[Sequence[float]] | np.ndarray,
+    log_mags: np.ndarray,
 ) -> np.ndarray:
-    """L[b, ...] = log ||Phi(t, s, x) vectors[b]|| over arrays of time pairs.
+    """L[b, ...] = log ||Phi(t, s, x) v_b|| over arrays of time pairs, from log |v_b| = ``log_mags[b]``.
 
     ``t`` and ``s`` broadcast together, and the result has shape
-    ``(len(vectors),) + np.broadcast(t, s).shape``.  One ``log_factors``
+    ``(len(log_mags),) + np.broadcast(t, s).shape``.  One ``log_factors``
     call serves every pair and vector; the components are combined by a
     log-sum-exp, so no norm is formed in linear space.  Raises DomainError
     when a pair leaves t >= s >= 0 and PreconditionError when an image
@@ -273,14 +273,12 @@ def log_norms(
     if outside.any():
         at = np.unravel_index(np.argmax(outside), outside.shape)
         raise DomainError(f"(t, s) = ({t[at]}, {s[at]}) outside the admissible region t >= s >= 0")
-    vecs = np.asarray(vectors, dtype=float)
-    if vecs.ndim != 2 or vecs.shape[1] != xi.dimension:
-        raise DomainError(f"vectors have shape {vecs.shape}, model dimension is {xi.dimension}")
+    log_mags = np.asarray(log_mags, dtype=float)
+    if log_mags.ndim != 2 or log_mags.shape[1] != xi.dimension:
+        raise DomainError(f"vectors have shape {log_mags.shape}, model dimension is {xi.dimension}")
     g = _log_factors(xi, t, s, x)
-    with np.errstate(divide="ignore"):
-        # Zero components give -inf terms, which drop out of every norm.
-        log_mags = np.log(np.abs(vecs)).reshape(vecs.shape + (1,) * t.ndim)
-    out = _log_norm(g[None] + log_mags, xi.norm_choice)
+    # Zero components are -inf terms, which drop out of every norm.
+    out = _log_norm(g[None] + log_mags.reshape(log_mags.shape + (1,) * t.ndim), xi.norm_choice)
     vanished = np.isneginf(out)
     if vanished.any():
         at = np.unravel_index(np.argmax(vanished), vanished.shape)[1:]
@@ -356,6 +354,13 @@ class SampleGrid:
             base_points=tuple(base_points),
             vectors=tuple(tuple(float(c) for c in v) for v in vectors),
         )
+
+    @property
+    def log_magnitudes(self) -> np.ndarray:
+        """log |v| per (vector, component), -inf for a zero component: the
+        one form in which grid vectors reach every norm."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(np.asarray(self.vectors, dtype=float)))
 
     def vector_labels(self) -> list[str]:
         return [format_vector(v) for v in self.vectors]
@@ -598,13 +603,10 @@ def check_cocycle_laws(
     bound, ``_GAP_ROUNDING`` times the sum of the |lf| that form it; the
     report records the largest bound as ``roundoff_allowance``.
     """
-    for v in grid.vectors:
-        if len(v) != xi.dimension:
-            raise DomainError(f"vector has shape ({len(v)},), model dimension is {xi.dimension}")
+    log_v = grid.log_magnitudes[:, :, None]
+    if log_v.shape[1] != xi.dimension:  # a grid's vectors share one length
+        raise DomainError(f"vector has shape ({log_v.shape[1]},), model dimension is {xi.dimension}")
     T = np.asarray(grid.times, dtype=float)
-    with np.errstate(divide="ignore"):
-        # log |v| per (vector, component); zero components drop out of every norm
-        log_v = np.log(np.abs(np.asarray(grid.vectors, dtype=float)))[:, :, None]
 
     def lf(t, s, x: BasePoint) -> np.ndarray:
         # A vanished component leaves the relative residual undefined.

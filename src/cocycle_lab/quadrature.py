@@ -152,20 +152,17 @@ def adaptive_simpson(
 
 
 def _norm_trajectory_fn(
-    xi: SkewEvolutionSemiflow, t0s: np.ndarray, x: BasePoint, block: np.ndarray
+    xi: SkewEvolutionSemiflow, t0s: np.ndarray, x: BasePoint, log_mags: np.ndarray
 ):
-    """Integrand (taus, rows) -> ||Phi(taus[p], t0s[r], x) block[r]|| with r = rows[p], per node p.
+    """Integrand (taus, rows) -> ||Phi(taus[p], t0s[r], x) v_r|| with r = rows[p], per node p.
 
-    Family r is the trajectory from base time ``t0s[r]`` of vector
-    ``block[r]``, and one ``log_factors`` call serves every node of every
-    family.  The norm is exp of ``core._log_norm``, the kernel of
-    ``log_norms``, without its domain checks (every node lies in [t0, t]);
-    only |v| is read.  Each node's terms lie on a contiguous last axis, so
-    a node is reduced as it would be alone.
+    Family r is the trajectory from base time ``t0s[r]`` of the v_r with
+    log |v_r| = ``log_mags[r]``, and one ``log_factors`` call serves every
+    node of every family.  The norm is exp of ``core._log_norm``, the
+    kernel of ``log_norms``, without its domain checks (every node lies in
+    [t0, t]).  Each node's terms lie on a contiguous last axis, so a node
+    is reduced as it would be alone.
     """
-    with np.errstate(divide="ignore"):
-        log_mags = np.log(np.abs(block))  # zero components give -inf terms, which drop out
-
     def integrand(nodes) -> np.ndarray:
         taus, rows = nodes
         terms = np.ascontiguousarray(xi.log_factors(taus, t0s[rows], x).T) + log_mags[rows]  # [node, component]
@@ -186,7 +183,7 @@ def integrate_norm_trajectory(
 
     Nonnegative, zero exactly when t == t0, and additive across a split
     point up to the combined tolerances.  The one-segment case of
-    ``norm_integral_prefix``, with its bits.
+    ``norm_integral_prefix`` on log |v|, with its bits.
     """
     if not (math.isfinite(t0) and math.isfinite(t)) or t0 < 0.0 or t < t0:
         raise DomainError(f"need t >= t0 >= 0, got (t={t}, t0={t0})")
@@ -195,7 +192,9 @@ def integrate_norm_trajectory(
         raise PreconditionError("trajectory integral needs a nonzero vector")
     if t == t0:
         return 0.0
-    return float(norm_integral_prefix(xi, x, arr, (t0, t), cfg)[0, 1])
+    with np.errstate(divide="ignore"):
+        log_mags = np.log(np.abs(arr))
+    return float(norm_integral_prefix(xi, x, log_mags, (t0, t), cfg)[0, 1])
 
 
 # The most real grid segments (over base times and distinct |v|) that one
@@ -206,19 +205,20 @@ MAX_BATCH_SEGMENTS = 4096
 def norm_integral_prefix(
     xi: SkewEvolutionSemiflow,
     x: BasePoint,
-    v: Sequence[float] | np.ndarray,
+    log_mags: Sequence[float] | np.ndarray,
     times: Sequence[float],
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> np.ndarray:
     """Cumulative trajectory integrals from every grid time to every later one.
 
-    ``v`` is one vector, giving an (n, n) array P, or a (V, dim) block of
-    vectors, giving one such array per row in a (V, n, n) array.
-    P[..., k, i] is the integral of ||Phi(tau, t_k, x) v|| over [t_k, t_i],
-    and 0 for i <= k; row k is the prefix over the grid ``times[k:]``, each
-    grid segment refined on its own and the segments summed left to right.
+    ``log_mags`` is log |v| of one vector v (-inf for a zero component),
+    giving an (n, n) array P, or a (V, dim) block of such rows, giving one
+    such array per row in a (V, n, n) array.  P[..., k, i] is the integral
+    of ||Phi(tau, t_k, x) v|| over [t_k, t_i], and 0 for i <= k; row k is
+    the prefix over the grid ``times[k:]``, each grid segment refined on
+    its own and the segments summed left to right.
 
-    Rows with equal |v| have the same integrand, so each distinct |v| is
+    Equal rows have the same integrand, so each distinct row is
     integrated once.  Families (base time k, distinct |v|) are batched in
     one adaptive_simpson call per group of consecutive base times, each
     group holding at most ``MAX_BATCH_SEGMENTS`` real segments (or one
@@ -236,12 +236,12 @@ def norm_integral_prefix(
         raise PreconditionError("grid nonempty")
     if np.any(ts[1:] <= ts[:-1]) or ts[0] < 0.0:
         raise PreconditionError("times must be strictly increasing and >= 0")
-    arr = np.asarray(v, dtype=float)
+    arr = np.asarray(log_mags, dtype=float)
     block = np.atleast_2d(arr)
-    if not np.all(np.any(block != 0.0, axis=1)):
+    if not np.all(np.any(np.isfinite(block), axis=1)):
         raise PreconditionError("trajectory integral needs a nonzero vector")
-    # distinct |v| rows, in order of first appearance; inverse maps each row to its own
-    _, first, inverse = np.unique(np.abs(block), axis=0, return_index=True, return_inverse=True)
+    # distinct rows, in order of first appearance; inverse maps each row to its own
+    _, first, inverse = np.unique(block, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     distinct, inverse = block[first[order]], np.argsort(order)[inverse.ravel()]
     n, d = len(ts), len(distinct)

@@ -36,6 +36,13 @@ def plain_norm(v, choice):
     return max(mags)
 
 
+def log_mags(vectors):
+    """log |v| per component of linear test vectors, -inf for a zero one: the input
+    form of ``log_norms`` and ``norm_integral_prefix``."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(np.asarray(vectors, dtype=float)))
+
+
 def row_sink(rows):
     """A margin sink that appends one (t, s, t0, base, vector, margin) row per sample."""
 

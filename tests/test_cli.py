@@ -643,6 +643,31 @@ def test_check_kind_mismatch_exits_2(tmp_path, sin_scenario):
     assert code == 2
 
 
+@pytest.mark.parametrize("found", ["instability", "exp-instability", "integral-instability"])
+def test_check_property_mismatch_names_both_properties(tmp_path, sin_scenario, capsys, found):
+    cert = estimate_into(sin_scenario, tmp_path / "certs", found)
+    out = tmp_path / "out"
+    assert main(["check", "--scenario", str(sin_scenario), "--out-dir", str(out),
+                 "--property", "decay", "--cert", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cocycle-lab: error: {cert} holds a certificate for property '{found}', not 'decay'\n"
+    assert not out.exists()
+
+
+def test_integral_instability_keeps_a_component_far_below_the_norm(tmp_path):
+    # |v| / ||v|| underflowed 1e-300 / 1e300 to 0, so the Datko statistic ignored the
+    # growing component: log M(16) read 1078.9, and estimate exited 2 with "math range error"
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps({"model": {"kind": "diag_integral", "alphas": [200, -200]},
+                             "grid": {"times": {"min": 0, "max": 16, "count": 33}, "vectors": [[1e-300, 1e300]]}}))
+    out = tmp_path / "out"
+    cert = estimate_into(p, out, "integral-instability")
+    assert math.log(read_json(cert)["M"]["values"][-1]) == pytest.approx(678.922, rel=1e-6)
+    assert main(["check", "--scenario", str(p), "--out-dir", str(out),
+                 "--property", "integral-instability", "--cert", str(cert)]) == 0
+    assert read_json(out / "check_integral-instability.json")["report"]["verdict"] == "pass"
+
+
 def test_check_accepts_embedded_certificate_from_check_file(tmp_path, sin_scenario):
     out = tmp_path / "out"
     cert = estimate_into(sin_scenario, out, "decay")

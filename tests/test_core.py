@@ -35,7 +35,7 @@ from cocycle_lab.core import (
 )
 from cocycle_lab.models import diag_integral_model, pure_exponential_model, sin_scalar_model
 
-from conftest import grid_for, plain_norm, row_sink, triples
+from conftest import grid_for, log_mags, plain_norm, row_sink, triples
 
 times_st = st.floats(0.0, 30.0, allow_nan=False)
 
@@ -170,9 +170,9 @@ def test_eval_domain_errors(sin_model):
     with pytest.raises(DomainError):
         eval_semiflow(sin_model, 1.0, 2.0, Trivial(0.0))
     with pytest.raises(DomainError):
-        log_norms(sin_model, 2.0, -1.0, Trivial(0.0), [(1.0,)])
+        log_norms(sin_model, 2.0, -1.0, Trivial(0.0), log_mags([(1.0,)]))
     with pytest.raises(DomainError, match="model dimension is 1"):
-        log_norms(sin_model, 2.0, 1.0, Trivial(0.0), [(1.0, 2.0)])
+        log_norms(sin_model, 2.0, 1.0, Trivial(0.0), log_mags([(1.0, 2.0)]))
 
 
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0))
@@ -196,7 +196,7 @@ def test_log_norm_zero_image():
     )
     assert log_cocycle_norm(dead, 1.0, 0.0, Trivial(0.0), (1.0,)) == -math.inf
     with pytest.raises(PreconditionError, match="cocycle image vanished"):
-        log_norms(dead, np.array([1.0]), 0.0, Trivial(0.0), [(1.0,)])
+        log_norms(dead, np.array([1.0]), 0.0, Trivial(0.0), log_mags([(1.0,)]))
 
 
 @pytest.mark.parametrize("choice", list(NormChoice))
@@ -241,14 +241,14 @@ def test_log_norms_reject_nonfinite_log_factors(bad):
     xi = _with_log_factors(pure_exponential_model(0.0),
                            lambda t, s, x: np.where(t - s >= 3.0, bad, 0.0)[None])
     with pytest.raises(DomainError, match=r"at \(t=4.0, s=0.0\) are not all finite"):
-        log_norms(xi, np.array([1.0, 4.0, 5.0]), 0.0, Trivial(0.0), [(1.0,)])
+        log_norms(xi, np.array([1.0, 4.0, 5.0]), 0.0, Trivial(0.0), log_mags([(1.0,)]))
 
 
 def test_log_norms_keep_a_vanished_component(diag_model):
     # a -inf factor is a component that vanished; the other one carries the norm
     xi = _with_log_factors(diag_model, lambda t, s, x: np.stack(
         np.broadcast_arrays(np.full(np.shape(t - s), -math.inf), t - s)))
-    got = log_norms(xi, np.array([1.0, 2.0]), 0.0, ShiftedGenerator(1, 0.0), [(1.0, 1.0)])
+    got = log_norms(xi, np.array([1.0, 2.0]), 0.0, ShiftedGenerator(1, 0.0), log_mags([(1.0, 1.0)]))
     assert got.tolist() == [[1.0, 2.0]]
 
 
@@ -278,7 +278,7 @@ vector_st = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=4).filter(
 def _assert_matches_reference(xi, x, pairs, vectors):
     t = np.array([p[0] for p in pairs])
     s = np.array([p[1] for p in pairs])
-    got = log_norms(xi, t, s, x, vectors)
+    got = log_norms(xi, t, s, x, log_mags(vectors))
     assert got.shape == (len(vectors), len(pairs))
     for b, v in enumerate(vectors):
         for q, (tq, sq) in enumerate(pairs):
@@ -309,16 +309,16 @@ def test_log_norms_match_scalar_reference_diag(alphas, n, sigma, pairs, choice, 
 def test_log_norms_shape_and_domain(sin_model, diag_model):
     x = ShiftedGenerator(1, 0.0)
     grid_t = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
-    assert log_norms(diag_model, grid_t, 0.5, x, [(1.0, 0.0)]).shape == (1, 2, 3)
-    assert log_norms(diag_model, 2.0, 1.0, x, [(1.0, 0.0), (0.0, 1.0)]).shape == (2,)
+    assert log_norms(diag_model, grid_t, 0.5, x, log_mags([(1.0, 0.0)])).shape == (1, 2, 3)
+    assert log_norms(diag_model, 2.0, 1.0, x, log_mags([(1.0, 0.0), (0.0, 1.0)])).shape == (2,)
     assert diag_model.log_factors(grid_t, 0.5, x).shape == (2, 2, 3)
     assert sin_model.log_factors(1.0, 0.0, Trivial(0.0)).shape == (1,)
     with pytest.raises(DomainError):
-        log_norms(sin_model, np.array([1.0, 0.5]), 1.0, Trivial(0.0), [(1.0,)])
+        log_norms(sin_model, np.array([1.0, 0.5]), 1.0, Trivial(0.0), log_mags([(1.0,)]))
     with pytest.raises(DomainError):
-        log_norms(sin_model, np.array([1.0, np.nan]), 0.0, Trivial(0.0), [(1.0,)])
+        log_norms(sin_model, np.array([1.0, np.nan]), 0.0, Trivial(0.0), log_mags([(1.0,)]))
     with pytest.raises(DomainError):
-        log_norms(sin_model, 1.0, 0.0, Trivial(0.0), [(1.0, 2.0)])
+        log_norms(sin_model, 1.0, 0.0, Trivial(0.0), log_mags([(1.0, 2.0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ every private module-level helper in src/ is referenced in src/, every
 public name (exported, or a module-level function or class in src/) is
 referenced in src/, the release gate or README's Library section, only
 core.py spells out the JSON type rules, no norm is formed in linear
-space outside the scalar reference, and every exception that src/ raises
+space outside the scalar reference, log |v| is formed from grid vectors
+only in SampleGrid.log_magnitudes, and every exception that src/ raises
 by name is one that cli.main turns into exit 2."""
 
 import ast
@@ -209,6 +210,62 @@ def test_linear_norm_scan_flags_and_exempts():
               "x = np.log(v) + math.exp(1) + linalg.norm(v) + fsum(v)\n")
     assert linear_norms(source, "log_cocycle_norm") == [4, 5, 5, 5, 6, 7, 8]
     assert linear_norms(source) == [2, 2, 4, 5, 5, 5, 6, 7, 8]
+
+
+# Vector magnitudes: grid vectors reach every norm as log |v|, which only
+# SampleGrid.log_magnitudes forms from them.  The gate API
+# integrate_norm_trajectory takes a linear vector, and the scalar reference
+# log_cocycle_norm reads one, so each converts its own.
+LOG_MAGNITUDE_SITES = {
+    "src/cocycle_lab/core.py": {"SampleGrid.log_magnitudes", "log_cocycle_norm"},
+    "src/cocycle_lab/quadrature.py": {"integrate_norm_trajectory"},
+}
+LOGS = {"np.log", "math.log"}
+ABSOLUTES = {"np.abs", "np.absolute", "np.fabs", "abs", "math.fabs"}
+
+
+def log_magnitudes(source: str) -> dict[str, list[int]]:
+    """Lines of the ``log(abs(...))`` calls in ``source``, numpy's or math's, by their
+    scope: the module-level function, ``Class.method`` or "" at module level."""
+    tree = ast.parse(source)
+    scope = {}
+    for top in tree.body:
+        for member in top.body if isinstance(top, ast.ClassDef) else [top]:
+            name = getattr(member, "name", "")
+            name = f"{top.name}.{name}" if member is not top else name
+            scope.update((id(n), name) for n in ast.walk(member))
+    found: dict[str, list[int]] = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and dotted(node.func) in LOGS and node.args
+                and isinstance(node.args[0], ast.Call) and dotted(node.args[0].func) in ABSOLUTES):
+            found.setdefault(scope[id(node)], []).append(node.lineno)
+    return found
+
+
+def test_log_magnitudes_are_formed_in_one_place():
+    found = {
+        f"{p.relative_to(ROOT)}: {name}": lines
+        for p in SRC_FILES
+        for name, lines in log_magnitudes(p.read_text(encoding="utf-8")).items()
+        if name not in LOG_MAGNITUDE_SITES.get(str(p.relative_to(ROOT)), set())
+    }
+    assert found == {}
+
+
+def test_log_magnitude_scan_flags_and_exempts():
+    source = ("import math\nclass Grid:\n    size = abs(-1)\n    @property\n    def mags(self):\n"
+              "        return np.log(np.abs(self.v))\n"
+              "def norms(v):\n    with np.errstate(divide='ignore'):\n"
+              "        return np.log(np.abs(v)).reshape(-1) + np.log(v) + np.abs(np.log(v))\n"
+              "def scalar(v):\n    return [math.log(abs(c)) for c in v] + [math.log(math.fabs(c)) for c in v]\n"
+              "top = np.log(np.absolute(w))\n")
+    assert log_magnitudes(source) == {"Grid.mags": [6], "norms": [9], "scalar": [11, 11], "": [12]}
+    # a fourth site planted in core.py is flagged; the three allowed ones are not
+    core = (ROOT / "src" / "cocycle_lab" / "core.py").read_text(encoding="utf-8")
+    planted = core + "\n\ndef planted(vectors):\n    return np.log(np.abs(vectors))\n"
+    sites = log_magnitudes(planted)
+    assert set(sites) == {"SampleGrid.log_magnitudes", "log_cocycle_norm", "planted"}
+    assert sites["planted"] == [len(planted.splitlines())]
 
 
 # Every exception that src/ raises by name reaches one of cli.main's except

@@ -21,6 +21,7 @@ from cocycle_lab import (
 )
 from cocycle_lab.core import log_cocycle_norm, log_norms
 from cocycle_lab.quadrature import QuadratureConfig, adaptive_simpson
+from conftest import log_mags
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +148,13 @@ def test_diag_components_scale_by_generator_integral(diag_model):
     assert out[0] == pytest.approx(gain, rel=1e-14)
     assert out[1] == pytest.approx(-gain, rel=1e-14)
     # the sum norm of Phi(t, s, x)(1, 1) is e^gain + e^-gain
-    [got] = log_norms(diag_model, t, s, x, [(1.0, 1.0)])
+    [got] = log_norms(diag_model, t, s, x, log_mags([(1.0, 1.0)]))
     assert got == pytest.approx(math.log(2.0 * math.cosh(gain)), rel=1e-14)
 
 
 def test_diag_rejects_trivial_base(diag_model):
     with pytest.raises(DomainError, match="ShiftedGenerator base points"):
-        log_norms(diag_model, 1.0, 0.0, Trivial(0.0), [(1.0, 1.0)])
+        log_norms(diag_model, 1.0, 0.0, Trivial(0.0), log_mags([(1.0, 1.0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from cocycle_lab import (
     sin_scalar_model,
 )
 from cocycle_lab.core import _log_norm, log_cocycle_norm
+from conftest import log_mags
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -99,11 +100,10 @@ def reference_value(f, a, b, cfg):
 
 def reference_integrand(xi, x, v, t0):
     """tau -> ||Phi(tau, t0, x) v|| for one float tau: exp of ``core._log_norm`` over one row of log terms."""
-    with np.errstate(divide="ignore"):
-        log_mags = np.log(np.abs(np.asarray(v, dtype=float)))
+    log_v = log_mags(v)
 
     def integrand(tau):
-        terms = np.asarray(xi.log_factors(tau, t0, x), dtype=float) + log_mags
+        terms = np.asarray(xi.log_factors(tau, t0, x), dtype=float) + log_v
         return float(np.exp(_log_norm(terms[None, :], xi.norm_choice))[0])
 
     return integrand
@@ -479,7 +479,7 @@ def test_euclidean_integral_keeps_a_tiny_component():
 
 def test_prefix_matches_single_calls(pexp3_model):
     times = [0.0, 0.5, 1.25, 2.0]
-    prefix = norm_integral_prefix(pexp3_model, Trivial(0.0), (1.0,), times, TIGHT)
+    prefix = norm_integral_prefix(pexp3_model, Trivial(0.0), log_mags((1.0,)), times, TIGHT)
     assert prefix.shape == (4, 4)
     for k, t0 in enumerate(times):
         assert prefix[k, : k + 1].tolist() == [0.0] * (k + 1)
@@ -503,7 +503,7 @@ PREFIX_CASES = {
 def test_prefix_matches_per_segment_reference_exactly(full_times, case, choice):
     make, x, v = PREFIX_CASES[case]
     xi = make(choice)
-    got = norm_integral_prefix(xi, x, v, full_times, QuadratureConfig())
+    got = norm_integral_prefix(xi, x, log_mags(v), full_times, QuadratureConfig())
     assert got.shape == (len(full_times), len(full_times))
     for k in (0, 13, 40, 63):
         assert got[k, :k].tolist() == [0.0] * k
@@ -513,7 +513,7 @@ def test_prefix_matches_per_segment_reference_exactly(full_times, case, choice):
 def trajectory_by_one_simpson_call(xi, t0, x, v, t, cfg):
     """The integral over [t0, t] as one scalar adaptive_simpson call: the oracle
     of integrate_norm_trajectory's route through norm_integral_prefix."""
-    fn = quadrature._norm_trajectory_fn(xi, np.array([float(t0)]), x, np.asarray(v, dtype=float)[None])
+    fn = quadrature._norm_trajectory_fn(xi, np.array([float(t0)]), x, log_mags([v]))
     return adaptive_simpson(lambda taus: fn((taus, np.zeros(len(taus), dtype=int))), t0, t, cfg)
 
 
@@ -558,9 +558,9 @@ def test_prefix_of_a_vector_block_stacks_single_prefixes_exactly(full_times, cas
     block = np.array(vectors, dtype=float)
     for k in (0, 40, 63, 64):  # k = 64 leaves a grid of one time
         times = full_times[k:]
-        got = norm_integral_prefix(xi, x, block, times, QuadratureConfig())
+        got = norm_integral_prefix(xi, x, log_mags(block), times, QuadratureConfig())
         assert got.shape == (len(block), len(times), len(times))
-        assert got.tolist() == [norm_integral_prefix(xi, x, v, times, QuadratureConfig()).tolist()
+        assert got.tolist() == [norm_integral_prefix(xi, x, log_mags(v), times, QuadratureConfig()).tolist()
                                 for v in block]
     assert got.tolist() == [[[0.0]]] * len(block)
 
@@ -572,7 +572,7 @@ def test_integrand_is_exp_of_the_scalar_log_norm(case, choice):
     xi, block = make(choice), np.array(vectors, dtype=float)
     rng = np.random.default_rng(7)
     t0s = np.array([0.0, 1.5, 7.25])
-    fn = quadrature._norm_trajectory_fn(xi, np.repeat(t0s, len(block)), x, np.tile(block, (len(t0s), 1)))
+    fn = quadrature._norm_trajectory_fn(xi, np.repeat(t0s, len(block)), x, np.tile(log_mags(block), (len(t0s), 1)))
     rows = rng.integers(0, len(t0s) * len(block), 300)
     taus = t0s[rows // len(block)] + rng.uniform(0.0, 4.0, len(rows))
     for tau, r, got in zip(taus, rows, fn((taus, rows))):
@@ -632,9 +632,9 @@ def test_batch_over_base_times_matches_per_segment_reference(name, choice, times
             # the first hit by base time, then row, then segment, whatever the grouping
             k, _, j = min(hits)
             with pytest.raises(QuadratureDepthError, match=re.escape(f"on [{times[k + j]}, {times[k + j + 1]}]")):
-                norm_integral_prefix(xi, x, block, times, cfg)
+                norm_integral_prefix(xi, x, log_mags(block), times, cfg)
             return
-        got = norm_integral_prefix(xi, x, block, times, cfg)
+        got = norm_integral_prefix(xi, x, log_mags(block), times, cfg)
     assert got.shape == (len(block), len(times), len(times))
     for (k, b), segs in ref.items():
         assert got[b, k, :k].tolist() == [0.0] * k
@@ -646,16 +646,16 @@ def test_prefix_error_names_the_first_failure_of_the_first_failing_call():
     # segment [2, 226] only runs out of depth, which a call reports at its end
     xi, times, cfg = sin_scalar_model(), [0.0, 2.0, 226.0, 227.0, 229.0], QuadratureConfig(max_depth=10)
     with pytest.raises(DomainError, match=r"not finite on \[227.0, 229.0\]"):
-        norm_integral_prefix(xi, Trivial(0.0), (1.0,), times, cfg)
+        norm_integral_prefix(xi, Trivial(0.0), log_mags((1.0,)), times, cfg)
     # one base time per call: the call for t0 = 0 fails first
     with mock.patch.object(quadrature, "MAX_BATCH_SEGMENTS", 1):
         with pytest.raises(QuadratureDepthError, match=r"max_depth=10 on \[2.0, 226.0\]"):
-            norm_integral_prefix(xi, Trivial(0.0), (1.0,), times, cfg)
+            norm_integral_prefix(xi, Trivial(0.0), log_mags((1.0,)), times, cfg)
 
 
 @pytest.mark.parametrize("run, where", [
     # [2, 226] from t0 = 0: an integrand near e^690 that oscillates, and every level doubles most subintervals
-    (lambda: norm_integral_prefix(sin_scalar_model(), Trivial(0.0), [1.0], [0, 2, 226, 227, 228]), "[2.0, 226.0]"),
+    (lambda: norm_integral_prefix(sin_scalar_model(), Trivial(0.0), log_mags([1.0]), [0, 2, 226, 227, 228]), "[2.0, 226.0]"),
     # the first three nodes see at most e^16, the peak near t = 14 is about e^42
     (lambda: integrate_norm_trajectory(sin_scalar_model(), 0.0, Trivial(0.0), [1.0], 16.0), "[0.0, 16.0]"),
 ])
@@ -687,13 +687,13 @@ def test_live_budget_stops_through_the_max_depth_path():
 
 def test_prefix_validation(pexp3_model):
     with pytest.raises(PreconditionError):
-        norm_integral_prefix(pexp3_model, Trivial(0.0), (1.0,), [], TIGHT)
+        norm_integral_prefix(pexp3_model, Trivial(0.0), log_mags((1.0,)), [], TIGHT)
     with pytest.raises(PreconditionError):
-        norm_integral_prefix(pexp3_model, Trivial(0.0), (1.0,), [0.0, 1.0, 1.0], TIGHT)
+        norm_integral_prefix(pexp3_model, Trivial(0.0), log_mags((1.0,)), [0.0, 1.0, 1.0], TIGHT)
     with pytest.raises(PreconditionError):
-        norm_integral_prefix(pexp3_model, Trivial(0.0), (0.0,), [0.0, 1.0], TIGHT)
+        norm_integral_prefix(pexp3_model, Trivial(0.0), log_mags((0.0,)), [0.0, 1.0], TIGHT)
     with pytest.raises(PreconditionError):
-        norm_integral_prefix(pexp3_model, Trivial(0.0), [[1.0], [0.0]], [0.0, 1.0], TIGHT)
+        norm_integral_prefix(pexp3_model, Trivial(0.0), log_mags([[1.0], [0.0]]), [0.0, 1.0], TIGHT)
 
 
 @given(st.floats(0.0, 3.0), st.floats(0.01, 2.0), st.floats(0.01, 2.0))
