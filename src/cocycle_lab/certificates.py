@@ -20,12 +20,15 @@ statistic log ||Phi(u + t0, t0, x)v|| - log ||v||, the pair statistic
 log ||v|| - log ||Phi(t, t0, x)v||, the backward ratio
 log ||Phi(s, t0, x)v|| - log ||Phi(t, t0, x)v||, and the Datko statistic
 log(integral of the trajectory norm over [t0, t]) - log ||Phi(t, t0, x)v||.
-Each checker, like each theorem sampler, keeps only its sample selection
-and its margin formula over one of them and reports through ``core._report``;
-the estimators reduce the same floats.  The sample order, and so the row
-order of margins.csv, is defined once, by ``core._pairs``: the triples of
-each base time are a tail of that pair layout (``core._base_time_blocks``),
-so the triple checks sweep one base time at a time.
+Each yields (base label, vector label, (t, s, t0), values) rows, the rows
+``core._report`` takes, and builds their coordinates once per call, where
+it lays out its samples.  Each checker, like each theorem sampler, keeps
+only its sample selection and its margin formula, which ``_sample`` maps
+over one statistic's rows; the estimators reduce the same values.  The
+sample order, and so the row order of margins.csv, is defined once, by
+``core._pairs``: the triples of each base time are a tail of that pair
+layout (``core._base_time_blocks``), so the triple checks sweep one base
+time at a time.
 
 Witnesses store a log-value table alongside linear values; margins only
 ever touch the log side, which every witness evaluates on a whole array
@@ -49,7 +52,6 @@ from .core import (
     SkewEvolutionSemiflow,
     _base_time_blocks,
     _float_list,
-    _integer,
     _json_float,
     _log_norm,
     _number,
@@ -352,53 +354,60 @@ def _pair_tables(xi: SkewEvolutionSemiflow, grid: SampleGrid):
 
 
 def _pair_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, k: np.ndarray, i: np.ndarray):
-    """Yield (base label, vector label, log ||v|| - L[i, k]) at the pair samples (k, i).
+    """Yield (base label, vector label, (t, s, t0), log ||v|| - L[i, k]) at the pair samples (k, i),
+    with (t, s, t0) = (t_i, t_k, t_k), one tuple shared by every row.
 
     The pair statistic: the loss of norm from t0 = t_k to t = t_i that an
     instability witness N(t_i) has to make up.
     """
+    times = np.asarray(grid.times)
+    t0 = times[k]
+    coords = (times[i], t0, t0)
     for xlabel, vlabel, log_v, table in _pair_tables(xi, grid):
-        yield xlabel, vlabel, log_v - table[i, k]
+        yield xlabel, vlabel, coords, log_v - table[i, k]
 
 
 def _backward_ratios(xi: SkewEvolutionSemiflow, grid: SampleGrid, j: np.ndarray, i: np.ndarray):
-    """Yield (base label, vector label, block, L[j, k] - L[i, k]) per base point, vector and
-    base time t_k, with ``block`` = (k, j, i, (t, s, t0)) from ``core._base_time_blocks``.
+    """Yield (base label, vector label, (t, s, t0), L[j, k] - L[i, k]) per base point, vector and
+    base time t_k, over the triples (k, j, i) of t_k's block from ``core._base_time_blocks``.
 
     The triple statistic, the backward ratio log ||Phi(s, t0, x)v|| -
     log ||Phi(t, t0, x)v||, read from column k of each pair table.
     """
     blocks = list(_base_time_blocks(np.asarray(grid.times), j, i))
     for xlabel, vlabel, _, table in _pair_tables(xi, grid):
-        for block in blocks:
-            k, jk, ik, _ = block
+        for k, jk, ik, coords in blocks:
             column = table[:, k]  # one 1-D gather is cheaper than a (row array, column) index
-            yield xlabel, vlabel, block, column[jk] - column[ik]
+            yield xlabel, vlabel, coords, column[jk] - column[ik]
 
 
 def _decay_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid):
-    """Yield (base label, vector label, m) per (base, vector) pair, with
+    """Yield (base label, vector label, (t, s, t0), m) per (base, vector) pair, with
     m[j, i] = log ||Phi(u_i + t0_j, t0_j, x) v|| - log ||v||.
 
     The decay statistic, over every grid u and t0; one ``log_norms`` call
-    per base point fills every vector's table.
+    per base point fills every vector's table.  The coordinates are those
+    of m.ravel(): t = u + t0 and s = t0, by t0 then u.
     """
     times = np.asarray(grid.times)
     t0 = times[:, None]
     with np.errstate(over="ignore"):  # an infinite u + t0 is log_norms' DomainError
         t = times + t0
+    s = np.repeat(times, len(times))
+    coords = (t.ravel(), s, s)
     log_mags = grid.log_magnitudes
     log_v = _log_norm(log_mags, xi.norm_choice)
     labels = grid.vector_labels()
     for x in grid.base_points:
         table = log_norms(xi, t, t0, x, log_mags)
         for b, vlabel in enumerate(labels):
-            yield x.label(), vlabel, table[b] - log_v[b]
+            yield x.label(), vlabel, coords, table[b] - log_v[b]
 
 
 def _datko_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, quad_cfg: QuadratureConfig):
-    """Yield (base label, vector label, d) per (base, vector) pair, with
-    d[p] = log(integral over [t_k, t_i]) - log ||Phi(t_i, t_k, x)v|| at the pair samples p = (k, i).
+    """Yield (base label, vector label, (t, s, t0), d) per (base, vector) pair, with
+    d[p] = log(integral over [t_k, t_i]) - log ||Phi(t_i, t_k, x)v|| at the pair samples p = (k, i)
+    and (t, s, t0) = (t_i, t_k, t_k).
 
     The Datko statistic, in ``_pairs`` order; each base point takes one
     ``norm_integral_prefix`` call, which integrates from every base time
@@ -411,31 +420,27 @@ def _datko_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, quad_cfg: Quadratu
     """
     times = np.asarray(grid.times)
     k, i = _pairs(len(times))
+    t, t0 = times[i], times[k]
+    coords = (t, t0, t0)
     log_mags = grid.log_magnitudes
     log_mags = log_mags - _log_norm(log_mags, xi.norm_choice)[:, None]
     labels = grid.vector_labels()
     for x in grid.base_points:
         prefix = norm_integral_prefix(xi, x, log_mags, times, quad_cfg)
         with np.errstate(divide="ignore"):
-            stats = np.log(prefix[:, k, i]) - log_norms(xi, times[i], times[k], x, log_mags)
+            stats = np.log(prefix[:, k, i]) - log_norms(xi, t, t0, x, log_mags)
         for vlabel, row in zip(labels, stats):
-            yield x.label(), vlabel, row
+            yield x.label(), vlabel, coords, row
 
 
-def _at(grid: SampleGrid, k: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, s, t0) = (t_i, t_k, t_k) of the s = t0 samples (k, i)."""
-    times = np.asarray(grid.times)
-    return times[i], times[k], times[k]
+def _sample(check: str, tol: float, sink: MarginSink | None, stats, margin) -> CheckReport:
+    """Report ``margin(statistic)`` of every row of ``stats``.
 
-
-def _sample(check: str, tol: float, sink: MarginSink | None, coords, stats, margin) -> CheckReport:
-    """Report ``margin(statistic)`` of every (base, vector) row of ``stats``.
-
-    ``stats`` yields the rows of one named statistic, taken at the samples
-    whose (t, s, t0) arrays are ``coords``, in sample order.
+    ``stats`` yields the (base label, vector label, (t, s, t0), statistic)
+    rows of one named statistic, in sample order; each row keeps its
+    coordinates and gets its margins.
     """
-    rows = ((xlabel, vlabel, coords, margin(stat)) for xlabel, vlabel, stat in stats)
-    return _report(check, tol, sink, rows)
+    return _report(check, tol, sink, ((xl, vl, coords, margin(stat)) for xl, vl, coords, stat in stats))
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +614,8 @@ def check_decay(
 ) -> CheckReport:
     """Sample log ||Phi(u + t0, t0, x)v|| - log f(u) - log ||v|| over the grid."""
     _require_kind(cert, DecayCertificate, "check_decay needs a decay certificate")
-    # Samples (u_i + t0_j, t0_j) over every grid u and t0, by t0 then u.
-    times = np.asarray(grid.times)
-    t0 = np.repeat(times, len(times))
-    with np.errstate(over="ignore"):  # an infinite u + t0 is log_norms' DomainError
-        t = (times + times[:, None]).ravel()
-    log_f = cert.log_value(times)
-    return _sample("decay", tol, margin_sink, (t, t0, t0), _decay_stats(xi, grid), lambda m: (m - log_f).ravel())
+    log_f = cert.log_value(grid.times)
+    return _sample("decay", tol, margin_sink, _decay_stats(xi, grid), lambda m: (m - log_f).ravel())
 
 
 def check_instability(
@@ -629,9 +629,7 @@ def check_instability(
     _require_kind(cert, InstabilityCertificate, "check_instability needs an instability certificate")
     k, i = _pairs(len(grid.times))
     log_n = cert.N.log_value(grid.times)
-    return _sample(
-        "instability", tol, margin_sink, _at(grid, k, i), _pair_stats(xi, grid, k, i), lambda stat: log_n[i] - stat
-    )
+    return _sample("instability", tol, margin_sink, _pair_stats(xi, grid, k, i), lambda stat: log_n[i] - stat)
 
 
 def check_exp_instability(
@@ -651,10 +649,10 @@ def check_exp_instability(
     j, i = _pairs(len(times))
     # log N(t) and nu (t - s) over the pairs once: every base time's block is a tail of them
     log_n, gap = cert.N.log_value(grid.times)[i], cert.nu * (times[i] - times[j])
-    ratios = _backward_ratios(xi, grid, j, i)
-    return _report("exp-instability", tol, margin_sink, (
-        (xl, vl, coords, log_n[-len(r):] - (r + gap[-len(r):])) for xl, vl, (*_, coords), r in ratios
-    ))
+    return _sample(
+        "exp-instability", tol, margin_sink, _backward_ratios(xi, grid, j, i),
+        lambda r: log_n[-len(r):] - (r + gap[-len(r):]),
+    )
 
 
 def check_integral_instability(
@@ -676,12 +674,9 @@ def check_integral_instability(
     if not xi.strongly_measurable:
         raise PreconditionError("integral instability needs a strongly measurable model")
     cfg = quad_cfg or cert.quad or QuadratureConfig()
-    k, i = _pairs(len(grid.times))
+    _, i = _pairs(len(grid.times))
     log_m = cert.M.log_value(grid.times)
-    return _sample(
-        "integral-instability", tol, margin_sink, _at(grid, k, i), _datko_stats(xi, grid, cfg),
-        lambda stat: log_m[i] - stat,
-    )
+    return _sample("integral-instability", tol, margin_sink, _datko_stats(xi, grid, cfg), lambda stat: log_m[i] - stat)
 
 
 # ---------------------------------------------------------------------------
@@ -707,25 +702,6 @@ def witness_from_json_dict(doc: dict, form: str, what: str) -> Witness:
     raise PreconditionError(f"unknown witness form {form!r}")
 
 
-def _quad_to_json(quad: QuadratureConfig | None):
-    return None if quad is None else quad.to_json_dict()
-
-
-def _quad_from_json(doc, what: str) -> QuadratureConfig | None:
-    if doc is None:
-        return None
-    _require_keys(doc, set(), {"rel_tol", "abs_tol", "max_depth", "datko_lower_limit"}, what)
-    # Older files name the trajectory integral's lower limit, which is always t0.
-    if doc.get("datko_lower_limit", "t0") != "t0":
-        raise PreconditionError(f"{what}.datko_lower_limit supports only 't0', got {doc['datko_lower_limit']!r}")
-    defaults = QuadratureConfig()
-    return QuadratureConfig(
-        rel_tol=_number(doc, "rel_tol", defaults.rel_tol, name=f"{what}.rel_tol"),
-        abs_tol=_number(doc, "abs_tol", defaults.abs_tol, name=f"{what}.abs_tol"),
-        max_depth=_integer(doc, "max_depth", defaults.max_depth, name=f"{what}.max_depth"),
-    )
-
-
 def certificate_to_json_dict(cert) -> dict:
     """Serialize any certificate (or a no-certificate outcome) to a JSON dict."""
     if isinstance(cert, ParametricDecay):
@@ -747,7 +723,7 @@ def certificate_to_json_dict(cert) -> dict:
             "kind": "integral_instability",
             "form": cert.M.form,
             "M": witness_to_json_dict(cert.M),
-            "quad": _quad_to_json(cert.quad),
+            "quad": None if cert.quad is None else cert.quad.to_json_dict(),
         }
     elif isinstance(cert, NoCertificate):
         body = {
@@ -812,7 +788,7 @@ def certificate_from_json_dict(doc: dict):
             witness_from_json_dict(doc["M"], doc["form"], "M"),
             grid_hash,
             version,
-            quad=_quad_from_json(doc.get("quad"), "quad"),
+            quad=None if doc.get("quad") is None else QuadratureConfig.from_json_dict(doc["quad"], "quad"),
         )
     if kind == "no_certificate":
         _require_keys(doc, common | {"property", "reason"}, {"details"}, "no-certificate document")

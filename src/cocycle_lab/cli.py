@@ -40,7 +40,6 @@ from .certificates import (
     IntegralInstabilityCertificate,
     NoCertificate,
     _nu_ladder,
-    _quad_from_json,
     certificate_from_json_dict,
     certificate_to_json_dict,
     check_decay,
@@ -224,7 +223,7 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
 
     tols = _object(doc, "tolerances")
     _require_keys(tols, set(), {"quad", "margin_tol", "headroom", "growth_cap"}, "tolerances")
-    quad = _quad_from_json(_object(tols, "quad"), "tolerances.quad")
+    quad = QuadratureConfig.from_json_dict(_object(tols, "quad"), "tolerances.quad")
     margin_tol = _number(tols, "margin_tol", 1e-9, positive=True)
     headroom = _number(tols, "headroom", DEFAULT_HEADROOM, positive=True)
     growth_cap = _number(tols, "growth_cap", DEFAULT_GROWTH_CAP, positive=True)

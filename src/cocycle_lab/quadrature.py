@@ -24,7 +24,10 @@ from .core import (
     DomainError,
     PreconditionError,
     SkewEvolutionSemiflow,
+    _integer,
     _log_norm,
+    _number,
+    _require_keys,
 )
 
 
@@ -48,6 +51,20 @@ class QuadratureConfig:
 
     def to_json_dict(self) -> dict:
         return {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol, "max_depth": self.max_depth}
+
+    @classmethod
+    def from_json_dict(cls, doc, what: str) -> QuadratureConfig:
+        """The config of the JSON object ``doc``; absent keys take the defaults, and messages name ``what``."""
+        _require_keys(doc, set(), {"rel_tol", "abs_tol", "max_depth", "datko_lower_limit"}, what)
+        # Older files name the trajectory integral's lower limit, which is always t0.
+        if doc.get("datko_lower_limit", "t0") != "t0":
+            raise PreconditionError(f"{what}.datko_lower_limit supports only 't0', got {doc['datko_lower_limit']!r}")
+        defaults = cls()
+        return cls(
+            rel_tol=_number(doc, "rel_tol", defaults.rel_tol, name=f"{what}.rel_tol"),
+            abs_tol=_number(doc, "abs_tol", defaults.abs_tol, name=f"{what}.abs_tol"),
+            max_depth=_integer(doc, "max_depth", defaults.max_depth, name=f"{what}.max_depth"),
+        )
 
 
 # The most subintervals one adaptive_simpson call keeps live at once, which

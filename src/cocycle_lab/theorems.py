@@ -30,11 +30,9 @@ from .certificates import (
     TabulatedDecay,
     TabulatedWitness,
     Witness,
-    _at,
     _backward_ratios,
     _pair_stats,
     _pair_tables,
-    _report,
     _require_kind,
     _sample,
     certificate_to_json_dict,
@@ -83,10 +81,10 @@ FORMULAS = {
     "thm2_validate.K1": "K1 = integral_0^1 f(u) du",
     "thm2_validate.instability": "N(t) = 1/f(lambda) + Mtilde(t); Mtilde(t) = M(t)/f(t)",
     "thm2_validate.exp_instability_estimate": "nu, N = estimate_exp_instability(xi, grid)",
-    "corollary_equivalence.integral": "M_hat = estimate_integral_instability(xi, grid, quad_cfg)",
+    "corollary_equivalence.integral": "M_hat = estimate_integral_instability(xi, grid, quad_cfg, headroom)",
     "corollary_equivalence.decay": "f_hat = estimate_decay(xi, grid)",
     "corollary_equivalence.instability": "N_hat = estimate_instability(xi, grid, headroom)",
-    "corollary_equivalence.exp_instability": "nu, N = estimate_exp_instability(xi, grid, nu_candidates, growth_cap)",
+    "corollary_equivalence.exp_instability": "nu, N = estimate_exp_instability(xi, grid, nu_candidates, growth_cap, headroom)",
 }
 
 
@@ -212,12 +210,12 @@ def _check_linear_growth(
     The t = t0 samples compare against a zero left side and count as
     +inf margins.
     """
-    k, i = _pairs(len(grid.times))
-    t, s, t0 = _at(grid, k, i)
+    times = np.asarray(grid.times)
+    k, i = _pairs(len(times))
     with np.errstate(divide="ignore"):
-        log_gap = np.log(t - t0)
+        log_gap = np.log(times[i] - times[k])
     return _sample(
-        "linear-growth", tol, None, (t, s, t0), _pair_stats(xi, grid, k, i),
+        "linear-growth", tol, None, _pair_stats(xi, grid, k, i),
         lambda stat: np.where(i == k, math.inf, mtilde_logs[i] - stat - log_gap),
     )
 
@@ -232,17 +230,17 @@ def _check_window_bound(
     times = np.asarray(grid.times)
     j, i = _pairs(len(times))
     window = times[i] < times[j] + 1.0  # a filter on the pairs (s, t), so on every base time's block
-    ratios = _backward_ratios(xi, grid, j[window], i[window])
-    return _report("window-bound", tol, None, ((xl, vl, c, -ratio - log_f_lam) for xl, vl, (*_, c), ratio in ratios))
+    return _sample("window-bound", tol, None, _backward_ratios(xi, grid, j[window], i[window]), lambda r: -r - log_f_lam)
 
 
 def _check_exp_diagonal(xi: SkewEvolutionSemiflow, cert: ExpInstabilityCertificate, grid: SampleGrid, tol: float):
     """The exp-instability margins at the s = t0 samples, from the pair tables."""
-    k, i = _pairs(len(grid.times))
-    t, s, t0 = _at(grid, k, i)
+    times = np.asarray(grid.times)
+    k, i = _pairs(len(times))
+    t, s = times[i], times[k]
     log_n, gap = cert.N.log_value(grid.times)[i], cert.nu * (t - s)
-    ratios = ((xl, vl, table[k, k] - table[i, k]) for xl, vl, _, table in _pair_tables(xi, grid))
-    return _sample("exp-instability-diagonal", tol, None, (t, s, t0), ratios, lambda ratio: log_n - (ratio + gap))
+    ratios = ((xl, vl, (t, s, s), table[k, k] - table[i, k]) for xl, vl, _, table in _pair_tables(xi, grid))
+    return _sample("exp-instability-diagonal", tol, None, ratios, lambda ratio: log_n - (ratio + gap))
 
 
 def _check_integral_chain(
@@ -263,10 +261,7 @@ def _check_integral_chain(
     unit = times[i] >= times[k] + 1.0
     k, i = k[unit], i[unit]
     log_m = m_cert.M.log_value(grid.times)
-    return _sample(
-        "integral-chain", tol, None, _at(grid, k, i), _pair_stats(xi, grid, k, i),
-        lambda stat: log_m[i] - stat - log_k1,
-    )
+    return _sample("integral-chain", tol, None, _pair_stats(xi, grid, k, i), lambda stat: log_m[i] - stat - log_k1)
 
 
 def _integral_witness(cert: ExpInstabilityCertificate, c: float, grid: SampleGrid):

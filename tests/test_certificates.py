@@ -40,6 +40,7 @@ from cocycle_lab import (
     estimate_exp_instability,
     estimate_instability,
     estimate_integral_instability,
+    integrate_norm_trajectory,
     pure_exponential_model,
     sin_scalar_model,
 )
@@ -384,6 +385,75 @@ def test_decay_rows_use_shifted_start(pexp3_model):
     assert (2.0, 1.0, 1.0) in {(t, s, t0) for t, s, t0, *_ in rows}
 
 
+def test_every_row_carries_the_coordinates_of_its_own_margin():
+    """Each checker's sink rows, in order, against an independent enumeration of
+    (t, s, t0, base, vector): base points, then vectors in grid order, then
+    decay by t0 then u, pairs by k then i, triples by k, j, i.  Each margin
+    matches the scalar reference at the same indices."""
+    xi = diag_integral_model([1.0, -0.5])
+    T = [0.0, 0.3, 1.1, 2.0, 3.7]
+    bases, vectors = [ShiftedGenerator(1, 0.0), ShiftedGenerator(2, 0.5)], [(1.0, 0.0), (0.6, -0.8)]
+    grid, cfg, n = SampleGrid.create(T, bases, vectors), QuadratureConfig(), len(T)
+    f, N, M = ParametricDecay(2.0, 0.7), ExpWitness(2.0, 0.3), ExpWitness(3.0, 0.1)
+    exp_cert = ExpInstabilityCertificate(N=ExpWitness(1.5, 0.2), nu=0.4)
+
+    def L(t, t0, x, v):
+        return log_cocycle_norm(xi, t, t0, x, v)
+
+    def log_integral(t, t0, x, v):
+        return math.log(integrate_norm_trajectory(xi, t0, x, v, t, cfg))
+
+    decay = [(j, i) for j in range(n) for i in range(n)]  # (t0, u), by t0 then u
+    pairs = [(k, i) for k in range(n) for i in range(k, n)]
+    cases = {
+        "decay": (
+            lambda sink: check_decay(xi, f, grid, margin_sink=sink),
+            [(T[i] + T[j], T[j], T[j]) for j, i in decay],
+            lambda x, v, log_v: [L(T[i] + T[j], T[j], x, v) - f.log_value(T[i]) - log_v for j, i in decay],
+            1e-12,
+        ),
+        "instability": (
+            lambda sink: check_instability(xi, InstabilityCertificate(N=N), grid, margin_sink=sink),
+            [(T[i], T[k], T[k]) for k, i in pairs],
+            lambda x, v, log_v: [N.log_value(T[i]) + L(T[i], T[k], x, v) - log_v for k, i in pairs],
+            1e-12,
+        ),
+        "exp-instability": (
+            lambda sink: check_exp_instability(xi, exp_cert, grid, margin_sink=sink),
+            [(T[i], T[j], T[k]) for k, j, i in zip(*triples(n))],
+            lambda x, v, log_v: [
+                exp_cert.N.log_value(T[i]) - (exp_cert.nu * (T[i] - T[j]) + L(T[j], T[k], x, v) - L(T[i], T[k], x, v))
+                for k, j, i in zip(*triples(n))
+            ],
+            1e-12,
+        ),
+        "integral-instability": (
+            lambda sink: check_integral_instability(
+                xi, IntegralInstabilityCertificate(M=M), grid, quad_cfg=cfg, margin_sink=sink
+            ),
+            [(T[i], T[k], T[k]) for k, i in pairs],
+            lambda x, v, log_v: [
+                math.inf if i == k else M.log_value(T[i]) + L(T[i], T[k], x, v) - log_integral(T[i], T[k], x, v)
+                for k, i in pairs
+            ],
+            1e-8,
+        ),
+    }
+    for check, (run, coords, margins, atol) in cases.items():
+        rows = []
+        run(row_sink(rows))
+        expected = [
+            (coord, x, label, m)
+            for x in bases
+            for v, label in zip(vectors, grid.vector_labels())
+            for coord, m in zip(coords, margins(x, v, math.log(plain_norm(v, xi.norm_choice))))
+        ]
+        assert [(t, s, t0, b, vl) for t, s, t0, b, vl, _ in rows] == [
+            (*coord, x.label(), label) for coord, x, label, _ in expected
+        ], check
+        np.testing.assert_allclose([r[-1] for r in rows], [e[-1] for e in expected], rtol=0.0, atol=atol, err_msg=check)
+
+
 def test_exp_checker_counts_all_triples(pexp3_model):
     ts = [0.0, 1.0, 2.0, 3.0]
     g = SampleGrid.create(ts, [Trivial(0.0)], [(1.0,)])
@@ -501,7 +571,7 @@ def test_datko_rows_of_a_vector_block_match_single_vectors_exactly(short_times, 
     grid = SampleGrid.create(short_times, bases, vectors)
     got = list(_datko_stats(xi, grid, cfg))
     n = len(short_times)
-    assert [(x, v) for x, v, _ in got] == [(x.label(), v) for x in bases for v in grid.vector_labels()]
+    assert [(x, v) for x, v, _, _ in got] == [(x.label(), v) for x in bases for v in grid.vector_labels()]
     assert all(row.shape == (n * (n + 1) // 2,) for *_, row in got)
     singles = [
         row.tolist()
@@ -701,7 +771,8 @@ def _cubic_envelopes(xi, grid):
     n = len(times)
     R = np.full((n, n), -np.inf)
     least = np.full((n, n), np.inf)
-    for _, _, (_, j, i, _), ratio in _backward_ratios(xi, grid, *np.triu_indices(n)):
+    for _, _, (t, s, _), ratio in _backward_ratios(xi, grid, *np.triu_indices(n)):
+        i, j = np.searchsorted(times, t), np.searchsorted(times, s)
         np.maximum.at(R, (i, j), ratio)
         np.minimum.at(least, (i, j), ratio)
     gaps = times[:, None] - times[None, :]

@@ -4,8 +4,9 @@ public name (exported, or a module-level function or class in src/) is
 referenced in src/, the release gate or README's Library section, only
 core.py spells out the JSON type rules, no norm is formed in linear
 space outside the scalar reference, log |v| is formed from grid vectors
-only in SampleGrid.log_magnitudes, and every exception that src/ raises
-by name is one that cli.main turns into exit 2."""
+only in SampleGrid.log_magnitudes, every exception that src/ raises
+by name is one that cli.main turns into exit 2, and only the two law
+checkers and certificates._sample call core._report."""
 
 import ast
 import builtins
@@ -331,3 +332,57 @@ def test_raise_scan_flags_and_exempts():
     planted = core + "\n\ndef planted():\n    raise KeyError('planted')\n"
     assert unmapped_raises(planted, vars(importlib.import_module("cocycle_lab.core")), main_catches()) == [
         f"line {len(planted.splitlines())}: KeyError"]
+
+
+# One sampler: every certificate check and theorem sampler maps its margin over
+# a statistic's (base, vector, (t, s, t0), values) rows through
+# certificates._sample; only it and the two law checkers call core._report,
+# and no helper rebuilds the sample coordinates apart from the statistic.
+REPORT_CALLERS = {
+    "src/cocycle_lab/core.py": {"check_semiflow_laws", "check_cocycle_laws"},
+    "src/cocycle_lab/certificates.py": {"_sample"},
+}
+
+
+def report_callers(source: str) -> tuple[dict[str, list[int]], list[int]]:
+    """(lines of the ``_report`` calls by module-level function, "" at module level;
+    lines of every function named ``_at``) in ``source``."""
+    tree = ast.parse(source)
+    scope = {id(n): getattr(top, "name", "") for top in tree.body for n in ast.walk(top)}
+    calls: dict[str, list[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and dotted(node.func).split(".")[-1] == "_report":
+            calls.setdefault(scope[id(node)], []).append(node.lineno)
+    ats = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_at"]
+    return calls, ats
+
+
+def test_only_the_sampler_and_the_law_checkers_report():
+    found = {}
+    for p in SRC_FILES:
+        name = str(p.relative_to(ROOT))
+        calls, ats = report_callers(p.read_text(encoding="utf-8"))
+        for caller, lines in calls.items():
+            if caller not in REPORT_CALLERS.get(name, set()):
+                found[f"{name}: {caller}"] = lines
+        if ats:
+            found[f"{name}: _at"] = ats
+    assert found == {}
+
+
+def test_report_caller_scan_flags_and_exempts():
+    source = ("def _sample(rows):\n    return _report('c', 0.0, None, (r for r in rows))\n"
+              "def check(rows):\n    return core._report('c', 0.0, None, rows) or report(rows)\n"
+              "class C:\n    def m(self):\n        def _at(g):\n            return _report\n"
+              "x = _report('c', 0.0, None, [])\n")
+    assert report_callers(source) == ({"_sample": [2], "check": [4], "": [9]}, [7])
+    # a direct call planted in a checker of certificates.py is flagged; _sample's is not
+    certificates = (ROOT / "src" / "cocycle_lab" / "certificates.py").read_text(encoding="utf-8")
+    planted = certificates.replace(
+        'return _sample("instability", tol, margin_sink,', 'return _report("instability", tol, margin_sink,', 1
+    )
+    assert planted != certificates
+    planted += "\n\ndef _at(grid, k, i):\n    pass\n"
+    calls, ats = report_callers(planted)
+    assert set(calls) == {"_sample", "check_instability"}
+    assert ats == [planted.splitlines().index("def _at(grid, k, i):") + 1]

@@ -1,9 +1,13 @@
 """Constructive validators: derivations, gates, verdicts, serialization."""
 
+import ast
 import dataclasses
+import inspect
 import itertools
 import json
 import math
+import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -288,6 +292,22 @@ def test_corollary_contracting_model_reports_disagreement(short_times_module):
     assert note.startswith("decay: pass; instability: pass; exp-instability: no-certificate")
     fitted = run.derived[3].certificate
     assert type(fitted).__name__ == "NoCertificate"
+
+
+def test_corollary_fit_formulas_name_every_estimator_input():
+    """Each corollary fit formula ``... = estimate_*(args)`` names exactly the
+    arguments that corollary_equivalence passes to that estimator."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(corollary_equivalence)))
+    passed = {
+        node.func.id: {a.id for a in node.args} | {kw.value.id for kw in node.keywords}
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id.startswith("estimate_")
+    }
+    formulas = {key: text for key, text in FORMULAS.items() if key.startswith("corollary_equivalence.")}
+    assert len(formulas) == len(passed) == 4
+    for key, text in formulas.items():
+        estimator, args = re.fullmatch(r".* = (estimate_\w+)\((.*)\)", text).groups()
+        assert set(args.split(", ")) == passed[estimator], key
 
 
 def test_corollary_gate_failure(pexp3, short_times_module):
