@@ -45,6 +45,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import (
+    DEFAULT_TOL,
     CheckReport,
     MarginSink,
     PreconditionError,
@@ -609,7 +610,7 @@ def check_decay(
     xi: SkewEvolutionSemiflow,
     cert: DecayCertificate,
     grid: SampleGrid,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:
     """Sample log ||Phi(u + t0, t0, x)v|| - log f(u) - log ||v|| over the grid."""
@@ -622,7 +623,7 @@ def check_instability(
     xi: SkewEvolutionSemiflow,
     cert: InstabilityCertificate,
     grid: SampleGrid,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:
     """Sample log N(t) + log ||Phi(t, t0, x)v|| - log ||v|| over t >= t0."""
@@ -636,7 +637,7 @@ def check_exp_instability(
     xi: SkewEvolutionSemiflow,
     cert: ExpInstabilityCertificate,
     grid: SampleGrid,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:
     """Sample the two-time inequality over all triples t >= s >= t0.
@@ -659,7 +660,7 @@ def check_integral_instability(
     xi: SkewEvolutionSemiflow,
     cert: IntegralInstabilityCertificate,
     grid: SampleGrid,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     quad_cfg: QuadratureConfig | None = None,
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:

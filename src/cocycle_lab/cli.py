@@ -3,6 +3,8 @@
 Subcommands: ``laws`` (algebraic law checks), ``estimate`` (fit a
 certificate), ``check`` (re-check a certificate file), ``theorem``
 (run a validator), and ``report`` (emit CSV witness tables and margins).
+Each subparser names its ``cmd_*`` function as ``run``, which ``main``
+calls with the scenario, the model and the parsed flags.
 
 A scenario is a JSON file selecting a model, a sample grid, and
 tolerances.  All outputs are deterministic: JSON is written with sorted
@@ -52,6 +54,7 @@ from .certificates import (
     estimate_integral_instability,
 )
 from .core import (
+    DEFAULT_TOL,
     PreconditionError,
     SampleGrid,
     ShiftedGenerator,
@@ -70,7 +73,8 @@ from .quadrature import QuadratureConfig, QuadratureDepthError
 
 
 # The tables call estimators, checkers and validators by their module-level
-# names at call time, never through function objects bound at import, so
+# names at call time, never through function objects bound at import, and
+# ``main`` binds each subcommand's ``cmd_*`` when it builds the parser, so
 # wrappers installed on those names (perfbench/tracer.py) see every call.
 
 
@@ -188,10 +192,6 @@ def _parse_times(doc) -> list[float]:
     raise PreconditionError("grid times must be a list or a {min, max, count} object")
 
 
-def default_times() -> list[float]:
-    return [float(t) for t in np.linspace(0.0, 16.0, 65)]
-
-
 def _object(doc: dict, key: str) -> dict:
     value = doc.get(key, {})
     if not isinstance(value, dict):
@@ -224,13 +224,13 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     tols = _object(doc, "tolerances")
     _require_keys(tols, set(), {"quad", "margin_tol", "headroom", "growth_cap"}, "tolerances")
     quad = QuadratureConfig.from_json_dict(_object(tols, "quad"), "tolerances.quad")
-    margin_tol = _number(tols, "margin_tol", 1e-9, positive=True)
+    margin_tol = _number(tols, "margin_tol", DEFAULT_TOL, positive=True)
     headroom = _number(tols, "headroom", DEFAULT_HEADROOM, positive=True)
     growth_cap = _number(tols, "growth_cap", DEFAULT_GROWTH_CAP, positive=True)
 
     grid_doc = _object(doc, "grid")
     _require_keys(grid_doc, set(), {"times", "base_points", "vectors"}, "grid")
-    times = _parse_times(grid_doc["times"]) if "times" in grid_doc else default_times()
+    times = _parse_times(grid_doc.get("times", {"min": 0.0, "max": 16.0, "count": 65}))
     if "base_points" in grid_doc:
         bases = [_parse_base_point(b) for b in _grid_list(grid_doc, "base_points")]
     else:
@@ -413,7 +413,7 @@ def _run_check(sc: Scenario, xi, prop: str, cert, margin_sink=None):
 # ---------------------------------------------------------------------------
 
 
-def cmd_laws(sc: Scenario, xi) -> int:
+def cmd_laws(sc: Scenario, xi, args: argparse.Namespace) -> int:
     semiflow_report, cocycle_report = _run_parallel(
         [
             lambda: check_semiflow_laws(xi, sc.grid, sc.margin_tol),
@@ -431,13 +431,14 @@ def cmd_laws(sc: Scenario, xi) -> int:
     return 0 if semiflow_report.passed and cocycle_report.passed else 1
 
 
-def cmd_estimate(sc: Scenario, xi, prop: str) -> int:
-    cert = PROPERTIES[prop].estimate(sc, xi)
-    _write_json(sc, f"cert_{prop}.json", certificate_to_json_dict(cert))
+def cmd_estimate(sc: Scenario, xi, args: argparse.Namespace) -> int:
+    cert = PROPERTIES[args.property].estimate(sc, xi)
+    _write_json(sc, f"cert_{args.property}.json", certificate_to_json_dict(cert))
     return 1 if isinstance(cert, NoCertificate) else 0
 
 
-def cmd_check(sc: Scenario, xi, prop: str, cert_path: str) -> int:
+def cmd_check(sc: Scenario, xi, args: argparse.Namespace) -> int:
+    prop, cert_path = args.property, args.cert
     cert = _load_certificate(cert_path, sc)
     found = _property_of(cert)
     if found != prop:
@@ -455,9 +456,10 @@ def cmd_check(sc: Scenario, xi, prop: str, cert_path: str) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int:
+def cmd_theorem(sc: Scenario, xi, args: argparse.Namespace) -> int:
+    theorem_id = args.theorem
     wanted, runner = THEOREMS[theorem_id]
-    slots = _load_inputs(cert_paths, sc, f"theorem {theorem_id}", wanted)
+    slots = _load_inputs(args.cert, sc, f"theorem {theorem_id}", wanted)
     missing = [prop for prop in wanted if prop not in slots]
     if missing:
         raise PreconditionError(
@@ -473,10 +475,10 @@ def cmd_theorem(sc: Scenario, xi, theorem_id: str, cert_paths: list[str]) -> int
     return 0 if run.verdict == "pass" else 1
 
 
-def cmd_report(sc: Scenario, xi, input_paths: list[str]) -> int:
-    if not input_paths:
+def cmd_report(sc: Scenario, xi, args: argparse.Namespace) -> int:
+    if not args.cert:
         raise PreconditionError("report needs at least one certificate or check file (--cert)")
-    loaded = _load_inputs(input_paths, sc, "report", PROPERTIES)
+    loaded = _load_inputs(args.cert, sc, "report", PROPERTIES)
 
     def margins_for(item):
         prop, cert = item
@@ -519,47 +521,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, run: Callable, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--out-dir", default=None, help="output directory (overrides the scenario)")
+        p.set_defaults(run=run)
+        return p
 
-    p_laws = sub.add_parser("laws", help="check the semiflow and cocycle laws")
-    common(p_laws)
+    command("laws", cmd_laws, "check the semiflow and cocycle laws")
 
-    p_est = sub.add_parser("estimate", help="fit a certificate from grid data")
-    common(p_est)
+    p_est = command("estimate", cmd_estimate, "fit a certificate from grid data")
     p_est.add_argument("--property", required=True, choices=tuple(PROPERTIES))
 
-    p_check = sub.add_parser("check", help="re-check a certificate file on the scenario grid")
-    common(p_check)
+    p_check = command("check", cmd_check, "re-check a certificate file on the scenario grid")
     p_check.add_argument("--property", required=True, choices=tuple(PROPERTIES))
     p_check.add_argument("--cert", required=True, help="certificate JSON file")
 
-    p_thm = sub.add_parser("theorem", help="run a certificate transformation validator")
-    common(p_thm)
+    p_thm = command("theorem", cmd_theorem, "run a certificate transformation validator")
     p_thm.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     p_thm.add_argument("--cert", action="append", default=[], help="input certificate file (repeatable)")
 
-    p_rep = sub.add_parser("report", help="emit witness_tables.csv and margins.csv")
-    common(p_rep)
+    p_rep = command("report", cmd_report, "emit witness_tables.csv and margins.csv")
     p_rep.add_argument("--cert", action="append", default=[], help="certificate or check file (repeatable)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         sc, xi = load_scenario(args.scenario, args.out_dir)
-        if args.command == "laws":
-            return cmd_laws(sc, xi)
-        if args.command == "estimate":
-            return cmd_estimate(sc, xi, args.property)
-        if args.command == "check":
-            return cmd_check(sc, xi, args.property, args.cert)
-        if args.command == "theorem":
-            return cmd_theorem(sc, xi, args.theorem, args.cert)
-        return cmd_report(sc, xi, args.cert)
+        return args.run(sc, xi, args)
     except (ValueError, QuadratureDepthError, OSError, TypeError, OverflowError) as exc:
         print(f"cocycle-lab: error: {exc}", file=sys.stderr)
         return 2

@@ -34,6 +34,10 @@ class PreconditionError(ValueError):
     """An operation's stated precondition was violated."""
 
 
+# The default margin tolerance of every checker, validator and scenario.
+DEFAULT_TOL = 1e-9
+
+
 # JSON numbers: bools are ints in Python, but not numbers in a document.
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -545,7 +549,7 @@ def _flow(xi: SkewEvolutionSemiflow, t, s, x: BasePoint) -> BasePoint:
 def check_semiflow_laws(
     xi: SkewEvolutionSemiflow,
     grid: SampleGrid,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:
     """Verify the identity and composition laws of the base semiflow.
@@ -583,7 +587,7 @@ def check_semiflow_laws(
 def check_cocycle_laws(
     xi: SkewEvolutionSemiflow,
     grid: SampleGrid,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:
     """Verify the cocycle identity and composition over the semiflow.

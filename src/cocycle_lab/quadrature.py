@@ -25,6 +25,7 @@ from .core import (
     PreconditionError,
     SkewEvolutionSemiflow,
     _integer,
+    _log_factors,
     _log_norm,
     _number,
     _require_keys,
@@ -174,15 +175,15 @@ def _norm_trajectory_fn(
     """Integrand (taus, rows) -> ||Phi(taus[p], t0s[r], x) v_r|| with r = rows[p], per node p.
 
     Family r is the trajectory from base time ``t0s[r]`` of the v_r with
-    log |v_r| = ``log_mags[r]``, and one ``log_factors`` call serves every
-    node of every family.  The norm is exp of ``core._log_norm``, the
-    kernel of ``log_norms``, without its domain checks (every node lies in
-    [t0, t]).  Each node's terms lie on a contiguous last axis, so a node
-    is reduced as it would be alone.
+    log |v_r| = ``log_mags[r]``, and one checked ``core._log_factors`` call
+    serves every node of every family.  The norm is exp of
+    ``core._log_norm``, the kernel of ``log_norms``, without its domain
+    checks (every node lies in [t0, t]).  Each node's terms lie on a
+    contiguous last axis, so a node is reduced as it would be alone.
     """
     def integrand(nodes) -> np.ndarray:
         taus, rows = nodes
-        terms = np.ascontiguousarray(xi.log_factors(taus, t0s[rows], x).T) + log_mags[rows]  # [node, component]
+        terms = np.ascontiguousarray(_log_factors(xi, taus, t0s[rows], x).T) + log_mags[rows]  # [node, component]
         return np.exp(_log_norm(terms, xi.norm_choice))
 
     return integrand

@@ -49,6 +49,7 @@ from .certificates import (
     witness_to_json_dict,
 )
 from .core import (
+    DEFAULT_TOL,
     CheckReport,
     PreconditionError,
     SampleGrid,
@@ -57,8 +58,6 @@ from .core import (
     shift_cocycle,
 )
 from .quadrature import QuadratureConfig
-
-DEFAULT_TOL = 1e-9
 
 # Frozen derivation formulas, keyed "<theorem>.<derived item name>"; _finish
 # looks each derived item's formula up here.  Tests audit runs against these

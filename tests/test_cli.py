@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import gc
 import importlib.util
 import io
@@ -90,6 +91,16 @@ def test_scenario_defaults():
     assert sc.alpha == 1.5
     assert sc.nu_candidates is None
     assert xi.descriptor["kind"] == "sin_scalar"
+
+
+def test_readme_scenario_example_is_the_default_scenario():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Scenario file\n", 1)[1]
+    example_doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    sc, xi = parse_scenario(example_doc)
+    default_sc, default_xi = parse_scenario({"model": {"kind": "sin_scalar"}})
+    assert dataclasses.replace(sc, out_dir=".") == default_sc  # grid (and so its hash), tolerances, quad, alpha
+    assert xi.descriptor == default_xi.descriptor
 
 
 def benchmark_workloads(monkeypatch):
@@ -399,10 +410,13 @@ def test_laws_pass_where_linear_cocycle_values_overflow(tmp_path):
     assert doc["cocycle"]["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("argv", [["laws"], ["estimate", "--property", "decay"]])
+@pytest.mark.parametrize("argv", [
+    ["laws"], ["estimate", "--property", "decay"], ["estimate", "--property", "integral-instability"],
+])
 def test_overflowing_log_factors_exit_2(tmp_path, capsys, argv):
     # rate * (t - s) passes the float range at t = 2, which used to give NaN
-    # law margins (laws) or a certificate from infinite norms (estimate)
+    # law margins (laws), a certificate from infinite norms (estimate) or,
+    # from the Datko integrand, an error that named no (t, s)
     p = write_scenario(tmp_path / "huge.json", {"kind": "pure_exponential", "rate": 1e308})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1098,6 +1112,30 @@ def test_version_flag_exits_zero():
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["laws"],
+    ["estimate", "--property", "decay"],
+    ["check", "--property", "decay", "--cert", "c.json"],
+    ["theorem", "--theorem", "thm2"],
+    ["report"],
+])
+def test_each_subcommand_runs_its_own_cmd(argv):
+    from cocycle_lab import cli
+
+    args = cli._build_parser().parse_args([*argv, "--scenario", "s.json"])
+    assert args.run is getattr(cli, f"cmd_{argv[0]}")
+
+
+def test_main_runs_the_cmd_its_module_names_when_called(sin_scenario, monkeypatch):
+    # perfbench/tracer.py wraps the cmd_* names before it calls main
+    from cocycle_lab import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "cmd_check", lambda sc, xi, args: calls.append((args.property, args.cert)) or 0)
+    assert main(["check", "--property", "decay", "--cert", "unread.json", "--scenario", str(sin_scenario)]) == 0
+    assert calls == [("decay", "unread.json")]
 
 
 def test_console_script_runs(tmp_path, sin_scenario):

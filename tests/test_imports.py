@@ -5,8 +5,9 @@ referenced in src/, the release gate or README's Library section, only
 core.py spells out the JSON type rules, no norm is formed in linear
 space outside the scalar reference, log |v| is formed from grid vectors
 only in SampleGrid.log_magnitudes, every exception that src/ raises
-by name is one that cli.main turns into exit 2, and only the two law
-checkers and certificates._sample call core._report."""
+by name is one that cli.main turns into exit 2, only the two law
+checkers and certificates._sample call core._report, and only core.py
+calls a model's log_factors."""
 
 import ast
 import builtins
@@ -386,3 +387,36 @@ def test_report_caller_scan_flags_and_exempts():
     calls, ats = report_callers(planted)
     assert set(calls) == {"_sample", "check_instability"}
     assert ats == [planted.splitlines().index("def _at(grid, k, i):") + 1]
+
+
+# One evaluation entry: outside core.py, a model's log factors are read
+# through core._log_factors, which names the first (t, s) whose factors are
+# +inf or NaN; nothing calls ``<expr>.log_factors(...)`` itself.
+
+
+def log_factor_calls(source: str) -> list[int]:
+    """Lines of the ``<expr>.log_factors(...)`` calls in ``source``."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "log_factors"
+    ]
+
+
+def test_only_core_calls_log_factors():
+    found = {
+        str(p.relative_to(ROOT)): log_factor_calls(p.read_text(encoding="utf-8")) for p in SRC_FILES if p.name != "core.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_log_factor_call_scan_flags_and_exempts():
+    source = ("g = xi.log_factors(t, s, x)\nh = _log_factors(xi, t, s, x) + log_factors(t, s, x)\n"
+              "f = xi.log_factors\nk = model().log_factors(t, s, x).T\nModel(semiflow=s, log_factors=log_factors)\n")
+    assert log_factor_calls(source) == [1, 4]
+    # the direct call the Datko integrand once made is flagged in quadrature.py
+    quadrature = (ROOT / "src" / "cocycle_lab" / "quadrature.py").read_text(encoding="utf-8")
+    planted = quadrature.replace("_log_factors(xi, taus, t0s[rows], x)", "xi.log_factors(taus, t0s[rows], x)", 1)
+    assert planted != quadrature
+    assert log_factor_calls(quadrature) == []
+    assert log_factor_calls(planted) == [
+        next(n for n, line in enumerate(planted.splitlines(), 1) if "xi.log_factors(" in line)]
