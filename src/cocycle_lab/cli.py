@@ -27,7 +27,6 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
-from types import UnionType
 from typing import Callable
 
 import numpy as np
@@ -36,10 +35,6 @@ from ._version import __version__
 from .certificates import (
     DEFAULT_GROWTH_CAP,
     DEFAULT_HEADROOM,
-    DecayCertificate,
-    ExpInstabilityCertificate,
-    InstabilityCertificate,
-    IntegralInstabilityCertificate,
     NoCertificate,
     _nu_ladder,
     certificate_from_json_dict,
@@ -80,7 +75,6 @@ from .quadrature import QuadratureConfig, QuadratureDepthError
 
 @dataclass(frozen=True)
 class _Property:
-    certificates: type | UnionType
     estimate: Callable  # (scenario, model) -> certificate
     check: Callable  # (scenario, model, certificate, margin sink) -> CheckReport
     columns: Callable  # certificate -> {witness_tables.csv column: function of t}
@@ -88,13 +82,11 @@ class _Property:
 
 PROPERTIES = {
     "decay": _Property(
-        DecayCertificate,
         lambda sc, xi: estimate_decay(xi, sc.grid),
         lambda sc, xi, cert, sink: check_decay(xi, cert, sc.grid, sc.margin_tol, sink),
         lambda cert: {"f_hat": cert.value},
     ),
     "instability": _Property(
-        InstabilityCertificate,
         lambda sc, xi: estimate_instability(xi, sc.grid, sc.headroom),
         lambda sc, xi, cert, sink: check_instability(xi, cert, sc.grid, sc.margin_tol, sink),
         lambda cert: {"N_hat": cert.N.value},
@@ -102,7 +94,6 @@ PROPERTIES = {
     # Columns are filled in this order, so the exp-instability witness takes
     # the N_hat column even if a plain instability certificate was also supplied.
     "exp-instability": _Property(
-        ExpInstabilityCertificate,
         lambda sc, xi: estimate_exp_instability(
             xi, sc.grid, nu_candidates=sc.nu_candidates, growth_cap=sc.growth_cap, headroom=sc.headroom
         ),
@@ -110,7 +101,6 @@ PROPERTIES = {
         lambda cert: {"N_hat": cert.N.value, "nu": lambda t: cert.nu},
     ),
     "integral-instability": _Property(
-        IntegralInstabilityCertificate,
         lambda sc, xi: estimate_integral_instability(xi, sc.grid, sc.quad, sc.headroom),
         lambda sc, xi, cert, sink: check_integral_instability(
             xi, cert, sc.grid, sc.margin_tol, sc.quad, sink
@@ -319,23 +309,21 @@ def _grid_texts(pieces) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _margin_rows(prop: str, batches) -> str:
-    """The margin sink batches of one base point and vector as the margins.csv
-    rows that ``csv.writer`` writes for
+def _margin_rows(prop: str, rows) -> str:
+    """The margin sink rows of one base point and vector as the margins.csv
+    lines that ``csv.writer`` writes for
     ``[prop, _fmt(t), _fmt(s), _fmt(t0), base, vector, _fmt(margin)]``, each
-    ending in CRLF.  Formatted together, the batches pay the per-call costs once."""
-    ts, ss, t0s, bases, vectors, margins = zip(*batches)
+    ending in CRLF.  Formatted together, the rows pay the per-call costs once."""
+    bases, vectors, coords, margins = zip(*rows)
     if not any(map(len, margins)):
         return ""
-    rows = zip(
+    fields = zip(
         repeat(_csv_field(prop)),
-        _grid_texts(ts),
-        _grid_texts(ss),
-        _grid_texts(t0s),
+        *map(_grid_texts, zip(*coords)),  # t, s and t0
         repeat(f"{_csv_field(bases[0])},{_csv_field(vectors[0])}"),
         map(format, chain.from_iterable(m.tolist() for m in margins), repeat(".17g")),
     )
-    return "\r\n".join(map(",".join, rows)) + "\r\n"
+    return "\r\n".join(map(",".join, fields)) + "\r\n"
 
 
 def _run_parallel(tasks):
@@ -365,9 +353,10 @@ def _load_json_file(path: str) -> dict:
         raise PreconditionError(f"{path} nests too deeply to read") from exc
 
 
-def _load_certificate(path: str, sc: Scenario):
-    """Read a certificate (or the one a check file embeds), noting on stderr
-    when it records a grid other than the scenario's."""
+def _load_certificate(path: str, sc: Scenario) -> tuple[str, object]:
+    """(property, certificate) of a certificate file, or of the one a check file
+    embeds: the property is the kind the parser validated, with - for _.  Notes
+    on stderr when the certificate records a grid other than the scenario's."""
     doc = _load_json_file(path)
     if isinstance(doc, dict) and "certificate" in doc and "kind" not in doc:
         doc = doc["certificate"]
@@ -380,22 +369,14 @@ def _load_certificate(path: str, sc: Scenario):
             f"scenario {sc.grid.grid_hash})",
             file=sys.stderr,
         )
-    return cert
-
-
-def _property_of(cert) -> str:
-    for prop, entry in PROPERTIES.items():
-        if isinstance(cert, entry.certificates):
-            return prop
-    raise PreconditionError(f"unsupported certificate type {type(cert).__name__}")
+    return doc["kind"].replace("_", "-"), cert
 
 
 def _load_inputs(paths: list[str], sc: Scenario, user: str, takes) -> dict[str, object]:
     """The input certificates by property: one per property, of the properties ``user`` takes."""
     certs: dict[str, object] = {}
     for path in paths:
-        cert = _load_certificate(path, sc)
-        prop = _property_of(cert)
+        prop, cert = _load_certificate(path, sc)
         if prop not in takes:
             raise PreconditionError(f"{user} takes no {prop} certificate ({path})")
         if prop in certs:
@@ -439,8 +420,7 @@ def cmd_estimate(sc: Scenario, xi, args: argparse.Namespace) -> int:
 
 def cmd_check(sc: Scenario, xi, args: argparse.Namespace) -> int:
     prop, cert_path = args.property, args.cert
-    cert = _load_certificate(cert_path, sc)
-    found = _property_of(cert)
+    found, cert = _load_certificate(cert_path, sc)
     if found != prop:
         raise PreconditionError(f"{cert_path} holds a certificate for property {found!r}, not {prop!r}")
     report = _run_check(sc, xi, prop, cert)
@@ -482,13 +462,13 @@ def cmd_report(sc: Scenario, xi, args: argparse.Namespace) -> int:
 
     def margins_for(item):
         prop, cert = item
-        batches = []
-        _run_check(sc, xi, prop, cert, lambda *batch: batches.append(batch))
-        return batches
+        rows = []
+        _run_check(sc, xi, prop, cert, lambda *row: rows.append(row))
+        return rows
 
     # Every check runs and every witness table row is formatted before
     # either file is opened, so a failure leaves no partial file behind.
-    all_batches = _run_parallel([lambda item=item: margins_for(item) for item in loaded.items()])
+    all_rows = _run_parallel([lambda item=item: margins_for(item) for item in loaded.items()])
     columns: dict[str, Callable] = {}
     for prop, entry in PROPERTIES.items():
         if prop in loaded:
@@ -498,8 +478,8 @@ def cmd_report(sc: Scenario, xi, args: argparse.Namespace) -> int:
 
     with _create(sc, "margins.csv") as fh:
         csv.writer(fh).writerow(["property", "t", "s", "t0", "base", "vector", "margin"])
-        for prop, batches in zip(loaded, all_batches):
-            for _, group in groupby(batches, key=lambda batch: batch[3:5]):  # one (base, vector) at a time
+        for prop, rows in zip(loaded, all_rows):
+            for _, group in groupby(rows, key=lambda row: row[:2]):  # one (base, vector) at a time
                 fh.write(_margin_rows(prop, group))
     with _create(sc, "witness_tables.csv") as fh:
         writer = csv.writer(fh)

@@ -38,9 +38,13 @@ class PreconditionError(ValueError):
 DEFAULT_TOL = 1e-9
 
 
-# JSON numbers: bools are ints in Python, but not numbers in a document.
+# Bools are ints in Python, but neither integers nor numbers in a document or an argument.
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, float) or _is_int(v)
 
 
 def _is_finite_number(v) -> bool:
@@ -70,7 +74,7 @@ def _number(doc: dict, key: str, default: float | None = None, positive: bool = 
 def _integer(doc: dict, key: str, default: int | None = None, minimum: int | None = None, name: str | None = None) -> int:
     """Like ``_number``, for an int that is not a bool, >= ``minimum`` if given."""
     value = doc.get(key, default)
-    if not (isinstance(value, int) and not isinstance(value, bool) and (minimum is None or value >= minimum)):
+    if not (_is_int(value) and (minimum is None or value >= minimum)):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise PreconditionError(f"{name or key} must be an integer{at_least}, got {value!r}")
     return value
@@ -126,7 +130,7 @@ class ShiftedGenerator:
     sigma: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise DomainError(f"generator index must be an integer >= 1, got {self.n!r}")
         if not np.all(np.isfinite(self.sigma) & (np.asarray(self.sigma) >= 0.0)):
             raise DomainError(f"generator shift must be finite and >= 0, got {self.sigma}")
@@ -435,13 +439,13 @@ class Counterexample:
         }
 
 
-# A sink receives one call per batch of samples that share a base point and a
-# vector: (ts, ss, t0s, base_label, vector_label, margins), where ts, ss, t0s
-# and margins are equal-length 1-D float arrays in sample order.  The triple
-# checks send one batch per base time t0; the law checkers send a base point's
-# identity samples (t, t, t) first.  The coordinate arrays may be shared between
-# batches (read-only views, for the triple checks): a sink must not write to them.
-MarginSink = Callable[[np.ndarray, np.ndarray, np.ndarray, str, str, np.ndarray], None]
+# A sink receives each row of samples that share a base point and a vector as
+# ``_report`` holds it: (base_label, vector_label, (ts, ss, t0s), margins), with
+# ts, ss, t0s and margins equal-length 1-D float arrays in sample order.  The
+# triple checks send one row per base time t0; the law checkers send a base
+# point's identity samples (t, t, t) first.  The coordinate arrays may be shared
+# between rows (read-only views, for the triple checks): a sink must not write to them.
+MarginSink = Callable[[str, str, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -492,7 +496,8 @@ def _report(check: str, tol: float, sink: MarginSink | None, rows) -> CheckRepor
     if not (math.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"margin tolerance must be finite and >= 0, got {tol}")
     samples, worst, failures = 0, math.inf, []
-    for base, vector, (ts, ss, t0s), margins in rows:
+    for row in rows:
+        base, vector, (ts, ss, t0s), margins = row
         if margins.size == 0:
             continue
         samples += margins.size
@@ -505,7 +510,7 @@ def _report(check: str, tol: float, sink: MarginSink | None, rows) -> CheckRepor
                 )
             )
         if sink is not None:
-            sink(ts, ss, t0s, base, vector, margins)
+            sink(*row)
     if samples == 0:
         raise PreconditionError("grid nonempty")
     return CheckReport(

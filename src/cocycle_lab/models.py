@@ -31,6 +31,7 @@ from .core import (
     Trivial,
     _float_list,
     _is_finite_number,
+    _is_int,
     _require_keys,
 )
 
@@ -43,7 +44,7 @@ def generator_value(n: int, sigma: float, t: float | np.ndarray) -> float | np.n
     1/(2n+1) + beta_n/2 toward the limit 1/(2n+1), and stays strictly
     between 1/(2n+1) and 1/(2n).
     """
-    if not (isinstance(n, int) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise PreconditionError(f"generator index must be an integer >= 1, got {n!r}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise PreconditionError(f"generator shift must be finite and >= 0, got {sigma}")
@@ -62,7 +63,7 @@ def integrate_generator(n: int, sigma: float, length: float) -> float:
     is what the diagonal model's exponent uses, so cocycle composition
     telescopes exactly.
     """
-    if not (isinstance(n, int) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise PreconditionError(f"generator index must be an integer >= 1, got {n!r}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise PreconditionError(f"generator shift must be finite and >= 0, got {sigma}")
@@ -219,8 +220,10 @@ def build_model(
 def default_base_points(xi: SkewEvolutionSemiflow) -> tuple[BasePoint, ...]:
     """Default grid base points for a model: Trivial(0) for scalar models,
     the first two generators plus one shifted copy for generator models."""
-    kind = xi.descriptor.get("kind")
-    if kind in ("diag_integral", "broken_semiflow"):
+    descriptor = xi.descriptor
+    while descriptor.get("kind") == "shifted":  # a shift leaves the base space as it is
+        descriptor = descriptor["base"]
+    if descriptor.get("kind") in ("diag_integral", "broken_semiflow"):
         return (ShiftedGenerator(1, 0.0), ShiftedGenerator(2, 0.0), ShiftedGenerator(1, 1.0))
     return (Trivial(0.0),)
 

@@ -25,6 +25,7 @@ from .core import (
     PreconditionError,
     SkewEvolutionSemiflow,
     _integer,
+    _is_int,
     _log_factors,
     _log_norm,
     _number,
@@ -47,7 +48,7 @@ class QuadratureConfig:
             raise PreconditionError(f"rel_tol must be >= 1e-13, got {self.rel_tol}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise PreconditionError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if not (isinstance(self.max_depth, int) and 1 <= self.max_depth <= 60):
+        if not (_is_int(self.max_depth) and 1 <= self.max_depth <= 60):
             raise PreconditionError(f"max_depth must be an integer in [1, 60], got {self.max_depth}")
 
     def to_json_dict(self) -> dict:

@@ -32,7 +32,6 @@ from .certificates import (
     Witness,
     _backward_ratios,
     _pair_stats,
-    _pair_tables,
     _require_kind,
     _sample,
     certificate_to_json_dict,
@@ -232,14 +231,16 @@ def _check_window_bound(
     return _sample("window-bound", tol, None, _backward_ratios(xi, grid, j[window], i[window]), lambda r: -r - log_f_lam)
 
 
-def _check_exp_diagonal(xi: SkewEvolutionSemiflow, cert: ExpInstabilityCertificate, grid: SampleGrid, tol: float):
-    """The exp-instability margins at the s = t0 samples, from the pair tables."""
-    times = np.asarray(grid.times)
-    k, i = _pairs(len(times))
-    t, s = times[i], times[k]
-    log_n, gap = cert.N.log_value(grid.times)[i], cert.nu * (t - s)
-    ratios = ((xl, vl, (t, s, s), table[k, k] - table[i, k]) for xl, vl, _, table in _pair_tables(xi, grid))
-    return _sample("exp-instability-diagonal", tol, None, ratios, lambda ratio: log_n - (ratio + gap))
+def _check_exp_with_diagonal(xi: SkewEvolutionSemiflow, cert: ExpInstabilityCertificate, grid: SampleGrid, tol: float):
+    """(full, diagonal): the exp-instability report, and the report of its s = t0 samples."""
+    diagonal = []
+
+    def keep_diagonal(base, vector, coords, margins):
+        on = coords[1] == coords[2]
+        diagonal.append((base, vector, tuple(c[on] for c in coords), margins[on]))
+
+    full = check_exp_instability(xi, cert, grid, tol, keep_diagonal)
+    return full, _sample("exp-instability-diagonal", tol, None, diagonal, lambda margins: margins)
 
 
 def _check_integral_chain(
@@ -417,8 +418,7 @@ def prop_shift_sufficiency(
     derived_cert = ExpInstabilityCertificate(
         TabulatedWitness.from_log_values(grid.times, logs), nu=alpha, grid_hash=grid.grid_hash
     )
-    diag_report = _check_exp_diagonal(xi, derived_cert, grid, tol)
-    full_report = check_exp_instability(xi, derived_cert, grid, tol)
+    full_report, diag_report = _check_exp_with_diagonal(xi, derived_cert, grid, tol)
     notes = [f"full two-time check (context): {full_report.verdict}"]
     if not decay_limit_witnessed(f):
         notes.append("decay witness table never decreases; vanishing limit not evidenced")

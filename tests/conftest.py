@@ -46,7 +46,8 @@ def log_mags(vectors):
 def row_sink(rows):
     """A margin sink that appends one (t, s, t0, base, vector, margin) row per sample."""
 
-    def sink(ts, ss, t0s, base, vector, margins):
+    def sink(base, vector, coords, margins):
+        ts, ss, t0s = coords
         for t, s, t0, m in zip(ts.tolist(), ss.tolist(), t0s.tolist(), margins.tolist()):
             rows.append((t, s, t0, base, vector, m))
 

@@ -53,7 +53,7 @@ from cocycle_lab.certificates import (
     _pair_tables,
 )
 from cocycle_lab.core import _log_norm, _report, log_cocycle_norm, log_norms, shift_cocycle
-from cocycle_lab.theorems import _check_exp_diagonal, _check_window_bound
+from cocycle_lab.theorems import _check_exp_with_diagonal, _check_window_bound
 from conftest import grid_for, plain_norm, row_sink, triples
 
 
@@ -936,7 +936,7 @@ def _bits(report):
 def _joined(batches):
     """The sink stream joined per (base, vector), in order, as the bytes of each array."""
     joined = {}
-    for ts, ss, t0s, base, vector, margins in batches:
+    for base, vector, (ts, ss, t0s), margins in batches:
         joined.setdefault((base, vector), []).append((ts, ss, t0s, margins))
     return [(key, [np.concatenate(c).tobytes() for c in zip(*pieces)]) for key, pieces in joined.items()]
 
@@ -974,7 +974,8 @@ def test_triple_checks_match_the_cubic_oracle(kind, data):
 
     k, i = np.triu_indices(n)
     diagonal = _oracle_exp_report("exp-instability-diagonal", xi, cert, grid, tol, (k, k, i))
-    assert _bits(_check_exp_diagonal(xi, cert, grid, tol)) == _bits(diagonal)
+    full, got_diagonal = _check_exp_with_diagonal(xi, cert, grid, tol)
+    assert (_bits(full), _bits(got_diagonal)) == (_bits(want), _bits(diagonal))
 
     log_f_lam = data.draw(st.floats(-10.0, 1.0))
     assert _bits(_check_window_bound(xi, log_f_lam, grid, tol)) == _bits(_oracle_window_report(xi, log_f_lam, grid, tol))
@@ -988,8 +989,8 @@ def test_exp_check_sends_one_base_time_per_batch(diag_model, short_times):
     check_exp_instability(diag_model, cert, grid, margin_sink=lambda *batch: batches.append(batch))
     # base point by base point, vectors in grid order, then base time by base time
     labels = [(x.label(), v) for x in grid.base_points for v in grid.vector_labels() for _ in range(n)]
-    assert [batch[3:5] for batch in batches] == labels
-    for b, (ts, ss, t0s, _, _, margins) in enumerate(batches):
+    assert [batch[:2] for batch in batches] == labels
+    for b, (_, _, (ts, ss, t0s), margins) in enumerate(batches):
         k = b % n
         assert len(ts) == len(ss) == len(t0s) == len(margins) == (n - k) * (n - k + 1) // 2
         assert np.all(t0s == short_times[k])

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cocycle_lab
 from cocycle_lab import DomainError, PreconditionError, QuadratureConfig, estimate_decay
 from cocycle_lab.cli import THEOREMS, _load_json_file, _margin_rows, main, parse_scenario
 
@@ -668,6 +669,24 @@ def test_check_property_mismatch_names_both_properties(tmp_path, sin_scenario, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("prop", ["decay", "instability", "exp-instability", "integral-instability"])
+def test_certificate_files_route_to_the_property_their_kind_names(tmp_path, pexp3_scenario, capsys, prop):
+    # a certificate's property is its kind with - for _, in the file estimate
+    # writes and in the check file that check writes from it
+    out = tmp_path / "out"
+    cert, check = estimate_into(pexp3_scenario, out, prop), out / f"check_{prop}.json"
+    assert read_json(cert)["kind"] == prop.replace("-", "_")
+    common = ["--scenario", str(pexp3_scenario), "--out-dir", str(out)]
+    for path in (cert, check):
+        assert main(["check", "--property", prop, "--cert", str(path), *common]) == 0
+        assert read_json(check)["property"] == prop
+        for other in {"decay", "instability", "exp-instability", "integral-instability"} - {prop}:
+            capsys.readouterr()
+            assert main(["check", "--property", other, "--cert", str(path), *common]) == 2
+            assert capsys.readouterr().err == (
+                f"cocycle-lab: error: {path} holds a certificate for property '{prop}', not '{other}'\n")
+
+
 def test_integral_instability_keeps_a_component_far_below_the_norm(tmp_path):
     # |v| / ||v|| underflowed 1e-300 / 1e300 to 0, so the Datko statistic ignored the
     # growing component: log M(16) read 1078.9, and estimate exited 2 with "math range error"
@@ -948,9 +967,9 @@ def test_margin_rows_match_csv_writer(label):
     ts = np.array([0.0, -0.0, 0.25, 0.25, 5e-324, 16.0, 0.0, 3.0, 0.1])
     ss, t0s, margins = ts[::-1], np.full(n, 2.5), np.array(SPECIAL_MARGINS)
     for prop, base, vector in ((label, "x1^0", "[1,0]"), ("decay", label, label)):
-        got = _margin_rows(prop, [(ts, ss, t0s, base, vector, margins)])
+        got = _margin_rows(prop, [(base, vector, (ts, ss, t0s), margins)])
         assert got == reference_margin_rows(prop, ts, ss, t0s, base, vector, margins)
-    assert _margin_rows(label, [(ts[:0], ts[:0], ts[:0], label, label, margins[:0])]) == ""
+    assert _margin_rows(label, [(label, label, (ts[:0], ts[:0], ts[:0]), margins[:0])]) == ""
 
 
 @given(
@@ -965,7 +984,7 @@ def test_margin_rows_match_csv_writer_on_random_batches(rows, labels, cuts):
     ts, ss, t0s, margins = (np.array(col, dtype=float) for col in zip(*rows))
     prop, base, vector = labels
     bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
-    batches = [(ts[a:b], ss[a:b], t0s[a:b], base, vector, margins[a:b]) for a, b in zip(bounds, bounds[1:])]
+    batches = [(base, vector, (ts[a:b], ss[a:b], t0s[a:b]), margins[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert _margin_rows(prop, batches) == reference_margin_rows(prop, ts, ss, t0s, base, vector, margins)
 
 
@@ -1112,6 +1131,13 @@ def test_version_flag_exits_zero():
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+def test_pyproject_declares_the_package_version():
+    # the version is written twice, in pyproject.toml and in cocycle_lab/_version.py
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"] == cocycle_lab.__version__
 
 
 @pytest.mark.parametrize("argv", [

@@ -562,7 +562,7 @@ def test_law_checks_send_one_base_time_per_batch(diag_model, short_times):
     want = [np.concatenate((T, T[c])) for c in (i, j, k)]
     for check in (check_semiflow_laws, check_cocycle_laws):
         batches = []
-        check(diag_model, grid, 1e-9, lambda ts, ss, t0s, base, vector, m: batches.append((base, vector, ts, ss, t0s)))
+        check(diag_model, grid, 1e-9, lambda base, vector, coords, m: batches.append((base, vector, *coords)))
         joined = {}
         for base, vector, *coords in batches:
             t0s = coords[2]

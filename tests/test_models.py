@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 from cocycle_lab import (
     DomainError,
     PreconditionError,
+    SampleGrid,
     ShiftedGenerator,
     Trivial,
     build_model,
     default_base_points,
     default_vectors,
+    estimate_instability,
     generator_value,
     integrate_generator,
+    shift_cocycle,
     sin_scalar_exponent,
 )
-from cocycle_lab.core import log_cocycle_norm, log_norms
+from cocycle_lab.core import _integer, log_cocycle_norm, log_norms
 from cocycle_lab.quadrature import QuadratureConfig, adaptive_simpson
 from conftest import log_mags
 
@@ -68,6 +71,20 @@ def test_generator_validation():
         generator_value(1, -0.1, 1.0)
     with pytest.raises(PreconditionError):
         generator_value(1, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("make,error,message", [
+    (lambda b: _integer({"n": b}, "n"), PreconditionError, "n must be an integer, got {}"),
+    (lambda b: ShiftedGenerator(b), DomainError, "generator index must be an integer >= 1, got {}"),
+    (lambda b: QuadratureConfig(max_depth=b), PreconditionError, r"max_depth must be an integer in \[1, 60\], got {}"),
+    (lambda b: generator_value(b, 0, 1), PreconditionError, "generator index must be an integer >= 1, got {}"),
+    (lambda b: integrate_generator(b, 0, 1), PreconditionError, "generator index must be an integer >= 1, got {}"),
+], ids=["_integer", "ShiftedGenerator", "QuadratureConfig", "generator_value", "integrate_generator"])
+def test_a_bool_is_not_an_integer(make, error, message, flag):
+    # True == 1 passed each range check but the first: ShiftedGenerator(True) took the label xTrue^0
+    with pytest.raises(error, match=f"^{message.format(flag)}$"):
+        make(flag)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +264,17 @@ def test_default_base_points(sin_model, diag_model, pexp3_model):
     assert default_base_points(pexp3_model) == (Trivial(0.0),)
     assert default_base_points(diag_model) == (
         ShiftedGenerator(1, 0.0), ShiftedGenerator(2, 0.0), ShiftedGenerator(1, 1.0))
+
+
+def test_default_base_points_look_through_shifts(sin_model, diag_model):
+    # a shift damps the cocycle and leaves the base space alone; reading the
+    # "shifted" kind gave Trivial(0) to a generator model, whose first estimate
+    # then raised DomainError
+    for model in (sin_model, diag_model):
+        for xi in (shift_cocycle(model, 0.5), shift_cocycle(shift_cocycle(model, 0.5), -2.0)):
+            assert default_base_points(xi) == default_base_points(model)
+            grid = SampleGrid.create([0.0, 1.0, 2.0], default_base_points(xi), default_vectors(xi.dimension))
+            assert estimate_instability(xi, grid).grid_hash == grid.grid_hash
 
 
 def test_default_vectors():
