@@ -418,7 +418,12 @@ def _datko_stats(xi: SkewEvolutionSemiflow, grid: SampleGrid, quad_cfg: Quadratu
     tolerance floor would make the refinement depth, and hence the last
     few digits, depend on the scale of v.  Both read log |v| - log ||v||,
     so a component far below the norm, as in [1e-300, 1e300], is kept.
+    The integral needs a strongly measurable model: the statistic refuses
+    any other at its first row, which gates the integral-instability
+    estimator and checker alike.
     """
+    if not xi.strongly_measurable:
+        raise PreconditionError("integral instability needs a strongly measurable model")
     times = np.asarray(grid.times)
     k, i = _pairs(len(times))
     t, t0 = times[i], times[k]
@@ -581,8 +586,6 @@ def estimate_integral_instability(
     headroom: float = DEFAULT_HEADROOM,
 ) -> IntegralInstabilityCertificate:
     """Fit M_hat(t) = max(1, (1 + headroom) * worst integral-to-norm ratio)."""
-    if not xi.strongly_measurable:
-        raise PreconditionError("integral instability needs a strongly measurable model")
     if not (math.isfinite(headroom) and headroom > 0.0):
         raise PreconditionError(f"headroom must be > 0, got {headroom}")
     _, i = _pairs(len(grid.times))
@@ -672,8 +675,6 @@ def check_integral_instability(
     CLI always passes the scenario's ``tolerances.quad``.
     """
     _require_kind(cert, IntegralInstabilityCertificate, "check_integral_instability needs an integral certificate")
-    if not xi.strongly_measurable:
-        raise PreconditionError("integral instability needs a strongly measurable model")
     cfg = quad_cfg or cert.quad or QuadratureConfig()
     _, i = _pairs(len(grid.times))
     log_m = cert.M.log_value(grid.times)
@@ -703,6 +704,11 @@ def witness_from_json_dict(doc: dict, form: str, what: str) -> Witness:
     raise PreconditionError(f"unknown witness form {form!r}")
 
 
+def _instability_document(kind: str, key: str, w: Witness, **extras) -> dict:
+    """The instability-type document: ``kind``, ``form``, the witness under ``key``, then ``extras``."""
+    return {"kind": kind, "form": w.form, key: witness_to_json_dict(w), **extras}
+
+
 def certificate_to_json_dict(cert) -> dict:
     """Serialize any certificate (or a no-certificate outcome) to a JSON dict."""
     if isinstance(cert, ParametricDecay):
@@ -710,22 +716,12 @@ def certificate_to_json_dict(cert) -> dict:
     elif isinstance(cert, TabulatedDecay):
         body = {"kind": "decay", "form": "tabulated", **witness_to_json_dict(cert)}
     elif isinstance(cert, InstabilityCertificate):
-        body = {"kind": "instability", "form": cert.N.form, "N": witness_to_json_dict(cert.N)}
+        body = _instability_document("instability", "N", cert.N)
     elif isinstance(cert, ExpInstabilityCertificate):
-        body = {
-            "kind": "exp_instability",
-            "form": cert.N.form,
-            "N": witness_to_json_dict(cert.N),
-            "nu": cert.nu,
-            "growth_cap": cert.growth_cap,
-        }
+        body = _instability_document("exp_instability", "N", cert.N, nu=cert.nu, growth_cap=cert.growth_cap)
     elif isinstance(cert, IntegralInstabilityCertificate):
-        body = {
-            "kind": "integral_instability",
-            "form": cert.M.form,
-            "M": witness_to_json_dict(cert.M),
-            "quad": None if cert.quad is None else cert.quad.to_json_dict(),
-        }
+        quad = None if cert.quad is None else cert.quad.to_json_dict()
+        body = _instability_document("integral_instability", "M", cert.M, quad=quad)
     elif isinstance(cert, NoCertificate):
         body = {
             "kind": "no_certificate",
@@ -755,6 +751,13 @@ def certificate_from_json_dict(doc: dict):
     if not isinstance(grid_hash, str) or not isinstance(version, str):
         raise PreconditionError("grid_hash and tool_version must be strings")
 
+    def witness(key: str, what: str, extras=frozenset(), optional=frozenset()) -> Witness:
+        """The witness of an instability-type document, stored under ``key``, once the
+        document has its common keys, ``form``, ``key`` and ``extras``, and no key
+        beyond those and ``optional``."""
+        _require_keys(doc, common | {"form", key} | extras, optional, what)
+        return witness_from_json_dict(doc[key], doc["form"], key)
+
     if kind == "decay":
         form = doc.get("form")
         if form == "parametric":
@@ -768,29 +771,15 @@ def certificate_from_json_dict(doc: dict):
             )
         raise PreconditionError(f"unknown decay form {form!r}")
     if kind == "instability":
-        _require_keys(doc, common | {"form", "N"}, set(), "instability certificate")
-        return InstabilityCertificate(
-            witness_from_json_dict(doc["N"], doc["form"], "N"), grid_hash, version
-        )
+        return InstabilityCertificate(witness("N", "instability certificate"), grid_hash, version)
     if kind == "exp_instability":
-        _require_keys(
-            doc, common | {"form", "N", "nu"}, {"growth_cap"}, "exp-instability certificate"
-        )
-        return ExpInstabilityCertificate(
-            witness_from_json_dict(doc["N"], doc["form"], "N"),
-            _number(doc, "nu"),
-            grid_hash,
-            version,
-            growth_cap=None if doc.get("growth_cap") is None else _number(doc, "growth_cap"),
-        )
+        n, nu = witness("N", "exp-instability certificate", {"nu"}, {"growth_cap"}), _number(doc, "nu")
+        growth_cap = None if doc.get("growth_cap") is None else _number(doc, "growth_cap")
+        return ExpInstabilityCertificate(n, nu, grid_hash, version, growth_cap)
     if kind == "integral_instability":
-        _require_keys(doc, common | {"form", "M"}, {"quad"}, "integral certificate")
-        return IntegralInstabilityCertificate(
-            witness_from_json_dict(doc["M"], doc["form"], "M"),
-            grid_hash,
-            version,
-            quad=None if doc.get("quad") is None else QuadratureConfig.from_json_dict(doc["quad"], "quad"),
-        )
+        m = witness("M", "integral certificate", optional={"quad"})
+        quad = None if doc.get("quad") is None else QuadratureConfig.from_json_dict(doc["quad"], "quad")
+        return IntegralInstabilityCertificate(m, grid_hash, version, quad)
     if kind == "no_certificate":
         _require_keys(doc, common | {"property", "reason"}, {"details"}, "no-certificate document")
         details = doc.get("details", {})

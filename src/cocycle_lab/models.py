@@ -188,20 +188,17 @@ def broken_cocycle_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewEv
     return _trivial_model({"kind": "broken_cocycle"}, lambda t, s: np.log1p(t - s), norm_choice)
 
 
-# Model kind -> (descriptor keys besides "kind", all required; builder(descriptor, norm choice)).
+# Model kind -> (descriptor keys besides "kind", all required; builder(descriptor)).
 MODEL_KINDS = {
-    "sin_scalar": (set(), lambda d, nc: sin_scalar_model(nc)),
-    "diag_integral": ({"alphas"}, lambda d, nc: diag_integral_model(
-        _float_list(d["alphas"], "diag_integral alphas"), nc)),
-    "pure_exponential": ({"rate"}, lambda d, nc: pure_exponential_model(d["rate"], nc)),
-    "broken_semiflow": (set(), lambda d, nc: broken_semiflow_model(nc)),
-    "broken_cocycle": (set(), lambda d, nc: broken_cocycle_model(nc)),
+    "sin_scalar": (set(), lambda d: sin_scalar_model()),
+    "diag_integral": ({"alphas"}, lambda d: diag_integral_model(_float_list(d["alphas"], "diag_integral alphas"))),
+    "pure_exponential": ({"rate"}, lambda d: pure_exponential_model(d["rate"])),
+    "broken_semiflow": (set(), lambda d: broken_semiflow_model()),
+    "broken_cocycle": (set(), lambda d: broken_cocycle_model()),
 }
 
 
-def build_model(
-    descriptor: dict, norm_choice: NormChoice = NormChoice.SUM_ABS
-) -> SkewEvolutionSemiflow:
+def build_model(descriptor: dict) -> SkewEvolutionSemiflow:
     """Construct a model from a descriptor dict, e.g. parsed scenario JSON.
 
     The kind selects the keys a descriptor must have and may have
@@ -214,7 +211,7 @@ def build_model(
         raise PreconditionError(f"unknown model kind {kind!r}")
     keys, builder = MODEL_KINDS[kind]
     _require_keys(descriptor, {"kind", *keys}, set(), f"{kind} model descriptor")
-    return builder(descriptor, norm_choice)
+    return builder(descriptor)
 
 
 def default_base_points(xi: SkewEvolutionSemiflow) -> tuple[BasePoint, ...]:

@@ -183,6 +183,10 @@ def _finish(
     )
 
 
+# The note of a run whose grid is too short for the chain of any unit-window sampler.
+_NO_UNIT_WINDOW = "no grid pair spans the unit window t >= t0 + 1 of the integral chain"
+
+
 def _gate(theorem, inputs, gates, constants=None) -> TheoremRun | None:
     """The input-invalid run when an input certificate fails its own check."""
     if all(g.passed for g in gates):
@@ -232,11 +236,13 @@ def _check_window_bound(
 
 
 def _check_exp_with_diagonal(xi: SkewEvolutionSemiflow, cert: ExpInstabilityCertificate, grid: SampleGrid, tol: float):
-    """(full, diagonal): the exp-instability report, and the report of its s = t0 samples."""
+    """(full, diagonal): the exp-instability report, and the report of its s = t0 samples with t >= t0 + 1:
+    like ``_check_integral_chain``'s, the chain of ``prop_shift_sufficiency`` needs [t0, t0 + 1] inside [t0, t]."""
     diagonal = []
 
     def keep_diagonal(base, vector, coords, margins):
-        on = coords[1] == coords[2]
+        t, s, t0 = coords
+        on = (s == t0) & (t >= t0 + 1.0)
         diagonal.append((base, vector, tuple(c[on] for c in coords), margins[on]))
 
     full = check_exp_instability(xi, cert, grid, tol, keep_diagonal)
@@ -400,8 +406,9 @@ def prop_shift_sufficiency(
 
     The witness is N(t) = max(M_alpha(t)/K, 1 + headroom) with
     K = integral_0^1 e^{-alpha u} f(u) du.  The constructed chain proves
-    the s = t0 instances, so that restricted check carries the verdict;
-    the full two-time check is attached as context only.
+    the s = t0 instances with t >= t0 + 1, so that restricted check
+    carries the verdict, and a grid shorter than one time unit gives
+    no-certificate; the full two-time check is attached as context only.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise PreconditionError(f"alpha must be finite and > 0, got {alpha}")
@@ -412,6 +419,9 @@ def prop_shift_sufficiency(
     gates = (check_integral_instability(shifted, m_alpha, grid, tol, quad_cfg), check_decay(xi, f, grid, tol))
     if invalid := _gate("prop_shift_sufficiency", inputs, gates, {"alpha": alpha}):
         return invalid
+    if grid.times[-1] < grid.times[0] + 1.0:
+        return _finish("prop_shift_sufficiency", inputs, (), gates, constants={"alpha": alpha},
+                       notes=(_NO_UNIT_WINDOW,), verdict="no-certificate")
     log_k = integrate_kernel(f, alpha)
     k_val = math.exp(log_k)
     logs = np.maximum(m_alpha.M.log_value(grid.times) - log_k, math.log1p(headroom))
@@ -541,7 +551,7 @@ def thm2_validate(
     if lam is None:
         missing = "no integer grid time above 1 has f(lambda) < 1"
     elif grid.times[-1] < grid.times[0] + 1.0:
-        missing = "no grid pair spans the unit window t >= t0 + 1 of the integral chain"
+        missing = _NO_UNIT_WINDOW
     if missing is not None:
         return _finish("thm2_validate", inputs, (), gates, notes=(missing,), verdict="no-certificate")
     log_k1 = integrate_kernel(f, 0.0)

@@ -6,8 +6,9 @@ core.py spells out the JSON type rules, no norm is formed in linear
 space outside the scalar reference, log |v| is formed from grid vectors
 only in SampleGrid.log_magnitudes, every exception that src/ raises
 by name is one that cli.main turns into exit 2, only the two law
-checkers and certificates._sample call core._report, and only core.py
-calls a model's log_factors."""
+checkers and certificates._sample call core._report, only core.py
+calls a model's log_factors, and certificates.py reads a model's
+strongly_measurable flag only in _datko_stats."""
 
 import ast
 import builtins
@@ -420,3 +421,38 @@ def test_log_factor_call_scan_flags_and_exempts():
     assert log_factor_calls(quadrature) == []
     assert log_factor_calls(planted) == [
         next(n for n, line in enumerate(planted.splitlines(), 1) if "xi.log_factors(" in line)]
+
+
+# One measurability gate: the Datko statistic refuses a model that is not
+# strongly measurable, and the integral-instability estimator and checker read
+# that statistic, so no other function of certificates.py reads the flag.
+
+
+def measurability_reads(source: str) -> dict[str, list[int]]:
+    """Lines of the ``<expr>.strongly_measurable`` reads by module-level function, "" at module level."""
+    tree = ast.parse(source)
+    scope = {id(n): getattr(top, "name", "") for top in tree.body for n in ast.walk(top)}
+    reads: dict[str, list[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "strongly_measurable" and isinstance(node.ctx, ast.Load):
+            reads.setdefault(scope[id(node)], []).append(node.lineno)
+    return reads
+
+
+def test_certificates_read_measurability_in_one_place():
+    certificates = (ROOT / "src" / "cocycle_lab" / "certificates.py").read_text(encoding="utf-8")
+    assert set(measurability_reads(certificates)) == {"_datko_stats"}
+
+
+def test_measurability_scan_flags_and_exempts():
+    source = ("def gate(xi):\n    return xi.strongly_measurable\n"
+              "def build(xi):\n    return replace(xi, strongly_measurable=False), strongly_measurable\n"
+              "flag = model().strongly_measurable\n")
+    assert measurability_reads(source) == {"gate": [2], "": [5]}
+    # the estimator's own copy of the gate, planted back, is flagged
+    certificates = (ROOT / "src" / "cocycle_lab" / "certificates.py").read_text(encoding="utf-8")
+    docstring = '    """Fit M_hat(t) = max(1, (1 + headroom) * worst integral-to-norm ratio)."""\n'
+    gate = "    if not xi.strongly_measurable:\n        raise ValueError\n"
+    planted = certificates.replace(docstring, docstring + gate, 1)
+    assert planted != certificates
+    assert set(measurability_reads(planted)) == {"_datko_stats", "estimate_integral_instability"}

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from cocycle_lab.certificates import NoCertificate
 from cocycle_lab.cli import PROPERTIES, parse_scenario
@@ -40,12 +41,27 @@ def witness(prop: str, cert):
     return cert if prop == "decay" else cert.M if prop == "integral-instability" else cert.N
 
 
+def spot_check_every_pair(ref) -> None:
+    """The reference's own quadrature spot check, on every (base, vector) pair.
+
+    ``Reference.datko`` checks only its first and last pair, and its 20-node
+    Gauss-Legendre sum can miss ``QUAD_RTOL`` on another one that the fits and
+    margins read (``PINNED``).  Each pair's prefix is read back from its
+    Datko statistic, log(prefix) - (L - log ||v||).
+    """
+    for (base, v, logv, L, _), Q in zip(ref.tables, ref.datko):
+        ref._spot_check(base, v, logv, np.exp(Q + L - logv).T)
+
+
 def reference_fits(ref) -> dict | None:
     """(nu, log witness) per property from the reference, or None where it has no
-    answer: its own quadrature spot check refuses, or its linear Datko sums overflow."""
+    answer: its quadrature spot check refuses on some (base, vector) pair, or its
+    linear Datko sums overflow."""
     try:
         with np.errstate(over="raise"):
-            return {prop: ref.fitted_logs(prop) for prop in PROPERTIES}
+            fits = {prop: ref.fitted_logs(prop) for prop in PROPERTIES}
+            spot_check_every_pair(ref)
+            return fits
     except FloatingPointError:
         return None
     except RuntimeError as exc:
@@ -106,3 +122,28 @@ def test_fits_and_margins_match_the_reference(checks, doc):
         assert getattr(cert, "nu", None) == nu, prop
         worst = entry.check(sc, xi, cert, None).worst_margin
         assert math.isclose(worst, ref.worst_margin(prop, got, nu), rel_tol=0.0, abs_tol=checks.MARGIN_ATOL), prop
+
+
+# A draw that the reference's first-and-last spot check let through: on the
+# unchecked pair (x1^0, [0,1]) its Gauss-Legendre sum over [0, 2] is off by
+# -1.02e-8, above RTOL, so the reference read log M(2) = 59.239708922867 where
+# the program reads 59.239708933116.
+PINNED = {"model": {"kind": "diag_integral", "alphas": [0.0, -85.0]},
+          "grid": {"times": {"min": 0.0, "max": 2.0, "count": 2}, "vectors": [[1.0, 0.0], [0.0, 1.0]]},
+          "gamma": 0.0}
+
+
+def test_integral_fit_matches_quad_where_the_reference_is_refused(checks):
+    ref = checks.Reference(PINNED)
+    assert reference_fits(ref) is None
+    t0, t = ref.times
+    # the worst Datko statistic at (t, t0), its integral by quad
+    need = max(
+        math.log(integrate.quad(lambda tau: math.exp(float(ref.log_norm(base, v, tau, t0)) - logv),
+                                t0, t, epsabs=0.0, epsrel=1e-13, limit=500)[0]) - (L[1, 0] - logv)
+        for base, v, logv, L, _ in ref.tables
+    )
+    sc, xi = parse_scenario(PINNED)
+    got = PROPERTIES["integral-instability"].estimate(sc, xi).M.log_values
+    assert got[0] == 0.0
+    assert abs(math.expm1(got[1] - (math.log1p(ref.headroom) + need))) <= 1e-9

@@ -186,6 +186,20 @@ def test_thm2_integral_chain_samples_only_unit_windows():
     assert run.verdict == "pass"
 
 
+def test_shift_sufficiency_samples_only_unit_windows(full_times):
+    # the chain K ||v|| <= integral over [t0, t0 + 1] <= M_alpha(t) ||Phi_alpha(t, t0) v||
+    # needs t >= t0 + 1; sampling t = 0.75, t0 = 0 here reported false counterexamples
+    xi = diag_integral_model([1.0, -1.0])
+    g = grid_for(xi, full_times)
+    m_alpha = estimate_integral_instability(shift_cocycle(xi, 0.1), g)
+    run = prop_shift_sufficiency(0.1, m_alpha, estimate_decay(xi, g), xi, g)
+    diagonal = next(r for r in run.reports if r.check == "exp-instability-diagonal")
+    unit_pairs = sum(1 for k, i in itertools.combinations_with_replacement(full_times, 2) if i >= k + 1.0)
+    assert diagonal.samples_checked == unit_pairs * len(g.base_points) * len(g.vectors)
+    assert diagonal.passed
+    assert run.verdict == "pass"
+
+
 def test_thm1_sufficiency_reports_and_notes(pexp3, short_times_module):
     run = thm1_sufficiency(UNIT_N, UNIT_M, pexp3, grid_for(pexp3, short_times_module))
     assert run.passed
@@ -264,6 +278,17 @@ def test_thm2_grid_without_unit_window():
     run = thm2_validate(estimate_decay(xi, g), estimate_integral_instability(xi, g), xi, g)
     assert run.verdict == "no-certificate"
     assert "unit window" in run.notes[0]
+
+
+def test_shift_sufficiency_grid_without_unit_window():
+    xi = diag_integral_model([1.0, -1.0])
+    g = grid_for(xi, [1.5, 2.0])
+    m_alpha = estimate_integral_instability(shift_cocycle(xi, 0.5), g)
+    run = prop_shift_sufficiency(0.5, m_alpha, estimate_decay(xi, g), xi, g)
+    assert run.verdict == "no-certificate"
+    assert run.notes == ("no grid pair spans the unit window t >= t0 + 1 of the integral chain",)
+    assert len(run.reports) == 2 and all(r.passed for r in run.reports)  # the input gates still ran and passed
+    assert run.derived == ()
 
 
 def test_validators_reject_wrong_input_types(pexp3, short_times_module):
@@ -422,7 +447,7 @@ def test_theorem_samplers_match_scalar_reference(model):
          lambda k, j, i: j == k and times[i] >= times[k] + 1.0,
          lambda L, log_v, k, j, i: log_m[i] + (L(i, k) - log_v) - log_k1),
         (diagonal,
-         lambda k, j, i: j == k,
+         lambda k, j, i: j == k and times[i] >= times[k] + 1.0,
          lambda L, log_v, k, j, i: log_n[i] - (exp_cert.nu * (times[i] - times[k]) + (L(k, k) - L(i, k)))),
     ]
     for report, keep, margin in cases:
@@ -439,7 +464,7 @@ def test_diagonal_report_is_the_s_equals_t0_rows_of_the_exp_check(model):
     diagonal, exp_cert = _shift_sufficiency_run(xi, g)
     rows = []
     check_exp_instability(xi, exp_cert, g, diagonal.tol, row_sink(rows))
-    rows = [r for r in rows if r[1] == r[2]]
+    rows = [r for r in rows if r[1] == r[2] and r[0] >= r[2] + 1.0]
     assert diagonal.samples_checked == len(rows)
     assert diagonal.worst_margin == min(r[5] for r in rows)
     failing = [Counterexample(*r) for r in rows if r[5] < -diagonal.tol or math.isnan(r[5])]
