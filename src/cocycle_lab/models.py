@@ -36,6 +36,14 @@ from .core import (
 )
 
 
+def _check_generator(n: int, sigma: float) -> None:
+    """Refuse a generator index that is not an integer >= 1 or a shift that is not finite and >= 0."""
+    if not (_is_int(n) and n >= 1):
+        raise PreconditionError(f"generator index must be an integer >= 1, got {n!r}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise PreconditionError(f"generator shift must be finite and >= 0, got {sigma}")
+
+
 def generator_value(n: int, sigma: float, t: float | np.ndarray) -> float | np.ndarray:
     """Value of the n-th generator function shifted by sigma at time t.
 
@@ -44,10 +52,7 @@ def generator_value(n: int, sigma: float, t: float | np.ndarray) -> float | np.n
     1/(2n+1) + beta_n/2 toward the limit 1/(2n+1), and stays strictly
     between 1/(2n+1) and 1/(2n).
     """
-    if not (_is_int(n) and n >= 1):
-        raise PreconditionError(f"generator index must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise PreconditionError(f"generator shift must be finite and >= 0, got {sigma}")
+    _check_generator(n, sigma)
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):
         raise PreconditionError("generator times must be >= 0")
@@ -63,10 +68,7 @@ def integrate_generator(n: int, sigma: float, length: float) -> float:
     is what the diagonal model's exponent uses, so cocycle composition
     telescopes exactly.
     """
-    if not (_is_int(n) and n >= 1):
-        raise PreconditionError(f"generator index must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise PreconditionError(f"generator shift must be finite and >= 0, got {sigma}")
+    _check_generator(n, sigma)
     if not (math.isfinite(length) and length >= 0.0):
         raise PreconditionError(f"integration length must be finite and >= 0, got {length}")
     return float(_generator_integral(n, sigma, length))
@@ -160,10 +162,7 @@ def diag_integral_model(
         return rate_arr.reshape((-1,) + (1,) * window.ndim) * window
 
     return SkewEvolutionSemiflow(
-        semiflow=semiflow,
-        dimension=len(rates),
-        norm_choice=norm_choice,
-        log_factors=log_factors,
+        semiflow=semiflow, dimension=len(rates), norm_choice=norm_choice, log_factors=log_factors,
         descriptor={"kind": "diag_integral", "alphas": list(rates)},
     )
 

@@ -1,20 +1,17 @@
-"""Source hygiene: every imported name in src/ and tests/ is used,
-every private module-level helper in src/ is referenced in src/, every
-public name (exported, or a module-level function or class in src/) is
-referenced in src/, the release gate or README's Library section, only
-core.py spells out the JSON type rules, no norm is formed in linear
-space outside the scalar reference, log |v| is formed from grid vectors
-only in SampleGrid.log_magnitudes, every exception that src/ raises
-by name is one that cli.main turns into exit 2, only the two law
-checkers and certificates._sample call core._report, only core.py
-calls a model's log_factors, and certificates.py reads a model's
-strongly_measurable flag only in _datko_stats."""
+"""Source hygiene: every imported name in src/ and tests/ is used, every private module-level helper
+in src/ is referenced in src/, every public name (exported, or a module-level function or class in
+src/) is referenced in src/, the release gate or README's Library section, every exception that src/
+raises by name is one that cli.main turns into exit 2, and each construct of the one-place rule table
+``RULES`` is formed only where its row allows."""
 
 import ast
 import builtins
+import functools
 import importlib
 import re
+from itertools import chain
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -51,6 +48,7 @@ def test_unused_import_scan_flags_and_exempts():
 
 
 SRC_FILES = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SRC_FILES}
 
 
 def referenced(tree: ast.AST) -> set[str]:
@@ -81,8 +79,7 @@ def dead_helpers(sources: dict[str, str]) -> list[str]:
 
 
 def test_no_dead_private_helpers():
-    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SRC_FILES}
-    assert dead_helpers(sources) == []
+    assert dead_helpers(SOURCES) == []
 
 
 def test_dead_helper_scan_flags_and_exempts():
@@ -135,34 +132,23 @@ def test_public_name_scan_flags_and_exempts():
     assert public_definitions([module]) == ["shown", "waited", "Kind"]
 
 
-def bool_checks(source: str) -> list[int]:
-    """Lines of the ``isinstance(..., bool)`` calls in ``source``, a tuple of
-    types included: telling a JSON number from a bool is core.py's job."""
-    return [
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
-        and len(node.args) == 2
-        and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
-    ]
-
-
-def test_json_type_rules_live_in_core():
-    found = {
-        str(p.relative_to(ROOT)): bool_checks(p.read_text(encoding="utf-8")) for p in SRC_FILES if p.name != "core.py"
-    }
-    assert {name: lines for name, lines in found.items() if lines} == {}
-
-
-def test_bool_check_scan_flags_and_exempts():
-    source = ("isinstance(a, bool)\nisinstance(b, (int, bool))\nisinstance(c, int)\nbool(d)\n"
-              "x.isinstance(e, bool)\nif not isinstance(f, int) or isinstance(f, bool): pass\n")
-    assert bool_checks(source) == [1, 2, 6]
-
-
-# Linear-space norms: a vector norm is formed in log space by core._log_norm,
-# and only the scalar reference core.log_cocycle_norm may sum in linear space.
+# One-place rules: each row's construct is formed only in its allowed (file, scope) pairs of the
+# files it applies to, a scope being a module-level function or class, ``Class.method``, "" at
+# module level, or None for the whole file.  A row plants a violation marked "# planted" in a real
+# file, and gives a synthetic source with the lines of its matches by scope.
+SRC, CORE, MODELS = tuple(SOURCES), "src/cocycle_lab/core.py", "src/cocycle_lab/models.py"
+CERTIFICATES, QUADRATURE = "src/cocycle_lab/certificates.py", "src/cocycle_lab/quadrature.py"
 LINEAR_NORMS = {"math.fsum", "math.hypot", "np.hypot", "np.linalg.norm"}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+class Rule(NamedTuple):
+    name: str
+    match: Callable[[ast.AST], object]
+    files: tuple[str, ...]
+    allowed: set[tuple[str, str | None]]
+    plant: tuple[str, str, str, str]  # (file, scope, text, its replacement); no text: append
+    case: tuple[str, dict[str, list[int]]]  # (source, lines of its matches by scope)
 
 
 def dotted(node: ast.AST) -> str:
@@ -174,101 +160,118 @@ def dotted(node: ast.AST) -> str:
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
 
 
-def linear_norms(source: str, allowed: str = "") -> list[int]:
-    """Lines of ``source`` that name one of ``LINEAR_NORMS``, or import one by name,
-    outside the module-level function ``allowed``."""
-    tree = ast.parse(source)
-    exempt = {
-        id(n) for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == allowed for n in ast.walk(node)
-    }
-    lines = []
-    for node in ast.walk(tree):
-        if id(node) in exempt:
-            continue
-        if isinstance(node, ast.ImportFrom) and node.module:
-            module = node.module.replace("numpy", "np", 1) if node.module.startswith("numpy") else node.module
-            names = {f"{module}.{alias.name}" for alias in node.names}
-        else:
-            names = {dotted(node)} if isinstance(node, ast.Attribute) else set()
-        if names & LINEAR_NORMS:
-            lines.append(node.lineno)
-    return sorted(lines)
+REPORT_CASE = ("def _sample(rows):\n    return _report('c', 0.0, None, (r for r in rows))\ndef check(rows):\n"
+               "    return core._report('c', 0.0, None, rows) or report(rows)\nclass C:\n    def m(self):\n"
+               "        def _at(g):\n            return _report\nx = _report('c', 0.0, None, [])\n")
+RULES = [
+    # Telling a JSON number from a bool, a tuple of types included, is core.py's job.
+    Rule("json-bool-checks", lambda n: isinstance(n, ast.Call) and dotted(n.func) == "isinstance" and len(n.args) == 2
+         and any(isinstance(b, ast.Name) and b.id == "bool" for b in ast.walk(n.args[1])), SRC, {(CORE, None)},
+         (MODELS, "_check_generator", "if not (_is_int(n) and n >= 1):",
+          "if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):  # planted"),
+         ("isinstance(a, bool)\nisinstance(b, (int, bool))\nisinstance(c, int)\nbool(d)\n"
+          "x.isinstance(e, bool)\nif not isinstance(f, int) or isinstance(f, bool): pass\n", {"": [1, 2, 6]})),
+    # A vector norm is formed in log space by core._log_norm; only the scalar reference sums in
+    # linear space.  A name of LINEAR_NORMS matches, and so does an import of one by name.
+    Rule("linear-norms", lambda n: dotted(n) in LINEAR_NORMS if isinstance(n, ast.Attribute) else
+         isinstance(n, ast.ImportFrom) and n.module is not None
+         and any(f"{re.sub('^numpy', 'np', n.module)}.{alias.name}" in LINEAR_NORMS for alias in n.names),
+         SRC, {(CORE, "log_cocycle_norm")},
+         (QUADRATURE, "planted", "", "\n\ndef planted(v):\n    return np.linalg.norm(v)  # planted\n"),
+         ("def log_cocycle_norm(v):\n    return math.fsum(v) + np.linalg.norm(v)\n"
+          "def other(v):\n    return math.fsum(v)\nn = np.hypot(a, b) + math.hypot(c) + np.linalg.norm(d)\n"
+          "from math import fsum\nfrom numpy.linalg import norm\nfrom numpy import hypot, log\n"
+          "x = np.log(v) + math.exp(1) + linalg.norm(v) + fsum(v)\n",
+          {"log_cocycle_norm": [2, 2], "other": [4], "": [5, 5, 5, 6, 7, 8]})),
+    # Grid vectors reach every norm as log |v|, formed by SampleGrid.log_magnitudes; the gate API
+    # integrate_norm_trajectory and the scalar reference log_cocycle_norm each take a linear vector.
+    Rule("log-magnitudes", lambda n: isinstance(n, ast.Call) and dotted(n.func) in {"np.log", "math.log"} and n.args
+         and isinstance(n.args[0], ast.Call)
+         and dotted(n.args[0].func) in {"np.abs", "np.absolute", "np.fabs", "abs", "math.fabs"}, SRC,
+         {(CORE, "SampleGrid.log_magnitudes"), (CORE, "log_cocycle_norm"), (QUADRATURE, "integrate_norm_trajectory")},
+         (CORE, "planted", "", "\n\ndef planted(vectors):\n    return np.log(np.abs(vectors))  # planted\n"),
+         ("import math\nclass Grid:\n    size = abs(-1)\n    @property\n    def mags(self):\n"
+          "        return np.log(np.abs(self.v))\ndef norms(v):\n    with np.errstate(divide='ignore'):\n"
+          "        return np.log(np.abs(v)).reshape(-1) + np.log(v) + np.abs(np.log(v))\n"
+          "def scalar(v):\n    return [math.log(abs(c)) for c in v] + [math.log(math.fabs(c)) for c in v]\n"
+          "top = np.log(np.absolute(w))\n", {"Grid.mags": [6], "norms": [9], "scalar": [11, 11], "": [12]})),
+    # Every check and theorem sampler reports through certificates._sample; only it and the
+    # two law checkers call core._report ...
+    Rule("report-callers", lambda n: isinstance(n, ast.Call) and dotted(n.func).split(".")[-1] == "_report", SRC,
+         {(CORE, "check_semiflow_laws"), (CORE, "check_cocycle_laws"), (CERTIFICATES, "_sample")},
+         (CERTIFICATES, "check_instability", 'return _sample("instability", tol, margin_sink,',
+          'return _report(  # planted\n        "instability", tol, margin_sink,'),
+         (REPORT_CASE, {"_sample": [2], "check": [4], "": [9]})),
+    # ... and no helper rebuilds the sample coordinates apart from the statistic.
+    Rule("at-helper", lambda n: isinstance(n, ast.FunctionDef) and n.name == "_at", SRC, set(),
+         (CERTIFICATES, "_at", "", "\n\ndef _at(grid, k, i):  # planted\n    pass\n"), (REPORT_CASE, {"C.m": [7]})),
+    # Outside core.py a model's log factors are read through core._log_factors,
+    # which names the first (t, s) whose factors are +inf or NaN.
+    Rule("log-factor-calls", lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+         and n.func.attr == "log_factors", SRC, {(CORE, None)},
+         (QUADRATURE, "_norm_trajectory_fn",
+          "_log_factors(xi, taus, t0s[rows], x).T) + log_mags[rows]  # [node, component]",
+          "xi.log_factors(taus, t0s[rows], x).T) + log_mags[rows]  # planted"),
+         ("g = xi.log_factors(t, s, x)\nh = _log_factors(xi, t, s, x) + log_factors(t, s, x)\n"
+          "f = xi.log_factors\nk = model().log_factors(t, s, x).T\nModel(semiflow=s, log_factors=log_factors)\n",
+          {"": [1, 4]})),
+    # The Datko statistic is the one strong-measurability gate of certificates.py.
+    Rule("measurability-reads", lambda n: isinstance(n, ast.Attribute) and n.attr == "strongly_measurable"
+         and isinstance(n.ctx, ast.Load), (CERTIFICATES,), {(CERTIFICATES, "_datko_stats")},
+         (CERTIFICATES, "estimate_integral_instability", 'integral-to-norm ratio)."""\n',
+          'integral-to-norm ratio)."""\n    if not xi.strongly_measurable:  # planted\n        raise ValueError\n'),
+         ("def gate(xi):\n    return xi.strongly_measurable\n"
+          "def build(xi):\n    return replace(xi, strongly_measurable=False), strongly_measurable\n"
+          "flag = model().strongly_measurable\n", {"gate": [2], "": [5]})),
+]
 
 
-def test_linear_norms_live_in_the_scalar_reference():
-    found = {
-        str(p.relative_to(ROOT)): linear_norms(p.read_text(encoding="utf-8"),
-                                               "log_cocycle_norm" if p.name == "core.py" else "")
-        for p in SRC_FILES
-    }
-    assert {name: lines for name, lines in found.items() if lines} == {}
+@functools.cache
+def matches(source: str) -> dict[str, dict[str, list[int]]]:
+    """The lines of each rule's matches in ``source`` by scope, from one walk of each top-level statement."""
+    found: dict[str, dict[str, list[int]]] = {rule.name: {} for rule in RULES}
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, DEFS) else ""
+        members = top.body if isinstance(top, ast.ClassDef) else []
+        methods = {id(node): f"{owner}.{m.name}" for m in members if isinstance(m, DEFS) for node in ast.walk(m)}
+        for node in ast.walk(top):
+            for rule in RULES:
+                if rule.match(node):
+                    found[rule.name].setdefault(methods.get(id(node), owner), []).append(node.lineno)
+    return {name: {scope: sorted(lines) for scope, lines in by_scope.items()} for name, by_scope in found.items()}
 
 
-def test_linear_norm_scan_flags_and_exempts():
-    source = ("def log_cocycle_norm(v):\n    return math.fsum(v) + np.linalg.norm(v)\n"
-              "def other(v):\n    return math.fsum(v)\n"
-              "n = np.hypot(a, b) + math.hypot(c) + np.linalg.norm(d)\n"
-              "from math import fsum\nfrom numpy.linalg import norm\nfrom numpy import hypot, log\n"
-              "x = np.log(v) + math.exp(1) + linalg.norm(v) + fsum(v)\n")
-    assert linear_norms(source, "log_cocycle_norm") == [4, 5, 5, 5, 6, 7, 8]
-    assert linear_norms(source) == [2, 2, 4, 5, 5, 5, 6, 7, 8]
+def violations(path: str, source: str) -> dict[str, dict[str, list[int]]]:
+    """The matches in ``source``, read as file ``path``, outside the allowed set of each row for ``path``."""
+    return {rule.name: {scope: lines for scope, lines in matches(source)[rule.name].items()
+                        if not {(path, scope), (path, None)} & rule.allowed} for rule in RULES if path in rule.files}
 
 
-# Vector magnitudes: grid vectors reach every norm as log |v|, which only
-# SampleGrid.log_magnitudes forms from them.  The gate API
-# integrate_norm_trajectory takes a linear vector, and the scalar reference
-# log_cocycle_norm reads one, so each converts its own.
-LOG_MAGNITUDE_SITES = {
-    "src/cocycle_lab/core.py": {"SampleGrid.log_magnitudes", "log_cocycle_norm"},
-    "src/cocycle_lab/quadrature.py": {"integrate_norm_trajectory"},
-}
-LOGS = {"np.log", "math.log"}
-ABSOLUTES = {"np.abs", "np.absolute", "np.fabs", "abs", "math.fabs"}
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+def test_one_place_rule_holds(rule):
+    assert {path: found for path in rule.files if (found := violations(path, SOURCES[path])[rule.name])} == {}
 
 
-def log_magnitudes(source: str) -> dict[str, list[int]]:
-    """Lines of the ``log(abs(...))`` calls in ``source``, numpy's or math's, by their
-    scope: the module-level function, ``Class.method`` or "" at module level."""
-    tree = ast.parse(source)
-    scope = {}
-    for top in tree.body:
-        for member in top.body if isinstance(top, ast.ClassDef) else [top]:
-            name = getattr(member, "name", "")
-            name = f"{top.name}.{name}" if member is not top else name
-            scope.update((id(n), name) for n in ast.walk(member))
-    found: dict[str, list[int]] = {}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and dotted(node.func) in LOGS and node.args
-                and isinstance(node.args[0], ast.Call) and dotted(node.args[0].func) in ABSOLUTES):
-            found.setdefault(scope[id(node)], []).append(node.lineno)
-    return found
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+def test_allowed_sites_exist(rule):
+    """Each allowed (file, scope) is a src/ file and a scope of it where the rule matches."""
+    found = {path: matches(SOURCES[path])[rule.name] if path in SOURCES else {} for path, _ in rule.allowed}
+    assert {(path, scope) for path, scope in rule.allowed
+            if not (scope in found[path] or scope is None and found[path])} == set()
 
 
-def test_log_magnitudes_are_formed_in_one_place():
-    found = {
-        f"{p.relative_to(ROOT)}: {name}": lines
-        for p in SRC_FILES
-        for name, lines in log_magnitudes(p.read_text(encoding="utf-8")).items()
-        if name not in LOG_MAGNITUDE_SITES.get(str(p.relative_to(ROOT)), set())
-    }
-    assert found == {}
-
-
-def test_log_magnitude_scan_flags_and_exempts():
-    source = ("import math\nclass Grid:\n    size = abs(-1)\n    @property\n    def mags(self):\n"
-              "        return np.log(np.abs(self.v))\n"
-              "def norms(v):\n    with np.errstate(divide='ignore'):\n"
-              "        return np.log(np.abs(v)).reshape(-1) + np.log(v) + np.abs(np.log(v))\n"
-              "def scalar(v):\n    return [math.log(abs(c)) for c in v] + [math.log(math.fabs(c)) for c in v]\n"
-              "top = np.log(np.absolute(w))\n")
-    assert log_magnitudes(source) == {"Grid.mags": [6], "norms": [9], "scalar": [11, 11], "": [12]}
-    # a fourth site planted in core.py is flagged; the three allowed ones are not
-    core = (ROOT / "src" / "cocycle_lab" / "core.py").read_text(encoding="utf-8")
-    planted = core + "\n\ndef planted(vectors):\n    return np.log(np.abs(vectors))\n"
-    sites = log_magnitudes(planted)
-    assert set(sites) == {"SampleGrid.log_magnitudes", "log_cocycle_norm", "planted"}
-    assert sites["planted"] == [len(planted.splitlines())]
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+def test_one_place_rule_flags_its_case_and_plant(rule):
+    """The synthetic case matches as the rows that give it say; the planted violation is flagged
+    at its marked lines by this row alone, and the allowed sites of its file are not."""
+    assert {name: lines for name, lines in matches(rule.case[0]).items() if lines} == {
+        other.name: other.case[1] for other in RULES if other.case[0] == rule.case[0]}
+    path, scope, text, replacement = rule.plant
+    planted = SOURCES[path].replace(text, replacement, 1) if text else SOURCES[path] + replacement
+    marked = [n for n, line in enumerate(planted.splitlines(), 1) if line.endswith("# planted")]
+    flagged = violations(path, planted)
+    assert flagged[rule.name] == {scope: marked}
+    assert [name for name, found in flagged.items() if set(marked) & set(chain(*found.values()))] == [rule.name]
 
 
 # Every exception that src/ raises by name reaches one of cli.main's except
@@ -330,129 +333,6 @@ def test_raise_scan_flags_and_exempts():
     assert unmapped_raises(source, namespace, (ValueError, namespace["Custom"])) == [
         "line 2: KeyError", "line 9: AttributeError", "line 13: np.linalg.LinAlgError"]
     # a KeyError planted in src/ is flagged against cli.main's real clauses
-    core = (ROOT / "src" / "cocycle_lab" / "core.py").read_text(encoding="utf-8")
-    planted = core + "\n\ndef planted():\n    raise KeyError('planted')\n"
+    planted = SOURCES[CORE] + "\n\ndef planted():\n    raise KeyError('planted')\n"
     assert unmapped_raises(planted, vars(importlib.import_module("cocycle_lab.core")), main_catches()) == [
         f"line {len(planted.splitlines())}: KeyError"]
-
-
-# One sampler: every certificate check and theorem sampler maps its margin over
-# a statistic's (base, vector, (t, s, t0), values) rows through
-# certificates._sample; only it and the two law checkers call core._report,
-# and no helper rebuilds the sample coordinates apart from the statistic.
-REPORT_CALLERS = {
-    "src/cocycle_lab/core.py": {"check_semiflow_laws", "check_cocycle_laws"},
-    "src/cocycle_lab/certificates.py": {"_sample"},
-}
-
-
-def report_callers(source: str) -> tuple[dict[str, list[int]], list[int]]:
-    """(lines of the ``_report`` calls by module-level function, "" at module level;
-    lines of every function named ``_at``) in ``source``."""
-    tree = ast.parse(source)
-    scope = {id(n): getattr(top, "name", "") for top in tree.body for n in ast.walk(top)}
-    calls: dict[str, list[int]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and dotted(node.func).split(".")[-1] == "_report":
-            calls.setdefault(scope[id(node)], []).append(node.lineno)
-    ats = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_at"]
-    return calls, ats
-
-
-def test_only_the_sampler_and_the_law_checkers_report():
-    found = {}
-    for p in SRC_FILES:
-        name = str(p.relative_to(ROOT))
-        calls, ats = report_callers(p.read_text(encoding="utf-8"))
-        for caller, lines in calls.items():
-            if caller not in REPORT_CALLERS.get(name, set()):
-                found[f"{name}: {caller}"] = lines
-        if ats:
-            found[f"{name}: _at"] = ats
-    assert found == {}
-
-
-def test_report_caller_scan_flags_and_exempts():
-    source = ("def _sample(rows):\n    return _report('c', 0.0, None, (r for r in rows))\n"
-              "def check(rows):\n    return core._report('c', 0.0, None, rows) or report(rows)\n"
-              "class C:\n    def m(self):\n        def _at(g):\n            return _report\n"
-              "x = _report('c', 0.0, None, [])\n")
-    assert report_callers(source) == ({"_sample": [2], "check": [4], "": [9]}, [7])
-    # a direct call planted in a checker of certificates.py is flagged; _sample's is not
-    certificates = (ROOT / "src" / "cocycle_lab" / "certificates.py").read_text(encoding="utf-8")
-    planted = certificates.replace(
-        'return _sample("instability", tol, margin_sink,', 'return _report("instability", tol, margin_sink,', 1
-    )
-    assert planted != certificates
-    planted += "\n\ndef _at(grid, k, i):\n    pass\n"
-    calls, ats = report_callers(planted)
-    assert set(calls) == {"_sample", "check_instability"}
-    assert ats == [planted.splitlines().index("def _at(grid, k, i):") + 1]
-
-
-# One evaluation entry: outside core.py, a model's log factors are read
-# through core._log_factors, which names the first (t, s) whose factors are
-# +inf or NaN; nothing calls ``<expr>.log_factors(...)`` itself.
-
-
-def log_factor_calls(source: str) -> list[int]:
-    """Lines of the ``<expr>.log_factors(...)`` calls in ``source``."""
-    return [
-        node.lineno for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "log_factors"
-    ]
-
-
-def test_only_core_calls_log_factors():
-    found = {
-        str(p.relative_to(ROOT)): log_factor_calls(p.read_text(encoding="utf-8")) for p in SRC_FILES if p.name != "core.py"
-    }
-    assert {name: lines for name, lines in found.items() if lines} == {}
-
-
-def test_log_factor_call_scan_flags_and_exempts():
-    source = ("g = xi.log_factors(t, s, x)\nh = _log_factors(xi, t, s, x) + log_factors(t, s, x)\n"
-              "f = xi.log_factors\nk = model().log_factors(t, s, x).T\nModel(semiflow=s, log_factors=log_factors)\n")
-    assert log_factor_calls(source) == [1, 4]
-    # the direct call the Datko integrand once made is flagged in quadrature.py
-    quadrature = (ROOT / "src" / "cocycle_lab" / "quadrature.py").read_text(encoding="utf-8")
-    planted = quadrature.replace("_log_factors(xi, taus, t0s[rows], x)", "xi.log_factors(taus, t0s[rows], x)", 1)
-    assert planted != quadrature
-    assert log_factor_calls(quadrature) == []
-    assert log_factor_calls(planted) == [
-        next(n for n, line in enumerate(planted.splitlines(), 1) if "xi.log_factors(" in line)]
-
-
-# One measurability gate: the Datko statistic refuses a model that is not
-# strongly measurable, and the integral-instability estimator and checker read
-# that statistic, so no other function of certificates.py reads the flag.
-
-
-def measurability_reads(source: str) -> dict[str, list[int]]:
-    """Lines of the ``<expr>.strongly_measurable`` reads by module-level function, "" at module level."""
-    tree = ast.parse(source)
-    scope = {id(n): getattr(top, "name", "") for top in tree.body for n in ast.walk(top)}
-    reads: dict[str, list[int]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "strongly_measurable" and isinstance(node.ctx, ast.Load):
-            reads.setdefault(scope[id(node)], []).append(node.lineno)
-    return reads
-
-
-def test_certificates_read_measurability_in_one_place():
-    certificates = (ROOT / "src" / "cocycle_lab" / "certificates.py").read_text(encoding="utf-8")
-    assert set(measurability_reads(certificates)) == {"_datko_stats"}
-
-
-def test_measurability_scan_flags_and_exempts():
-    source = ("def gate(xi):\n    return xi.strongly_measurable\n"
-              "def build(xi):\n    return replace(xi, strongly_measurable=False), strongly_measurable\n"
-              "flag = model().strongly_measurable\n")
-    assert measurability_reads(source) == {"gate": [2], "": [5]}
-    # the estimator's own copy of the gate, planted back, is flagged
-    certificates = (ROOT / "src" / "cocycle_lab" / "certificates.py").read_text(encoding="utf-8")
-    docstring = '    """Fit M_hat(t) = max(1, (1 + headroom) * worst integral-to-norm ratio)."""\n'
-    gate = "    if not xi.strongly_measurable:\n        raise ValueError\n"
-    planted = certificates.replace(docstring, docstring + gate, 1)
-    assert planted != certificates
-    assert set(measurability_reads(planted)) == {"_datko_stats", "estimate_integral_instability"}
