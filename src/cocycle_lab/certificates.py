@@ -52,7 +52,9 @@ from .core import (
     SampleGrid,
     SkewEvolutionSemiflow,
     _base_time_blocks,
+    _finite,
     _float_list,
+    _is_finite_number,
     _json_float,
     _log_norm,
     _number,
@@ -85,10 +87,8 @@ class ExpWitness:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.coef) and self.coef > 0.0):
-            raise PreconditionError(f"witness coefficient must be finite and > 0, got {self.coef}")
-        if not math.isfinite(self.rate):
-            raise PreconditionError(f"witness rate must be finite, got {self.rate}")
+        _finite(self.coef, "witness coefficient", positive=True)
+        _finite(self.rate, "witness rate")
 
     @property
     def form(self) -> str:
@@ -176,10 +176,9 @@ class ParametricDecay:
     tool_version: str = __version__
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.n_tilde) and self.n_tilde >= 1.0):
+        if not (_is_finite_number(self.n_tilde) and self.n_tilde >= 1.0):
             raise PreconditionError(f"n_tilde must be finite and >= 1, got {self.n_tilde}")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise PreconditionError(f"omega must be finite and > 0, got {self.omega}")
+        _finite(self.omega, "omega", positive=True)
 
     def value(self, t: float) -> float:
         return math.exp(-self.omega * t) / self.n_tilde
@@ -233,7 +232,7 @@ def integrate_kernel(f: DecayCertificate, alpha: float) -> float:
     or c + log(hi - lo) at r = 0, by log-sum-exp.  An f that is 0 on all
     of (0, 1] raises PreconditionError.
     """
-    if not (math.isfinite(alpha) and alpha >= 0.0):
+    if not (_is_finite_number(alpha) and alpha >= 0.0):
         raise PreconditionError(f"kernel integral needs a finite alpha >= 0, got {alpha}")
     if isinstance(f, ParametricDecay):
         pieces = [(-math.log(f.n_tilde), 0.0, 1.0, alpha + f.omega)]
@@ -284,10 +283,9 @@ class ExpInstabilityCertificate:
     growth_cap: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.nu) and self.nu > 0.0):
-            raise PreconditionError(f"nu must be finite and > 0, got {self.nu}")
-        if self.growth_cap is not None and not (math.isfinite(self.growth_cap) and self.growth_cap > 0.0):
-            raise PreconditionError(f"growth_cap must be None or finite and > 0, got {self.growth_cap}")
+        _finite(self.nu, "nu", positive=True)
+        if self.growth_cap is not None:
+            _finite(self.growth_cap, "growth_cap", positive=True)
         _validate_instability_witness(self.N, strict_above_one=True)
 
 
@@ -319,8 +317,7 @@ def decay_to_exponential(f: DecayCertificate, mu: float) -> ParametricDecay:
     Needs f(mu) < 1; returns n_tilde = 1 / f(mu) and
     omega = -ln f(mu) / mu, which bounds f from below at multiples of mu.
     """
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise PreconditionError(f"pivot time mu must be > 0, got {mu}")
+    _finite(mu, "pivot time mu", positive=True)
     log_fmu = f.log_value(mu)
     if not log_fmu < 0.0:
         raise PreconditionError(f"decay_to_exponential needs f(mu) < 1, got f({mu}) = {f.value(mu)}")
@@ -473,8 +470,7 @@ def estimate_instability(
     xi: SkewEvolutionSemiflow, grid: SampleGrid, headroom: float = DEFAULT_HEADROOM
 ) -> InstabilityCertificate:
     """Fit N_hat(t) = (1 + headroom) * max(1, worst inverse growth up to t)."""
-    if not (math.isfinite(headroom) and headroom > 0.0):
-        raise PreconditionError(f"headroom must be > 0, got {headroom}")
+    _finite(headroom, "headroom", positive=True)
     k, i = _pairs(len(grid.times))
     need = np.zeros(len(grid.times))
     for *_, stat in _pair_stats(xi, grid, k, i):
@@ -502,7 +498,7 @@ def _ls_slope(times: Sequence[float], values: np.ndarray) -> float:
 def _nu_ladder(candidates: Sequence[float]) -> tuple[float, ...]:
     """The rate candidates as floats: a nonempty, increasing list of positive reals."""
     ladder = tuple(float(c) for c in candidates)
-    if not ladder or any(not (math.isfinite(c) and c > 0.0) for c in ladder):
+    if not ladder or any(not (_is_finite_number(c) and c > 0.0) for c in ladder):
         raise PreconditionError("nu candidates must be a nonempty list of positive reals")
     if any(b >= a for a, b in zip(ladder[1:], ladder)):
         raise PreconditionError("nu candidates must be sorted increasing")
@@ -534,10 +530,8 @@ def estimate_exp_instability(
     the consecutive slopes it spans, so the best realized rate rho_star is
     the largest consecutive slope (-inf on a one-time grid).
     """
-    if not (math.isfinite(growth_cap) and growth_cap > 0.0):
-        raise PreconditionError(f"growth_cap must be > 0, got {growth_cap}")
-    if not (math.isfinite(headroom) and headroom > 0.0):
-        raise PreconditionError(f"headroom must be > 0, got {headroom}")
+    _finite(growth_cap, "growth_cap", positive=True)
+    _finite(headroom, "headroom", positive=True)
     candidates = DEFAULT_NU_CANDIDATES if nu_candidates is None else _nu_ladder(nu_candidates)
 
     times = np.asarray(grid.times)
@@ -586,8 +580,7 @@ def estimate_integral_instability(
     headroom: float = DEFAULT_HEADROOM,
 ) -> IntegralInstabilityCertificate:
     """Fit M_hat(t) = max(1, (1 + headroom) * worst integral-to-norm ratio)."""
-    if not (math.isfinite(headroom) and headroom > 0.0):
-        raise PreconditionError(f"headroom must be > 0, got {headroom}")
+    _finite(headroom, "headroom", positive=True)
     _, i = _pairs(len(grid.times))
     need = np.full(len(grid.times), -np.inf)
     for *_, stat in _datko_stats(xi, grid, quad_cfg):
@@ -664,21 +657,19 @@ def check_integral_instability(
     cert: IntegralInstabilityCertificate,
     grid: SampleGrid,
     tol: float = DEFAULT_TOL,
-    quad_cfg: QuadratureConfig | None = None,
+    quad_cfg: QuadratureConfig = QuadratureConfig(),
     margin_sink: MarginSink | None = None,
 ) -> CheckReport:
     """Sample log M(t) + log ||Phi(t, t0, x)v|| - log integral over t >= t0.
 
     The t = t0 samples have a zero integral and count as margin +inf.
-    The quadrature config is ``quad_cfg`` when given; only when it is None
-    does the certificate's own ``quad`` apply, and then the default.  The
-    CLI always passes the scenario's ``tolerances.quad``.
+    The integrals use ``quad_cfg``, as the estimator's do; the certificate's
+    own ``quad`` only records how it was fitted, and is never read here.
     """
     _require_kind(cert, IntegralInstabilityCertificate, "check_integral_instability needs an integral certificate")
-    cfg = quad_cfg or cert.quad or QuadratureConfig()
     _, i = _pairs(len(grid.times))
     log_m = cert.M.log_value(grid.times)
-    return _sample("integral-instability", tol, margin_sink, _datko_stats(xi, grid, cfg), lambda stat: log_m[i] - stat)
+    return _sample("integral-instability", tol, margin_sink, _datko_stats(xi, grid, quad_cfg), lambda stat: log_m[i] - stat)
 
 
 # ---------------------------------------------------------------------------

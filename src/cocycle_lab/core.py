@@ -62,13 +62,19 @@ def _float_list(value, what: str) -> list[float]:
     return [float(v) for v in value]
 
 
-def _number(doc: dict, key: str, default: float | None = None, positive: bool = False, name: str | None = None) -> float:
-    """The JSON field ``doc[key]``, or ``default`` when it is absent, as a finite float (> 0 if
-    ``positive``); with no default the key is required.  Messages name ``name``, or else the key."""
-    value = doc.get(key, default)
+def _finite(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite float (> 0 if ``positive``), for a document field and an argument
+    alike: a float or an int within the float range, but not a bool or a numpy scalar that is
+    not a float64, which ``json`` cannot write.  Messages name ``name``."""
     if not (_is_finite_number(value) and (value > 0.0 or not positive)):
-        raise PreconditionError(f"{name or key} must be a finite number{' > 0' if positive else ''}, got {value!r}")
+        raise PreconditionError(f"{name} must be a finite number{' > 0' if positive else ''}, got {value!r}")
     return float(value)
+
+
+def _number(doc: dict, key: str, default: float | None = None, positive: bool = False, name: str | None = None) -> float:
+    """The JSON field ``doc[key]``, or ``default`` when it is absent, through ``_finite``; with no
+    default the key is required.  Messages name ``name``, or else the key."""
+    return _finite(doc.get(key, default), name or key, positive)
 
 
 def _integer(doc: dict, key: str, default: int | None = None, minimum: int | None = None, name: str | None = None) -> int:
@@ -303,8 +309,7 @@ def shift_cocycle(xi: SkewEvolutionSemiflow, gamma: float) -> SkewEvolutionSemif
     shifting by gamma1 + gamma2 up to roundoff, and gamma = 0 is the
     identity.
     """
-    if not math.isfinite(gamma):
-        raise PreconditionError(f"shift parameter must be finite, got {gamma}")
+    _finite(gamma, "shift parameter")
 
     def shifted_log(t, s, x: BasePoint) -> np.ndarray:
         return np.asarray(xi.log_factors(t, s, x), dtype=float) - gamma * (t - s)
@@ -338,7 +343,7 @@ class SampleGrid:
         if not (self.times and self.base_points and self.vectors):
             raise PreconditionError("grid nonempty")
         for t in self.times:
-            if not (math.isfinite(t) and t >= 0.0):
+            if not (_is_finite_number(t) and t >= 0.0):
                 raise PreconditionError(f"grid times must be finite and >= 0, got {t}")
         if any(b >= a for a, b in zip(self.times[1:], self.times)):
             raise PreconditionError("grid times must be strictly increasing")
@@ -493,7 +498,7 @@ def _report(check: str, tol: float, sink: MarginSink | None, rows) -> CheckRepor
     samples whose (t, s, t0) arrays it carries; the rows go to the sink in
     order.  Only failures cost per-sample work.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
+    if not (_is_finite_number(tol) and tol >= 0.0):
         raise PreconditionError(f"margin tolerance must be finite and >= 0, got {tol}")
     samples, worst, failures = 0, math.inf, []
     for row in rows:

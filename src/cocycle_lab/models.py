@@ -40,7 +40,7 @@ def _check_generator(n: int, sigma: float) -> None:
     """Refuse a generator index that is not an integer >= 1 or a shift that is not finite and >= 0."""
     if not (_is_int(n) and n >= 1):
         raise PreconditionError(f"generator index must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
+    if not (_is_finite_number(sigma) and sigma >= 0.0):
         raise PreconditionError(f"generator shift must be finite and >= 0, got {sigma}")
 
 
@@ -69,7 +69,7 @@ def integrate_generator(n: int, sigma: float, length: float) -> float:
     telescopes exactly.
     """
     _check_generator(n, sigma)
-    if not (math.isfinite(length) and length >= 0.0):
+    if not (_is_finite_number(length) and length >= 0.0):
         raise PreconditionError(f"integration length must be finite and >= 0, got {length}")
     return float(_generator_integral(n, sigma, length))
 

@@ -24,7 +24,9 @@ from .core import (
     DomainError,
     PreconditionError,
     SkewEvolutionSemiflow,
+    _finite,
     _integer,
+    _is_finite_number,
     _is_int,
     _log_factors,
     _log_norm,
@@ -44,10 +46,9 @@ class QuadratureConfig:
     max_depth: int = 48
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 1e-13):
+        if not (_is_finite_number(self.rel_tol) and self.rel_tol >= 1e-13):
             raise PreconditionError(f"rel_tol must be >= 1e-13, got {self.rel_tol}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise PreconditionError(f"abs_tol must be > 0, got {self.abs_tol}")
+        _finite(self.abs_tol, "abs_tol", positive=True)
         if not (_is_int(self.max_depth) and 1 <= self.max_depth <= 60):
             raise PreconditionError(f"max_depth must be an integer in [1, 60], got {self.max_depth}")
 

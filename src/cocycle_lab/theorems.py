@@ -50,9 +50,9 @@ from .certificates import (
 from .core import (
     DEFAULT_TOL,
     CheckReport,
-    PreconditionError,
     SampleGrid,
     SkewEvolutionSemiflow,
+    _finite,
     _pairs,
     shift_cocycle,
 )
@@ -410,8 +410,7 @@ def prop_shift_sufficiency(
     carries the verdict, and a grid shorter than one time unit gives
     no-certificate; the full two-time check is attached as context only.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise PreconditionError(f"alpha must be finite and > 0, got {alpha}")
+    _finite(alpha, "alpha", positive=True)
     _require_kind(m_alpha, IntegralInstabilityCertificate, "M_alpha must be an IntegralInstabilityCertificate")
     _require_kind(f, DecayCertificate, "f must be a decay certificate")
     inputs = (("M_alpha", m_alpha), ("f", f))

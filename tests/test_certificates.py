@@ -181,7 +181,7 @@ def test_exp_certificate_needs_positive_rate():
 
 @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_exp_certificate_growth_cap_is_none_or_finite_and_positive(cap):
-    with pytest.raises(PreconditionError, match="growth_cap must be None or finite and > 0"):
+    with pytest.raises(PreconditionError, match="^growth_cap must be a finite number > 0, got "):
         ExpInstabilityCertificate(N=ExpWitness(1.01, 0.0), nu=1.0, growth_cap=cap)
     doc = certificate_to_json_dict(ExpInstabilityCertificate(N=ExpWitness(1.01, 0.0), nu=1.0))
     with pytest.raises(PreconditionError, match="growth_cap"):
@@ -303,10 +303,10 @@ def test_integral_estimate_needs_measurability(short_times):
 REFUSALS = {
     "exp_instability_zero_headroom": (
         lambda g: estimate_exp_instability(pure_exponential_model(3.0), g, headroom=0.0),
-        r"^headroom must be > 0, got 0.0$"),
+        r"^headroom must be a finite number > 0, got 0.0$"),
     "integral_instability_zero_headroom": (
         lambda g: estimate_integral_instability(pure_exponential_model(3.0), g, headroom=0.0),
-        r"^headroom must be > 0, got 0.0$"),
+        r"^headroom must be a finite number > 0, got 0.0$"),
     "check_integral_unmeasurable": (
         lambda g: check_integral_instability(UNMEASURABLE, IntegralInstabilityCertificate(M=ExpWitness(1.0, 0.0)), g),
         r"^integral instability needs a strongly measurable model$"),
@@ -597,6 +597,15 @@ def test_integral_check_emits_base_then_vector_batches(diag_model, short_times):
     assert rows == expected
 
 
+def test_integral_check_ignores_the_recorded_quad():
+    """The check integrates with its own quad_cfg; the certificate's quad only records the fit."""
+    xi = sin_scalar_model()
+    g = grid_for(xi, [0.0, 0.5, 1.0, 2.0, 4.0])
+    cert = dataclasses.replace(estimate_integral_instability(xi, g), quad=QuadratureConfig(max_depth=1))
+    report = check_integral_instability(xi, cert, g)
+    assert report.passed and report.worst_margin == pytest.approx(math.log1p(0.01), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -711,6 +720,30 @@ def test_parametric_json_preserves_values_exactly(n_tilde, omega):
     back = certificate_from_json_dict(certificate_to_json_dict(cert))
     assert back.n_tilde == cert.n_tilde
     assert back.omega == cert.omega
+
+
+# A certificate built from two drawn scalar fields of its class, or of its witness or quad.
+SCALAR_FIELDS = {
+    "ExpWitness": lambda a, b: IntegralInstabilityCertificate(M=ExpWitness(a, b)),
+    "ParametricDecay": ParametricDecay,
+    "ExpInstabilityCertificate": lambda a, b: ExpInstabilityCertificate(ExpWitness(2.0, 0.0), a, growth_cap=b),
+    "QuadratureConfig": lambda a, b: IntegralInstabilityCertificate(
+        M=ExpWitness(1.0, 0.0), quad=QuadratureConfig(rel_tol=a, abs_tol=b)),
+}
+scalar_st = st.one_of(st.floats(), st.integers(), st.integers(-(2**1030), 2**1030), st.booleans())
+
+
+@given(st.sampled_from(sorted(SCALAR_FIELDS)), scalar_st, scalar_st)
+@settings(max_examples=300, deadline=None)
+def test_constructed_certificates_write_documents_they_read(kind, a, b):
+    """A constructor refuses what certificate_from_json_dict would: a value it takes writes as JSON
+    and reads back (an int beyond 2**53 as its nearest float)."""
+    try:
+        cert = SCALAR_FIELDS[kind](a, b)
+    except PreconditionError:
+        return
+    doc = json.loads(json.dumps(certificate_to_json_dict(cert), allow_nan=False))
+    assert type(certificate_from_json_dict(doc)) is type(cert)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,28 @@ from cocycle_lab import (
     CheckReport,
     Counterexample,
     DomainError,
+    ExpInstabilityCertificate,
+    ExpWitness,
+    IntegralInstabilityCertificate,
     NormChoice,
+    ParametricDecay,
     PreconditionError,
+    QuadratureConfig,
     SampleGrid,
     ShiftedGenerator,
     Trivial,
     build_model,
     check_cocycle_laws,
+    check_decay,
     check_semiflow_laws,
+    decay_to_exponential,
+    estimate_exp_instability,
+    estimate_instability,
+    estimate_integral_instability,
+    generator_value,
+    integrate_generator,
+    integrate_kernel,
+    prop_shift_sufficiency,
     shift_cocycle,
 )
 from cocycle_lab.core import (
@@ -230,6 +244,50 @@ def test_refusal_paths(name):
     call, error, match = REFUSALS[name]
     with pytest.raises(error, match=match):
         call()
+
+
+# Every scalar argument follows the number rule of a document field: a float or an int within the
+# float range, but no bool, no numpy scalar other than float64, and no nan or inf.  A row gives the
+# call, the name its message gives the argument, and the values its bound refuses besides those.
+XI, GRID = pure_exponential_model(1.0), SampleGrid.create([0.0, 1.0], [Trivial(0.0)], [(1.0,)])
+F, POSITIVE, AT_LEAST_0 = ParametricDecay(2.0, 1.0), (0.0, -1.0), (-1.0,)
+SCALAR_ARGUMENTS = {
+    "ExpWitness.coef": (lambda v: ExpWitness(v, 0.0), "witness coefficient", POSITIVE),
+    "ExpWitness.rate": (lambda v: ExpWitness(1.0, v), "witness rate", ()),
+    "ParametricDecay.n_tilde": (lambda v: ParametricDecay(v, 1.0), "n_tilde", POSITIVE),
+    "ParametricDecay.omega": (lambda v: ParametricDecay(1.0, v), "omega", POSITIVE),
+    "integrate_kernel.alpha": (lambda v: integrate_kernel(F, v), "alpha", AT_LEAST_0),
+    "ExpInstabilityCertificate.nu": (lambda v: ExpInstabilityCertificate(ExpWitness(2.0, 0.0), v), "nu", POSITIVE),
+    "ExpInstabilityCertificate.growth_cap": (
+        lambda v: ExpInstabilityCertificate(ExpWitness(2.0, 0.0), 1.0, growth_cap=v), "growth_cap", POSITIVE),
+    "decay_to_exponential.mu": (lambda v: decay_to_exponential(F, v), "pivot time mu", POSITIVE),
+    "estimate_instability.headroom": (lambda v: estimate_instability(XI, GRID, headroom=v), "headroom", POSITIVE),
+    "estimate_exp_instability.headroom": (
+        lambda v: estimate_exp_instability(XI, GRID, headroom=v), "headroom", POSITIVE),
+    "estimate_exp_instability.growth_cap": (
+        lambda v: estimate_exp_instability(XI, GRID, growth_cap=v), "growth_cap", POSITIVE),
+    "estimate_integral_instability.headroom": (
+        lambda v: estimate_integral_instability(XI, GRID, headroom=v), "headroom", POSITIVE),
+    "prop_shift_sufficiency.alpha": (
+        lambda v: prop_shift_sufficiency(v, IntegralInstabilityCertificate(ExpWitness(1.0, 0.0)), F, XI, GRID),
+        "alpha", POSITIVE),
+    "shift_cocycle.gamma": (lambda v: shift_cocycle(XI, v), "shift parameter", ()),
+    "check_decay.tol": (lambda v: check_decay(XI, F, GRID, tol=v), "margin tolerance", AT_LEAST_0),
+    "QuadratureConfig.rel_tol": (lambda v: QuadratureConfig(rel_tol=v), "rel_tol", POSITIVE),
+    "QuadratureConfig.abs_tol": (lambda v: QuadratureConfig(abs_tol=v), "abs_tol", POSITIVE),
+    "generator_value.sigma": (lambda v: generator_value(1, v, 0.0), "generator shift", AT_LEAST_0),
+    "integrate_generator.length": (lambda v: integrate_generator(1, 0.0, v), "integration length", AT_LEAST_0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SCALAR_ARGUMENTS))
+def test_scalar_arguments_follow_the_number_rule(site):
+    call, name, bound = SCALAR_ARGUMENTS[site]
+    for value in (True, np.bool_(True), np.float32(1.0), np.int64(1), 10**400, math.nan, math.inf, *bound):
+        with pytest.raises(PreconditionError, match=name):
+            call(value)
+    for value in (1, 1.5, np.float64(1.5)):
+        call(value)
 
 
 def _with_log_factors(xi, log_factors):

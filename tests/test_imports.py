@@ -215,6 +215,20 @@ RULES = [
          ("g = xi.log_factors(t, s, x)\nh = _log_factors(xi, t, s, x) + log_factors(t, s, x)\n"
           "f = xi.log_factors\nk = model().log_factors(t, s, x).T\nModel(semiflow=s, log_factors=log_factors)\n",
           {"": [1, 4]})),
+    # A scalar is checked through core._finite or core._is_finite_number, which refuse bools,
+    # numpy scalars other than float64 and ints beyond the float range, as documents do;
+    # math.isfinite takes all three.  An ``and`` of math.isfinite(X) with a comparison of X matches.
+    Rule("isfinite-checks", lambda n: isinstance(n, ast.BoolOp) and isinstance(n.op, ast.And) and any(
+        isinstance(c, ast.Compare) and {ast.dump(e) for e in (c.left, *c.comparators)} & {
+            ast.dump(f.args[0]) for f in n.values if isinstance(f, ast.Call) and dotted(f.func) == "math.isfinite"}
+        for c in n.values), SRC, set(),
+         (CERTIFICATES, "estimate_instability", '_finite(headroom, "headroom", positive=True)',
+          "if not (math.isfinite(headroom) and headroom > 0.0):  # planted\n"
+          '        raise PreconditionError(f"headroom must be > 0, got {headroom}")'),
+         ("def f(x, y, self):\n    a = math.isfinite(x) and x > 0\n    b = not (math.isfinite(self.a) and self.a >= 1)\n"
+          "    c = 0.0 < y and math.isfinite(y)\n    d = math.isfinite(x)\n    e = math.isfinite(x) and y > 0\n"
+          "    g = _is_finite_number(x) and x > 0\n    h = not (math.isfinite(x) and math.isfinite(y)) or x < y\n",
+          {"f": [2, 3, 4]})),
     # The Datko statistic is the one strong-measurability gate of certificates.py.
     Rule("measurability-reads", lambda n: isinstance(n, ast.Attribute) and n.attr == "strongly_measurable"
          and isinstance(n.ctx, ast.Load), (CERTIFICATES,), {(CERTIFICATES, "_datko_stats")},
