@@ -53,7 +53,7 @@ from .core import (
     SkewEvolutionSemiflow,
     _base_time_blocks,
     _finite,
-    _float_list,
+    _floats,
     _is_finite_number,
     _json_float,
     _log_norm,
@@ -61,6 +61,8 @@ from .core import (
     _pairs,
     _report,
     _require_keys,
+    _shown,
+    _time_axis,
     log_norms,
 )
 from .quadrature import QuadratureConfig, norm_integral_prefix
@@ -101,13 +103,17 @@ class ExpWitness:
         return math.log(self.coef) + self.rate * np.asarray(t)
 
 
+_LOG_MAX = math.log(np.finfo(float).max)  # the largest log value whose exp is a float
+
+
 @dataclass(frozen=True)
 class TabulatedWitness:
     """Step-interpolated witness: value at the nearest knot time >= t.
 
     Past the last knot the last value extends; the log table is the
-    authoritative side for margin arithmetic.  The constructors pass any
-    further ``fields`` (a subclass's) through.
+    authoritative side for margin arithmetic: a value of ``from_log_values``
+    may underflow to 0 or overflow to inf, and such a table is not written.
+    The constructors pass any further ``fields`` (a subclass's) through.
     """
 
     times: tuple[float, ...]
@@ -115,29 +121,28 @@ class TabulatedWitness:
     log_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "times", _time_axis(self.times, "witness knot times"))
+        object.__setattr__(self, "values", _floats(self.values, "witness values"))
+        object.__setattr__(self, "log_values", _floats(self.log_values, "witness log-values"))
         if not self.times:
             raise PreconditionError("tabulated witness needs at least one knot")
         if len(self.times) != len(self.values) or len(self.times) != len(self.log_values):
             raise PreconditionError("tabulated witness arrays must have equal length")
-        if not all(map(math.isfinite, self.times)):
-            raise PreconditionError(f"witness knot times must be finite, got {list(self.times)}")
-        if any(b >= a for a, b in zip(self.times[1:], self.times)) or self.times[0] < 0.0:
-            raise PreconditionError("witness knot times must be strictly increasing and >= 0")
         for lv in self.log_values:
             if math.isnan(lv) or lv == math.inf:
                 raise PreconditionError(f"witness log-values must be finite or -inf, got {lv}")
 
     @classmethod
     def from_values(cls, times: Sequence[float], values: Sequence[float], **fields):
-        vals = tuple(float(v) for v in values)
+        vals = _floats(values, "witness values")
         if any(not (v > 0.0) or not math.isfinite(v) for v in vals):
             raise PreconditionError("tabulated witness values must be positive and finite")
-        return cls(tuple(float(t) for t in times), vals, tuple(math.log(v) for v in vals), **fields)
+        return cls(times, vals, tuple(math.log(v) for v in vals), **fields)
 
     @classmethod
     def from_log_values(cls, times: Sequence[float], logs: Sequence[float], **fields):
-        lv = tuple(float(v) for v in logs)
-        return cls(tuple(float(t) for t in times), tuple(math.exp(v) for v in lv), lv, **fields)
+        lv = _floats(logs, "witness log-values")
+        return cls(times, tuple(math.exp(v) if v <= _LOG_MAX else math.inf for v in lv), lv, **fields)
 
     @property
     def form(self) -> str:
@@ -177,7 +182,7 @@ class ParametricDecay:
 
     def __post_init__(self) -> None:
         if not (_is_finite_number(self.n_tilde) and self.n_tilde >= 1.0):
-            raise PreconditionError(f"n_tilde must be finite and >= 1, got {self.n_tilde}")
+            raise PreconditionError(f"n_tilde must be finite and >= 1, got {_shown(self.n_tilde)}")
         _finite(self.omega, "omega", positive=True)
 
     def value(self, t: float) -> float:
@@ -233,7 +238,7 @@ def integrate_kernel(f: DecayCertificate, alpha: float) -> float:
     of (0, 1] raises PreconditionError.
     """
     if not (_is_finite_number(alpha) and alpha >= 0.0):
-        raise PreconditionError(f"kernel integral needs a finite alpha >= 0, got {alpha}")
+        raise PreconditionError(f"kernel integral needs a finite alpha >= 0, got {_shown(alpha)}")
     if isinstance(f, ParametricDecay):
         pieces = [(-math.log(f.n_tilde), 0.0, 1.0, alpha + f.omega)]
     else:
@@ -495,9 +500,9 @@ def _ls_slope(times: Sequence[float], values: np.ndarray) -> float:
     return float(np.dot(u, values - values.mean()) / np.dot(u, u)) / spread
 
 
-def _nu_ladder(candidates: Sequence[float]) -> tuple[float, ...]:
-    """The rate candidates as floats: a nonempty, increasing list of positive reals."""
-    ladder = tuple(float(c) for c in candidates)
+def _nu_ladder(candidates: Sequence[float], name: str = "nu candidates") -> tuple[float, ...]:
+    """The rate candidates, called ``name``, as floats: a nonempty, increasing list of positive reals."""
+    ladder = _floats(candidates, name)
     if not ladder or any(not (_is_finite_number(c) and c > 0.0) for c in ladder):
         raise PreconditionError("nu candidates must be a nonempty list of positive reals")
     if any(b >= a for a, b in zip(ladder[1:], ladder)):
@@ -690,7 +695,7 @@ def witness_from_json_dict(doc: dict, form: str, what: str) -> Witness:
     if form == "tabulated":
         _require_keys(doc, {"times", "values"}, set(), what)
         return TabulatedWitness.from_values(
-            _float_list(doc["times"], f"{what}.times"), _float_list(doc["values"], f"{what}.values")
+            _floats(doc["times"], f"{what}.times"), _floats(doc["values"], f"{what}.values")
         )
     raise PreconditionError(f"unknown witness form {form!r}")
 
@@ -701,7 +706,9 @@ def _instability_document(kind: str, key: str, w: Witness, **extras) -> dict:
 
 
 def certificate_to_json_dict(cert) -> dict:
-    """Serialize any certificate (or a no-certificate outcome) to a JSON dict."""
+    """Serialize any certificate (or a no-certificate outcome) to a JSON dict, which must read back:
+    a table value that underflowed to 0 or overflowed, or an instability witness value that rounded
+    to 1 (read back, log 0), raises the reader's PreconditionError."""
     if isinstance(cert, ParametricDecay):
         body = {"kind": "decay", "form": "parametric", "n_tilde": cert.n_tilde, "omega": cert.omega}
     elif isinstance(cert, TabulatedDecay):
@@ -724,6 +731,7 @@ def certificate_to_json_dict(cert) -> dict:
         raise PreconditionError(f"cannot serialize object of type {type(cert).__name__}")
     body["grid_hash"] = cert.grid_hash
     body["tool_version"] = cert.tool_version
+    certificate_from_json_dict(body)
     return body
 
 
@@ -757,7 +765,7 @@ def certificate_from_json_dict(doc: dict):
         if form == "tabulated":
             _require_keys(doc, common | {"form", "times", "values"}, set(), "decay certificate")
             return TabulatedDecay.from_values(
-                _float_list(doc["times"], "times"), _float_list(doc["values"], "values"),
+                _floats(doc["times"], "times"), _floats(doc["values"], "values"),
                 grid_hash=grid_hash, tool_version=version,
             )
         raise PreconditionError(f"unknown decay form {form!r}")

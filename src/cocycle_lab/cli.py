@@ -55,7 +55,6 @@ from .core import (
     ShiftedGenerator,
     SkewEvolutionSemiflow,
     Trivial,
-    _float_list,
     _integer,
     _number,
     _require_keys,
@@ -164,9 +163,9 @@ def _parse_base_point(doc) -> Trivial | ShiftedGenerator:
     raise PreconditionError(f"unknown base point kind {doc['kind']!r}")
 
 
-def _parse_times(doc) -> list[float]:
+def _parse_times(doc) -> list | np.ndarray:
     if isinstance(doc, list):
-        return _float_list(doc, "grid times")
+        return doc  # the grid checks it, as "grid times"
     if isinstance(doc, dict):
         _require_keys(doc, {"min", "max", "count"}, set(), "grid times")
         count = _integer(doc, "count", minimum=1, name="grid times count")
@@ -175,10 +174,9 @@ def _parse_times(doc) -> list[float]:
         lo, hi = _number(doc, "min", 0.0), _number(doc, "max", 0.0)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowed span fails the grid's checks
-                times = np.linspace(lo, hi, count)
+                return np.linspace(lo, hi, count)
         except (ValueError, MemoryError) as exc:  # linspace's intermediates outgrow any array, or memory runs out
             raise PreconditionError(f"grid times count {count} is too large to build: {exc}") from exc
-        return [float(t) for t in times]
     raise PreconditionError("grid times must be a list or a {min, max, count} object")
 
 
@@ -226,9 +224,9 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
     else:
         bases = list(default_base_points(base_model))
     if "vectors" in grid_doc:
-        vectors = [_float_list(v, "grid vectors entry") for v in _grid_list(grid_doc, "vectors")]
+        vectors = list(_grid_list(grid_doc, "vectors"))  # the grid checks each entry
     else:
-        vectors = [list(v) for v in default_vectors(base_model.dimension)]
+        vectors = list(default_vectors(base_model.dimension))
 
     seed = None if doc.get("seed") is None else _integer(doc, "seed", minimum=0)
     extra = _integer(doc, "random_vectors", 0, minimum=0)
@@ -238,8 +236,7 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
         if extra * base_model.dimension > sys.maxsize:  # no numpy array of that many entries can exist
             raise PreconditionError(f"random_vectors must be at most {sys.maxsize // base_model.dimension}")
         rng = np.random.default_rng(seed)
-        for row in rng.standard_normal((extra, base_model.dimension)):
-            vectors.append([float(c) for c in row])
+        vectors.extend(rng.standard_normal((extra, base_model.dimension)))
 
     grid = SampleGrid.create(times, bases, vectors)
 
@@ -248,7 +245,7 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
 
     nu_candidates = doc.get("nu_candidates")
     if nu_candidates is not None:
-        nu_candidates = _nu_ladder(_float_list(nu_candidates, "nu_candidates"))
+        nu_candidates = _nu_ladder(nu_candidates, "nu_candidates")
     alpha = _number(doc, "alpha", 1.5, positive=True)
 
     out_dir = doc.get("out_dir")

@@ -52,14 +52,10 @@ def _is_finite_number(v) -> bool:
     return _is_number(v) and abs(v) <= sys.float_info.max
 
 
-def _float_list(value, what: str) -> list[float]:
-    """``value`` as a list of floats.  An int beyond the float range is refused here,
-    where float() would overflow; a non-finite float is left to the caller's own check."""
-    if not isinstance(value, list) or not all(_is_number(v) for v in value):
-        raise PreconditionError(f"{what} must be a list of numbers")
-    if not all(isinstance(v, float) or _is_finite_number(v) for v in value):
-        raise PreconditionError(f"{what} must be a list of numbers within the float range")
-    return [float(v) for v in value]
+def _shown(value) -> str:
+    """``repr(value)``, but an int beyond the float range by its size: repr refuses past 4,300 digits."""
+    huge = _is_int(value) and not _is_finite_number(value)
+    return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits" if huge else repr(value)
 
 
 def _finite(value, name: str, positive: bool = False) -> float:
@@ -67,8 +63,29 @@ def _finite(value, name: str, positive: bool = False) -> float:
     alike: a float or an int within the float range, but not a bool or a numpy scalar that is
     not a float64, which ``json`` cannot write.  Messages name ``name``."""
     if not (_is_finite_number(value) and (value > 0.0 or not positive)):
-        raise PreconditionError(f"{name} must be a finite number{' > 0' if positive else ''}, got {value!r}")
+        raise PreconditionError(f"{name} must be a finite number{' > 0' if positive else ''}, got {_shown(value)}")
     return float(value)
+
+
+def _floats(values, name: str) -> tuple[float, ...]:
+    """``values``, a JSON list or another iterable but not a string or a mapping, as floats: each item a
+    number as for ``_finite``, but nan and +-inf are left to the caller.  Messages name ``name``."""
+    items = tuple(values) if isinstance(values, Iterable) and not isinstance(values, (str, bytes, dict)) else None
+    if items is None or not all(map(_is_number, items)):
+        raise PreconditionError(f"{name} must be a list of numbers")
+    if huge := [v for v in items if not (isinstance(v, float) or _is_finite_number(v))]:
+        raise PreconditionError(f"{name} must be a list of numbers within the float range, got {_shown(huge[0])}")
+    return tuple(float(v) for v in items)
+
+
+def _time_axis(times, name: str) -> tuple[float, ...]:
+    """``times`` through ``_floats``, finite, >= 0 and strictly increasing: grid times, witness knots and the like."""
+    axis = _floats(times, name)
+    if bad := [t for t in axis if not 0.0 <= t < math.inf]:
+        raise PreconditionError(f"{name} must be finite and >= 0, got {bad[0]}")
+    if any(b >= a for a, b in zip(axis[1:], axis)):
+        raise PreconditionError(f"{name} must be strictly increasing")
+    return axis
 
 
 def _number(doc: dict, key: str, default: float | None = None, positive: bool = False, name: str | None = None) -> float:
@@ -82,7 +99,7 @@ def _integer(doc: dict, key: str, default: int | None = None, minimum: int | Non
     value = doc.get(key, default)
     if not (_is_int(value) and (minimum is None or value >= minimum)):
         at_least = "" if minimum is None else f" >= {minimum}"
-        raise PreconditionError(f"{name or key} must be an integer{at_least}, got {value!r}")
+        raise PreconditionError(f"{name or key} must be an integer{at_least}, got {_shown(value)}")
     return value
 
 
@@ -137,7 +154,7 @@ class ShiftedGenerator:
 
     def __post_init__(self) -> None:
         if not (_is_int(self.n) and self.n >= 1):
-            raise DomainError(f"generator index must be an integer >= 1, got {self.n!r}")
+            raise DomainError(f"generator index must be an integer >= 1, got {_shown(self.n)}")
         if not np.all(np.isfinite(self.sigma) & (np.asarray(self.sigma) >= 0.0)):
             raise DomainError(f"generator shift must be finite and >= 0, got {self.sigma}")
 
@@ -329,10 +346,10 @@ class SampleGrid:
     """Times, base points, and nonzero vectors to sample inequalities on.
 
     Admissible triples are (t, s, t0) drawn from ``times`` with
-    t >= s >= t0, crossed with every base point and vector.  A grid checks
-    itself when it is built, ``dataclasses.replace`` included: it has at
-    least one time, base point and vector; its times are finite, >= 0 and
-    strictly increasing; its vectors are finite, nonzero and of one length.
+    t >= s >= t0, crossed with every base point and vector.  However it is
+    built, ``dataclasses.replace`` included, a grid checks itself and holds
+    tuples of floats: at least one time, base point and vector; times that
+    follow ``_time_axis``; finite, nonzero vectors of one length.
     """
 
     times: tuple[float, ...]
@@ -340,13 +357,10 @@ class SampleGrid:
     vectors: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "times", _time_axis(self.times, "grid times"))
+        object.__setattr__(self, "vectors", tuple(_floats(v, "grid vectors entry") for v in self.vectors))
         if not (self.times and self.base_points and self.vectors):
             raise PreconditionError("grid nonempty")
-        for t in self.times:
-            if not (_is_finite_number(t) and t >= 0.0):
-                raise PreconditionError(f"grid times must be finite and >= 0, got {t}")
-        if any(b >= a for a, b in zip(self.times[1:], self.times)):
-            raise PreconditionError("grid times must be strictly increasing")
         for v in self.vectors:
             if not all(math.isfinite(c) for c in v):
                 raise PreconditionError(f"vector components must be finite, got {v}")
@@ -362,11 +376,7 @@ class SampleGrid:
         base_points: Iterable[BasePoint],
         vectors: Iterable[Sequence[float]],
     ) -> "SampleGrid":
-        return cls(
-            times=tuple(float(t) for t in times),
-            base_points=tuple(base_points),
-            vectors=tuple(tuple(float(c) for c in v) for v in vectors),
-        )
+        return cls(times, tuple(base_points), vectors)
 
     @property
     def log_magnitudes(self) -> np.ndarray:
@@ -499,7 +509,7 @@ def _report(check: str, tol: float, sink: MarginSink | None, rows) -> CheckRepor
     order.  Only failures cost per-sample work.
     """
     if not (_is_finite_number(tol) and tol >= 0.0):
-        raise PreconditionError(f"margin tolerance must be finite and >= 0, got {tol}")
+        raise PreconditionError(f"margin tolerance must be finite and >= 0, got {_shown(tol)}")
     samples, worst, failures = 0, math.inf, []
     for row in rows:
         base, vector, (ts, ss, t0s), margins = row

@@ -29,19 +29,21 @@ from .core import (
     ShiftedGenerator,
     SkewEvolutionSemiflow,
     Trivial,
-    _float_list,
+    _finite,
+    _floats,
     _is_finite_number,
     _is_int,
     _require_keys,
+    _shown,
 )
 
 
 def _check_generator(n: int, sigma: float) -> None:
     """Refuse a generator index that is not an integer >= 1 or a shift that is not finite and >= 0."""
     if not (_is_int(n) and n >= 1):
-        raise PreconditionError(f"generator index must be an integer >= 1, got {n!r}")
+        raise PreconditionError(f"generator index must be an integer >= 1, got {_shown(n)}")
     if not (_is_finite_number(sigma) and sigma >= 0.0):
-        raise PreconditionError(f"generator shift must be finite and >= 0, got {sigma}")
+        raise PreconditionError(f"generator shift must be finite and >= 0, got {_shown(sigma)}")
 
 
 def generator_value(n: int, sigma: float, t: float | np.ndarray) -> float | np.ndarray:
@@ -70,7 +72,7 @@ def integrate_generator(n: int, sigma: float, length: float) -> float:
     """
     _check_generator(n, sigma)
     if not (_is_finite_number(length) and length >= 0.0):
-        raise PreconditionError(f"integration length must be finite and >= 0, got {length}")
+        raise PreconditionError(f"integration length must be finite and >= 0, got {_shown(length)}")
     return float(_generator_integral(n, sigma, length))
 
 
@@ -128,9 +130,7 @@ def pure_exponential_model(
     rate: float, norm_choice: NormChoice = NormChoice.SUM_ABS
 ) -> SkewEvolutionSemiflow:
     """Scalar cocycle v -> v e^{rate (t - s)}; the estimator calibration model."""
-    if not _is_finite_number(rate):
-        raise PreconditionError(f"pure_exponential rate must be a finite number, got {rate!r}")
-    rate = float(rate)
+    rate = _finite(rate, "pure_exponential rate")
     return _trivial_model(
         {"kind": "pure_exponential", "rate": rate}, lambda t, s: rate * (t - s), norm_choice
     )
@@ -145,7 +145,7 @@ def diag_integral_model(
     of the fiber map multiplies by exp(alpha_k I) where I is the integral
     of the shifted generator over a window of length t - s.
     """
-    rates = tuple(float(a) for a in alphas)
+    rates = _floats(alphas, "diag_integral alphas")
     if not rates:
         raise PreconditionError("diag_integral needs at least one component rate")
     if not all(math.isfinite(a) for a in rates):
@@ -190,7 +190,7 @@ def broken_cocycle_model(norm_choice: NormChoice = NormChoice.SUM_ABS) -> SkewEv
 # Model kind -> (descriptor keys besides "kind", all required; builder(descriptor)).
 MODEL_KINDS = {
     "sin_scalar": (set(), lambda d: sin_scalar_model()),
-    "diag_integral": ({"alphas"}, lambda d: diag_integral_model(_float_list(d["alphas"], "diag_integral alphas"))),
+    "diag_integral": ({"alphas"}, lambda d: diag_integral_model(d["alphas"])),
     "pure_exponential": ({"rate"}, lambda d: pure_exponential_model(d["rate"])),
     "broken_semiflow": (set(), lambda d: broken_semiflow_model()),
     "broken_cocycle": (set(), lambda d: broken_cocycle_model()),

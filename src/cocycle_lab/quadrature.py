@@ -32,6 +32,8 @@ from .core import (
     _log_norm,
     _number,
     _require_keys,
+    _shown,
+    _time_axis,
 )
 
 
@@ -47,10 +49,10 @@ class QuadratureConfig:
 
     def __post_init__(self) -> None:
         if not (_is_finite_number(self.rel_tol) and self.rel_tol >= 1e-13):
-            raise PreconditionError(f"rel_tol must be >= 1e-13, got {self.rel_tol}")
+            raise PreconditionError(f"rel_tol must be >= 1e-13, got {_shown(self.rel_tol)}")
         _finite(self.abs_tol, "abs_tol", positive=True)
         if not (_is_int(self.max_depth) and 1 <= self.max_depth <= 60):
-            raise PreconditionError(f"max_depth must be an integer in [1, 60], got {self.max_depth}")
+            raise PreconditionError(f"max_depth must be an integer in [1, 60], got {_shown(self.max_depth)}")
 
     def to_json_dict(self) -> dict:
         return {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol, "max_depth": self.max_depth}
@@ -251,11 +253,9 @@ def norm_integral_prefix(
     integral and check paths both read their integrals here, which keeps
     their margins bit-identical.
     """
-    ts = np.asarray(times, dtype=float)
+    ts = np.asarray(_time_axis(times, "times"))
     if not len(ts):
         raise PreconditionError("grid nonempty")
-    if np.any(ts[1:] <= ts[:-1]) or ts[0] < 0.0:
-        raise PreconditionError("times must be strictly increasing and >= 0")
     arr = np.asarray(log_mags, dtype=float)
     block = np.atleast_2d(arr)
     if not np.all(np.any(np.isfinite(block), axis=1)):

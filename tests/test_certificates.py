@@ -94,6 +94,24 @@ def test_tabulated_witness_validation():
                                         "values": [1.0, 0.5, 0.2, 0.1], "grid_hash": "", "tool_version": "0"})
 
 
+def test_a_table_whose_document_the_reader_refuses_is_not_written():
+    # the log table serves margin arithmetic, but a document holds exps, which underflow to 0
+    # or overflow here; the reader would refuse either value
+    deep = TabulatedDecay.from_log_values([0.0, 1.0], [0.0, -1000.0])
+    steep = InstabilityCertificate(TabulatedWitness.from_log_values([0.0], [800.0]))
+    assert deep.values == (1.0, 0.0) and steep.N.values == (math.inf,)
+    for cert in (deep, steep):
+        with pytest.raises(PreconditionError, match="^tabulated witness values must be positive and finite$"):
+            certificate_to_json_dict(cert)
+    # a log value above 0 whose exp rounds to 1 reads back as log 0, which no instability witness
+    # takes; such a witness is built and checked, as a theorem's derived N may be, but not written
+    for cert in (InstabilityCertificate(TabulatedWitness.from_log_values([0.0], [1e-20])),
+                 ExpInstabilityCertificate(TabulatedWitness.from_log_values([0.0, 1.0], [1e-20, 1.0]), 1.0)):
+        assert cert.N.values[0] == 1.0
+        with pytest.raises(PreconditionError, match="^instability witness values must be > 1$"):
+            certificate_to_json_dict(cert)
+
+
 def test_tabulated_witness_step_lookup():
     w = TabulatedWitness.from_values([0.0, 1.0, 2.0], [5.0, 3.0, 2.0])
     # value at the nearest knot time >= t, clamped to the last knot
@@ -733,6 +751,21 @@ SCALAR_FIELDS = {
 scalar_st = st.one_of(st.floats(), st.integers(), st.integers(-(2**1030), 2**1030), st.booleans())
 
 
+# A certificate built from drawn witness knot times and values (or log values) of a table.
+TABLE_FIELDS = {
+    "TabulatedDecay.from_values": TabulatedDecay.from_values,
+    "TabulatedDecay.from_log_values": TabulatedDecay.from_log_values,
+    "InstabilityCertificate.from_values": lambda ts, vs: InstabilityCertificate(TabulatedWitness.from_values(ts, vs)),
+    "ExpInstabilityCertificate.from_log_values": lambda ts, vs: ExpInstabilityCertificate(
+        TabulatedWitness.from_log_values(ts, vs), 1.0),
+    "IntegralInstabilityCertificate.from_log_values": lambda ts, vs: IntegralInstabilityCertificate(
+        TabulatedWitness.from_log_values(ts, vs)),
+}
+item_st = st.one_of(scalar_st, st.text(max_size=3))
+# increasing knot times are drawn too, or few tables would get past their times
+table_st = st.one_of(st.lists(item_st, max_size=4), st.lists(st.floats(0.0, 1e300), max_size=4, unique=True).map(sorted))
+
+
 @given(st.sampled_from(sorted(SCALAR_FIELDS)), scalar_st, scalar_st)
 @settings(max_examples=300, deadline=None)
 def test_constructed_certificates_write_documents_they_read(kind, a, b):
@@ -744,6 +777,19 @@ def test_constructed_certificates_write_documents_they_read(kind, a, b):
         return
     doc = json.loads(json.dumps(certificate_to_json_dict(cert), allow_nan=False))
     assert type(certificate_from_json_dict(doc)) is type(cert)
+
+
+@given(st.sampled_from(sorted(TABLE_FIELDS)), table_st, table_st)
+@settings(max_examples=300, deadline=None)
+def test_constructed_witness_tables_write_documents_they_read(kind, times, values):
+    """A witness table is refused, when it is built or written, unless the document it writes reads
+    back into a certificate that writes the same document: its items follow the number rule, and a
+    log value whose exp underflows to 0 or overflows is not written."""
+    try:
+        doc = json.loads(json.dumps(certificate_to_json_dict(TABLE_FIELDS[kind](times, values)), allow_nan=False))
+    except PreconditionError:
+        return
+    assert certificate_to_json_dict(certificate_from_json_dict(doc)) == doc
 
 
 # ---------------------------------------------------------------------------

@@ -687,6 +687,18 @@ def test_certificate_files_route_to_the_property_their_kind_names(tmp_path, pexp
                 f"cocycle-lab: error: {path} holds a certificate for property '{prop}', not '{other}'\n")
 
 
+@pytest.mark.parametrize("prop", ["decay", "instability", "integral-instability"])
+def test_estimate_writes_no_table_it_cannot_read(tmp_path, capsys, prop):
+    # at rate -60 the decay witness underflows to 0 (its file then failed check) and the
+    # instability witnesses overflow (estimate exited 2 with "math range error")
+    p = write_scenario(tmp_path / "m60.json", {"kind": "pure_exponential", "rate": -60},
+                       times={"min": 0, "max": 16, "count": 17})
+    out = tmp_path / "out"
+    assert main(["estimate", "--scenario", str(p), "--out-dir", str(out), "--property", prop]) == 2
+    assert capsys.readouterr().err == "cocycle-lab: error: tabulated witness values must be positive and finite\n"
+    assert not out.exists()
+
+
 def test_integral_instability_keeps_a_component_far_below_the_norm(tmp_path):
     # |v| / ||v|| underflowed 1e-300 / 1e300 to 0, so the Datko statistic ignored the
     # growing component: log M(16) read 1078.9, and estimate exited 2 with "math range error"

@@ -22,11 +22,14 @@ from cocycle_lab import (
     QuadratureConfig,
     SampleGrid,
     ShiftedGenerator,
+    TabulatedDecay,
+    TabulatedWitness,
     Trivial,
     build_model,
     check_cocycle_laws,
     check_decay,
     check_semiflow_laws,
+    certificate_to_json_dict,
     decay_to_exponential,
     estimate_exp_instability,
     estimate_instability,
@@ -34,6 +37,7 @@ from cocycle_lab import (
     generator_value,
     integrate_generator,
     integrate_kernel,
+    norm_integral_prefix,
     prop_shift_sufficiency,
     shift_cocycle,
 )
@@ -283,11 +287,64 @@ SCALAR_ARGUMENTS = {
 @pytest.mark.parametrize("site", sorted(SCALAR_ARGUMENTS))
 def test_scalar_arguments_follow_the_number_rule(site):
     call, name, bound = SCALAR_ARGUMENTS[site]
-    for value in (True, np.bool_(True), np.float32(1.0), np.int64(1), 10**400, math.nan, math.inf, *bound):
+    for value in (True, np.bool_(True), np.float32(1.0), np.int64(1), 10**400, 10**5000, math.nan, math.inf, *bound):
         with pytest.raises(PreconditionError, match=name):
             call(value)
     for value in (1, 1.5, np.float64(1.5)):
         call(value)
+
+
+# Every list-of-numbers argument follows the item rule of a document list: each item a float (numpy
+# float64 included) or an int within the float range, but no bool, string or other numpy scalar.  A
+# row gives the call on a sequence, the name its messages give the argument, valid items, a key of
+# the result, and whether the argument is a time axis (finite, >= 0 and strictly increasing).
+KNOTS, LINEAR, LOGS = [0.0, 1.0, 2.5], [3.0, 2.0, 1.5], [1.0, 0.5, 0.25]
+SEQUENCE_ARGUMENTS = {
+    "SampleGrid.create.times": (lambda xs: SampleGrid.create(xs, [Trivial(0.0)], [(1.0,)]), "grid times", KNOTS,
+                                lambda g: (g.times, g.vectors, g.grid_hash), True),
+    "SampleGrid.create.vector": (lambda xs: SampleGrid.create([0.0, 1.0], [Trivial(0.0)], [xs]), "grid vectors entry",
+                                 [1.0, -0.5, 2.0], lambda g: (g.times, g.vectors, g.grid_hash), False),
+    "SampleGrid": (lambda xs: SampleGrid(xs, (Trivial(0.0),), ((1.0,),)), "grid times", KNOTS,
+                   lambda g: (g.times, g.vectors, g.grid_hash), True),
+    "TabulatedWitness.from_values.times": (lambda xs: TabulatedWitness.from_values(xs, LINEAR), "witness knot times",
+                                           KNOTS, dataclasses.astuple, True),
+    "TabulatedWitness.from_values.values": (lambda xs: TabulatedWitness.from_values(KNOTS, xs), "witness values",
+                                            LINEAR, dataclasses.astuple, False),
+    "TabulatedWitness.from_log_values.times": (lambda xs: TabulatedWitness.from_log_values(xs, LOGS),
+                                               "witness knot times", KNOTS, dataclasses.astuple, True),
+    "TabulatedWitness.from_log_values.logs": (lambda xs: TabulatedWitness.from_log_values(KNOTS, xs),
+                                              "witness log-values", LOGS, dataclasses.astuple, False),
+    "TabulatedDecay.from_values": (lambda xs: TabulatedDecay.from_values(KNOTS, xs), "witness values", LOGS,
+                                   dataclasses.astuple, False),
+    "estimate_exp_instability.nu_candidates": (lambda xs: estimate_exp_instability(XI, GRID, nu_candidates=xs),
+                                               "nu candidates", [0.5, 1.0, 2.0], certificate_to_json_dict, False),
+    "diag_integral_model": (diag_integral_model, "diag_integral alphas", [1.0, -1.0, 0.5], lambda m: m.descriptor, False),
+    "norm_integral_prefix.times": (lambda xs: norm_integral_prefix(XI, Trivial(0.0), np.zeros(1), xs), "times", KNOTS,
+                                   lambda p: p.tolist(), True),
+}
+
+
+def only_floats(key) -> bool:
+    """Whether every number in ``key`` (nested tuples, lists and dicts) is a plain float."""
+    if isinstance(key, (tuple, list)):
+        return all(map(only_floats, key))
+    if isinstance(key, dict):
+        return all(map(only_floats, key.values()))
+    return type(key) is float or isinstance(key, str)
+
+
+@pytest.mark.parametrize("site", sorted(SEQUENCE_ARGUMENTS))
+def test_sequence_arguments_follow_the_number_rule(site):
+    call, name, valid, key, axis = SEQUENCE_ARGUMENTS[site]
+    for item in (True, np.bool_(True), "1.5", 10**400, 10**5000, np.float32(1.0), np.int64(1)):
+        with pytest.raises(PreconditionError, match=f"^{name} must be a list of numbers"):
+            call([valid[0], item, *valid[2:]])
+    for bad in ([0.0, 1.0, math.inf], [0.0, 1.0, math.nan], [-1.0, 0.0, 1.0], [0.0, 0.0, 1.0]) if axis else ():
+        with pytest.raises(PreconditionError, match=f"^{name} must be (finite and >= 0|strictly increasing)"):
+            call(bad)
+    # a list, a tuple and a float64 array give one result, held as plain floats
+    got = [key(call(form)) for form in (list(valid), tuple(valid), np.array(valid))]
+    assert got[0] == got[1] == got[2] and only_floats(got[0])
 
 
 def _with_log_factors(xi, log_factors):

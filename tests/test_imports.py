@@ -229,6 +229,34 @@ RULES = [
           "    c = 0.0 < y and math.isfinite(y)\n    d = math.isfinite(x)\n    e = math.isfinite(x) and y > 0\n"
           "    g = _is_finite_number(x) and x > 0\n    h = not (math.isfinite(x) and math.isfinite(y)) or x < y\n",
           {"f": [2, 3, 4]})),
+    # A sequence argument becomes floats through core._floats, which refuses bools, strings, numpy
+    # scalars other than float64 and ints beyond the float range; float() takes the first four and
+    # overflows on the last.  A comprehension whose item is float() of its own target matches, and
+    # so does map(float, ...).
+    Rule("float-items", lambda n: isinstance(n, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
+         and isinstance(n.elt, ast.Call) and dotted(n.elt.func) == "float" and len(n.elt.args) == 1
+         and isinstance(n.elt.args[0], ast.Name) and n.elt.args[0].id in {
+             t.id for g in n.generators for t in ast.walk(g.target) if isinstance(t, ast.Name)}
+         or isinstance(n, ast.Call) and dotted(n.func) == "map" and bool(n.args) and dotted(n.args[0]) == "float",
+         SRC, {(CORE, "_floats")},
+         (CERTIFICATES, "_nu_ladder", "ladder = _floats(candidates, name)",
+          "ladder = tuple(float(c) for c in candidates)  # planted"),
+         ("def _floats(xs):\n    return tuple(float(v) for v in xs)\ndef grid(rows, a, total):\n"
+          "    vs = [[float(c) for c in row] for row in rows] + list(map(float, a))\n"
+          "    return float(a), float(np.max(a)), float(total[0]), [float(x) + 1 for x in a], [float(y) for x in a]\n",
+          {"_floats": [2], "grid": [4, 4]})),
+    # The rule of a time axis (finite, >= 0, strictly increasing) is stated by core._time_axis
+    # alone: no other string constant names strict increase, docstrings included.
+    Rule("time-axis-checks", lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
+         and "strictly increasing" in n.value, SRC, {(CORE, "_time_axis")},
+         (CERTIFICATES, "TabulatedWitness.__post_init__",
+          'object.__setattr__(self, "times", _time_axis(self.times, "witness knot times"))',
+          'object.__setattr__(self, "times", _time_axis(self.times, "witness knot times"))\n'
+          "        if any(b >= a for a, b in zip(self.times[1:], self.times)) or self.times[0] < 0.0:\n"
+          '            raise PreconditionError("witness knot times must be strictly increasing and >= 0")  # planted'),
+         ("def _time_axis(t):\n    raise E(f'{t} must be strictly increasing')\ndef other():\n"
+          '    """Times are strictly increasing."""\n    return "strictly increasing and >= 0", "sorted increasing"\n',
+          {"_time_axis": [2], "other": [4, 5]})),
     # The Datko statistic is the one strong-measurability gate of certificates.py.
     Rule("measurability-reads", lambda n: isinstance(n, ast.Attribute) and n.attr == "strongly_measurable"
          and isinstance(n.ctx, ast.Load), (CERTIFICATES,), {(CERTIFICATES, "_datko_stats")},
