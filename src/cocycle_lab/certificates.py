@@ -106,6 +106,11 @@ class ExpWitness:
 _LOG_MAX = math.log(np.finfo(float).max)  # the largest log value whose exp is a float
 
 
+def _exp(log_value: float) -> float:
+    """exp(log_value), or inf past ``_LOG_MAX``, where ``math.exp`` overflows."""
+    return math.exp(log_value) if log_value <= _LOG_MAX else math.inf
+
+
 @dataclass(frozen=True)
 class TabulatedWitness:
     """Step-interpolated witness: value at the nearest knot time >= t.
@@ -128,9 +133,9 @@ class TabulatedWitness:
             raise PreconditionError("tabulated witness needs at least one knot")
         if len(self.times) != len(self.values) or len(self.times) != len(self.log_values):
             raise PreconditionError("tabulated witness arrays must have equal length")
-        for lv in self.log_values:
-            if math.isnan(lv) or lv == math.inf:
-                raise PreconditionError(f"witness log-values must be finite or -inf, got {lv}")
+        for v, lv in zip(self.values, self.log_values):  # tied as from_log_values or from_values ties them
+            if not (lv < math.inf and (v == _exp(lv) or v > 0.0 and lv == math.log(v))):
+                raise PreconditionError(f"witness log-value {lv} must be finite or -inf and the log of its value {v}")
 
     @classmethod
     def from_values(cls, times: Sequence[float], values: Sequence[float], **fields):
@@ -142,7 +147,7 @@ class TabulatedWitness:
     @classmethod
     def from_log_values(cls, times: Sequence[float], logs: Sequence[float], **fields):
         lv = _floats(logs, "witness log-values")
-        return cls(times, tuple(math.exp(v) if v <= _LOG_MAX else math.inf for v in lv), lv, **fields)
+        return cls(times, tuple(map(_exp, lv)), lv, **fields)
 
     @property
     def form(self) -> str:

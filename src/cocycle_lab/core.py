@@ -67,6 +67,19 @@ def _finite(value, name: str, positive: bool = False) -> float:
     return float(value)
 
 
+def _coordinate(value, name: str, arrays: bool = True) -> float | np.ndarray:
+    """``value`` as a base-point coordinate or a time, finite and >= 0: a number as for ``_finite``,
+    as a float, or (if ``arrays``) a float64 array of such numbers, which the semiflow and the law
+    checks build.  Messages name ``name``."""
+    if isinstance(value, np.ndarray) and arrays:
+        ok = value.dtype == np.float64 and bool(np.all((value >= 0.0) & (value < math.inf)))
+    else:
+        ok = _is_finite_number(value) and value >= 0.0
+    if not ok:
+        raise PreconditionError(f"{name} must be finite and >= 0, got {_shown(value)}")
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
 def _floats(values, name: str) -> tuple[float, ...]:
     """``values``, a JSON list or another iterable but not a string or a mapping, as floats: each item a
     number as for ``_finite``, but nan and +-inf are left to the caller.  Messages name ``name``."""
@@ -80,9 +93,7 @@ def _floats(values, name: str) -> tuple[float, ...]:
 
 def _time_axis(times, name: str) -> tuple[float, ...]:
     """``times`` through ``_floats``, finite, >= 0 and strictly increasing: grid times, witness knots and the like."""
-    axis = _floats(times, name)
-    if bad := [t for t in axis if not 0.0 <= t < math.inf]:
-        raise PreconditionError(f"{name} must be finite and >= 0, got {bad[0]}")
+    axis = tuple(_coordinate(t, name) for t in _floats(times, name))
     if any(b >= a for a, b in zip(axis[1:], axis)):
         raise PreconditionError(f"{name} must be strictly increasing")
     return axis
@@ -128,13 +139,12 @@ class NormChoice(Enum):
 
 @dataclass(frozen=True)
 class Trivial:
-    """Base point for scalar models: a nonnegative time-like coordinate, or an array of them."""
+    """Base point for scalar models: a nonnegative time-like coordinate, or a float64 array of them."""
 
     value: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.value) & (np.asarray(self.value) >= 0.0)):
-            raise DomainError(f"Trivial base point needs a finite value >= 0, got {self.value}")
+        object.__setattr__(self, "value", _coordinate(self.value, "Trivial base point value"))
 
     def label(self) -> str:
         return f"trivial({self.value:.17g})"
@@ -146,7 +156,7 @@ class ShiftedGenerator:
 
     Represents u -> x_n(u + sigma) where (x_n) is the fixed decreasing
     family implemented in :mod:`cocycle_lab.models`.  ``sigma`` may be
-    an array, like ``Trivial.value``.
+    a float64 array, like ``Trivial.value``.
     """
 
     n: int
@@ -154,9 +164,8 @@ class ShiftedGenerator:
 
     def __post_init__(self) -> None:
         if not (_is_int(self.n) and self.n >= 1):
-            raise DomainError(f"generator index must be an integer >= 1, got {_shown(self.n)}")
-        if not np.all(np.isfinite(self.sigma) & (np.asarray(self.sigma) >= 0.0)):
-            raise DomainError(f"generator shift must be finite and >= 0, got {self.sigma}")
+            raise PreconditionError(f"generator index must be an integer >= 1, got {_shown(self.n)}")
+        object.__setattr__(self, "sigma", _coordinate(self.sigma, "generator shift"))
 
     def label(self) -> str:
         return f"x{self.n}^{self.sigma:.17g}"

@@ -29,51 +29,40 @@ from .core import (
     ShiftedGenerator,
     SkewEvolutionSemiflow,
     Trivial,
+    _coordinate,
     _finite,
     _floats,
-    _is_finite_number,
-    _is_int,
     _require_keys,
-    _shown,
 )
 
 
-def _check_generator(n: int, sigma: float) -> None:
-    """Refuse a generator index that is not an integer >= 1 or a shift that is not finite and >= 0."""
-    if not (_is_int(n) and n >= 1):
-        raise PreconditionError(f"generator index must be an integer >= 1, got {_shown(n)}")
-    if not (_is_finite_number(sigma) and sigma >= 0.0):
-        raise PreconditionError(f"generator shift must be finite and >= 0, got {_shown(sigma)}")
-
-
-def generator_value(n: int, sigma: float, t: float | np.ndarray) -> float | np.ndarray:
+def generator_value(n: int, sigma: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
     """Value of the n-th generator function shifted by sigma at time t.
 
     x_n(t) = 1/(2n+1) + (beta_n / 2) e^{-t} with beta_n = 1/(2n(2n+1)),
     evaluated at t + sigma.  The family is strictly decreasing from
     1/(2n+1) + beta_n/2 toward the limit 1/(2n+1), and stays strictly
-    between 1/(2n+1) and 1/(2n).
+    between 1/(2n+1) and 1/(2n).  Float64 arrays of t (or a list) and of
+    sigma broadcast, as in ``ShiftedGenerator``.
     """
-    _check_generator(n, sigma)
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise PreconditionError("generator times must be >= 0")
+    sigma = ShiftedGenerator(n, sigma).sigma
+    if isinstance(t, (list, tuple)):
+        t = np.asarray(_floats(t, "generator times"))
+    t = _coordinate(t, "generator times")
     beta = 1.0 / (2 * n * (2 * n + 1))
-    out = 1.0 / (2 * n + 1) + (beta / 2.0) * np.exp(-(arr + sigma))
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+    out = 1.0 / (2 * n + 1) + (beta / 2.0) * np.exp(-(t + sigma))
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def integrate_generator(n: int, sigma: float, length: float) -> float:
+def integrate_generator(n: int, sigma: float | np.ndarray, length: float | np.ndarray) -> float | np.ndarray:
     """Closed-form integral of the shifted generator over [0, length].
 
     Equals length/(2n+1) + (beta_n/2) e^{-sigma} (1 - e^{-length}); this
     is what the diagonal model's exponent uses, so cocycle composition
-    telescopes exactly.
+    telescopes exactly.  Float64 arrays of sigma and length broadcast.
     """
-    _check_generator(n, sigma)
-    if not (_is_finite_number(length) and length >= 0.0):
-        raise PreconditionError(f"integration length must be finite and >= 0, got {_shown(length)}")
-    return float(_generator_integral(n, sigma, length))
+    out = _generator_integral(n, ShiftedGenerator(n, sigma).sigma, _coordinate(length, "integration length"))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _generator_integral(

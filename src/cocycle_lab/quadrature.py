@@ -13,7 +13,6 @@ kernel integrals of a decay witness have closed forms
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,6 +23,7 @@ from .core import (
     DomainError,
     PreconditionError,
     SkewEvolutionSemiflow,
+    _coordinate,
     _finite,
     _integer,
     _is_finite_number,
@@ -205,18 +205,15 @@ def integrate_norm_trajectory(
 
     Nonnegative, zero exactly when t == t0, and additive across a split
     point up to the combined tolerances.  The one-segment case of
-    ``norm_integral_prefix`` on log |v|, with its bits.
+    ``norm_integral_prefix`` on log |v|, with its bits and its checks;
+    t == t0 is its one-knot axis (t0,), whose prefix is 0.
     """
-    if not (math.isfinite(t0) and math.isfinite(t)) or t0 < 0.0 or t < t0:
+    t0, t = _coordinate(t0, "trajectory start t0", arrays=False), _coordinate(t, "trajectory end t", arrays=False)
+    if t < t0:
         raise DomainError(f"need t >= t0 >= 0, got (t={t}, t0={t0})")
-    arr = np.asarray(v, dtype=float)
-    if not np.any(arr != 0.0):
-        raise PreconditionError("trajectory integral needs a nonzero vector")
-    if t == t0:
-        return 0.0
     with np.errstate(divide="ignore"):
-        log_mags = np.log(np.abs(arr))
-    return float(norm_integral_prefix(xi, x, log_mags, (t0, t), cfg)[0, 1])
+        log_mags = np.log(np.abs(np.asarray(v, dtype=float)))
+    return float(norm_integral_prefix(xi, x, log_mags, (t0, t) if t > t0 else (t0,), cfg)[0, -1])
 
 
 # The most real grid segments (over base times and distinct |v|) that one

@@ -94,6 +94,17 @@ def test_tabulated_witness_validation():
                                         "values": [1.0, 0.5, 0.2, 0.1], "grid_hash": "", "tool_version": "0"})
 
 
+def test_a_witness_built_directly_ties_its_values_to_its_log_values():
+    # (5.0, 0.0) built a witness whose value and log value disagreed
+    for value, log_value in ((5.0, 0.0), (0.0, 0.0), (math.inf, 0.0), (1.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(PreconditionError, match=f"^witness log-value {log_value} must be finite or -inf and"):
+            TabulatedWitness((0.0,), (value,), (log_value,))
+    # each constructor's pair builds directly: a log, an exp, an underflow to 0 and an overflow to inf
+    for value, log_value in ((5.0, math.log(5.0)), (math.exp(-3.0), -3.0), (0.0, -1000.0), (0.0, -math.inf),
+                             (math.inf, 800.0)):
+        assert TabulatedWitness((0.0,), (value,), (log_value,)).values == (value,)
+
+
 def test_a_table_whose_document_the_reader_refuses_is_not_written():
     # the log table serves margin arithmetic, but a document holds exps, which underflow to 0
     # or overflow here; the reader would refuse either value

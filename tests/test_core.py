@@ -37,6 +37,7 @@ from cocycle_lab import (
     generator_value,
     integrate_generator,
     integrate_kernel,
+    integrate_norm_trajectory,
     norm_integral_prefix,
     prop_shift_sufficiency,
     shift_cocycle,
@@ -108,13 +109,13 @@ def test_log_norm_triangle(u, v, choice):
 
 
 def test_base_point_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         Trivial(-0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         Trivial(math.inf)
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         ShiftedGenerator(0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         ShiftedGenerator(1, -1.0)
 
 
@@ -281,6 +282,13 @@ SCALAR_ARGUMENTS = {
     "QuadratureConfig.abs_tol": (lambda v: QuadratureConfig(abs_tol=v), "abs_tol", POSITIVE),
     "generator_value.sigma": (lambda v: generator_value(1, v, 0.0), "generator shift", AT_LEAST_0),
     "integrate_generator.length": (lambda v: integrate_generator(1, 0.0, v), "integration length", AT_LEAST_0),
+    "Trivial.value": (Trivial, "Trivial base point value", AT_LEAST_0),
+    "ShiftedGenerator.sigma": (lambda v: ShiftedGenerator(1, v), "generator shift", AT_LEAST_0),
+    "generator_value.t": (lambda v: generator_value(1, 0.0, v), "generator times", AT_LEAST_0),
+    "integrate_norm_trajectory.t0": (
+        lambda v: integrate_norm_trajectory(XI, v, Trivial(0.0), [1.0], 2.0), "trajectory start t0", AT_LEAST_0),
+    "integrate_norm_trajectory.t": (
+        lambda v: integrate_norm_trajectory(XI, 0.0, Trivial(0.0), [1.0], v), "trajectory end t", AT_LEAST_0),
 }
 
 
@@ -292,6 +300,27 @@ def test_scalar_arguments_follow_the_number_rule(site):
             call(value)
     for value in (1, 1.5, np.float64(1.5)):
         call(value)
+
+
+# A coordinate (a base point's, or a generator time) may also be a float64 array, as the semiflow and
+# the law checks build it, of numbers finite and >= 0; no other array passes.
+@pytest.mark.parametrize("make", [Trivial, lambda a: ShiftedGenerator(1, a), lambda a: generator_value(1, 0.0, a)],
+                         ids=["Trivial", "ShiftedGenerator", "generator_value"])
+def test_coordinates_take_only_float64_arrays(make):
+    good = np.array([0.0, 0.5, 2.0])
+    for bad in (good.astype(np.int64), good.astype(np.float32), good.astype(bool),
+                np.array([0.5, math.nan]), np.array([0.5, math.inf]), np.array([0.5, -1.0])):
+        with pytest.raises(PreconditionError, match="must be finite and >= 0, got array"):
+            make(bad)
+    got = make(good)
+    if isinstance(got, np.ndarray):
+        # x_1(t) = 1/3 + e^{-t}/12 entry by entry, and a list gives the same values
+        want = 1.0 / 3.0 + (1.0 / 12.0) * np.exp(-(good + 0.0))
+        assert got.tolist() == want.tolist() == make(good.tolist()).tolist()
+        with pytest.raises(PreconditionError, match="^generator times must be finite and >= 0, got '1'$"):
+            make("1")
+    else:
+        assert (got.value if isinstance(got, Trivial) else got.sigma) is good
 
 
 # Every list-of-numbers argument follows the item rule of a document list: each item a float (numpy

@@ -167,8 +167,9 @@ RULES = [
     # Telling a JSON number from a bool, a tuple of types included, is core.py's job.
     Rule("json-bool-checks", lambda n: isinstance(n, ast.Call) and dotted(n.func) == "isinstance" and len(n.args) == 2
          and any(isinstance(b, ast.Name) and b.id == "bool" for b in ast.walk(n.args[1])), SRC, {(CORE, None)},
-         (MODELS, "_check_generator", "if not (_is_int(n) and n >= 1):",
-          "if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):  # planted"),
+         (QUADRATURE, "QuadratureConfig.__post_init__",
+          "if not (_is_int(self.max_depth) and 1 <= self.max_depth <= 60):",
+          "if isinstance(self.max_depth, bool) or not 1 <= self.max_depth <= 60:  # planted"),
          ("isinstance(a, bool)\nisinstance(b, (int, bool))\nisinstance(c, int)\nbool(d)\n"
           "x.isinstance(e, bool)\nif not isinstance(f, int) or isinstance(f, bool): pass\n", {"": [1, 2, 6]})),
     # A vector norm is formed in log space by core._log_norm; only the scalar reference sums in
@@ -257,6 +258,22 @@ RULES = [
          ("def _time_axis(t):\n    raise E(f'{t} must be strictly increasing')\ndef other():\n"
           '    """Times are strictly increasing."""\n    return "strictly increasing and >= 0", "sorted increasing"\n',
           {"_time_axis": [2], "other": [4, 5]})),
+    # The generator rule (an index an integer >= 1, a shift finite and >= 0) is stated by
+    # core.ShiftedGenerator alone: generator_value and integrate_generator build one to check theirs.
+    Rule("generator-rule", lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
+         and ("generator index must be" in n.value or "generator shift must be" in n.value), SRC,
+         {(CORE, "ShiftedGenerator.__post_init__")},
+         (MODELS, "_check_generator", "",
+          "\n\ndef _check_generator(n, sigma):\n    if not (_is_int(n) and n >= 1):\n"
+          '        raise PreconditionError(f"generator index must be an integer >= 1, got {_shown(n)}")  # planted\n'
+          "    if not (_is_finite_number(sigma) and sigma >= 0.0):\n"
+          '        raise PreconditionError(f"generator shift must be finite and >= 0, got "  # planted\n'
+          '                                f"{_shown(sigma)}")\n'),
+         ("class ShiftedGenerator:\n    def __post_init__(self):\n"
+          "        raise E(f'generator index must be an integer >= 1, got {self.n}')\ndef check(n, x):\n"
+          '    """A generator shift must be finite."""\n'
+          "    return 'generator index must be', 'generator shift', f'{x} generator shift must be'\n",
+          {"ShiftedGenerator.__post_init__": [3], "check": [5, 6, 6]})),
     # The Datko statistic is the one strong-measurability gate of certificates.py.
     Rule("measurability-reads", lambda n: isinstance(n, ast.Attribute) and n.attr == "strongly_measurable"
          and isinstance(n.ctx, ast.Load), (CERTIFICATES,), {(CERTIFICATES, "_datko_stats")},

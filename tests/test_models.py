@@ -76,7 +76,7 @@ def test_generator_validation():
 @pytest.mark.parametrize("flag", [True, False])
 @pytest.mark.parametrize("make,error,message", [
     (lambda b: _integer({"n": b}, "n"), PreconditionError, "n must be an integer, got {}"),
-    (lambda b: ShiftedGenerator(b), DomainError, "generator index must be an integer >= 1, got {}"),
+    (lambda b: ShiftedGenerator(b), PreconditionError, "generator index must be an integer >= 1, got {}"),
     (lambda b: QuadratureConfig(max_depth=b), PreconditionError, r"max_depth must be an integer in \[1, 60\], got {}"),
     (lambda b: generator_value(b, 0, 1), PreconditionError, "generator index must be an integer >= 1, got {}"),
     (lambda b: integrate_generator(b, 0, 1), PreconditionError, "generator index must be an integer >= 1, got {}"),
@@ -251,11 +251,11 @@ def test_array_base_points_match_point_by_point(descriptor, samples, s0, d0):
 
 
 def test_array_base_points_are_validated():
-    with pytest.raises(DomainError, match="needs a finite value >= 0"):
+    with pytest.raises(PreconditionError, match="value must be finite and >= 0"):
         Trivial(np.array([0.0, -1.0, 2.0]))
-    with pytest.raises(DomainError, match="shift must be finite and >= 0"):
+    with pytest.raises(PreconditionError, match="shift must be finite and >= 0"):
         ShiftedGenerator(1, np.array([0.5, math.nan]))
-    with pytest.raises(DomainError, match="shift must be finite and >= 0"):
+    with pytest.raises(PreconditionError, match="shift must be finite and >= 0"):
         ShiftedGenerator(1, np.array([0.5, math.inf]))
 
 
