@@ -54,14 +54,12 @@ from .core import (
     _base_time_blocks,
     _finite,
     _floats,
-    _is_finite_number,
     _json_float,
     _log_norm,
     _number,
     _pairs,
     _report,
     _require_keys,
-    _shown,
     _time_axis,
     log_norms,
 )
@@ -139,9 +137,7 @@ class TabulatedWitness:
 
     @classmethod
     def from_values(cls, times: Sequence[float], values: Sequence[float], **fields):
-        vals = _floats(values, "witness values")
-        if any(not (v > 0.0) or not math.isfinite(v) for v in vals):
-            raise PreconditionError("tabulated witness values must be positive and finite")
+        vals = tuple(_finite(v, "tabulated witness value", positive=True) for v in _floats(values, "witness values"))
         return cls(times, vals, tuple(math.log(v) for v in vals), **fields)
 
     @classmethod
@@ -186,8 +182,7 @@ class ParametricDecay:
     tool_version: str = __version__
 
     def __post_init__(self) -> None:
-        if not (_is_finite_number(self.n_tilde) and self.n_tilde >= 1.0):
-            raise PreconditionError(f"n_tilde must be finite and >= 1, got {_shown(self.n_tilde)}")
+        _finite(self.n_tilde, "n_tilde", minimum=1.0)
         _finite(self.omega, "omega", positive=True)
 
     def value(self, t: float) -> float:
@@ -242,8 +237,7 @@ def integrate_kernel(f: DecayCertificate, alpha: float) -> float:
     or c + log(hi - lo) at r = 0, by log-sum-exp.  An f that is 0 on all
     of (0, 1] raises PreconditionError.
     """
-    if not (_is_finite_number(alpha) and alpha >= 0.0):
-        raise PreconditionError(f"kernel integral needs a finite alpha >= 0, got {_shown(alpha)}")
+    _finite(alpha, "kernel integral alpha", minimum=0.0)
     if isinstance(f, ParametricDecay):
         pieces = [(-math.log(f.n_tilde), 0.0, 1.0, alpha + f.omega)]
     else:
@@ -507,9 +501,9 @@ def _ls_slope(times: Sequence[float], values: np.ndarray) -> float:
 
 def _nu_ladder(candidates: Sequence[float], name: str = "nu candidates") -> tuple[float, ...]:
     """The rate candidates, called ``name``, as floats: a nonempty, increasing list of positive reals."""
-    ladder = _floats(candidates, name)
-    if not ladder or any(not (_is_finite_number(c) and c > 0.0) for c in ladder):
-        raise PreconditionError("nu candidates must be a nonempty list of positive reals")
+    ladder = tuple(_finite(c, "nu candidate", positive=True) for c in _floats(candidates, name))
+    if not ladder:
+        raise PreconditionError("nu candidates must be a nonempty list")
     if any(b >= a for a, b in zip(ladder[1:], ladder)):
         raise PreconditionError("nu candidates must be sorted increasing")
     return ladder

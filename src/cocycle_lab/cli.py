@@ -168,9 +168,8 @@ def _parse_times(doc) -> list | np.ndarray:
         return doc  # the grid checks it, as "grid times"
     if isinstance(doc, dict):
         _require_keys(doc, {"min", "max", "count"}, set(), "grid times")
-        count = _integer(doc, "count", minimum=1, name="grid times count")
-        if count > sys.maxsize // 8:  # no float64 array of that many entries can exist
-            raise PreconditionError(f"grid times count must be at most {sys.maxsize // 8}")
+        # no float64 array of more entries can exist
+        count = _integer(doc, "count", minimum=1, name="grid times count", maximum=sys.maxsize // 8)
         lo, hi = _number(doc, "min", 0.0), _number(doc, "max", 0.0)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowed span fails the grid's checks
@@ -229,12 +228,11 @@ def parse_scenario(doc: dict, out_dir_override: str | None = None) -> tuple[Scen
         vectors = list(default_vectors(base_model.dimension))
 
     seed = None if doc.get("seed") is None else _integer(doc, "seed", minimum=0)
-    extra = _integer(doc, "random_vectors", 0, minimum=0)
+    # no numpy array of more entries can exist
+    extra = _integer(doc, "random_vectors", 0, minimum=0, maximum=sys.maxsize // base_model.dimension)
     if extra > 0:
         if seed is None:
             raise PreconditionError("random_vectors needs an explicit seed")
-        if extra * base_model.dimension > sys.maxsize:  # no numpy array of that many entries can exist
-            raise PreconditionError(f"random_vectors must be at most {sys.maxsize // base_model.dimension}")
         rng = np.random.default_rng(seed)
         vectors.extend(rng.standard_normal((extra, base_model.dimension)))
 

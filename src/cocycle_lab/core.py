@@ -58,26 +58,41 @@ def _shown(value) -> str:
     return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits" if huge else repr(value)
 
 
-def _finite(value, name: str, positive: bool = False) -> float:
-    """``value`` as a finite float (> 0 if ``positive``), for a document field and an argument
-    alike: a float or an int within the float range, but not a bool or a numpy scalar that is
-    not a float64, which ``json`` cannot write.  Messages name ``name``."""
-    if not (_is_finite_number(value) and (value > 0.0 or not positive)):
-        raise PreconditionError(f"{name} must be a finite number{' > 0' if positive else ''}, got {_shown(value)}")
+def _finite(value, name: str, positive: bool = False, minimum: float | None = None) -> float:
+    """``value`` as a finite float (> 0 if ``positive``, >= ``minimum`` if given), for a document
+    field and an argument alike: a float or an int within the float range, but not a bool or a
+    numpy scalar that is not a float64, which ``json`` cannot write.  Messages name ``name``."""
+    if not (_is_finite_number(value) and (value > 0.0 or not positive) and (minimum is None or value >= minimum)):
+        bound = f"a finite number{' > 0' if positive else ''}" if minimum is None else f"finite and >= {minimum:g}"
+        raise PreconditionError(f"{name} must be {bound}, got {_shown(value)}")
     return float(value)
+
+
+def _int(value, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """``value`` as an int that is not a bool, in [``minimum``, ``maximum``] where given: the integer
+    rule of an argument, as ``_finite`` is of a float.  Messages name ``name``.  A maximum past 2**53
+    is a limit of floats or of memory, not of what the argument means, so a message states it only
+    to a value above it, and a power of two there as 2**k."""
+    if not (_is_int(value) and (minimum is None or value >= minimum) and (maximum is None or value <= maximum)):
+        hi = maximum
+        if maximum is not None and maximum > 2**53:
+            shown = f"2**{maximum.bit_length() - 1}" if not maximum & (maximum - 1) else maximum
+            hi = shown if _is_int(value) and value > maximum else None
+        bound = (f" in [{minimum}, {hi}]" if None not in (minimum, hi) else f" >= {minimum}" if minimum is not None
+                 else f" <= {hi}" if hi is not None else "")
+        raise PreconditionError(f"{name} must be an integer{bound}, got {_shown(value)}")
+    return value
 
 
 def _coordinate(value, name: str, arrays: bool = True) -> float | np.ndarray:
     """``value`` as a base-point coordinate or a time, finite and >= 0: a number as for ``_finite``,
     as a float, or (if ``arrays``) a float64 array of such numbers, which the semiflow and the law
     checks build.  Messages name ``name``."""
-    if isinstance(value, np.ndarray) and arrays:
-        ok = value.dtype == np.float64 and bool(np.all((value >= 0.0) & (value < math.inf)))
-    else:
-        ok = _is_finite_number(value) and value >= 0.0
-    if not ok:
+    if not (isinstance(value, np.ndarray) and arrays):
+        return _finite(value, name, minimum=0.0)
+    if not (value.dtype == np.float64 and bool(np.all((value >= 0.0) & (value < math.inf)))):
         raise PreconditionError(f"{name} must be finite and >= 0, got {_shown(value)}")
-    return value if isinstance(value, np.ndarray) else float(value)
+    return value
 
 
 def _floats(values, name: str) -> tuple[float, ...]:
@@ -105,13 +120,12 @@ def _number(doc: dict, key: str, default: float | None = None, positive: bool = 
     return _finite(doc.get(key, default), name or key, positive)
 
 
-def _integer(doc: dict, key: str, default: int | None = None, minimum: int | None = None, name: str | None = None) -> int:
-    """Like ``_number``, for an int that is not a bool, >= ``minimum`` if given."""
-    value = doc.get(key, default)
-    if not (_is_int(value) and (minimum is None or value >= minimum)):
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise PreconditionError(f"{name or key} must be an integer{at_least}, got {_shown(value)}")
-    return value
+def _integer(
+    doc: dict, key: str, default: int | None = None, minimum: int | None = None, name: str | None = None,
+    maximum: int | None = None,
+) -> int:
+    """Like ``_number``, through ``_int``."""
+    return _int(doc.get(key, default), name or key, minimum, maximum)
 
 
 def _require_keys(doc: dict, required: set[str], optional: set[str], what: str) -> None:
@@ -163,8 +177,8 @@ class ShiftedGenerator:
     sigma: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n) and self.n >= 1):
-            raise PreconditionError(f"generator index must be an integer >= 1, got {_shown(self.n)}")
+        # 2**510 is the largest power of two n whose 2n(2n+1), in the models' beta_n, converts to a float
+        _int(self.n, "generator index", 1, 2**510)
         object.__setattr__(self, "sigma", _coordinate(self.sigma, "generator shift"))
 
     def label(self) -> str:
@@ -367,12 +381,11 @@ class SampleGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", _time_axis(self.times, "grid times"))
-        object.__setattr__(self, "vectors", tuple(_floats(v, "grid vectors entry") for v in self.vectors))
+        object.__setattr__(self, "vectors", tuple(
+            tuple(_finite(c, "grid vector component") for c in _floats(v, "grid vectors entry")) for v in self.vectors))
         if not (self.times and self.base_points and self.vectors):
             raise PreconditionError("grid nonempty")
         for v in self.vectors:
-            if not all(math.isfinite(c) for c in v):
-                raise PreconditionError(f"vector components must be finite, got {v}")
             if all(c == 0.0 for c in v):
                 raise PreconditionError("zero vectors are not allowed in a sample grid")
             if len(v) != len(self.vectors[0]):
@@ -517,8 +530,7 @@ def _report(check: str, tol: float, sink: MarginSink | None, rows) -> CheckRepor
     samples whose (t, s, t0) arrays it carries; the rows go to the sink in
     order.  Only failures cost per-sample work.
     """
-    if not (_is_finite_number(tol) and tol >= 0.0):
-        raise PreconditionError(f"margin tolerance must be finite and >= 0, got {_shown(tol)}")
+    _finite(tol, "margin tolerance", minimum=0.0)
     samples, worst, failures = 0, math.inf, []
     for row in rows:
         base, vector, (ts, ss, t0s), margins = row

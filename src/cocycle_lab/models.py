@@ -134,11 +134,9 @@ def diag_integral_model(
     of the fiber map multiplies by exp(alpha_k I) where I is the integral
     of the shifted generator over a window of length t - s.
     """
-    rates = _floats(alphas, "diag_integral alphas")
+    rates = tuple(_finite(a, "diag_integral alpha") for a in _floats(alphas, "diag_integral alphas"))
     if not rates:
         raise PreconditionError("diag_integral needs at least one component rate")
-    if not all(math.isfinite(a) for a in rates):
-        raise PreconditionError(f"component rates must be finite, got {rates}")
     rate_arr = np.asarray(rates, dtype=float)
 
     def semiflow(t, s, x: BasePoint) -> BasePoint:

@@ -25,14 +25,13 @@ from .core import (
     SkewEvolutionSemiflow,
     _coordinate,
     _finite,
+    _floats,
+    _int,
     _integer,
-    _is_finite_number,
-    _is_int,
     _log_factors,
     _log_norm,
     _number,
     _require_keys,
-    _shown,
     _time_axis,
 )
 
@@ -48,11 +47,9 @@ class QuadratureConfig:
     max_depth: int = 48
 
     def __post_init__(self) -> None:
-        if not (_is_finite_number(self.rel_tol) and self.rel_tol >= 1e-13):
-            raise PreconditionError(f"rel_tol must be >= 1e-13, got {_shown(self.rel_tol)}")
+        _finite(self.rel_tol, "rel_tol", minimum=1e-13)
         _finite(self.abs_tol, "abs_tol", positive=True)
-        if not (_is_int(self.max_depth) and 1 <= self.max_depth <= 60):
-            raise PreconditionError(f"max_depth must be an integer in [1, 60], got {_shown(self.max_depth)}")
+        _int(self.max_depth, "max_depth", 1, 60)
 
     def to_json_dict(self) -> dict:
         return {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol, "max_depth": self.max_depth}
@@ -212,7 +209,7 @@ def integrate_norm_trajectory(
     if t < t0:
         raise DomainError(f"need t >= t0 >= 0, got (t={t}, t0={t0})")
     with np.errstate(divide="ignore"):
-        log_mags = np.log(np.abs(np.asarray(v, dtype=float)))
+        log_mags = np.log(np.abs(np.asarray(_floats(v, "trajectory vector"))))
     return float(norm_integral_prefix(xi, x, log_mags, (t0, t) if t > t0 else (t0,), cfg)[0, -1])
 
 

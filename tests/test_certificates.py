@@ -111,8 +111,9 @@ def test_a_table_whose_document_the_reader_refuses_is_not_written():
     deep = TabulatedDecay.from_log_values([0.0, 1.0], [0.0, -1000.0])
     steep = InstabilityCertificate(TabulatedWitness.from_log_values([0.0], [800.0]))
     assert deep.values == (1.0, 0.0) and steep.N.values == (math.inf,)
-    for cert in (deep, steep):
-        with pytest.raises(PreconditionError, match="^tabulated witness values must be positive and finite$"):
+    for cert, shown in ((deep, "0.0"), (steep, "inf")):
+        message = f"^tabulated witness value must be a finite number > 0, got {shown}$"
+        with pytest.raises(PreconditionError, match=message):
             certificate_to_json_dict(cert)
     # a log value above 0 whose exp rounds to 1 reads back as log 0, which no instability witness
     # takes; such a witness is built and checked, as a theorem's derived N may be, but not written

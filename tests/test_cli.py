@@ -242,12 +242,16 @@ MALFORMED_SCENARIOS = {
                        "grid times must be a list of numbers within the float range"),
     "huge_vector.json": (json.dumps({"model": {"kind": "sin_scalar"}, "grid": {"vectors": [[HUGE]]}}),
                          "grid vectors entry must be a list of numbers within the float range"),
+    # the models' beta_n = 1 / (2n(2n+1)) once overflowed, and the CLI printed the bare OverflowError
+    "huge_generator.json": (json.dumps({"model": {"kind": "diag_integral", "alphas": [1, -1]},
+                                        "grid": {"times": [0, 1], "base_points": [{"kind": "generator", "n": HUGE}]}}),
+                            "generator index must be an integer in [1, 2**510], got an int of 1329 bits"),
     "huge_random_vectors.json": (json.dumps({"model": {"kind": "sin_scalar"}, "seed": 1, "random_vectors": HUGE}),
-                                 "random_vectors must be at most"),
+                                 f"random_vectors must be an integer in [0, {sys.maxsize}], got an int of 1329 bits"),
     # counts that no float64 array can hold; the largest used to escape as an IndexError (exit 1)
     **{f"huge_count_{name}.json": (json.dumps({"model": {"kind": "sin_scalar"},
                                                "grid": {"times": {"min": 0, "max": 1, "count": count}}}),
-                                   "grid times count must be at most")
+                                   f"grid times count must be an integer in [1, {sys.maxsize // 8}], got {count}")
        for name, count in [("maxsize", sys.maxsize), ("2_62", 2**62), ("1e29", 10**29)]},
     # counts under that bound that numpy still cannot build: too big an intermediate, or no such memory
     **{f"huge_count_{name}.json": (json.dumps({"model": {"kind": "sin_scalar"},
@@ -504,13 +508,15 @@ def test_ragged_vectors_exit_2_with_the_grid_message(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("ladder", [[0.5, 0.25, -1], [0.5, 0.25]])
-def test_bad_nu_candidates_exit_2_for_every_command(tmp_path, capsys, ladder):
+@pytest.mark.parametrize("ladder,message", [([0.5, 0.25, -1], "nu candidate must be a finite number > 0, got -1.0"),
+                                            ([0.5, 0.25], "nu candidates must be sorted increasing")],
+                         ids=["ladder0", "ladder1"])
+def test_bad_nu_candidates_exit_2_for_every_command(tmp_path, capsys, ladder, message):
     # only estimate --property exp-instability used to check the ladder
     p = write_scenario(tmp_path / "nu.json", {"kind": "pure_exponential", "rate": 1.0}, times=[0, 1, 2],
                        nu_candidates=ladder)
     assert main(["laws", "--scenario", str(p), "--out-dir", str(tmp_path / "out")]) == 2
-    assert "nu candidates must be" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_laws_fail_on_broken_model(tmp_path):
@@ -695,7 +701,9 @@ def test_estimate_writes_no_table_it_cannot_read(tmp_path, capsys, prop):
                        times={"min": 0, "max": 16, "count": 17})
     out = tmp_path / "out"
     assert main(["estimate", "--scenario", str(p), "--out-dir", str(out), "--property", prop]) == 2
-    assert capsys.readouterr().err == "cocycle-lab: error: tabulated witness values must be positive and finite\n"
+    shown = "0.0" if prop == "decay" else "inf"
+    assert capsys.readouterr().err == (
+        f"cocycle-lab: error: tabulated witness value must be a finite number > 0, got {shown}\n")
     assert not out.exists()
 
 
@@ -1040,7 +1048,7 @@ FUZZ_TIMES = st.one_of(
 )
 FUZZ_BASE_POINT = st.one_of(
     st.fixed_dictionaries({"kind": st.just("trivial")}, optional={"value": FUZZ_NUMBERS}),
-    st.fixed_dictionaries({"kind": st.just("generator"), "n": st.sampled_from([-1, 0, 3, True, 1.5])},
+    st.fixed_dictionaries({"kind": st.just("generator"), "n": st.sampled_from([-1, 0, 3, True, 1.5, HUGE])},
                           optional={"sigma": FUZZ_NUMBERS}),
     st.sampled_from(NOT_NUMBERS),
 )
@@ -1090,6 +1098,9 @@ FUZZ_THEOREMS = ("remark-obs2", "prop-integral-decay", "prop-shift-sufficiency",
 # a base point coordinate that the semiflow overflows once raised numpy's overflow warning
 @example({"model": {"kind": "sin_scalar"},
           "grid": {"times": [0.0, 1e308], "base_points": [{"kind": "trivial", "value": 1e308}]}})
+# a generator index past 2**510 once exited 2 with the bare "int too large to convert to float"
+@example({"model": {"kind": "diag_integral", "alphas": [1.0]},
+          "grid": {"times": [0, 1], "base_points": [{"kind": "generator", "n": HUGE}]}})
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_scenarios_exit_0_1_or_2(doc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -1099,9 +1110,11 @@ def test_fuzzed_scenarios_exit_0_1_or_2(doc):
         out = os.path.join(tmp, "out")
 
         def run(argv):
-            with contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main([*argv, "--scenario", path, "--out-dir", out])
             assert code in (0, 1, 2), argv
+            # a refusal names its argument, not a bare Python conversion error
+            assert not any(bare in err.getvalue() for bare in ("int too large to convert", "could not convert")), argv
             return code
 
         # check, report and theorem read the certificates of the scenario's own estimates

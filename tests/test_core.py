@@ -233,14 +233,14 @@ REFUSALS = {
         DomainError, r"^times must be finite, got \(t=inf, s=0.0\)$"),
     "grid_infinite_component": (
         lambda: SampleGrid.create([0.0], [Trivial(0.0)], [(1.0, math.inf)]),
-        PreconditionError, r"^vector components must be finite, got \(1.0, inf\)$"),
+        PreconditionError, r"^grid vector component must be a finite number, got inf$"),
     "semiflow_laws_negative_tol": (
         lambda: check_semiflow_laws(pure_exponential_model(1.0), SampleGrid.create([0.0], [Trivial(0.0)], [(1.0,)]),
                                     tol=-1.0),
         PreconditionError, r"^margin tolerance must be finite and >= 0, got -1.0$"),
     "diag_nan_rate": (
         lambda: diag_integral_model([math.nan]),
-        PreconditionError, r"^component rates must be finite, got \(nan,\)$"),
+        PreconditionError, r"^diag_integral alpha must be a finite number, got nan$"),
 }
 
 
@@ -348,6 +348,9 @@ SEQUENCE_ARGUMENTS = {
     "estimate_exp_instability.nu_candidates": (lambda xs: estimate_exp_instability(XI, GRID, nu_candidates=xs),
                                                "nu candidates", [0.5, 1.0, 2.0], certificate_to_json_dict, False),
     "diag_integral_model": (diag_integral_model, "diag_integral alphas", [1.0, -1.0, 0.5], lambda m: m.descriptor, False),
+    "integrate_norm_trajectory.v": (lambda xs: integrate_norm_trajectory(diag_integral_model(LOGS), 0.0,
+                                                                         ShiftedGenerator(1), xs, 1.0),
+                                    "trajectory vector", LINEAR, lambda r: r, False),
     "norm_integral_prefix.times": (lambda xs: norm_integral_prefix(XI, Trivial(0.0), np.zeros(1), xs), "times", KNOTS,
                                    lambda p: p.tolist(), True),
 }
@@ -368,6 +371,9 @@ def test_sequence_arguments_follow_the_number_rule(site):
     for item in (True, np.bool_(True), "1.5", 10**400, 10**5000, np.float32(1.0), np.int64(1)):
         with pytest.raises(PreconditionError, match=f"^{name} must be a list of numbers"):
             call([valid[0], item, *valid[2:]])
+    for array in (np.asarray(valid, dtype=np.float32), np.asarray(valid).astype(np.int64)):
+        with pytest.raises(PreconditionError, match=f"^{name} must be a list of numbers$"):
+            call(array)
     for bad in ([0.0, 1.0, math.inf], [0.0, 1.0, math.nan], [-1.0, 0.0, 1.0], [0.0, 0.0, 1.0]) if axis else ():
         with pytest.raises(PreconditionError, match=f"^{name} must be (finite and >= 0|strictly increasing)"):
             call(bad)

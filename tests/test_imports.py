@@ -167,9 +167,9 @@ RULES = [
     # Telling a JSON number from a bool, a tuple of types included, is core.py's job.
     Rule("json-bool-checks", lambda n: isinstance(n, ast.Call) and dotted(n.func) == "isinstance" and len(n.args) == 2
          and any(isinstance(b, ast.Name) and b.id == "bool" for b in ast.walk(n.args[1])), SRC, {(CORE, None)},
-         (QUADRATURE, "QuadratureConfig.__post_init__",
-          "if not (_is_int(self.max_depth) and 1 <= self.max_depth <= 60):",
-          "if isinstance(self.max_depth, bool) or not 1 <= self.max_depth <= 60:  # planted"),
+         (QUADRATURE, "QuadratureConfig.__post_init__", '_int(self.max_depth, "max_depth", 1, 60)',
+          "if isinstance(self.max_depth, bool) or not 1 <= self.max_depth <= 60:  # planted\n"
+          '            raise PreconditionError("max_depth must be an integer in [1, 60]")'),
          ("isinstance(a, bool)\nisinstance(b, (int, bool))\nisinstance(c, int)\nbool(d)\n"
           "x.isinstance(e, bool)\nif not isinstance(f, int) or isinstance(f, bool): pass\n", {"": [1, 2, 6]})),
     # A vector norm is formed in log space by core._log_norm; only the scalar reference sums in
@@ -216,20 +216,20 @@ RULES = [
          ("g = xi.log_factors(t, s, x)\nh = _log_factors(xi, t, s, x) + log_factors(t, s, x)\n"
           "f = xi.log_factors\nk = model().log_factors(t, s, x).T\nModel(semiflow=s, log_factors=log_factors)\n",
           {"": [1, 4]})),
-    # A scalar is checked through core._finite or core._is_finite_number, which refuse bools,
-    # numpy scalars other than float64 and ints beyond the float range, as documents do;
-    # math.isfinite takes all three.  An ``and`` of math.isfinite(X) with a comparison of X matches.
-    Rule("isfinite-checks", lambda n: isinstance(n, ast.BoolOp) and isinstance(n.op, ast.And) and any(
-        isinstance(c, ast.Compare) and {ast.dump(e) for e in (c.left, *c.comparators)} & {
-            ast.dump(f.args[0]) for f in n.values if isinstance(f, ast.Call) and dotted(f.func) == "math.isfinite"}
-        for c in n.values), SRC, set(),
-         (CERTIFICATES, "estimate_instability", '_finite(headroom, "headroom", positive=True)',
-          "if not (math.isfinite(headroom) and headroom > 0.0):  # planted\n"
-          '        raise PreconditionError(f"headroom must be > 0, got {headroom}")'),
-         ("def f(x, y, self):\n    a = math.isfinite(x) and x > 0\n    b = not (math.isfinite(self.a) and self.a >= 1)\n"
-          "    c = 0.0 < y and math.isfinite(y)\n    d = math.isfinite(x)\n    e = math.isfinite(x) and y > 0\n"
-          "    g = _is_finite_number(x) and x > 0\n    h = not (math.isfinite(x) and math.isfinite(y)) or x < y\n",
-          {"f": [2, 3, 4]})),
+    # A number is checked, and its bounds stated, by core's rule helpers: _finite for a float, _int
+    # for an int, _floats for a list.  Apart from them, only the scalar reference and _json_float
+    # call math.isfinite, or _is_finite_number or _is_int by name or as core's attribute.
+    Rule("isfinite-checks", lambda n: isinstance(n, ast.Call) and (dotted(n.func) == "math.isfinite"
+         or dotted(n.func).split(".")[-1] in {"_is_finite_number", "_is_int"}), SRC,
+         {(CORE, helper) for helper in ("_is_number", "_shown", "_finite", "_int", "_floats", "log_cocycle_norm",
+                                        "_require_pair", "_json_float")},
+         (CERTIFICATES, "ParametricDecay.__post_init__", '_finite(self.n_tilde, "n_tilde", minimum=1.0)',
+          "if not (_is_finite_number(self.n_tilde) and self.n_tilde >= 1.0):  # planted\n"
+          '            raise PreconditionError(f"n_tilde must be finite and >= 1, got {_shown(self.n_tilde)}")'),
+         ("def f(x, y, self):\n    a = math.isfinite(x) and x > 0\n"
+          "    b = core._is_int(y) or _is_finite_number(self.a)\n"
+          "    c = np.isfinite(x) + _int(y) + _finite(x) + _is_number(x)\ndef _shown(v):\n    return math.isfinite(v)\n",
+          {"f": [2, 3, 3], "_shown": [6]})),
     # A sequence argument becomes floats through core._floats, which refuses bools, strings, numpy
     # scalars other than float64 and ints beyond the float range; float() takes the first four and
     # overflows on the last.  A comprehension whose item is float() of its own target matches, and
@@ -240,8 +240,8 @@ RULES = [
              t.id for g in n.generators for t in ast.walk(g.target) if isinstance(t, ast.Name)}
          or isinstance(n, ast.Call) and dotted(n.func) == "map" and bool(n.args) and dotted(n.args[0]) == "float",
          SRC, {(CORE, "_floats")},
-         (CERTIFICATES, "_nu_ladder", "ladder = _floats(candidates, name)",
-          "ladder = tuple(float(c) for c in candidates)  # planted"),
+         (CERTIFICATES, "_nu_ladder", "for c in _floats(candidates, name))",
+          "for c in map(float, candidates))  # planted"),
          ("def _floats(xs):\n    return tuple(float(v) for v in xs)\ndef grid(rows, a, total):\n"
           "    vs = [[float(c) for c in row] for row in rows] + list(map(float, a))\n"
           "    return float(a), float(np.max(a)), float(total[0]), [float(x) + 1 for x in a], [float(y) for x in a]\n",
@@ -258,22 +258,21 @@ RULES = [
          ("def _time_axis(t):\n    raise E(f'{t} must be strictly increasing')\ndef other():\n"
           '    """Times are strictly increasing."""\n    return "strictly increasing and >= 0", "sorted increasing"\n',
           {"_time_axis": [2], "other": [4, 5]})),
-    # The generator rule (an index an integer >= 1, a shift finite and >= 0) is stated by
-    # core.ShiftedGenerator alone: generator_value and integrate_generator build one to check theirs.
+    # The generator rule (an index an integer in [1, 2**510], a shift finite and >= 0) is stated by
+    # core.ShiftedGenerator alone: generator_value and integrate_generator build one to check theirs,
+    # and no other string constant begins with the name of either argument.
     Rule("generator-rule", lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
-         and ("generator index must be" in n.value or "generator shift must be" in n.value), SRC,
+         and n.value.startswith(("generator index", "generator shift")), SRC,
          {(CORE, "ShiftedGenerator.__post_init__")},
          (MODELS, "_check_generator", "",
-          "\n\ndef _check_generator(n, sigma):\n    if not (_is_int(n) and n >= 1):\n"
-          '        raise PreconditionError(f"generator index must be an integer >= 1, got {_shown(n)}")  # planted\n'
-          "    if not (_is_finite_number(sigma) and sigma >= 0.0):\n"
-          '        raise PreconditionError(f"generator shift must be finite and >= 0, got "  # planted\n'
-          '                                f"{_shown(sigma)}")\n'),
-         ("class ShiftedGenerator:\n    def __post_init__(self):\n"
-          "        raise E(f'generator index must be an integer >= 1, got {self.n}')\ndef check(n, x):\n"
-          '    """A generator shift must be finite."""\n'
-          "    return 'generator index must be', 'generator shift', f'{x} generator shift must be'\n",
-          {"ShiftedGenerator.__post_init__": [3], "check": [5, 6, 6]})),
+          "\n\ndef _check_generator(n, sigma):\n"
+          '    _int(n, "generator index", 1, 2**510)  # planted\n'
+          '    _coordinate(sigma, "generator shift")  # planted\n'),
+         ("class ShiftedGenerator:\n    def __post_init__(self):\n        _int(self.n, 'generator index', 1)\n"
+          'def check(n, x):\n    """A generator shift must be finite."""\n'
+          "    return ('generator index must be', 'generator shift', f'{x} generator shift must be',\n"
+          "            'generator times')\n",
+          {"ShiftedGenerator.__post_init__": [3], "check": [6, 6]})),
     # The Datko statistic is the one strong-measurability gate of certificates.py.
     Rule("measurability-reads", lambda n: isinstance(n, ast.Attribute) and n.attr == "strongly_measurable"
          and isinstance(n.ctx, ast.Load), (CERTIFICATES,), {(CERTIFICATES, "_datko_stats")},

@@ -73,6 +73,16 @@ def test_generator_validation():
         generator_value(1, 0.0, -1.0)
 
 
+def test_the_generator_index_stops_where_beta_n_overflows():
+    # 2n(2n+1) in beta_n converts to a float up to n = 2**510; past it the models raised OverflowError
+    assert generator_value(2**510, 0.0, 0.0) == 1.4916681462400413e-154
+    for make in (ShiftedGenerator, lambda n: generator_value(n, 0.0, 0.0), lambda n: integrate_generator(n, 0.0, 1.0)):
+        for n, shown in ((2**511, 2**511), (10**400, "an int of 1329 bits")):
+            message = rf"^generator index must be an integer in \[1, 2\*\*510\], got {shown}$"
+            with pytest.raises(PreconditionError, match=message):
+                make(n)
+
+
 @pytest.mark.parametrize("flag", [True, False])
 @pytest.mark.parametrize("make,error,message", [
     (lambda b: _integer({"n": b}, "n"), PreconditionError, "n must be an integer, got {}"),

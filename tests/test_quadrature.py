@@ -405,7 +405,7 @@ def test_kernel_step_witness_exponential_weight():
 def test_kernel_rejects_bad_inputs():
     f = ParametricDecay(1.0, 1.0)
     for alpha in (-1.0, math.nan, math.inf):
-        with pytest.raises(PreconditionError, match="finite alpha >= 0"):
+        with pytest.raises(PreconditionError, match=f"^kernel integral alpha must be finite and >= 0, got {alpha}$"):
             integrate_kernel(f, alpha)
     vanishing = TabulatedDecay.from_log_values([0.0, 0.5, 1.0], [0.0, -math.inf, -math.inf])
     with pytest.raises(PreconditionError, match="vanishes"):
